@@ -41,7 +41,10 @@ type Benchmark struct {
 	prog *isa.Program
 }
 
-// Prog returns the assembled kernel (parsed once, then cached).
+// Prog returns the assembled kernel (parsed once, then cached). The
+// first call assembles and stores the program without synchronisation,
+// so it is not safe for concurrent use: callers that fan work out over
+// goroutines resolve Prog (or Spec) first. Later calls only read.
 func (b *Benchmark) Prog() *isa.Program {
 	if b.prog == nil {
 		b.prog = isa.MustParse(b.Name, b.Src)

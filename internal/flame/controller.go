@@ -1,7 +1,8 @@
 package flame
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"flame/internal/gpu"
 	"flame/internal/isa"
@@ -49,9 +50,20 @@ type Stats struct {
 	RestoredRegs int64
 }
 
-type ckKey struct {
-	lane int
-	reg  isa.Reg
+// maxLanes bounds a warp's lane count (gpu.Config validates WarpSize
+// <= 32), so lane sets fit a uint32 like the warp's own masks.
+const maxLanes = 32
+
+// ckptBuf is one warp's checkpoint state under the checkpointing
+// recovery scheme. Values are indexed lane*K + slot, where K is the
+// number of checkpointed registers and slots number them in ascending
+// register order; the parallel set masks hold, per slot, the lanes whose
+// entry is live. pend holds values checkpointed in the current,
+// unverified region; comm holds the committed values a recovery
+// restores.
+type ckptBuf struct {
+	pend, comm       []uint32
+	pendSet, commSet []uint32
 }
 
 type undoEntry struct {
@@ -87,8 +99,14 @@ type Controller struct {
 	rpt     map[*gpu.Warp]Snapshot
 	cleared map[*gpu.Warp]int
 
-	pendCkpt map[*gpu.Warp]map[ckKey]uint32
-	commCkpt map[*gpu.Warp]map[ckKey]uint32
+	// ckptRegs lists the checkpointed registers in ascending order and
+	// ckptSlot, indexed by register, inverts it (checkpoint stores only
+	// name checkpointed registers); ckpt holds each warp's buffer and
+	// ckptFree recycles the buffers of retired warps.
+	ckptRegs []isa.Reg
+	ckptSlot []int
+	ckpt     map[*gpu.Warp]*ckptBuf
+	ckptFree []*ckptBuf
 
 	undo []undoEntry
 
@@ -102,14 +120,24 @@ func NewController(mode Mode) *Controller {
 	if mode.WCDL < 1 {
 		mode.WCDL = 1
 	}
-	return &Controller{
+	c := &Controller{
 		Mode:           mode,
 		rpt:            map[*gpu.Warp]Snapshot{},
 		cleared:        map[*gpu.Warp]int{},
-		pendCkpt:       map[*gpu.Warp]map[ckKey]uint32{},
-		commCkpt:       map[*gpu.Warp]map[ckKey]uint32{},
+		ckpt:           map[*gpu.Warp]*ckptBuf{},
 		sectionPending: map[*gpu.BlockState]map[*gpu.Warp]Snapshot{},
 	}
+	for r := range mode.CkptSlots {
+		c.ckptRegs = append(c.ckptRegs, r)
+	}
+	slices.Sort(c.ckptRegs)
+	if n := len(c.ckptRegs); n > 0 {
+		c.ckptSlot = make([]int, c.ckptRegs[n-1]+1)
+		for slot, r := range c.ckptRegs {
+			c.ckptSlot[r] = slot
+		}
+	}
+	return c
 }
 
 // Hooks returns the simulator hooks realizing this controller.
@@ -227,16 +255,8 @@ func (c *Controller) beforeIssue(d *gpu.Device, sm *gpu.SM, w *gpu.Warp) bool {
 // atomic undo entries are dropped.
 func (c *Controller) advanceRPT(w *gpu.Warp, snap Snapshot) {
 	c.rpt[w] = snap
-	if p := c.pendCkpt[w]; len(p) > 0 {
-		com, ok := c.commCkpt[w]
-		if !ok {
-			com = map[ckKey]uint32{}
-			c.commCkpt[w] = com
-		}
-		for k, v := range p {
-			com[k] = v
-		}
-		delete(c.pendCkpt, w)
+	if b := c.ckpt[w]; b != nil {
+		b.commit()
 	}
 	if len(c.undo) > 0 {
 		kept := c.undo[:0]
@@ -371,21 +391,7 @@ func (c *Controller) applyCompleteSections(d *gpu.Device) {
 func (c *Controller) onExecuted(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 	in := &d.Kernel().Insts[pc]
 	if c.Mode.CkptSlots != nil && in.Origin == isa.OrigCheckpoint {
-		// Record the checkpointed value per lane; it commits into the
-		// restore set when the containing region verifies.
-		reg := in.Src[1].Reg
-		p, ok := c.pendCkpt[w]
-		if !ok {
-			p = map[ckKey]uint32{}
-			c.pendCkpt[w] = p
-		}
-		mask := w.ActiveMask()
-		for lane := 0; lane < len(w.Regs); lane++ {
-			if mask&(1<<lane) == 0 || w.Regs[lane] == nil {
-				continue
-			}
-			p[ckKey{lane, reg}] = w.Regs[lane][reg]
-		}
+		c.recordCkpt(w, in.Src[1].Reg)
 	}
 	if c.Inj != nil {
 		c.Inj.Observe(d, sm, w, pc)
@@ -418,8 +424,82 @@ func (c *Controller) onBlockDone(d *gpu.Device, sm *gpu.SM, gb int) {
 func (c *Controller) forgetWarp(w *gpu.Warp) {
 	delete(c.rpt, w)
 	delete(c.cleared, w)
-	delete(c.pendCkpt, w)
-	delete(c.commCkpt, w)
+	if b := c.ckpt[w]; b != nil {
+		delete(c.ckpt, w)
+		c.ckptFree = append(c.ckptFree, b)
+	}
+}
+
+// recordCkpt records a checkpoint store of reg per active lane; the
+// values commit into the restore set when the containing region
+// verifies.
+func (c *Controller) recordCkpt(w *gpu.Warp, reg isa.Reg) {
+	b := c.ckpt[w]
+	if b == nil {
+		b = c.newCkptBuf()
+		c.ckpt[w] = b
+	}
+	k := len(c.ckptRegs)
+	slot := c.ckptSlot[reg]
+	mask := w.ActiveMask()
+	for lane := 0; lane < len(w.Regs); lane++ {
+		if mask&(1<<lane) == 0 || w.Regs[lane] == nil {
+			continue
+		}
+		b.pend[lane*k+slot] = w.Regs[lane][reg]
+		b.pendSet[slot] |= 1 << lane
+	}
+}
+
+// newCkptBuf takes a retired warp's buffer, cleared, or allocates one.
+func (c *Controller) newCkptBuf() *ckptBuf {
+	if n := len(c.ckptFree); n > 0 {
+		b := c.ckptFree[n-1]
+		c.ckptFree = c.ckptFree[:n-1]
+		clear(b.pendSet)
+		clear(b.commSet)
+		return b
+	}
+	k := len(c.ckptRegs)
+	return &ckptBuf{
+		pend: make([]uint32, maxLanes*k), comm: make([]uint32, maxLanes*k),
+		pendSet: make([]uint32, k), commSet: make([]uint32, k),
+	}
+}
+
+// commit moves the pending checkpoints into the committed set.
+func (b *ckptBuf) commit() {
+	k := len(b.pendSet)
+	for slot, m := range b.pendSet {
+		b.commSet[slot] |= m
+		for ; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)*k + slot
+			b.comm[i] = b.pend[i]
+		}
+		b.pendSet[slot] = 0
+	}
+}
+
+// restoreCkpt drops w's pending checkpoints and restores its region
+// inputs from the committed ones, in (lane, register) order.
+func (c *Controller) restoreCkpt(w *gpu.Warp) {
+	b := c.ckpt[w]
+	if b == nil {
+		return
+	}
+	clear(b.pendSet)
+	k := len(c.ckptRegs)
+	for lane, regs := range w.Regs {
+		if regs == nil {
+			continue
+		}
+		for slot, r := range c.ckptRegs {
+			if b.commSet[slot]&(1<<lane) != 0 {
+				regs[r] = b.comm[lane*k+slot]
+				c.Stats.RestoredRegs++
+			}
+		}
+	}
 }
 
 // Recover performs full error recovery: flush the RBQ, revert unverified
@@ -455,27 +535,7 @@ func (c *Controller) Recover(d *gpu.Device) {
 			}
 			w.Restore(snap.PC, snap.Stack, snap.BarGen, d.Cyc)
 			c.cleared[w] = snap.PC
-			delete(c.pendCkpt, w)
-			if com := c.commCkpt[w]; com != nil {
-				// Restore region inputs from committed checkpoints,
-				// deterministically ordered for reproducibility.
-				keys := make([]ckKey, 0, len(com))
-				for k := range com {
-					keys = append(keys, k)
-				}
-				sort.Slice(keys, func(i, j int) bool {
-					if keys[i].lane != keys[j].lane {
-						return keys[i].lane < keys[j].lane
-					}
-					return keys[i].reg < keys[j].reg
-				})
-				for _, k := range keys {
-					if w.Regs[k.lane] != nil {
-						w.Regs[k.lane][k.reg] = com[k]
-						c.Stats.RestoredRegs++
-					}
-				}
-			}
+			c.restoreCkpt(w)
 		}
 		// Re-synchronize replayed barriers.
 		for _, b := range sm.Blocks {

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"flame/internal/bench"
 	"flame/internal/core"
 	"flame/internal/flame"
 	"flame/internal/gpu"
@@ -94,28 +95,22 @@ type Figure16Row struct {
 // Figure16 measures the impact of the III-E region-extension
 // optimization on the benchmarks whose barrier pattern qualifies.
 func Figure16(cfg Config) ([]Figure16Row, error) {
-	r := newRunner(&cfg)
+	cfg.fill()
+	benches, comps, err := sectionBenches(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	ov, err := pairOverheads(&cfg, benches, core.Options{Scheme: core.SensorRenaming, WCDL: cfg.WCDL}, cfg.flameOptions())
+	if err != nil {
+		return nil, err
+	}
 	var out []Figure16Row
 	t := &stats.Table{Header: []string{"benchmark", "no-opt", "opt", "no-opt ovh", "opt ovh"}}
-	for _, b := range cfg.Benchmarks {
-		comp, err := core.Compile(b.Prog(), cfg.flameOptions())
-		if err != nil {
-			return nil, err
-		}
-		if len(comp.Sections) == 0 {
-			continue // the optimization does not apply
-		}
-		without, err := r.overhead(cfg.Arch, b, core.Options{Scheme: core.SensorRenaming, WCDL: cfg.WCDL})
-		if err != nil {
-			return nil, err
-		}
-		with, err := r.overhead(cfg.Arch, b, cfg.flameOptions())
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		without, with := ov[i][0], ov[i][1]
 		out = append(out, Figure16Row{
 			Benchmark: b.Name, Without: without, With: with,
-			ElidedBarriers: comp.Form.ElidedBarriers,
+			ElidedBarriers: comps[i].Form.ElidedBarriers,
 		})
 		t.Add(b.Name, without, with, stats.OverheadPct(without), stats.OverheadPct(with))
 	}
@@ -123,26 +118,55 @@ func Figure16(cfg Config) ([]Figure16Row, error) {
 	return out, nil
 }
 
+// sectionBenches returns the configured benchmarks whose Flame
+// compilation forms extended sections, with those compilations.
+func sectionBenches(cfg *Config) ([]*bench.Benchmark, []*core.Compiled, error) {
+	var benches []*bench.Benchmark
+	var comps []*core.Compiled
+	for _, b := range cfg.Benchmarks {
+		comp, err := core.Compile(b.Prog(), cfg.flameOptions())
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(comp.Sections) > 0 {
+			benches = append(benches, b)
+			comps = append(comps, comp)
+		}
+	}
+	return benches, comps, nil
+}
+
+// pairOverheads returns each benchmark's normalized execution times
+// under options a and b, in one batch.
+func pairOverheads(cfg *Config, benches []*bench.Benchmark, a, b core.Options) ([][2]float64, error) {
+	var cells []cell
+	for _, bn := range benches {
+		cells = append(cells, cell{arch: cfg.Arch, bench: bn, opt: a}, cell{arch: cfg.Arch, bench: bn, opt: b})
+	}
+	ov, err := overheads(cells)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][2]float64, len(benches))
+	for i := range out {
+		out[i] = [2]float64{ov[2*i], ov[2*i+1]}
+	}
+	return out, nil
+}
+
 // Figure17 sweeps the WCDL from 10 to 50 cycles and reports Flame's
 // geomean overhead at each setting.
 func Figure17(cfg Config) (stats.Series, error) {
-	r := newRunner(&cfg)
-	s := stats.Series{Name: "Flame overhead vs WCDL"}
-	t := &stats.Table{Header: []string{"WCDL", "geomean", "overhead"}}
+	cfg.fill()
+	var labels []string
+	var points []cell
 	for _, wcdl := range []int{10, 20, 30, 40, 50} {
-		var norms []float64
-		for _, b := range cfg.Benchmarks {
-			ov, err := r.overhead(cfg.Arch, b,
-				core.Options{Scheme: core.SensorRenaming, WCDL: wcdl, ExtendRegions: true})
-			if err != nil {
-				return s, err
-			}
-			norms = append(norms, ov)
-		}
-		g := stats.Geomean(norms)
-		s.Labels = append(s.Labels, fmt.Sprint(wcdl))
-		s.Values = append(s.Values, g)
-		t.Add(wcdl, g, stats.OverheadPct(g))
+		labels = append(labels, fmt.Sprint(wcdl))
+		points = append(points, cell{arch: cfg.Arch, opt: core.Options{Scheme: core.SensorRenaming, WCDL: wcdl, ExtendRegions: true}})
+	}
+	s, t, err := geomeanSweep(&cfg, "Flame overhead vs WCDL", "WCDL", labels, points)
+	if err != nil {
+		return s, err
 	}
 	cfg.printf("Figure 17: Flame overhead vs WCDL (%s, %s)\n%s\n", cfg.Arch.Name, cfg.Arch.Scheduler, t)
 	return s, nil
@@ -152,24 +176,17 @@ func Figure17(cfg Config) (stats.Series, error) {
 // models, each normalized to its own baseline.
 func Figure18(cfg Config) (stats.Series, error) {
 	cfg.fill()
-	s := stats.Series{Name: "Flame overhead vs scheduler"}
-	t := &stats.Table{Header: []string{"scheduler", "geomean", "overhead"}}
+	var labels []string
+	var points []cell
 	for _, sched := range []gpu.SchedulerKind{gpu.GTO, gpu.OLD, gpu.LRR, gpu.TwoLevel} {
 		arch := cfg.Arch
 		arch.Scheduler = sched
-		r := newRunner(&cfg)
-		var norms []float64
-		for _, b := range cfg.Benchmarks {
-			ov, err := r.overhead(arch, b, cfg.flameOptions())
-			if err != nil {
-				return s, err
-			}
-			norms = append(norms, ov)
-		}
-		g := stats.Geomean(norms)
-		s.Labels = append(s.Labels, sched.String())
-		s.Values = append(s.Values, g)
-		t.Add(sched.String(), g, stats.OverheadPct(g))
+		labels = append(labels, sched.String())
+		points = append(points, cell{arch: arch, opt: cfg.flameOptions()})
+	}
+	s, t, err := geomeanSweep(&cfg, "Flame overhead vs scheduler", "scheduler", labels, points)
+	if err != nil {
+		return s, err
 	}
 	cfg.printf("Figure 18: Flame overhead per warp scheduler (WCDL=%d)\n%s\n", cfg.WCDL, t)
 	return s, nil
@@ -179,22 +196,15 @@ func Figure18(cfg Config) (stats.Series, error) {
 // normalized to its own baseline.
 func Figure19(cfg Config) (stats.Series, error) {
 	cfg.fill()
-	s := stats.Series{Name: "Flame overhead vs architecture"}
-	t := &stats.Table{Header: []string{"GPU", "geomean", "overhead"}}
+	var labels []string
+	var points []cell
 	for _, arch := range gpu.Architectures() {
-		r := newRunner(&cfg)
-		var norms []float64
-		for _, b := range cfg.Benchmarks {
-			ov, err := r.overhead(arch, b, cfg.flameOptions())
-			if err != nil {
-				return s, err
-			}
-			norms = append(norms, ov)
-		}
-		g := stats.Geomean(norms)
-		s.Labels = append(s.Labels, arch.Name)
-		s.Values = append(s.Values, g)
-		t.Add(arch.Name, g, stats.OverheadPct(g))
+		labels = append(labels, arch.Name)
+		points = append(points, cell{arch: arch, opt: cfg.flameOptions()})
+	}
+	s, t, err := geomeanSweep(&cfg, "Flame overhead vs architecture", "GPU", labels, points)
+	if err != nil {
+		return s, err
 	}
 	cfg.printf("Figure 19: Flame overhead per GPU architecture (WCDL=%d)\n%s\n", cfg.WCDL, t)
 	return s, nil
@@ -221,12 +231,17 @@ func DiscussionStats(cfg Config) (*Discussion, error) {
 	d.RawErrorsPerDay = d.FailuresPerDay / (1 - d.MaskingRate)
 	d.FalsePosPerDay = d.RawErrorsPerDay * d.MaskingRate
 
+	cells := make([]cell, len(cfg.Benchmarks))
+	for i, b := range cfg.Benchmarks {
+		cells[i] = cell{arch: cfg.Arch, bench: b, opt: cfg.flameOptions()}
+	}
+	results, err := runCells(cells)
+	if err != nil {
+		return nil, err
+	}
 	var insts, regions float64
-	for _, b := range cfg.Benchmarks {
-		res, err := core.Run(cfg.Arch, b.Spec(), cfg.flameOptions())
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range cfg.Benchmarks {
+		res := results[i]
 		warps := (b.Block.Count() + 31) / 32 * b.Grid.Count()
 		insts += float64(res.Stats.SourceInsts)
 		regions += float64(res.Stats.BoundaryCrossings) + float64(warps)
@@ -250,19 +265,27 @@ type MaskingRow struct {
 // (Section IV).
 func MaskingStudy(cfg Config, runsPerBench int, seed int64) ([]MaskingRow, error) {
 	cfg.fill()
-	var out []MaskingRow
+	specs := specsOf(cfg.Benchmarks)
+	out := make([]MaskingRow, len(specs))
+	err := parallel(len(specs), func(i int) error {
+		b := cfg.Benchmarks[i]
+		res, err := core.MaskingCampaign(cfg.Arch, specs[i], runsPerBench, seed+int64(i))
+		if err != nil {
+			return fmt.Errorf("%s: %w", b.Name, err)
+		}
+		out[i] = MaskingRow{Benchmark: b.Name, Result: *res}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := &stats.Table{Header: []string{"benchmark", "injected", "masked", "sdc", "masking"}}
 	var inj, masked int
-	for _, b := range cfg.Benchmarks {
-		res, err := core.MaskingCampaign(cfg.Arch, b.Spec(), runsPerBench, seed)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
-		}
-		out = append(out, MaskingRow{Benchmark: b.Name, Result: *res})
-		t.Add(b.Name, res.Armed, res.Masked, res.SDC, fmt.Sprintf("%.0f%%", res.MaskingRate()*100))
+	for _, r := range out {
+		res := &r.Result
+		t.Add(r.Benchmark, res.Armed, res.Masked, res.SDC, fmt.Sprintf("%.0f%%", res.MaskingRate()*100))
 		inj += res.Armed
 		masked += res.Masked
-		seed++
 	}
 	cfg.printf("Unprotected fault injection (bit-exact masking study)\n%s", t)
 	if inj > 0 {
@@ -286,29 +309,22 @@ type AblationRow struct {
 // recovery subsumes them). It reruns Flame with the skip disabled on
 // every section-forming benchmark.
 func SectionSkipAblation(cfg Config) ([]AblationRow, error) {
-	r := newRunner(&cfg)
+	cfg.fill()
+	benches, _, err := sectionBenches(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	eager := cfg.flameOptions()
+	eager.EagerSectionVerify = true
+	ov, err := pairOverheads(&cfg, benches, eager, cfg.flameOptions())
+	if err != nil {
+		return nil, err
+	}
 	var out []AblationRow
 	t := &stats.Table{Header: []string{"benchmark", "eager-verify", "skip-verify (Flame)"}}
-	for _, b := range cfg.Benchmarks {
-		comp, err := core.Compile(b.Prog(), cfg.flameOptions())
-		if err != nil {
-			return nil, err
-		}
-		if len(comp.Sections) == 0 {
-			continue
-		}
-		opt := cfg.flameOptions()
-		opt.EagerSectionVerify = true
-		eager, err := r.overhead(cfg.Arch, b, opt)
-		if err != nil {
-			return nil, err
-		}
-		skipped, err := r.overhead(cfg.Arch, b, cfg.flameOptions())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationRow{Benchmark: b.Name, Eager: eager, Skipped: skipped})
-		t.Add(b.Name, stats.OverheadPct(eager), stats.OverheadPct(skipped))
+	for i, b := range benches {
+		out = append(out, AblationRow{Benchmark: b.Name, Eager: ov[i][0], Skipped: ov[i][1]})
+		t.Add(b.Name, stats.OverheadPct(ov[i][0]), stats.OverheadPct(ov[i][1]))
 	}
 	cfg.printf("Ablation: interior-boundary verification inside extended sections\n%s\n", t)
 	return out, nil
@@ -351,16 +367,24 @@ type InjectionRow struct {
 // Every injected error must be recovered (no SDC, no DUE).
 func InjectionStudy(cfg Config, runsPerBench int, seed int64) ([]InjectionRow, error) {
 	cfg.fill()
-	var out []InjectionRow
-	t := &stats.Table{Header: []string{"benchmark", "injected", "masked", "recovered", "sdc", "due", "hang"}}
-	for _, b := range cfg.Benchmarks {
-		res, err := core.Campaign(cfg.Arch, b.Spec(), cfg.flameOptions(), runsPerBench, seed)
+	specs := specsOf(cfg.Benchmarks)
+	out := make([]InjectionRow, len(specs))
+	err := parallel(len(specs), func(i int) error {
+		b := cfg.Benchmarks[i]
+		res, err := core.Campaign(cfg.Arch, specs[i], cfg.flameOptions(), runsPerBench, seed+int64(i))
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
+			return fmt.Errorf("%s: %w", b.Name, err)
 		}
-		out = append(out, InjectionRow{Benchmark: b.Name, Result: *res})
-		t.Add(b.Name, res.Injected, res.Masked, res.Recovered, res.SDC, res.DUE, res.Hang)
-		seed++
+		out[i] = InjectionRow{Benchmark: b.Name, Result: *res}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	t := &stats.Table{Header: []string{"benchmark", "injected", "masked", "recovered", "sdc", "due", "hang"}}
+	for _, r := range out {
+		res := &r.Result
+		t.Add(r.Benchmark, res.Injected, res.Masked, res.Recovered, res.SDC, res.DUE, res.Hang)
 	}
 	cfg.printf("Fault-injection validation under Flame\n%s\n", t)
 	return out, nil
@@ -383,71 +407,69 @@ type FalsePositiveRow struct {
 // without false positives (outputs are validated in both runs).
 func FalsePositiveStudy(cfg Config, nFP int) ([]FalsePositiveRow, error) {
 	cfg.fill()
-	var out []FalsePositiveRow
-	t := &stats.Table{Header: []string{"benchmark", "recoveries", "overhead vs Flame"}}
-	for _, b := range cfg.Benchmarks {
-		spec := b.Spec()
+	specs := specsOf(cfg.Benchmarks)
+	out := make([]FalsePositiveRow, len(specs))
+	err := parallel(len(specs), func(i int) error {
+		b, spec := cfg.Benchmarks[i], specs[i]
 		comp, err := core.Compile(spec.Prog, cfg.flameOptions())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		clean, err := core.RunCompiled(cfg.Arch, spec, comp, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ctlRun := func() (*core.Result, error) {
-			dev, err := gpu.NewDevice(cfg.Arch, spec.MemBytes)
-			if err != nil {
-				return nil, err
-			}
-			if spec.Setup != nil {
-				spec.Setup(dev.Mem.Words())
-			}
-			ctl := flame.NewController(flame.Mode{
-				WCDL: cfg.WCDL, UseRBQ: true, Sections: comp.Sections,
-			})
-			// Spread the spurious detections across the main launch (for
-			// multi-kernel applications the total is split evenly).
-			window := clean.Stats.Cycles / int64(len(spec.Steps)+1)
-			for i := 1; i <= nFP; i++ {
-				ctl.FalsePositives = append(ctl.FalsePositives, window*int64(i)/int64(nFP+1))
-			}
-			launch := &gpu.Launch{Prog: comp.Prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}
-			st, err := dev.Run(launch, ctl.Hooks())
-			if err != nil {
-				return nil, err
-			}
-			res := &core.Result{Compiled: comp, Stats: *st}
-			res.Flame = ctl.Stats
-			// Multi-kernel applications: run the remaining launches (the
-			// false positives were confined to the first).
-			for i, step := range spec.Steps {
-				sc, err := core.Compile(step.Prog, cfg.flameOptions())
-				if err != nil {
-					return nil, fmt.Errorf("%s step %d: %w", b.Name, i+1, err)
-				}
-				sctl := sc.Controller()
-				sl := &gpu.Launch{Prog: sc.Prog, Grid: step.Grid, Block: step.Block, Params: step.Params}
-				sst, err := dev.Run(sl, sctl.Hooks())
-				if err != nil {
-					return nil, err
-				}
-				res.Stats.Accumulate(sst)
-			}
-			if spec.Validate != nil {
-				if verr := spec.Validate(dev.Mem.Words()); verr != nil {
-					return nil, fmt.Errorf("%s: post-false-positive validation: %w", b.Name, verr)
-				}
-			}
-			return res, nil
-		}
-		res, err := ctlRun()
+		dev, err := gpu.NewDevice(cfg.Arch, spec.MemBytes)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ov := float64(res.Stats.Cycles) / float64(clean.Stats.Cycles)
-		out = append(out, FalsePositiveRow{Benchmark: b.Name, Overhead: ov, NumFP: int(res.Flame.Recoveries)})
-		t.Add(b.Name, res.Flame.Recoveries, stats.OverheadPct(ov))
+		if spec.Setup != nil {
+			spec.Setup(dev.Mem.Words())
+		}
+		ctl := flame.NewController(flame.Mode{
+			WCDL: cfg.WCDL, UseRBQ: true, Sections: comp.Sections,
+		})
+		// Spread the spurious detections across the main launch (for
+		// multi-kernel applications the total is split evenly).
+		window := clean.Stats.Cycles / int64(len(spec.Steps)+1)
+		for k := 1; k <= nFP; k++ {
+			ctl.FalsePositives = append(ctl.FalsePositives, window*int64(k)/int64(nFP+1))
+		}
+		launch := &gpu.Launch{Prog: comp.Prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}
+		st, err := dev.Run(launch, ctl.Hooks())
+		if err != nil {
+			return err
+		}
+		cycles := st.Cycles
+		// Multi-kernel applications: run the remaining launches (the
+		// false positives were confined to the first).
+		for k, step := range spec.Steps {
+			sc, err := core.Compile(step.Prog, cfg.flameOptions())
+			if err != nil {
+				return fmt.Errorf("%s step %d: %w", b.Name, k+1, err)
+			}
+			sl := &gpu.Launch{Prog: sc.Prog, Grid: step.Grid, Block: step.Block, Params: step.Params}
+			sst, err := dev.Run(sl, sc.Controller().Hooks())
+			if err != nil {
+				return err
+			}
+			cycles += sst.Cycles
+		}
+		if spec.Validate != nil {
+			if verr := spec.Validate(dev.Mem.Words()); verr != nil {
+				return fmt.Errorf("%s: post-false-positive validation: %w", b.Name, verr)
+			}
+		}
+		ov := float64(cycles) / float64(clean.Stats.Cycles)
+		out[i] = FalsePositiveRow{Benchmark: b.Name, Overhead: ov, NumFP: int(ctl.Stats.Recoveries)}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	t := &stats.Table{Header: []string{"benchmark", "recoveries", "overhead vs Flame"}}
+	for _, r := range out {
+		t.Add(r.Benchmark, r.NumFP, stats.OverheadPct(r.Overhead))
 	}
 	cfg.printf("Section IV: cost of %d spurious (false-positive) recoveries\n%s\n", nFP, t)
 	return out, nil
@@ -460,24 +482,17 @@ func FalsePositiveStudy(cfg Config, nFP int) ([]FalsePositiveRow, error) {
 // overhead should fall as warp-level parallelism grows.
 func OccupancyStudy(cfg Config) (stats.Series, error) {
 	cfg.fill()
-	s := stats.Series{Name: "Flame overhead vs occupancy"}
-	t := &stats.Table{Header: []string{"max blocks/SM", "geomean", "overhead"}}
+	var labels []string
+	var points []cell
 	for _, maxBlocks := range []int{1, 2, 4, 8} {
 		arch := cfg.Arch
 		arch.MaxBlocksPerSM = maxBlocks
-		r := newRunner(&cfg)
-		var norms []float64
-		for _, b := range cfg.Benchmarks {
-			ov, err := r.overhead(arch, b, cfg.flameOptions())
-			if err != nil {
-				return s, err
-			}
-			norms = append(norms, ov)
-		}
-		g := stats.Geomean(norms)
-		s.Labels = append(s.Labels, fmt.Sprint(maxBlocks))
-		s.Values = append(s.Values, g)
-		t.Add(maxBlocks, g, stats.OverheadPct(g))
+		labels = append(labels, fmt.Sprint(maxBlocks))
+		points = append(points, cell{arch: arch, opt: cfg.flameOptions()})
+	}
+	s, t, err := geomeanSweep(&cfg, "Flame overhead vs occupancy", "max blocks/SM", labels, points)
+	if err != nil {
+		return s, err
 	}
 	cfg.printf("Occupancy study: Flame overhead vs resident blocks per SM (WCDL=%d)\n%s\n", cfg.WCDL, t)
 	return s, nil
@@ -494,20 +509,19 @@ type CkptPlacementRow struct {
 // at each definition vs grouped at region ends (Figure 3(b)) — under the
 // recovery-only Checkpointing scheme.
 func CheckpointPlacementStudy(cfg Config) ([]CkptPlacementRow, error) {
-	r := newRunner(&cfg)
+	cfg.fill()
+	atDef := core.Options{Scheme: core.Checkpointing, WCDL: cfg.WCDL}
+	atEnd := atDef
+	atEnd.CkptAtRegionEnd = true
+	ov, err := pairOverheads(&cfg, cfg.Benchmarks, atDef, atEnd)
+	if err != nil {
+		return nil, err
+	}
 	var out []CkptPlacementRow
 	t := &stats.Table{Header: []string{"benchmark", "at-def", "at-region-end"}}
-	for _, b := range cfg.Benchmarks {
-		atDef, err := r.overhead(cfg.Arch, b, core.Options{Scheme: core.Checkpointing, WCDL: cfg.WCDL})
-		if err != nil {
-			return nil, err
-		}
-		atEnd, err := r.overhead(cfg.Arch, b, core.Options{Scheme: core.Checkpointing, WCDL: cfg.WCDL, CkptAtRegionEnd: true})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CkptPlacementRow{Benchmark: b.Name, AtDef: atDef, AtEnd: atEnd})
-		t.Add(b.Name, stats.OverheadPct(atDef), stats.OverheadPct(atEnd))
+	for i, b := range cfg.Benchmarks {
+		out = append(out, CkptPlacementRow{Benchmark: b.Name, AtDef: ov[i][0], AtEnd: ov[i][1]})
+		t.Add(b.Name, stats.OverheadPct(ov[i][0]), stats.OverheadPct(ov[i][1]))
 	}
 	cfg.printf("Checkpoint placement study (Checkpointing scheme)\n%s\n", t)
 	return out, nil

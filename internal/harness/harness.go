@@ -10,6 +10,9 @@ package harness
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"flame/internal/bench"
 	"flame/internal/core"
@@ -53,39 +56,151 @@ func (c *Config) printf(format string, args ...any) {
 	}
 }
 
-// runner caches baseline runs per (arch, scheduler, benchmark).
-type runner struct {
-	cfg      *Config
-	baseline map[string]float64 // key -> baseline cycles
+// cell is one independent simulation: a benchmark compiled with the
+// scheme options and run on an architecture.
+type cell struct {
+	arch  gpu.Config
+	bench *bench.Benchmark
+	opt   core.Options
 }
 
-func newRunner(cfg *Config) *runner {
-	cfg.fill()
-	return &runner{cfg: cfg, baseline: map[string]float64{}}
-}
-
-func (r *runner) key(arch gpu.Config, b *bench.Benchmark) string {
-	return arch.Name + "/" + arch.Scheduler.String() + "/" + b.Name
-}
-
-// overhead runs benchmark b under the scheme options on arch and returns
-// its execution time normalized to the cached baseline.
-func (r *runner) overhead(arch gpu.Config, b *bench.Benchmark, opt core.Options) (float64, error) {
-	k := r.key(arch, b)
-	base, ok := r.baseline[k]
-	if !ok {
-		res, err := core.Run(arch, b.Spec(), core.Options{Scheme: core.Baseline})
+// runCells simulates every cell and returns the results in cell order.
+// Every spec is resolved on the calling goroutine first, because
+// Benchmark.Prog assembles lazily without synchronisation; the cells
+// then run on GOMAXPROCS workers (see parallel), so results, printed
+// tables and the error returned are the same at any worker count.
+func runCells(cells []cell) ([]*core.Result, error) {
+	specs := make([]*core.KernelSpec, len(cells))
+	for i, c := range cells {
+		specs[i] = c.bench.Spec()
+	}
+	res := make([]*core.Result, len(cells))
+	err := parallel(len(cells), func(i int) error {
+		c := cells[i]
+		r, err := core.Run(c.arch, specs[i], c.opt)
 		if err != nil {
-			return 0, fmt.Errorf("baseline %s: %w", b.Name, err)
+			if c.opt.Scheme == core.Baseline {
+				return fmt.Errorf("baseline %s: %w", c.bench.Name, err)
+			}
+			return fmt.Errorf("%s/%s: %w", c.bench.Name, c.opt.Scheme, err)
 		}
-		base = float64(res.Stats.Cycles)
-		r.baseline[k] = base
+		res[i] = r
+		return nil
+	})
+	return res, err
+}
+
+// specsOf resolves the benchmarks' specs on the calling goroutine, as
+// parallel work must.
+func specsOf(benches []*bench.Benchmark) []*core.KernelSpec {
+	specs := make([]*core.KernelSpec, len(benches))
+	for i, b := range benches {
+		specs[i] = b.Spec()
 	}
-	res, err := core.Run(arch, b.Spec(), opt)
+	return specs
+}
+
+// parallel calls f(i) for every i in [0, n) on runtime.GOMAXPROCS(0)
+// workers and returns the error of the smallest failing i. Indices are
+// handed out in increasing order and workers stop taking new ones after
+// a failure, so every index below a failing one still runs: the error
+// returned does not depend on the worker count or on scheduling, and
+// with one worker the calls are the serial loop's.
+func parallel(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if errs[i] = f(i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// baselineKey identifies a baseline run. The key holds the whole
+// architecture, not just its name and scheduler: the occupancy study
+// varies MaxBlocksPerSM under one name.
+type baselineKey struct {
+	arch  gpu.Config
+	bench string
+}
+
+// overheads runs every cell with its benchmark's Baseline run on the
+// cell's architecture, all in one batch, and returns each cell's
+// execution time normalized to that baseline. A baseline is an ordinary
+// cell, placed just before the first cell that needs it and shared by
+// the later ones.
+func overheads(cells []cell) ([]float64, error) {
+	batch := make([]cell, 0, 2*len(cells))
+	at := make([]int, len(cells))   // batch index of cell i
+	base := make([]int, len(cells)) // batch index of cell i's baseline
+	seen := map[baselineKey]int{}
+	for i, c := range cells {
+		k := baselineKey{c.arch, c.bench.Name}
+		j, ok := seen[k]
+		if !ok {
+			j = len(batch)
+			seen[k] = j
+			batch = append(batch, cell{arch: c.arch, bench: c.bench, opt: core.Options{Scheme: core.Baseline}})
+		}
+		base[i], at[i] = j, len(batch)
+		batch = append(batch, c)
+	}
+	res, err := runCells(batch)
 	if err != nil {
-		return 0, fmt.Errorf("%s/%s: %w", b.Name, opt.Scheme, err)
+		return nil, err
 	}
-	return float64(res.Stats.Cycles) / base, nil
+	out := make([]float64, len(cells))
+	for i := range cells {
+		out[i] = float64(res[at[i]].Stats.Cycles) / float64(res[base[i]].Stats.Cycles)
+	}
+	return out, nil
+}
+
+// geomeanSweep runs a sensitivity sweep: at each point (a cell without
+// a benchmark) it measures the geometric mean over the configured
+// benchmarks of the normalized execution time, all points in one batch.
+// It returns the series and a table whose first column, headed column,
+// holds the points' labels.
+func geomeanSweep(cfg *Config, name, column string, labels []string, points []cell) (stats.Series, *stats.Table, error) {
+	s := stats.Series{Name: name}
+	var cells []cell
+	for _, p := range points {
+		for _, b := range cfg.Benchmarks {
+			cells = append(cells, cell{arch: p.arch, bench: b, opt: p.opt})
+		}
+	}
+	ov, err := overheads(cells)
+	if err != nil {
+		return s, nil, err
+	}
+	n := len(cfg.Benchmarks)
+	t := &stats.Table{Header: []string{column, "geomean", "overhead"}}
+	for i, label := range labels {
+		g := stats.Geomean(ov[i*n : (i+1)*n])
+		s.Labels = append(s.Labels, label)
+		s.Values = append(s.Values, g)
+		t.Add(label, g, stats.OverheadPct(g))
+	}
+	return s, t, nil
 }
 
 // flameOptions returns the full Flame configuration at the config's WCDL.
@@ -126,7 +241,7 @@ func (m *OverheadMatrix) SchemeRow(s core.Scheme) []float64 {
 // scheme on every benchmark (the paper's per-application bars), with
 // Flame = Sensor+Renaming including the region-extension optimization.
 func Figure13_14(cfg Config) (*OverheadMatrix, error) {
-	r := newRunner(&cfg)
+	cfg.fill()
 	schemes := []core.Scheme{
 		core.Renaming, core.Checkpointing,
 		core.SensorRenaming, core.SensorCheckpointing,
@@ -137,20 +252,23 @@ func Figure13_14(cfg Config) (*OverheadMatrix, error) {
 	for _, b := range cfg.Benchmarks {
 		m.Benchmarks = append(m.Benchmarks, b.Name)
 	}
+	var cells []cell
 	for _, s := range schemes {
 		opt := core.Options{Scheme: s, WCDL: cfg.WCDL}
 		if s == core.SensorRenaming {
 			opt.ExtendRegions = true // the full Flame design
 		}
-		row := make([]float64, 0, len(cfg.Benchmarks))
 		for _, b := range cfg.Benchmarks {
-			ov, err := r.overhead(cfg.Arch, b, opt)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, ov)
+			cells = append(cells, cell{arch: cfg.Arch, bench: b, opt: opt})
 		}
-		m.Norm = append(m.Norm, row)
+	}
+	ov, err := overheads(cells)
+	if err != nil {
+		return nil, err
+	}
+	n := len(cfg.Benchmarks)
+	for i := range schemes {
+		m.Norm = append(m.Norm, ov[i*n:(i+1)*n:(i+1)*n])
 	}
 
 	t := &stats.Table{Header: append([]string{"benchmark"}, schemeNames(schemes)...)}
