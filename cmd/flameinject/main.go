@@ -38,6 +38,7 @@ import (
 	"flame/internal/dist"
 	"flame/internal/flame"
 	"flame/internal/gpu"
+	"flame/internal/par"
 	"flame/internal/prof"
 	"flame/internal/stats"
 )
@@ -412,16 +413,13 @@ func strataTable(arch gpu.Config, opt core.Options, specs []*core.KernelSpec, mo
 	t := &stats.Table{Header: []string{
 		"benchmark", "stratum", "sites", "weight",
 	}}
+	setups, err := core.PrepareAll(arch, specs, opt, core.Want{Strata: true, Model: model, Key: key})
+	if err != nil {
+		fail("%v", err)
+	}
 	var out strings.Builder
-	for _, spec := range specs {
-		g, err := core.GoldenRun(arch, spec, opt)
-		if err != nil {
-			fail("%s: %v", spec.Name, err)
-		}
-		sm, err := core.BuildStrataKeyed(arch, spec, g, model, key)
-		if err != nil {
-			fail("%s: %v", spec.Name, err)
-		}
+	for i, spec := range specs {
+		sm := setups[i].Strata
 		inj := sm.InjectableSites()
 		for _, st := range sm.Strata {
 			t.Add(spec.Name, st.Key(), fmt.Sprintf("%d", st.Sites),
@@ -445,23 +443,38 @@ func restoreProfile(cfg campaign.Config, specs []*core.KernelSpec) string {
 		"benchmark", "footprint", "dirty/trial", "restored/trial",
 		"diff/trial", "pruned", "prune status",
 	}}
-	for _, spec := range specs {
-		g, err := core.GoldenRun(cfg.Arch, spec, cfg.Opt)
+	// One benchmark per worker; rows are kept in spec order.
+	type row struct {
+		px     *core.PruneIndex
+		pruned int
+		st     core.RestoreStats
+	}
+	rows := make([]row, len(specs))
+	err := par.For(len(specs), func(b int) error {
+		spec := specs[b]
+		s, err := core.Prepare(cfg.Arch, spec, cfg.Opt, core.Want{Prune: true})
 		if err != nil {
-			fail("%s: %v", spec.Name, err)
+			return fmt.Errorf("%s: %w", spec.Name, err)
 		}
-		px := core.BuildPruneIndex(cfg.Arch, spec, g, 0)
+		g, r := s.Golden, &rows[b]
+		r.px = s.Prune
 		eng := core.NewEngine(cfg.Arch)
-		pruned := 0
 		for i := 0; i < cfg.Trials; i++ {
 			ts := cfg.TrialSpec(g, spec.Name, i)
-			if _, ok := px.PruneTrial(g, ts); ok {
-				pruned++
+			if _, ok := r.px.PruneTrial(g, ts); ok {
+				r.pruned++
 				continue
 			}
 			eng.RunTrial(spec, g, ts)
 		}
-		st := eng.Stats()
+		r.st = eng.Stats()
+		return nil
+	})
+	if err != nil {
+		fail("%v", err)
+	}
+	for b, spec := range specs {
+		px, pruned, st := rows[b].px, rows[b].pruned, rows[b].st
 		perTrial := func(n int64) string {
 			if st.Trials == 0 {
 				return "-"

@@ -73,19 +73,17 @@ type Prediction struct {
 }
 
 // Predict computes the static AVF prediction of one benchmark under one
-// scheme and fault model. It runs the fault-free golden execution (and
-// its recorded schedule) but injects nothing.
+// scheme and fault model. It runs the fault-free golden execution,
+// recording its schedule and strata, but injects nothing.
 func Predict(arch gpu.Config, spec *core.KernelSpec, opt core.Options, model flame.FaultModel) (*Prediction, error) {
-	g, err := core.GoldenRun(arch, spec, opt)
+	s, err := core.Prepare(arch, spec, opt, core.Want{
+		Prune: true, Strata: true, Model: model, Key: core.StrataKeyLiveness,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("avf: %s: %w", spec.Name, err)
 	}
-	px := core.BuildPruneIndex(arch, spec, g, 0)
-	census, err := px.Census(g, model)
-	if err != nil {
-		return nil, fmt.Errorf("avf: %s/%s: %w", spec.Name, opt.Scheme, err)
-	}
-	sm, err := core.BuildStrataKeyed(arch, spec, g, model, core.StrataKeyLiveness)
+	g, sm := s.Golden, s.Strata
+	census, err := s.Prune.Census(g, model)
 	if err != nil {
 		return nil, fmt.Errorf("avf: %s/%s: %w", spec.Name, opt.Scheme, err)
 	}

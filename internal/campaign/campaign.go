@@ -135,6 +135,69 @@ type Config struct {
 
 type job struct{ b, t int }
 
+// setup is a campaign's per-benchmark set-up, in spec order.
+type setup struct {
+	goldens  []*core.Golden
+	prune    []*core.PruneIndex // nil entries unless Config.Prune
+	pruneOff []string           // why pruning is off ("" when live or not asked for)
+	strata   []*flame.StrataMap // nil unless stratified
+}
+
+// prepare runs every benchmark's golden run on GOMAXPROCS workers,
+// recording the pruning oracle (under Config.Prune) and whatever else
+// want asks for while it runs.
+func (cfg *Config) prepare(want core.Want) (*setup, error) {
+	want.Prune = cfg.Prune
+	ss, err := core.PrepareAll(cfg.Arch, cfg.Specs, cfg.Opt, want)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	n := len(ss)
+	set := &setup{
+		goldens:  make([]*core.Golden, n),
+		prune:    make([]*core.PruneIndex, n),
+		pruneOff: make([]string, n),
+	}
+	if want.Strata {
+		set.strata = make([]*flame.StrataMap, n)
+	}
+	for i, s := range ss {
+		set.goldens[i], set.prune[i] = s.Golden, s.Prune
+		if s.Prune != nil {
+			set.pruneOff[i] = s.Prune.Disabled()
+		}
+		if set.strata != nil {
+			set.strata[i] = s.Strata
+		}
+	}
+	return set, nil
+}
+
+// emit writes the set-up event lines after set-up has finished, in the
+// order the serial set-up wrote them: campaign start, every golden,
+// every strata enumeration, then every benchmark whose pruning is off.
+func (set *setup) emit(str *streamer, cfg *Config, parallel int) {
+	if str == nil {
+		return
+	}
+	str.campaignStart(cfg, parallel, set.goldens[0].Comp.Opt.WCDL)
+	for i, spec := range cfg.Specs {
+		str.golden(spec.Name, set.goldens[i].Window)
+	}
+	for i, m := range set.strata {
+		info := make([]stratumInfo, len(m.Strata))
+		for j := range m.Strata {
+			info[j] = stratumInfo{Key: m.Strata[j].Key(), Sites: m.Strata[j].Sites}
+		}
+		str.strata(cfg.Specs[i].Name, m.Span, m.NoInjectionSites, info)
+	}
+	for i, spec := range cfg.Specs {
+		if reason := set.pruneOff[i]; reason != "" {
+			str.pruneDisabled(spec.Name, reason)
+		}
+	}
+}
+
 // Run executes the campaign and aggregates the report. A Config with
 // Stratify set is routed to the stratified sampler.
 func Run(cfg Config) (*Report, error) {
@@ -175,39 +238,15 @@ func Run(cfg Config) (*Report, error) {
 		str = newStreamer(cfg.Events, len(plan))
 	}
 
-	// Fault-free golden runs, one per workload (sequential: they are few
-	// and their failure should abort the campaign with a clear error).
-	goldens := make([]*core.Golden, len(cfg.Specs))
-	for i, spec := range cfg.Specs {
-		g, err := core.GoldenRun(cfg.Arch, spec, cfg.Opt)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", spec.Name, err)
-		}
-		goldens[i] = g
+	// Fault-free golden runs, one per workload, each recording its
+	// pruning oracle as it runs. A benchmark that fails a soundness gate
+	// gets a disabled index and falls back to simulation.
+	set, err := cfg.prepare(core.Want{})
+	if err != nil {
+		return nil, err
 	}
-	if str != nil {
-		str.campaignStart(&cfg, parallel, goldens[0].Comp.Opt.WCDL)
-		for i, spec := range cfg.Specs {
-			str.golden(spec.Name, goldens[i].Window)
-		}
-	}
-
-	// Pruning oracles, one per workload (sequential, like the goldens:
-	// each records the golden schedule once). A benchmark that fails a
-	// soundness gate gets a disabled index and falls back to simulation.
-	pruneIdx := make([]*core.PruneIndex, len(cfg.Specs))
-	pruneOff := make([]string, len(cfg.Specs))
-	if cfg.Prune {
-		for i, spec := range cfg.Specs {
-			pruneIdx[i] = core.BuildPruneIndex(cfg.Arch, spec, goldens[i], 0)
-			if reason := pruneIdx[i].Disabled(); reason != "" {
-				pruneOff[i] = reason
-				if str != nil {
-					str.pruneDisabled(spec.Name, reason)
-				}
-			}
-		}
-	}
+	set.emit(str, &cfg, parallel)
+	goldens, pruneIdx := set.goldens, set.prune
 
 	jobs := make(chan job, parallel)
 	var wg sync.WaitGroup
@@ -270,7 +309,7 @@ dispatch:
 		cfg.RestoreStats.Add(rs)
 	}
 
-	rep := aggregate(&cfg, goldens, results, ran, pruneOff)
+	rep := aggregate(&cfg, goldens, results, ran, set.pruneOff)
 	if str != nil {
 		str.campaignDone(rep, rs)
 		if err := str.err(); err != nil {

@@ -17,9 +17,8 @@ import (
 // uniformly from the whole window, the site space is enumerated once
 // per benchmark into (kernel, section, opcode-class) strata — split
 // further by static liveness class under Config.StrataKey "liveness" —
-// with exact site counts (core.BuildStrataKeyed), and trials are drawn
-// uniformly WITHIN
-// strata in rounds — a uniform pilot round first, then Neyman
+// with exact site counts (recorded by core.Prepare during the golden
+// run), and trials are drawn uniformly WITHIN strata in rounds — a uniform pilot round first, then Neyman
 // (variance-proportional) reallocation by the per-stratum outcome
 // variance observed so far. Between rounds the post-stratified SDC and
 // DUE rate CIs are checked against Config.CITarget, stopping the
@@ -114,46 +113,14 @@ func RunStratified(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
 
-	goldens := make([]*core.Golden, len(cfg.Specs))
-	strata := make([]*flame.StrataMap, len(cfg.Specs))
-	for i, spec := range cfg.Specs {
-		g, err := core.GoldenRun(cfg.Arch, spec, cfg.Opt)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", spec.Name, err)
-		}
-		goldens[i] = g
-		if strata[i], err = core.BuildStrataKeyed(cfg.Arch, spec, g, cfg.Model, strataKey); err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", spec.Name, err)
-		}
+	// Golden runs, each enumerating its strata (and, under Prune,
+	// recording its pruning oracle) as it runs.
+	set, err := cfg.prepare(core.Want{Strata: true, Model: cfg.Model, Key: strataKey})
+	if err != nil {
+		return nil, err
 	}
-	if str != nil {
-		str.campaignStart(&cfg, parallel, goldens[0].Comp.Opt.WCDL)
-		for i, spec := range cfg.Specs {
-			str.golden(spec.Name, goldens[i].Window)
-		}
-		for i, spec := range cfg.Specs {
-			m := strata[i]
-			info := make([]stratumInfo, len(m.Strata))
-			for j := range m.Strata {
-				info[j] = stratumInfo{Key: m.Strata[j].Key(), Sites: m.Strata[j].Sites}
-			}
-			str.strata(spec.Name, m.Span, m.NoInjectionSites, info)
-		}
-	}
-
-	pruneIdx := make([]*core.PruneIndex, len(cfg.Specs))
-	pruneOff := make([]string, len(cfg.Specs))
-	if cfg.Prune {
-		for i, spec := range cfg.Specs {
-			pruneIdx[i] = core.BuildPruneIndex(cfg.Arch, spec, goldens[i], 0)
-			if reason := pruneIdx[i].Disabled(); reason != "" {
-				pruneOff[i] = reason
-				if str != nil {
-					str.pruneDisabled(spec.Name, reason)
-				}
-			}
-		}
-	}
+	set.emit(str, &cfg, parallel)
+	goldens, strata, pruneIdx, pruneOff := set.goldens, set.strata, set.prune, set.pruneOff
 
 	jobs := make(chan sjob, parallel)
 	var wwg sync.WaitGroup

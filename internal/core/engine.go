@@ -88,8 +88,8 @@ func (e *Engine) device(spec *KernelSpec) (*gpu.Device, error) {
 }
 
 // launchOne runs one compiled kernel on the device, optionally with the
-// injector attached, accumulating stats into res. It mirrors
-// RunCompiledOpts' per-launch behaviour (including error text) exactly.
+// injector attached, accumulating stats into res. Every simulation path
+// (RunCompiledOpts, Engine.RunTrial, the golden run) launches through it.
 func launchOne(dev *gpu.Device, spec *KernelSpec, c *Compiled, grid, block isa.Dim3,
 	params []uint32, inj *flame.Injector, ro *RunOpts, res *Result) error {
 	ctl := c.Controller()
@@ -160,10 +160,8 @@ func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialR
 		// RunCompiledOpts.
 		err = launchOne(dev, spec, g.Comp, spec.Grid, spec.Block, spec.Params,
 			inj, ro, res)
-		for i := 0; err == nil && i < len(spec.Steps); i++ {
-			step := spec.Steps[i]
-			err = launchOne(dev, spec, g.StepComps[i], step.Grid, step.Block,
-				step.Params, nil, ro, res)
+		if err == nil {
+			err = runSteps(dev, spec, g.StepComps, ro, res)
 		}
 		tr.Recoveries = res.Flame.Recoveries
 		tr.Cycles = res.Stats.Cycles

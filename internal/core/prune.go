@@ -108,14 +108,24 @@ func warpKey(smID, warpID int32) uint64 {
 }
 
 // BuildPruneIndex records the golden main-kernel schedule for a
-// workload and prepares the pruning oracle. eventCap <= 0 selects
+// workload by replaying the golden's main launch, and prepares the
+// pruning oracle. Campaigns get the same index from Prepare, which
+// records it during the golden run itself. eventCap <= 0 selects
 // DefaultPruneEventCap. A disabled index is still returned (never nil):
 // PruneTrial on it refuses every trial and Disabled says why.
 func BuildPruneIndex(cfg gpu.Config, spec *KernelSpec, g *Golden, eventCap int) *PruneIndex {
-	if eventCap <= 0 {
-		eventCap = DefaultPruneEventCap
+	r := newRecorder(g, spec.Name, Want{Prune: true, EventCap: eventCap})
+	if err := r.replay(cfg, spec, g); err != nil {
+		r.px.disable(fmt.Sprintf("golden recording failed: %v", err))
 	}
-	px := &PruneIndex{window: g.Window, maxDelay: g.MaxDelay}
+	px, _ := r.finish(g)
+	return px
+}
+
+// newPruneIndex applies the static soundness gate and returns an index
+// ready to record the golden schedule, or one disabled by the gate.
+func newPruneIndex(g *Golden) *PruneIndex {
+	px := &PruneIndex{maxDelay: g.MaxDelay}
 	progs := []*isa.Program{g.Comp.Prog}
 	for _, sc := range g.StepComps {
 		progs = append(progs, sc.Prog)
@@ -127,74 +137,20 @@ func BuildPruneIndex(cfg gpu.Config, spec *KernelSpec, g *Golden, eventCap int) 
 			return px
 		}
 	}
-
-	// Record the golden main launch on a throwaway device. The injector
-	// only observes the main kernel (launchOne attaches it nowhere
-	// else), so Steps need no recording. Detecting schemes run under
-	// their own (injector-less) controller so RBQ descheduling and
-	// boundary verification shape the recorded schedule exactly as a
-	// trial's controller would.
-	dev, err := gpu.NewDevice(cfg, spec.MemBytes)
-	if err != nil {
-		px.disabled = err.Error()
-		return px
-	}
-	copy(dev.Mem.Words(), g.InitMem)
-	prog := g.Comp.Prog
+	// The schedule is the main launch's alone: the injector observes
+	// nothing else (launchOne attaches it nowhere else). Detecting
+	// schemes record under their own injector-less controller, so RBQ
+	// descheduling and boundary verification shape the schedule exactly
+	// as a trial's controller would.
+	px.detecting = g.Comp.Controller() != nil
 	px.lastUse = map[uint64][]int32{}
-	overflow := false
-	var uses [4]isa.Reg
-	hooks := &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
-		if overflow {
-			return
-		}
-		if len(px.events) >= eventCap {
-			overflow = true
-			return
-		}
-		var mask uint32
-		em := w.LastExecMask()
-		for l := 0; l < len(w.Regs); l++ {
-			if em&(1<<l) != 0 && w.Regs[l] != nil {
-				mask |= 1 << l
-			}
-		}
-		px.events = append(px.events, pruneEvent{
-			cyc: d.Cyc, mask: mask, pc: int32(pc),
-			warp: int32(w.ID), sm: int32(sm.ID),
-		})
-		seq := int32(len(px.events)) // seq+1 encoding; 0 = never read
-		key := warpKey(int32(sm.ID), int32(w.ID))
-		lu := px.lastUse[key]
-		if lu == nil {
-			lu = make([]int32, prog.NumRegs)
-			px.lastUse[key] = lu
-		}
-		for _, r := range prog.Insts[pc].Uses(uses[:0]) {
-			lu[r] = seq
-		}
-	}}
-	if ctl := g.Comp.Controller(); ctl != nil {
-		px.detecting = true
-		hooks = gpu.CombineHooks(ctl.Hooks(), hooks)
-	}
-	launch := &gpu.Launch{Prog: prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}
-	st, err := dev.Run(launch, hooks)
-	if err != nil {
-		px.events, px.lastUse = nil, nil
-		px.disabled = fmt.Sprintf("golden recording failed: %v", err)
-		return px
-	}
-	px.mainCycles = st.Cycles
-	if overflow {
-		px.events, px.lastUse = nil, nil
-		px.disabled = fmt.Sprintf("golden schedule exceeds %d events", eventCap)
-		return px
-	}
-	px.storeReach = flame.StoreReachSlice(prog)
-	px.acl = flame.AddressControlSlice(prog)
-	px.buildVuln(prog)
 	return px
+}
+
+// disable turns pruning off for the benchmark and drops the schedule.
+func (px *PruneIndex) disable(reason string) {
+	px.events, px.lastUse = nil, nil
+	px.disabled = reason
 }
 
 // buildVuln computes the per-event vulnerable-lane masks with one

@@ -100,13 +100,16 @@ func RunCompiled(cfg gpu.Config, spec *KernelSpec, comp *Compiled, inj *flame.In
 
 // RunCompiledOpts simulates an already-compiled application, optionally
 // with a fault injector attached. comp is the compilation of the main
-// kernel; follow-on Steps are compiled on demand with the same options
-// (and memoized on the spec's programs would be the caller's concern —
-// steps are small relative to simulation cost). The injector observes
-// the main kernel's launch; under a detecting scheme the controller
-// drives its detection, while on an unprotected (Baseline) compilation
-// the strikes land with nothing watching for them.
+// kernel; follow-on Steps are compiled with the same options. The
+// injector observes the main kernel's launch; under a detecting scheme
+// the controller drives its detection, while on an unprotected
+// (Baseline) compilation the strikes land with nothing watching for
+// them.
 func RunCompiledOpts(cfg gpu.Config, spec *KernelSpec, comp *Compiled, inj *flame.Injector, ro RunOpts) (*Result, error) {
+	steps, err := compileSteps(spec, comp.Opt)
+	if err != nil {
+		return nil, err
+	}
 	dev, err := gpu.NewDevice(cfg, spec.MemBytes)
 	if err != nil {
 		return nil, err
@@ -114,65 +117,53 @@ func RunCompiledOpts(cfg gpu.Config, spec *KernelSpec, comp *Compiled, inj *flam
 	if spec.Setup != nil {
 		spec.Setup(dev.Mem.Words())
 	}
-
 	res := &Result{Compiled: comp, Injection: inj}
-	runOne := func(c *Compiled, grid, block isa.Dim3, params []uint32, attachInj bool) error {
-		ctl := c.Controller()
-		var hooks *gpu.Hooks
-		switch {
-		case ctl != nil:
-			if attachInj {
-				ctl.Inj = inj
-			}
-			hooks = ctl.Hooks()
-		case attachInj && inj != nil:
-			// Unprotected run: the injector still observes executed
-			// instructions (masking studies, campaign baselines) but no
-			// detection or recovery happens.
-			hooks = &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
-				inj.Observe(d, sm, w, pc)
-			}}
-		}
-		launch := &gpu.Launch{
-			Prog: c.Prog, Grid: grid, Block: block, Params: params,
-			MaxCycles: ro.MaxCycles, Stop: ro.Stop,
-		}
-		st, err := dev.Run(launch, gpu.CombineHooks(hooks, ro.Hooks))
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", spec.Name, c.Opt.Scheme, err)
-		}
-		res.Stats.Accumulate(st)
-		if ctl != nil {
-			res.Flame.Accumulate(&ctl.Stats)
-		}
-		return nil
+	err = launchOne(dev, spec, comp, spec.Grid, spec.Block, spec.Params, inj, &ro, res)
+	if err == nil {
+		err = runSteps(dev, spec, steps, &ro, res)
 	}
-	keepMem := func() {
-		if ro.KeepMem {
-			res.Mem = append([]uint32(nil), dev.Mem.Words()...)
-		}
+	if ro.KeepMem {
+		res.Mem = append([]uint32(nil), dev.Mem.Words()...)
 	}
-	if err := runOne(comp, spec.Grid, spec.Block, spec.Params, true); err != nil {
-		keepMem()
-		return res, err
+	if err == nil && !ro.SkipValidate {
+		err = validate(spec, comp, dev.Mem.Words())
 	}
+	return res, err
+}
+
+// compileSteps compiles the spec's follow-on Steps with the main
+// kernel's options, in spec order.
+func compileSteps(spec *KernelSpec, opt Options) ([]*Compiled, error) {
+	steps := make([]*Compiled, len(spec.Steps))
 	for i, step := range spec.Steps {
-		sc, err := Compile(step.Prog, comp.Opt)
-		if err != nil {
+		var err error
+		if steps[i], err = Compile(step.Prog, opt); err != nil {
 			return nil, fmt.Errorf("%s step %d: %w", spec.Name, i+1, err)
 		}
-		if err := runOne(sc, step.Grid, step.Block, step.Params, false); err != nil {
-			keepMem()
-			return res, err
+	}
+	return steps, nil
+}
+
+// runSteps runs the compiled follow-on Steps after the main launch. The
+// injector never observes them.
+func runSteps(dev *gpu.Device, spec *KernelSpec, steps []*Compiled, ro *RunOpts, res *Result) error {
+	for i, step := range spec.Steps {
+		if err := launchOne(dev, spec, steps[i], step.Grid, step.Block, step.Params, nil, ro, res); err != nil {
+			return err
 		}
 	}
-	keepMem()
-	if !ro.SkipValidate && spec.Validate != nil {
-		if verr := spec.Validate(dev.Mem.Words()); verr != nil {
-			return res, fmt.Errorf("%s/%s: %w: %v", spec.Name, comp.Opt.Scheme, ErrValidation, verr)
-		}
+	return nil
+}
+
+// validate applies the spec's output check to the final memory.
+func validate(spec *KernelSpec, comp *Compiled, mem []uint32) error {
+	if spec.Validate == nil {
+		return nil
 	}
-	return res, nil
+	if verr := spec.Validate(mem); verr != nil {
+		return fmt.Errorf("%s/%s: %w: %v", spec.Name, comp.Opt.Scheme, ErrValidation, verr)
+	}
+	return nil
 }
 
 // Overhead returns the normalized execution time of a scheme run against

@@ -62,16 +62,17 @@ func SiteLabels(prog *isa.Program) []string {
 
 // BuildStrata enumerates the single-strike injection-site space of a
 // golden run into (kernel, section, opcode-class) strata with exact
-// site counts. It replays the fault-free run once with a recording hook
-// combined after the scheme's own hooks — the recorder therefore sees
-// the executed-instruction stream in exactly the order a trial's
-// injector observes it — and feeds the main kernel's corruptible events
-// to a flame.StrataBuilder.
+// site counts. It replays the golden's main launch with a recording
+// hook combined after the scheme's own hooks — the recorder therefore
+// sees the executed-instruction stream in exactly the order a trial's
+// injector observes it — and feeds the corruptible events to a
+// flame.StrataBuilder. Campaigns get the same map from Prepare, which
+// records it during the golden run itself.
 //
 // The replay must be bit-identical to the golden run, so the recorder
-// only watches; a mismatch between the replay's cycle count and
-// g.Window is reported as an error rather than silently mis-weighting
-// strata.
+// only watches; a replay whose main launch does not take the golden's
+// cycle count is reported as an error rather than silently
+// mis-weighting strata.
 func BuildStrata(cfg gpu.Config, spec *KernelSpec, g *Golden, model flame.FaultModel) (*flame.StrataMap, error) {
 	return BuildStrataKeyed(cfg, spec, g, model, StrataKeySectionClass)
 }
@@ -84,53 +85,12 @@ func BuildStrataKeyed(cfg gpu.Config, spec *KernelSpec, g *Golden, model flame.F
 	if _, err := ParseStrataKey(string(key)); err != nil {
 		return nil, err
 	}
-	sections := make([][2]int, len(g.Comp.Sections))
-	for i, s := range g.Comp.Sections {
-		sections[i] = [2]int{s.Start, s.End}
-	}
-	b := flame.NewStrataBuilder(g.Comp.Prog, spec.Name, sections, model, g.ArmSpan())
-	if key == StrataKeyLiveness {
-		b.SetSiteLabels(SiteLabels(g.Comp.Prog))
-	}
-	return buildStrata(cfg, spec, g, b)
-}
-
-func buildStrata(cfg gpu.Config, spec *KernelSpec, g *Golden, b *flame.StrataBuilder) (*flame.StrataMap, error) {
-	main := g.Comp.Prog
-	recorder := &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
-		// The injector attaches to the main kernel's launch only, and the
-		// device clock restarts per launch — record nothing else.
-		if d.Kernel() != main {
-			return
-		}
-		// Mirror Injector.pickLane's liveness gate: an event with no
-		// executing lane holding live registers never fires a strike (the
-		// injector stays armed through it), so it owns no arm cycles.
-		mask := w.LastExecMask()
-		live := false
-		for l := 0; l < len(w.Regs); l++ {
-			if mask&(1<<l) != 0 && w.Regs[l] != nil {
-				live = true
-				break
-			}
-		}
-		if !live {
-			return
-		}
-		b.Observe(d.Cyc, pc)
-	}}
-	res, err := RunCompiledOpts(cfg, spec, g.Comp, nil, RunOpts{
-		SkipValidate: true,
-		Hooks:        recorder,
-	})
-	if err != nil {
+	r := newRecorder(g, spec.Name, Want{Strata: true, Model: model, Key: key})
+	if err := r.replay(cfg, spec, g); err != nil {
 		return nil, fmt.Errorf("strata replay: %w", err)
 	}
-	if res.Stats.Cycles != g.Window {
-		return nil, fmt.Errorf("strata replay diverged: %d cycles, golden window %d",
-			res.Stats.Cycles, g.Window)
-	}
-	return b.Finish(), nil
+	_, sm := r.finish(g)
+	return sm, nil
 }
 
 // ArmSpan is the single-strike arm-cycle space size: arms are drawn

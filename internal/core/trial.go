@@ -75,7 +75,7 @@ func (o Outcome) String() string {
 // against: the compiled program, its execution window, and the final
 // global memory of a clean run.
 //
-// A Golden is immutable after GoldenRun returns and is shared read-only
+// A Golden is immutable after Prepare returns and is shared read-only
 // by every pooled Engine in a campaign (one golden, many workers). In
 // particular InitMem and Mem must never be written: the dirty-page
 // restore path copies from InitMem on every trial, so a stray write
@@ -89,6 +89,9 @@ type Golden struct {
 	StepComps []*Compiled
 	// Window is the fault-free cycle count across all launches.
 	Window int64
+	// MainCycles is the main launch's own cycle count (Window also
+	// counts the Steps).
+	MainCycles int64
 	// InitMem is the global-memory image after host setup, before any
 	// launch; pooled-device trials restore it instead of re-running
 	// spec.Setup.
@@ -107,35 +110,11 @@ type Golden struct {
 
 // GoldenRun compiles the spec for the scheme and performs the fault-free
 // reference run, validating its output. Baseline is allowed: an
-// unprotected golden run anchors masking campaigns.
+// unprotected golden run anchors masking campaigns. It is Prepare
+// recording nothing else.
 func GoldenRun(cfg gpu.Config, spec *KernelSpec, opt Options) (*Golden, error) {
-	comp, err := Compile(spec.Prog, opt)
-	if err != nil {
-		return nil, err
-	}
-	steps := make([]*Compiled, len(spec.Steps))
-	for i, step := range spec.Steps {
-		if steps[i], err = Compile(step.Prog, comp.Opt); err != nil {
-			return nil, fmt.Errorf("%s step %d: %w", spec.Name, i+1, err)
-		}
-	}
-	initMem := make([]uint32, (spec.MemBytes+3)/4)
-	if spec.Setup != nil {
-		spec.Setup(initMem)
-	}
-	res, err := RunCompiledOpts(cfg, spec, comp, nil, RunOpts{KeepMem: true})
-	if err != nil {
-		return nil, fmt.Errorf("golden run: %w", err)
-	}
-	maxDelay := comp.Opt.WCDL
-	if !opt.Scheme.UsesSensors() {
-		maxDelay = 0 // DMR detects at the replica; model as immediate
-	}
-	return &Golden{
-		Comp: comp, StepComps: steps, Window: res.Stats.Cycles,
-		InitMem: initMem, Mem: res.Mem, MaxDelay: maxDelay,
-		diffPages: diffPageBitmap(initMem, res.Mem),
-	}, nil
+	s, err := Prepare(cfg, spec, opt, Want{})
+	return s.Golden, err
 }
 
 // diffPageBitmap returns the bitmap of pages (gpu.PageWords words each)

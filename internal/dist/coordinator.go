@@ -179,18 +179,17 @@ func NewCoordinator(cc CoordConfig) (*Coordinator, error) {
 		done:     make(chan struct{}),
 		started:  time.Now(),
 	}
-	for _, spec := range cfg.Specs {
-		g, err := core.GoldenRun(cfg.Arch, spec, cfg.Opt)
-		if err != nil {
-			return nil, fmt.Errorf("dist: golden run %s: %w", spec.Name, err)
-		}
+	setups, err := core.PrepareAll(cfg.Arch, cfg.Specs, cfg.Opt, core.Want{Prune: cfg.Prune})
+	if err != nil {
+		return nil, fmt.Errorf("dist: set-up: %w", err)
+	}
+	for i, spec := range cfg.Specs {
+		g := setups[i].Golden
 		c.goldens = append(c.goldens, g)
 		c.sigs[spec.Name] = Signature(g)
-		if cfg.Prune {
-			if reason := core.BuildPruneIndex(cfg.Arch, spec, g, 0).Disabled(); reason != "" {
-				c.pruneOff[spec.Name] = reason
-				cc.Logf("prune disabled for %s: %s", spec.Name, reason)
-			}
+		if px := setups[i].Prune; px != nil && px.Disabled() != "" {
+			c.pruneOff[spec.Name] = px.Disabled()
+			cc.Logf("prune disabled for %s: %s", spec.Name, px.Disabled())
 		}
 	}
 	benches := make([]string, len(cfg.Specs))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -431,4 +432,24 @@ func TestDistStateDirMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "different campaign") {
 		t.Fatalf("err = %v, want state-dir mismatch", err)
 	}
+}
+
+// TestDistSetupConcurrent prepares the coordinator's and a worker's
+// golden runs and prune indexes on four set-up workers over several
+// benchmarks, a multi-kernel one among them. Under -race this checks
+// the set-up fan-out shares nothing unsynchronised; the merged report
+// must still equal the single-process run.
+func TestDistSetupConcurrent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	info := testInfo(3)
+	info.Benchmarks = []string{"Triad", "SRAD", "Histogram", "BFS", "NW"}
+	info.Prune = true
+	want := singleReport(t, info)
+	c, srv, _ := testCoord(t, info, t.TempDir())
+	if err := RunWorker(context.Background(), WorkerConfig{
+		URL: srv.URL, Name: "w0", FlushEvery: 2, Logf: t.Logf,
+	}); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	checkByteIdentical(t, waitDone(t, c, 60*time.Second), want)
 }

@@ -168,19 +168,20 @@ func (w *worker) setup(ctx context.Context) error {
 	if cfg.Prune {
 		w.prune = map[string]*core.PruneIndex{}
 	}
+	// The pruning oracle is a deterministic function of (arch, spec,
+	// golden), so every replica prunes exactly the same trials the
+	// coordinator would, and streamed lines stay byte-identical.
+	setups, err := core.PrepareAll(cfg.Arch, cfg.Specs, cfg.Opt, core.Want{Prune: cfg.Prune})
+	if err != nil {
+		return fmt.Errorf("dist: set-up: %w", err)
+	}
 	sigs := map[string]GoldenSig{}
-	for _, spec := range cfg.Specs {
-		g, err := core.GoldenRun(cfg.Arch, spec, cfg.Opt)
-		if err != nil {
-			return fmt.Errorf("dist: golden run %s: %w", spec.Name, err)
-		}
+	for i, spec := range cfg.Specs {
+		g := setups[i].Golden
 		w.specs[spec.Name] = spec
 		w.goldens[spec.Name] = g
 		if cfg.Prune {
-			// The oracle is a deterministic function of (arch, spec,
-			// golden), so every replica prunes exactly the same trials the
-			// coordinator would, and streamed lines stay byte-identical.
-			w.prune[spec.Name] = core.BuildPruneIndex(cfg.Arch, spec, g, 0)
+			w.prune[spec.Name] = setups[i].Prune
 		}
 		sigs[spec.Name] = Signature(g)
 	}

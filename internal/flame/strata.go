@@ -2,6 +2,7 @@ package flame
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"flame/internal/isa"
@@ -211,6 +212,43 @@ func (b *StrataBuilder) Observe(cyc int64, pc int) {
 		s.intervals = append(s.intervals, armInterval{lo, hi})
 	}
 	s.Sites += hi - lo + 1
+}
+
+// OpenSpan is the span of a builder fed while the golden run that
+// fixes the arm-cycle space is still running: it keeps every event,
+// and FinishSpan bounds the enumeration once the window is known.
+const OpenSpan = math.MaxInt64
+
+// FinishSpan seals an enumeration begun with OpenSpan at the arm-cycle
+// space [0, span). Arm cycles at or past span are dropped, and with them
+// any stratum left without one, so the map equals what a builder
+// created with that span and fed the same events would produce: there
+// the first event past the span owns up to span-1 and later ones own
+// nothing. Observe must not be called afterwards.
+func (b *StrataBuilder) FinishSpan(span int64) *StrataMap {
+	b.span = span
+	if b.prev >= span {
+		b.prev = span - 1
+		var kept []SiteStratum
+		for _, s := range b.strat {
+			ivs := s.intervals[:0]
+			s.Sites = 0
+			for _, iv := range s.intervals {
+				if iv.lo >= span {
+					break // intervals ascend
+				}
+				iv.hi = min(iv.hi, span-1)
+				ivs = append(ivs, iv)
+				s.Sites += iv.hi - iv.lo + 1
+			}
+			if len(ivs) > 0 {
+				s.intervals = ivs
+				kept = append(kept, s)
+			}
+		}
+		b.strat = kept
+	}
+	return b.Finish()
 }
 
 // Finish seals the enumeration: strata are sorted by (Section, Class,

@@ -1,6 +1,7 @@
 package flame
 
 import (
+	"reflect"
 	"testing"
 
 	"flame/internal/isa"
@@ -199,6 +200,43 @@ func TestCorruptibleSiteMirrorsObserve(t *testing.T) {
 			(in.Op == isa.OpSt && in.Space == isa.SpaceGlobal)
 		if got := corruptibleSite(in, FullSite, excl); got != wantFull {
 			t.Errorf("pc %d (%s): FullSite corruptible=%v, want %v", pc, in.String(), got, wantFull)
+		}
+	}
+}
+
+// An enumeration fed with an open span and sealed by FinishSpan must
+// equal one built with the span from the start, for spans below, at,
+// inside and past the observed events: the first event past the span
+// owns up to span-1, and strata owning only later arms vanish.
+func TestStrataFinishSpanMatchesBoundedBuild(t *testing.T) {
+	p := isa.MustParse("k", strataSrc)
+	sections := [][2]int{{0, 5}, {5, 8}}
+	events := []struct {
+		cyc int64
+		pc  int
+	}{
+		{0, 1}, {2, 4}, {5, 5}, {5, 6}, {7, 7}, {9, 8}, {11, 4}, {14, 7}, {20, 5}, {21, 4}, {30, 7},
+	}
+	for _, labels := range []bool{false, true} {
+		for span := int64(1); span <= 40; span++ {
+			bounded := NewStrataBuilder(p, "k", sections, DataSlice, span)
+			open := NewStrataBuilder(p, "k", sections, DataSlice, OpenSpan)
+			if labels {
+				l := make([]string, len(p.Insts))
+				for i := range l {
+					l[i] = []string{"dead", "short", "long"}[i%3]
+				}
+				bounded.SetSiteLabels(l)
+				open.SetSiteLabels(l)
+			}
+			for _, e := range events {
+				bounded.Observe(e.cyc, e.pc)
+				open.Observe(e.cyc, e.pc)
+			}
+			want, got := bounded.Finish(), open.FinishSpan(span)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("labels=%v span %d:\nFinishSpan %+v\nbounded    %+v", labels, span, got, want)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"flame/internal/core"
 	"flame/internal/flame"
 	"flame/internal/gpu"
+	"flame/internal/par"
 	"flame/internal/sensor"
 	"flame/internal/stats"
 )
@@ -267,7 +268,7 @@ func MaskingStudy(cfg Config, runsPerBench int, seed int64) ([]MaskingRow, error
 	cfg.fill()
 	specs := specsOf(cfg.Benchmarks)
 	out := make([]MaskingRow, len(specs))
-	err := parallel(len(specs), func(i int) error {
+	err := par.For(len(specs), func(i int) error {
 		b := cfg.Benchmarks[i]
 		res, err := core.MaskingCampaign(cfg.Arch, specs[i], runsPerBench, seed+int64(i))
 		if err != nil {
@@ -369,7 +370,7 @@ func InjectionStudy(cfg Config, runsPerBench int, seed int64) ([]InjectionRow, e
 	cfg.fill()
 	specs := specsOf(cfg.Benchmarks)
 	out := make([]InjectionRow, len(specs))
-	err := parallel(len(specs), func(i int) error {
+	err := par.For(len(specs), func(i int) error {
 		b := cfg.Benchmarks[i]
 		res, err := core.Campaign(cfg.Arch, specs[i], cfg.flameOptions(), runsPerBench, seed+int64(i))
 		if err != nil {
@@ -409,7 +410,7 @@ func FalsePositiveStudy(cfg Config, nFP int) ([]FalsePositiveRow, error) {
 	cfg.fill()
 	specs := specsOf(cfg.Benchmarks)
 	out := make([]FalsePositiveRow, len(specs))
-	err := parallel(len(specs), func(i int) error {
+	err := par.For(len(specs), func(i int) error {
 		b, spec := cfg.Benchmarks[i], specs[i]
 		comp, err := core.Compile(spec.Prog, cfg.flameOptions())
 		if err != nil {

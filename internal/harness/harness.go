@@ -10,13 +10,11 @@ package harness
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"flame/internal/bench"
 	"flame/internal/core"
 	"flame/internal/gpu"
+	"flame/internal/par"
 	"flame/internal/stats"
 )
 
@@ -67,7 +65,7 @@ type cell struct {
 // runCells simulates every cell and returns the results in cell order.
 // Every spec is resolved on the calling goroutine first, because
 // Benchmark.Prog assembles lazily without synchronisation; the cells
-// then run on GOMAXPROCS workers (see parallel), so results, printed
+// then run on GOMAXPROCS workers (see par.For), so results, printed
 // tables and the error returned are the same at any worker count.
 func runCells(cells []cell) ([]*core.Result, error) {
 	specs := make([]*core.KernelSpec, len(cells))
@@ -75,7 +73,7 @@ func runCells(cells []cell) ([]*core.Result, error) {
 		specs[i] = c.bench.Spec()
 	}
 	res := make([]*core.Result, len(cells))
-	err := parallel(len(cells), func(i int) error {
+	err := par.For(len(cells), func(i int) error {
 		c := cells[i]
 		r, err := core.Run(c.arch, specs[i], c.opt)
 		if err != nil {
@@ -98,41 +96,6 @@ func specsOf(benches []*bench.Benchmark) []*core.KernelSpec {
 		specs[i] = b.Spec()
 	}
 	return specs
-}
-
-// parallel calls f(i) for every i in [0, n) on runtime.GOMAXPROCS(0)
-// workers and returns the error of the smallest failing i. Indices are
-// handed out in increasing order and workers stop taking new ones after
-// a failure, so every index below a failing one still runs: the error
-// returned does not depend on the worker count or on scheduling, and
-// with one worker the calls are the serial loop's.
-func parallel(n int, f func(i int) error) error {
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				if errs[i] = f(i); errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // baselineKey identifies a baseline run. The key holds the whole

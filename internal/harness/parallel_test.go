@@ -12,6 +12,7 @@ import (
 
 	"flame/internal/bench"
 	"flame/internal/gpu"
+	"flame/internal/par"
 )
 
 // fresh returns a copy of a registered benchmark that has never been
@@ -145,7 +146,7 @@ func TestExperimentsFirstErrorInSerialOrder(t *testing.T) {
 func TestParallelFirstError(t *testing.T) {
 	withProcs(4, func() {
 		var ran [8]atomic.Bool
-		err := parallel(64, func(i int) error {
+		err := par.For(64, func(i int) error {
 			if i < len(ran) {
 				ran[i].Store(true)
 			}

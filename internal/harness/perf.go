@@ -250,10 +250,11 @@ func restoreBoundSpec() *core.KernelSpec {
 // pruner's hit rate on it.
 func perfRestoreBound(cfg Config, rep *PerfReport, trials int) error {
 	spec := restoreBoundSpec()
-	g, err := core.GoldenRun(cfg.Arch, spec, core.Options{Scheme: core.Baseline})
+	s, err := core.Prepare(cfg.Arch, spec, core.Options{Scheme: core.Baseline}, core.Want{Prune: true})
 	if err != nil {
 		return err
 	}
+	g, px := s.Golden, s.Prune
 	rb := &rep.RestoreBound
 	rb.Benchmark = spec.Name
 	rb.FootprintPages = (spec.MemBytes + gpu.PageBytes - 1) / gpu.PageBytes
@@ -281,7 +282,6 @@ func perfRestoreBound(cfg Config, rep *PerfReport, trials int) error {
 		rb.RestoredPagesPerTrial = float64(cowStats.RestoredPages) / float64(cowStats.Trials)
 	}
 
-	px := core.BuildPruneIndex(cfg.Arch, spec, g, 0)
 	pruned := 0
 	for i := 0; i < trials; i++ {
 		if _, ok := px.PruneTrial(g, ccfg.TrialSpec(g, spec.Name, i)); ok {
