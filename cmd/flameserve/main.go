@@ -9,7 +9,13 @@
 // Usage:
 //
 //	flameserve -addr :8077 -state ./campaign-state -trials 1000
+//	flameserve -trials 1000 -prune -ci-target 0.02 -shard-size 50
 //	flameworker -url http://host:8077        # on each machine
+//
+// The campaign flags (-bench, -suite, -scheme, -trials, -seed, -model,
+// -prune, -no-cow, -ci-target, -json, ...) are flameinject's; -ci-target
+// cancels a benchmark's pending shards once its SDC and DUE Wilson 95%
+// half-widths reach the target.
 //
 // Exit codes: 0 complete; 2 complete but uncovered outcomes under the
 // paper's fault model; 3 interrupted or degraded (resumable: run again
@@ -27,17 +33,9 @@ import (
 	"syscall"
 	"time"
 
-	"flame/internal/bench"
-	"flame/internal/core"
+	"flame/internal/campaignflag"
 	"flame/internal/dist"
-	"flame/internal/flame"
-	"flame/internal/gpu"
 )
-
-var quickSuite = []string{
-	"Triad", "SGEMM", "Histogram", "BFS",
-	"LUD", "NW", "PF", "SRAD",
-}
 
 func main() {
 	addr := flag.String("addr", ":8077", "listen address")
@@ -47,63 +45,12 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", 0, "heartbeat cadence told to workers (0 = lease-ttl/3)")
 	quarantine := flag.Int("quarantine-after", 3, "quarantine a shard after this many failed leases")
 	dashboard := flag.Bool("dashboard", false, "serve the live HTML dashboard at GET /dashboard (Prometheus metrics are always at GET /metrics)")
-
-	benchList := flag.String("bench", "", "comma-separated benchmark names (default: -suite)")
-	suite := flag.String("suite", "quick", "benchmark suite: quick or all")
-	schemeFlag := flag.String("scheme", "flame", "resilience scheme")
-	archName := flag.String("arch", "GTX480", "GPU architecture: GTX480, TITANX, GV100, RTX2060")
-	wcdl := flag.Int("wcdl", 20, "sensor WCDL (cycles)")
-	extend := flag.Bool("extend", true, "enable region extension")
-	trials := flag.Int("trials", 100, "injection trials per benchmark")
-	seed := flag.Uint64("seed", 1, "campaign seed")
-	modelFlag := flag.String("model", "data", "fault model: data or full")
-	strikes := flag.Int("strikes", 1, "strikes armed per trial")
-	budget := flag.Int64("budget", 8, "hang watchdog: cycle budget multiplier")
-	trialTimeout := flag.Duration("trial-timeout", 0, "wall-clock timeout per trial on workers (0 = off)")
-	fingerprint := flag.Bool("fingerprint", false, "trace strike propagation on workers: cycle depth, detection latency, SDC corruption fingerprints (outcomes unchanged)")
-	jsonOut := flag.String("json", "", "write the final report JSON to this file (- for stdout)")
+	cf := campaignflag.Bind(flag.CommandLine)
 	flag.Parse()
 
-	scheme, err := core.SchemeByName(*schemeFlag)
-	if err != nil {
-		fail("%v (want one of %s)", err, strings.Join(core.SchemeFlagNames(), ", "))
-	}
-	arch, err := gpu.ConfigByName(*archName)
+	cfg, err := cf.Config()
 	if err != nil {
 		fail("%v", err)
-	}
-	if _, err := flame.ParseFaultModel(*modelFlag); err != nil {
-		fail("%v", err)
-	}
-	var names []string
-	switch {
-	case *benchList != "":
-		for _, n := range strings.Split(*benchList, ",") {
-			names = append(names, strings.TrimSpace(n))
-		}
-	case *suite == "all":
-		for _, b := range bench.All() {
-			names = append(names, b.Name)
-		}
-	case *suite == "quick":
-		names = quickSuite
-	default:
-		fail("unknown suite %q (want quick or all)", *suite)
-	}
-
-	info := dist.CampaignInfo{
-		Arch:           arch,
-		Scheme:         scheme.FlagName(),
-		WCDL:           *wcdl,
-		ExtendRegions:  *extend,
-		Benchmarks:     names,
-		Trials:         *trials,
-		Seed:           *seed,
-		Model:          *modelFlag,
-		StrikesPerTrial: *strikes,
-		HangBudgetMult: *budget,
-		TrialTimeoutMS: trialTimeout.Milliseconds(),
-		Trace:          *fingerprint,
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -112,7 +59,7 @@ func main() {
 	fr, err := dist.Serve(ctx, dist.ServeConfig{
 		Addr: *addr,
 		Coord: dist.CoordConfig{
-			Info: info, StateDir: *state, ShardSize: *shardSize,
+			Info: dist.InfoFromConfig(&cfg), StateDir: *state, ShardSize: *shardSize,
 			LeaseTTL: *leaseTTL, Heartbeat: *heartbeat, QuarantineAfter: *quarantine,
 			Dashboard: *dashboard, Logf: logf,
 		},
@@ -132,28 +79,21 @@ func main() {
 	for _, s := range fr.Quarantined {
 		fmt.Printf("QUARANTINED %s: excluded after repeated lease failures\n", s)
 	}
+	if len(fr.EarlyStopped) > 0 {
+		fmt.Printf("early stop: %s converged under ci_target %g (%d shards cancelled)\n",
+			strings.Join(fr.EarlyStopped, ", "), cfg.CITarget, len(fr.Cancelled))
+	}
 	if interrupted {
 		fmt.Printf("interrupted: partial report; resume with the same -state %s\n", *state)
 	}
-
-	if *jsonOut != "" {
-		data, err := fr.Report.JSON()
-		if err != nil {
-			fail("json: %v", err)
-		}
-		data = append(data, '\n')
-		if *jsonOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fail("%v", err)
-		}
+	if err := cf.WriteJSON(fr.Report); err != nil {
+		fail("%v", err)
 	}
 
 	switch {
 	case interrupted || !fr.Complete:
 		os.Exit(3)
-	case *modelFlag == "data" && scheme.Recoverable() && scheme.Detects() &&
-		(fr.Report.Fleet.SDC > 0 || fr.Report.Fleet.Hang > 0):
+	case campaignflag.Uncovered(&cfg, fr.Report):
 		os.Exit(2)
 	}
 }

@@ -74,6 +74,14 @@ func register(b *Benchmark) *Benchmark {
 	return b
 }
 
+// QuickSuite is a small structurally-diverse subset for fast
+// campaigns: regular streaming, blocked reuse with barriers, atomics,
+// divergence, extended-section and multi-kernel workloads.
+var QuickSuite = []string{
+	"Triad", "SGEMM", "Histogram", "BFS",
+	"LUD", "NW", "PF", "SRAD",
+}
+
 // All returns every benchmark sorted by name.
 func All() []*Benchmark {
 	out := append([]*Benchmark(nil), registry...)

@@ -18,15 +18,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"flame/internal/core"
 	"flame/internal/flame"
 	"flame/internal/gpu"
-	"flame/internal/obs"
 )
 
 // ErrStopped is returned by Run — alongside a valid partial report —
@@ -133,69 +130,55 @@ type Config struct {
 	StrataKey string
 }
 
-type job struct{ b, t int }
-
-// setup is a campaign's per-benchmark set-up, in spec order.
-type setup struct {
-	goldens  []*core.Golden
-	prune    []*core.PruneIndex // nil entries unless Config.Prune
-	pruneOff []string           // why pruning is off ("" when live or not asked for)
-	strata   []*flame.StrataMap // nil unless stratified
-}
-
-// prepare runs every benchmark's golden run on GOMAXPROCS workers,
-// recording the pruning oracle (under Config.Prune) and whatever else
-// want asks for while it runs.
-func (cfg *Config) prepare(want core.Want) (*setup, error) {
-	want.Prune = cfg.Prune
-	ss, err := core.PrepareAll(cfg.Arch, cfg.Specs, cfg.Opt, want)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	n := len(ss)
-	set := &setup{
-		goldens:  make([]*core.Golden, n),
-		prune:    make([]*core.PruneIndex, n),
-		pruneOff: make([]string, n),
-	}
-	if want.Strata {
-		set.strata = make([]*flame.StrataMap, n)
-	}
-	for i, s := range ss {
-		set.goldens[i], set.prune[i] = s.Golden, s.Prune
-		if s.Prune != nil {
-			set.pruneOff[i] = s.Prune.Disabled()
-		}
-		if set.strata != nil {
-			set.strata[i] = s.Strata
-		}
-	}
-	return set, nil
-}
-
-// emit writes the set-up event lines after set-up has finished, in the
-// order the serial set-up wrote them: campaign start, every golden,
-// every strata enumeration, then every benchmark whose pruning is off.
-func (set *setup) emit(str *streamer, cfg *Config, parallel int) {
+// emitSetup writes the set-up event lines after set-up has finished,
+// in the order the serial set-up wrote them: campaign start, every
+// golden, every strata enumeration, then every benchmark whose pruning
+// is off.
+func emitSetup(str *streamer, cfg *Config, set []core.Setup, parallel int) {
 	if str == nil {
 		return
 	}
-	str.campaignStart(cfg, parallel, set.goldens[0].Comp.Opt.WCDL)
+	str.campaignStart(cfg, parallel, set[0].Golden.Comp.Opt.WCDL)
 	for i, spec := range cfg.Specs {
-		str.golden(spec.Name, set.goldens[i].Window)
+		str.golden(spec.Name, set[i].Golden.Window)
 	}
-	for i, m := range set.strata {
-		info := make([]stratumInfo, len(m.Strata))
-		for j := range m.Strata {
-			info[j] = stratumInfo{Key: m.Strata[j].Key(), Sites: m.Strata[j].Sites}
+	for i, s := range set {
+		if m := s.Strata; m != nil {
+			info := make([]stratumInfo, len(m.Strata))
+			for j := range m.Strata {
+				info[j] = stratumInfo{Key: m.Strata[j].Key(), Sites: m.Strata[j].Sites}
+			}
+			str.strata(cfg.Specs[i].Name, m.Span, m.NoInjectionSites, info)
 		}
-		str.strata(cfg.Specs[i].Name, m.Span, m.NoInjectionSites, info)
 	}
 	for i, spec := range cfg.Specs {
-		if reason := set.pruneOff[i]; reason != "" {
+		if reason := set[i].Prune.Disabled(); reason != "" {
 			str.pruneDisabled(spec.Name, reason)
 		}
 	}
+}
+
+// Validate rejects a campaign that cannot run: no workloads, a
+// non-positive trial count, a CI target outside [0, 0.5) — a Wilson
+// half-width is below 0.5 once a single trial has run, so a larger
+// target would stop every benchmark after its first round — and, for
+// the stratified sampler, multi-strike trials or trial skipping. Run,
+// RunStratified and the distributed service's campaign description
+// all call it.
+func (cfg *Config) Validate() error {
+	switch {
+	case len(cfg.Specs) == 0:
+		return fmt.Errorf("campaign: no workloads")
+	case cfg.Trials <= 0:
+		return fmt.Errorf("campaign: trials must be positive")
+	case !(cfg.CITarget >= 0 && cfg.CITarget < 0.5):
+		return fmt.Errorf("campaign: ci_target %v out of range [0, 0.5)", cfg.CITarget)
+	case cfg.Stratify && cfg.StrikesPerTrial > 1:
+		return fmt.Errorf("campaign: stratified sampling is single-strike (strikes=%d)", cfg.StrikesPerTrial)
+	case cfg.Stratify && cfg.Skip != nil:
+		return fmt.Errorf("campaign: stratified sampling does not support trial skipping (-resume)")
+	}
+	return nil
 }
 
 // Run executes the campaign and aggregates the report. A Config with
@@ -204,122 +187,33 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Stratify {
 		return RunStratified(cfg)
 	}
-	if len(cfg.Specs) == 0 {
-		return nil, fmt.Errorf("campaign: no workloads")
-	}
-	if cfg.Trials <= 0 {
-		return nil, fmt.Errorf("campaign: trials must be positive")
-	}
-	parallel := cfg.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 
-	// Plan the trial grid up front, honouring Skip: results land in a
-	// fixed [workload][trial] grid so aggregation order — and therefore
-	// the report — is independent of worker interleaving, and the ran
-	// mask keeps stopped or skipped trials out of the aggregate.
-	plan := make([]job, 0, len(cfg.Specs)*cfg.Trials)
-	results := make([][]core.TrialResult, len(cfg.Specs))
-	ran := make([][]bool, len(cfg.Specs))
+	// Plan the trial grid up front, honouring Skip, in (workload, trial)
+	// order: results land in plan order, so aggregation — and therefore
+	// the report — is independent of worker interleaving, and stopped or
+	// skipped trials stay out of the aggregate.
+	plan := make([]trial, 0, len(cfg.Specs)*cfg.Trials)
 	for b, spec := range cfg.Specs {
-		results[b] = make([]core.TrialResult, cfg.Trials)
-		ran[b] = make([]bool, cfg.Trials)
 		for t := 0; t < cfg.Trials; t++ {
-			if cfg.Skip != nil && cfg.Skip(spec.Name, t) {
-				continue
+			if cfg.Skip == nil || !cfg.Skip(spec.Name, t) {
+				plan = append(plan, trial{b: b, t: t})
 			}
-			plan = append(plan, job{b, t})
 		}
-	}
-
-	var str *streamer
-	if cfg.Events != nil {
-		str = newStreamer(cfg.Events, len(plan))
 	}
 
 	// Fault-free golden runs, one per workload, each recording its
 	// pruning oracle as it runs. A benchmark that fails a soundness gate
 	// gets a disabled index and falls back to simulation.
-	set, err := cfg.prepare(core.Want{})
+	p, err := newPool(&cfg, core.Want{}, len(plan))
 	if err != nil {
 		return nil, err
 	}
-	set.emit(str, &cfg, parallel)
-	goldens, pruneIdx := set.goldens, set.prune
-
-	jobs := make(chan job, parallel)
-	var wg sync.WaitGroup
-	engines := make([]*core.Engine, parallel)
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		// One engine (and so one pooled device per workload) per
-		// worker: trials reuse simulator state instead of
-		// reallocating it, with bit-identical results.
-		eng := core.NewEngine(cfg.Arch)
-		eng.SetNoCOW(cfg.NoCOW)
-		engines[w] = eng
-		// One tracer per worker, like the engine: it is reset per trial
-		// and records only deterministic per-trial facts, so the traced
-		// report stays independent of worker count.
-		var obsv core.TrialObserver
-		if cfg.Trace {
-			obsv = obs.NewTracer()
-		}
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				spec := cfg.Specs[j.b]
-				if str != nil {
-					str.trialStart(spec.Name, j.t)
-				}
-				ts := cfg.TrialSpec(goldens[j.b], spec.Name, j.t)
-				ts.Observer = obsv
-				res, pruned := pruneIdx[j.b].PruneTrial(goldens[j.b], ts)
-				if pruned {
-					res.Pruned = true
-				} else {
-					res = eng.RunTrial(spec, goldens[j.b], ts)
-				}
-				results[j.b][j.t] = *res
-				ran[j.b][j.t] = true
-				if str != nil {
-					str.trial(spec.Name, j.t, res)
-				}
-			}
-		}()
-	}
-	stopped := false
-dispatch:
-	for _, j := range plan {
-		select {
-		case <-cfg.Stop:
-			stopped = true
-			break dispatch
-		case jobs <- j:
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	var rs core.RestoreStats
-	for _, eng := range engines {
-		rs.Add(eng.Stats())
-	}
-	if cfg.RestoreStats != nil {
-		cfg.RestoreStats.Add(rs)
-	}
-
-	rep := aggregate(&cfg, goldens, results, ran, set.pruneOff)
-	if str != nil {
-		str.campaignDone(rep, rs)
-		if err := str.err(); err != nil {
-			return nil, fmt.Errorf("campaign: event stream: %w", err)
-		}
-	}
-	if stopped {
-		return rep, ErrStopped
-	}
-	return rep, nil
+	results := make([]core.TrialResult, len(plan))
+	n := p.run(plan, results)
+	return p.close(aggregate(&cfg, p.set, plan[:n], results), n < len(plan))
 }
 
 // TrialSpec derives trial t's full specification — strike arm cycles,
@@ -350,35 +244,41 @@ func (cfg *Config) TrialSpec(g *core.Golden, bench string, t int) core.TrialSpec
 	}
 }
 
-// aggregate folds the ran subset of the trial grid into the report, in
-// index order.
-func aggregate(cfg *Config, goldens []*core.Golden, results [][]core.TrialResult, ran [][]bool, pruneOff []string) *Report {
+// newReport starts a campaign's report.
+func (cfg *Config) newReport(set []core.Setup) *Report {
 	rep := &Report{
 		Arch:            cfg.Arch.Name,
 		Scheme:          cfg.Opt.Scheme.String(),
 		Model:           cfg.Model.String(),
-		WCDL:            goldens[0].Comp.Opt.WCDL,
+		WCDL:            set[0].Golden.Comp.Opt.WCDL,
 		Seed:            cfg.Seed,
 		Trials:          cfg.Trials,
 		StrikesPerTrial: maxInt(1, cfg.StrikesPerTrial),
 	}
-	for b := range results {
+	if cfg.Stratify {
+		rep.Stratified, rep.CITarget = true, cfg.CITarget
+	}
+	return rep
+}
+
+// aggregate folds the trials that ran (in plan order, so grouped by
+// workload and ascending in trial index) into the report.
+func aggregate(cfg *Config, set []core.Setup, ran []trial, results []core.TrialResult) *Report {
+	rep := cfg.newReport(set)
+	k := 0
+	for b, spec := range cfg.Specs {
 		br := BenchReport{
-			Benchmark:     cfg.Specs[b].Name,
-			WindowCycles:  goldens[b].Window,
-			PruneDisabled: pruneOff[b],
+			Benchmark:     spec.Name,
+			WindowCycles:  set[b].Golden.Window,
+			PruneDisabled: set[b].Prune.Disabled(),
 		}
-		for t := range results[b] {
-			if ran[b][t] {
-				br.fold(&results[b][t])
-			}
+		for ; k < len(ran) && ran[k].b == b; k++ {
+			br.fold(&results[k])
 		}
 		br.finish()
 		rep.Benchmarks = append(rep.Benchmarks, br)
 		rep.Fleet.merge(&br)
 	}
-	rep.Fleet.Benchmark = "fleet"
-	rep.Fleet.finish()
 	return rep
 }
 

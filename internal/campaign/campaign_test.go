@@ -141,16 +141,6 @@ func TestCampaignFullSiteFindsUncovered(t *testing.T) {
 	}
 }
 
-func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{Trials: 1}); err == nil {
-		t.Fatal("empty spec list must error")
-	}
-	cfg := testConfig(t, []string{"Triad"}, 0, 1)
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("zero trials must error")
-	}
-}
-
 func TestSeedDerivation(t *testing.T) {
 	// Distinct benchmarks and trial indices get distinct seeds; the
 	// derivation is pure.

@@ -166,14 +166,7 @@ type SamplingReport struct {
 // counts, computing the post-stratified rate estimates. It is shared by
 // the sampler and stream replay so both construct identical reports.
 func buildSampling(span, noInj int64, budget, used, rounds int, reason string, strata []StratumReport) *SamplingReport {
-	sdc := make([]stats.StratumCount, len(strata))
-	due := make([]stats.StratumCount, len(strata))
-	for i := range strata {
-		s := &strata[i]
-		n := s.Trials - s.Internal
-		sdc[i] = stats.StratumCount{Weight: s.Sites, N: n, K: s.SDC}
-		due[i] = stats.StratumCount{Weight: s.Sites, N: n, K: s.DUE}
-	}
+	sdc, due := rateCounts(strata)
 	rateCI := func(r stats.StratifiedResult) RateCI {
 		return RateCI{Rate: r.Rate, Lo: r.Lo, Hi: r.Hi, EffN: r.EffN}
 	}
@@ -184,6 +177,21 @@ func buildSampling(span, noInj int64, budget, used, rounds int, reason string, s
 		DUERate: rateCI(stats.StratifiedWilson95(due)),
 		Strata:  strata,
 	}
+}
+
+// rateCounts is the strata's sampling state for the post-stratified
+// SDC and DUE rates: site weights, and successes among the trials that
+// were not infrastructure failures.
+func rateCounts(strata []StratumReport) (sdc, due []stats.StratumCount) {
+	sdc = make([]stats.StratumCount, len(strata))
+	due = make([]stats.StratumCount, len(strata))
+	for i := range strata {
+		s := &strata[i]
+		n := s.Trials - s.Internal
+		sdc[i] = stats.StratumCount{Weight: s.Sites, N: n, K: s.SDC}
+		due[i] = stats.StratumCount{Weight: s.Sites, N: n, K: s.DUE}
+	}
+	return sdc, due
 }
 
 // fold adds one trial.

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"flame/internal/core"
 	"flame/internal/flame"
-	"flame/internal/obs"
 	"flame/internal/stats"
 )
 
@@ -36,20 +33,6 @@ import (
 //     Wilson CIs (the estimators agree on what they estimate: rates
 //     conditional on injection, since the no-injection tail is excluded
 //     analytically and uniform rates divide by Injected).
-
-// sjob is one stratified trial handed to a worker.
-type sjob struct {
-	spec    *core.KernelSpec
-	g       *core.Golden
-	px      *core.PruneIndex
-	ts      core.TrialSpec
-	bench   string
-	trial   int // per-benchmark global trial index, dispatch order
-	stratum string
-	slot    *core.TrialResult
-	ran     *bool
-	wg      *sync.WaitGroup
-}
 
 // stratumState is one stratum's sampling progress within a benchmark.
 type stratumState struct {
@@ -86,28 +69,10 @@ func (cfg *Config) stratumTrialSpec(g *core.Golden, ss *stratumState, i int) cor
 // is the per-benchmark budget; benchmarks stop early once both rate CIs
 // reach Config.CITarget (when positive). Single-strike only.
 func RunStratified(cfg Config) (*Report, error) {
-	if len(cfg.Specs) == 0 {
-		return nil, fmt.Errorf("campaign: no workloads")
+	cfg.Stratify = true
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Trials <= 0 {
-		return nil, fmt.Errorf("campaign: trials must be positive")
-	}
-	if cfg.StrikesPerTrial > 1 {
-		return nil, fmt.Errorf("campaign: stratified sampling is single-strike (strikes=%d)", cfg.StrikesPerTrial)
-	}
-	if cfg.Skip != nil {
-		return nil, fmt.Errorf("campaign: stratified sampling does not support trial skipping (-resume)")
-	}
-	parallel := cfg.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-
-	var str *streamer
-	if cfg.Events != nil {
-		str = newStreamer(cfg.Events, len(cfg.Specs)*cfg.Trials)
-	}
-
 	strataKey, err := core.ParseStrataKey(cfg.StrataKey)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
@@ -115,78 +80,15 @@ func RunStratified(cfg Config) (*Report, error) {
 
 	// Golden runs, each enumerating its strata (and, under Prune,
 	// recording its pruning oracle) as it runs.
-	set, err := cfg.prepare(core.Want{Strata: true, Model: cfg.Model, Key: strataKey})
+	p, err := newPool(&cfg, core.Want{Strata: true, Model: cfg.Model, Key: strataKey}, len(cfg.Specs)*cfg.Trials)
 	if err != nil {
 		return nil, err
 	}
-	set.emit(str, &cfg, parallel)
-	goldens, strata, pruneIdx, pruneOff := set.goldens, set.strata, set.prune, set.pruneOff
-
-	jobs := make(chan sjob, parallel)
-	var wwg sync.WaitGroup
-	engines := make([]*core.Engine, parallel)
-	for w := 0; w < parallel; w++ {
-		wwg.Add(1)
-		eng := core.NewEngine(cfg.Arch)
-		eng.SetNoCOW(cfg.NoCOW)
-		engines[w] = eng
-		// One tracer per worker, reset per trial (see Run).
-		var obsv core.TrialObserver
-		if cfg.Trace {
-			obsv = obs.NewTracer()
-		}
-		go func() {
-			defer wwg.Done()
-			for j := range jobs {
-				if str != nil {
-					str.trialStart(j.bench, j.trial)
-				}
-				j.ts.Observer = obsv
-				res, pruned := j.px.PruneTrial(j.g, j.ts)
-				if pruned {
-					res.Pruned = true
-				} else {
-					res = eng.RunTrial(j.spec, j.g, j.ts)
-				}
-				res.Stratum = j.stratum
-				*j.slot = *res
-				*j.ran = true
-				if str != nil {
-					str.trial(j.bench, j.trial, res)
-				}
-				j.wg.Done()
-			}
-		}()
-	}
-
-	stopped := func() bool {
-		select {
-		case <-cfg.Stop:
-			return true
-		default:
-			return false
-		}
-	}
-
-	rep := &Report{
-		Arch:            cfg.Arch.Name,
-		Scheme:          cfg.Opt.Scheme.String(),
-		Model:           cfg.Model.String(),
-		WCDL:            goldens[0].Comp.Opt.WCDL,
-		Seed:            cfg.Seed,
-		Trials:          cfg.Trials,
-		StrikesPerTrial: 1,
-		Stratified:      true,
-		CITarget:        cfg.CITarget,
-	}
-	wasStopped := false
+	rep := cfg.newReport(p.set)
+	stopped := false
 	for b, spec := range cfg.Specs {
-		if stopped() {
-			wasStopped = true
-			break
-		}
-		g, m := goldens[b], strata[b]
-		br := BenchReport{Benchmark: spec.Name, WindowCycles: g.Window, PruneDisabled: pruneOff[b]}
+		g, m := p.set[b].Golden, p.set[b].Strata
+		br := BenchReport{Benchmark: spec.Name, WindowCycles: g.Window, PruneDisabled: p.set[b].Prune.Disabled()}
 		states := make([]*stratumState, len(m.Strata))
 		for h := range m.Strata {
 			st := &m.Strata[h]
@@ -207,118 +109,65 @@ func RunStratified(cfg Config) (*Report, error) {
 				reason = "budget"
 				break
 			}
-			if stopped() {
-				reason = "stopped"
-				wasStopped = true
+			if closed(cfg.Stop) {
+				reason, stopped = "stopped", true
 				break
 			}
+			// The round's trial indices follow (stratum, within-stratum)
+			// order, so the grid is a pure function of the allocation
+			// history regardless of worker interleaving.
 			alloc := cfg.roundAlloc(states, rounds, cfg.Trials-used)
-			total := 0
-			for _, a := range alloc {
-				total += a
+			var batch []trial
+			for h, ss := range states {
+				for i := 0; i < alloc[h]; i++ {
+					batch = append(batch, trial{b: b, t: used + len(batch), ss: ss, draw: ss.drawn + i})
+				}
+				ss.drawn += alloc[h]
 			}
-			if total == 0 {
+			if len(batch) == 0 {
 				reason = "budget"
 				break
 			}
-
-			// Dispatch the round: trial indices are assigned in (stratum,
-			// within-stratum) order, so the grid is a pure function of the
-			// allocation history regardless of worker interleaving.
-			results := make([]core.TrialResult, total)
-			ran := make([]bool, total)
-			slotStratum := make([]int, total)
-			var rwg sync.WaitGroup
-			slot := 0
-		dispatch:
-			for h, ss := range states {
-				for i := 0; i < alloc[h]; i++ {
-					j := sjob{
-						spec: spec, g: g, px: pruneIdx[b],
-						ts:      cfg.stratumTrialSpec(g, ss, ss.drawn+i),
-						bench:   spec.Name,
-						trial:   used + slot,
-						stratum: ss.st.Key(),
-						slot:    &results[slot],
-						ran:     &ran[slot],
-						wg:      &rwg,
-					}
-					slotStratum[slot] = h
-					slot++
-					rwg.Add(1)
-					select {
-					case <-cfg.Stop:
-						rwg.Done()
-						wasStopped = true
-						break dispatch
-					case jobs <- j:
-					}
-				}
+			// Each round is a barrier; fold in batch order —
+			// deterministic at any parallelism.
+			results := make([]core.TrialResult, len(batch))
+			n := p.run(batch, results)
+			for i := range batch[:n] {
+				br.fold(&results[i])
+				batch[i].ss.rep.foldOutcome(results[i].Outcome)
 			}
-			rwg.Wait()
-			for h, ss := range states {
-				ss.drawn += alloc[h]
-			}
-			// Fold in slot order — deterministic at any parallelism.
-			folded := 0
-			for s := 0; s < total; s++ {
-				if !ran[s] {
-					continue
-				}
-				br.fold(&results[s])
-				states[slotStratum[s]].rep.foldOutcome(results[s].Outcome)
-				folded++
-			}
-			used += folded
+			used += n
 			rounds++
-			if wasStopped {
-				reason = "stopped"
+			if n < len(batch) {
+				reason, stopped = "stopped", true
 				break
 			}
-			if cfg.CITarget > 0 && samplingConverged(states, cfg.CITarget) {
+			sdc, due := rateCounts(stratumReports(states))
+			if _, _, ok := stats.Converged95(cfg.CITarget, sdc, due); ok {
 				reason = "ci_target"
 				break
 			}
 		}
 
-		counts := make([]StratumReport, len(states))
-		for h, ss := range states {
-			counts[h] = ss.rep
-		}
 		br.Sampling = buildSampling(m.Span, m.NoInjectionSites,
-			cfg.Trials, used, rounds, reason, counts)
+			cfg.Trials, used, rounds, reason, stratumReports(states))
 		br.finish()
 		rep.Benchmarks = append(rep.Benchmarks, br)
 		rep.Fleet.merge(&br)
-		if str != nil {
-			str.benchDone(spec.Name, used, rounds, reason)
-		}
-		if wasStopped {
-			break
+		if p.str != nil {
+			p.str.benchDone(spec.Name, used, rounds, reason)
 		}
 	}
-	close(jobs)
-	wwg.Wait()
-	var rs core.RestoreStats
-	for _, eng := range engines {
-		rs.Add(eng.Stats())
-	}
-	if cfg.RestoreStats != nil {
-		cfg.RestoreStats.Add(rs)
-	}
+	return p.close(rep, stopped)
+}
 
-	rep.Fleet.Benchmark = "fleet"
-	rep.Fleet.finish()
-	if str != nil {
-		str.campaignDone(rep, rs)
-		if err := str.err(); err != nil {
-			return nil, fmt.Errorf("campaign: event stream: %w", err)
-		}
+// stratumReports collects the strata's outcome tallies.
+func stratumReports(states []*stratumState) []StratumReport {
+	reps := make([]StratumReport, len(states))
+	for h, ss := range states {
+		reps[h] = ss.rep
 	}
-	if wasStopped {
-		return rep, ErrStopped
-	}
-	return rep, nil
+	return reps
 }
 
 // roundAlloc decides the next round's per-stratum trial counts: the
@@ -371,20 +220,6 @@ func (cfg *Config) roundAlloc(states []*stratumState, round, remaining int) []in
 		sigma[h] = math.Max(math.Sqrt(pS*(1-pS)), math.Sqrt(pD*(1-pD)))
 	}
 	return stats.NeymanAlloc(weights, sigma, size)
-}
-
-// samplingConverged reports whether both post-stratified rate CIs are
-// within the target half-width.
-func samplingConverged(states []*stratumState, target float64) bool {
-	sdc := make([]stats.StratumCount, len(states))
-	due := make([]stats.StratumCount, len(states))
-	for h, ss := range states {
-		n := ss.rep.Trials - ss.rep.Internal
-		sdc[h] = stats.StratumCount{Weight: ss.st.Sites, N: n, K: ss.rep.SDC}
-		due[h] = stats.StratumCount{Weight: ss.st.Sites, N: n, K: ss.rep.DUE}
-	}
-	return stats.StratifiedWilson95(sdc).HalfWidth() <= target &&
-		stats.StratifiedWilson95(due).HalfWidth() <= target
 }
 
 // AuditBench is one benchmark's stratified-vs-exact-grid consistency

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 
 	"flame/internal/core"
@@ -114,47 +115,84 @@ func TestShardedRunReplaysByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunStopPartial: closing Config.Stop winds the campaign down —
-// Run returns ErrStopped with a partial report whose event stream
-// replays to the same partial report, and missing trials are accounted.
-func TestRunStopPartial(t *testing.T) {
-	var stream bytes.Buffer
-	cfg := testConfig(t, []string{"Triad", "Histogram"}, 8, 2)
-	cfg.Events = &stream
-	stop := make(chan struct{})
-	close(stop) // stop immediately: only the buffered jobs run
-	cfg.Stop = stop
+// stopAfterFirstTrial passes the event stream through and closes stop
+// once the first trial record is written, so the campaign is stopped
+// with trials in flight.
+type stopAfterFirstTrial struct {
+	bytes.Buffer
+	stop chan struct{}
+	once sync.Once
+}
 
-	rep, err := Run(cfg)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
+func (w *stopAfterFirstTrial) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"event":"trial"`)) {
+		w.once.Do(func() { close(w.stop) })
 	}
-	if rep == nil {
-		t.Fatal("stopped run returned no report")
-	}
-	if rep.Fleet.Trials >= 16 {
-		t.Fatalf("stopped run still ran all %d trials", rep.Fleet.Trials)
-	}
-	want, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, ig, err := ReplayIntegrity(bytes.NewReader(stream.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ig.Clean() {
-		t.Fatalf("stopped stream unhealthy: %s", ig)
-	}
-	if ig.Missing != 16-rep.Fleet.Trials {
-		t.Fatalf("missing = %d, want %d", ig.Missing, 16-rep.Fleet.Trials)
-	}
-	got, err := replayed.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("partial replay differs:\n-live:\n%s\n-replayed:\n%s", want, got)
+	return w.Buffer.Write(p)
+}
+
+// TestRunStopPartial: closing Config.Stop winds the campaign down, on
+// the uniform grid and in the stratified sampler alike — in-flight
+// trials finish, Run returns ErrStopped with a partial report, the
+// event stream replays to the same partial report, and missing trials
+// are accounted.
+func TestRunStopPartial(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"uniform", func() Config { return testConfig(t, []string{"Triad", "Histogram"}, 8, 2) }},
+		{"stratified", func() Config { return stratConfig(t, []string{"Triad", "Histogram"}, 8, 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stream := &stopAfterFirstTrial{stop: make(chan struct{})}
+			cfg := tc.cfg()
+			cfg.Events = stream
+			cfg.Stop = stream.stop
+
+			rep, err := Run(cfg)
+			if !errors.Is(err, ErrStopped) {
+				t.Fatalf("err = %v, want ErrStopped", err)
+			}
+			if rep == nil {
+				t.Fatal("stopped run returned no report")
+			}
+			if rep.Fleet.Trials == 0 || rep.Fleet.Trials >= 16 {
+				t.Fatalf("stopped run ran %d of 16 trials, want some but not all", rep.Fleet.Trials)
+			}
+			wantMissing := 16 - rep.Fleet.Trials
+			if cfg.Stratify {
+				// A stratified benchmark expects the trials its bench_done
+				// record says it used, so a stop leaves nothing missing.
+				wantMissing = 0
+				for _, br := range rep.Benchmarks {
+					if br.Sampling == nil || br.Sampling.StopReason != "stopped" {
+						t.Fatalf("%s: sampling %+v, want stop_reason stopped", br.Benchmark, br.Sampling)
+					}
+				}
+			}
+			want, err := rep.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed, ig, err := ReplayIntegrity(bytes.NewReader(stream.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ig.Clean() {
+				t.Fatalf("stopped stream unhealthy: %s", ig)
+			}
+			if ig.Missing != wantMissing {
+				t.Fatalf("missing = %d, want %d", ig.Missing, wantMissing)
+			}
+			got, err := replayed.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("partial replay differs:\n-live:\n%s\n-replayed:\n%s", want, got)
+			}
+		})
 	}
 }
 

@@ -196,6 +196,19 @@ func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialR
 	return tr
 }
 
+// Trial is the campaign trial step: px (nil when pruning is off)
+// classifies the trial without simulation when it can — the result is
+// marked Pruned — and otherwise the trial runs on the pooled device.
+// Every campaign path (in-process pool, distributed worker, restore
+// profile) runs its trials through here.
+func (e *Engine) Trial(spec *KernelSpec, g *Golden, px *PruneIndex, ts TrialSpec) *TrialResult {
+	if tr, ok := px.PruneTrial(g, ts); ok {
+		tr.Pruned = true
+		return tr
+	}
+	return e.RunTrial(spec, g, ts)
+}
+
 // classifyTrial applies the standard outcome taxonomy. diff reports the
 // first byte where final memory diverges from the golden image (and
 // whether it does); it is only consulted for completed runs. SDC trials

@@ -11,11 +11,6 @@ import (
 	"flame/internal/gpu"
 )
 
-// quickSuite is flameinject's default benchmark set: streaming, blocked
-// reuse with barriers, atomics, divergence, extended sections and a
-// multi-kernel workload (SRAD).
-var quickSuite = []string{"Triad", "SGEMM", "Histogram", "BFS", "LUD", "NW", "PF", "SRAD"}
-
 // TestPrepareMatchesReplay is the differential test of the single-pass
 // set-up: what Prepare records during the golden run must deep-equal
 // what the replay entry points record from the finished Golden — the
@@ -30,7 +25,7 @@ func TestPrepareMatchesReplay(t *testing.T) {
 	arch := gpu.GTX480()
 	const tinyCap = 64
 	schemes := []core.Scheme{core.Baseline, core.Renaming, core.SensorRenaming, core.DupRenaming, core.SensorCheckpointing}
-	suite := quickSuite
+	suite := bench.QuickSuite
 	if raceBuild {
 		// The two heaviest benchmarks (SGEMM, LUD) run only in ordinary
 		// builds: the comparison needs no race checking, and the other

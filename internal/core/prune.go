@@ -98,7 +98,12 @@ type PruneIndex struct {
 
 // Disabled returns the reason pruning is unavailable for this
 // benchmark, or "" when the index is live.
-func (px *PruneIndex) Disabled() string { return px.disabled }
+func (px *PruneIndex) Disabled() string {
+	if px == nil {
+		return ""
+	}
+	return px.disabled
+}
 
 // Events returns the recorded golden schedule length (0 when disabled).
 func (px *PruneIndex) Events() int { return len(px.events) }

@@ -366,7 +366,8 @@ func (c *Coordinator) benchTallyFor(bench string) *benchTally {
 
 // maybeEarlyStopLocked applies the adaptive stopping rule: when the
 // campaign carries a ci_target and a benchmark's live SDC and DUE
-// Wilson 95% half-widths over injected trials have both reached it,
+// Wilson 95% half-widths over injected trials have both reached it
+// (stats.Converged95 over one stratum, the sampler's rule),
 // the benchmark's still-pending shards are cancelled — their trials
 // would only narrow an interval that is already narrow enough. Leased
 // shards run to completion (their results are free by the time we
@@ -380,9 +381,10 @@ func (c *Coordinator) maybeEarlyStopLocked(bench string) {
 	if bt == nil || bt.injected == 0 {
 		return
 	}
-	sLo, sHi := stats.Wilson95(bt.sdc, bt.injected)
-	dLo, dHi := stats.Wilson95(bt.due, bt.injected)
-	if (sHi-sLo)/2 > target || (dHi-dLo)/2 > target {
+	sdcHalf, dueHalf, ok := stats.Converged95(target,
+		[]stats.StratumCount{{Weight: 1, N: bt.injected, K: bt.sdc}},
+		[]stats.StratumCount{{Weight: 1, N: bt.injected, K: bt.due}})
+	if !ok {
 		return
 	}
 	c.stopped[bench] = true
@@ -394,7 +396,7 @@ func (c *Coordinator) maybeEarlyStopLocked(bench string) {
 		}
 	}
 	c.cc.Logf("%s converged (sdc ±%.4f, due ±%.4f <= ci_target %.4f after %d injected trials); cancelled %d pending shards",
-		bench, (sHi-sLo)/2, (dHi-dLo)/2, target, bt.injected, cancelled)
+		bench, sdcHalf, dueHalf, target, bt.injected, cancelled)
 }
 
 // checkFinishedLocked finalizes once no shard can make further

@@ -25,7 +25,6 @@ package dist
 
 import (
 	"encoding/json"
-	"fmt"
 	"time"
 
 	"flame/internal/bench"
@@ -103,7 +102,9 @@ func InfoFromConfig(cfg *campaign.Config) CampaignInfo {
 }
 
 // Config reconstructs the campaign.Config (with compiled-in benchmark
-// specs) this info describes.
+// specs) this info describes, rejecting one campaign.Run would reject,
+// so a coordinator refuses a bad campaign and a worker a bad
+// description.
 func (ci *CampaignInfo) Config() (campaign.Config, error) {
 	var cfg campaign.Config
 	scheme, err := core.SchemeByName(ci.Scheme)
@@ -122,10 +123,7 @@ func (ci *CampaignInfo) Config() (campaign.Config, error) {
 		}
 		specs[i] = b.Spec()
 	}
-	if len(specs) == 0 {
-		return cfg, fmt.Errorf("dist: campaign with no benchmarks")
-	}
-	return campaign.Config{
+	cfg = campaign.Config{
 		Arch: ci.Arch,
 		Opt: core.Options{
 			Scheme: scheme, WCDL: ci.WCDL, ExtendRegions: ci.ExtendRegions,
@@ -142,7 +140,8 @@ func (ci *CampaignInfo) Config() (campaign.Config, error) {
 		NoCOW:           ci.NoCOW,
 		CITarget:        ci.CITarget,
 		Trace:           ci.Trace,
-	}, nil
+	}
+	return cfg, cfg.Validate()
 }
 
 // GoldenSig is one benchmark's golden-run signature: the fault-free
@@ -183,7 +182,7 @@ type LeaseResponse struct {
 	Shard   *campaign.Shard `json:"shard,omitempty"`
 	LeaseID string          `json:"lease_id,omitempty"`
 	// Attempt is 1 for a shard's first lease, higher after failed
-	// leases — workers log it so a retried shard is visible in -join
+	// leases — workers log it so a retried shard is visible in flameworker
 	// progress output.
 	Attempt     int   `json:"attempt,omitempty"`
 	DeadlineMS  int64 `json:"deadline_ms,omitempty"`  // lease TTL
@@ -273,12 +272,12 @@ type StatusResponse struct {
 	// campaign's ci_target, cancelling their remaining pending shards.
 	EarlyStopped []string `json:"early_stopped,omitempty"`
 
-	Workers        []string `json:"workers,omitempty"`
-	BannedWorkers  []string `json:"banned_workers,omitempty"`
-	Complete       bool     `json:"complete"`
-	Degraded       bool     `json:"degraded"`
-	ElapsedSec     float64  `json:"elapsed_sec"`
-	Shards         []ShardStatus `json:"shards,omitempty"`
+	Workers       []string      `json:"workers,omitempty"`
+	BannedWorkers []string      `json:"banned_workers,omitempty"`
+	Complete      bool          `json:"complete"`
+	Degraded      bool          `json:"degraded"`
+	ElapsedSec    float64       `json:"elapsed_sec"`
+	Shards        []ShardStatus `json:"shards,omitempty"`
 }
 
 // FinalReport is the coordinator's end product: the merged report, the

@@ -350,12 +350,10 @@ func (w *worker) runShard(ctx context.Context, lr LeaseResponse) error {
 		}
 		ts := w.cfg.TrialSpec(g, sh.Bench, t)
 		ts.Observer = w.tracer
-		res, pruned := w.prune[sh.Bench].PruneTrial(g, ts)
-		if pruned {
-			res.Pruned = true
+		res := w.eng.Trial(spec, g, w.prune[sh.Bench], ts)
+		if res.Pruned {
 			w.m.pruned.Add(1)
 		} else {
-			res = w.eng.RunTrial(spec, g, ts)
 			s := w.eng.Stats()
 			w.m.restored.Store(s.RestoredPages)
 			w.m.dirty.Store(s.DirtyPages)

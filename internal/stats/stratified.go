@@ -54,7 +54,7 @@ func (r StratifiedResult) HalfWidth() float64 { return (r.Hi - r.Lo) / 2 }
 // [0, 1].
 func StratifiedWilson(strata []StratumCount, z float64) StratifiedResult {
 	var totalW, sampledW int64 // site totals: all strata / sampled strata
-	var n, k int              // pooled trials and successes
+	var n, k int               // pooled trials and successes
 	allSampled := true
 	for _, s := range strata {
 		if s.Weight <= 0 {
@@ -125,6 +125,19 @@ func StratifiedWilson(strata []StratumCount, z float64) StratifiedResult {
 // (same critical value as Wilson95).
 func StratifiedWilson95(strata []StratumCount) StratifiedResult {
 	return StratifiedWilson(strata, 1.959963984540054)
+}
+
+// Converged95 is the campaigns' early-stop rule, shared by the
+// stratified sampler and the distributed coordinator: a positive
+// target is met once the stratified 95% CI half-widths of both the SDC
+// and the DUE rate are at most target. It also returns the two
+// half-widths. Over a single stratum the interval is the pooled
+// Wilson95 interval bit for bit (the exact-proportional path), so a
+// uniform campaign passes {Weight: 1, N: injected, K: count}.
+func Converged95(target float64, sdc, due []StratumCount) (sdcHalf, dueHalf float64, ok bool) {
+	sdcHalf = StratifiedWilson95(sdc).HalfWidth()
+	dueHalf = StratifiedWilson95(due).HalfWidth()
+	return sdcHalf, dueHalf, target > 0 && sdcHalf <= target && dueHalf <= target
 }
 
 // WilsonReal is the Wilson score interval for fractional counts: k

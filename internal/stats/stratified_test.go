@@ -188,3 +188,39 @@ func TestNeymanAlloc(t *testing.T) {
 		}
 	})
 }
+
+// The shared early-stop rule over one stratum must reproduce the
+// distributed coordinator's former rule — both Wilson95 half-widths
+// over injected trials at most the target — for every tally it can
+// see, with bit-identical half-widths (they are logged), so
+// cancellation points do not move. Besides the fixed targets, each
+// tally is checked at the exact boundary, the larger half-width.
+func TestConverged95MatchesWilsonRule(t *testing.T) {
+	targets := []float64{0.01, 0.05, 0.1, 0.3, 0}
+	sdc, due := make([]StratumCount, 1), make([]StratumCount, 1)
+	for n := 1; n <= 200; n++ {
+		half := make([]float64, n+1)
+		for k := range half {
+			lo, hi := Wilson95(k, n)
+			half[k] = (hi - lo) / 2
+		}
+		for ks := 0; ks <= n; ks++ {
+			for kd := 0; ks+kd <= n; kd++ {
+				sdc[0] = StratumCount{Weight: 1, N: n, K: ks}
+				due[0] = StratumCount{Weight: 1, N: n, K: kd}
+				targets[len(targets)-1] = math.Max(half[ks], half[kd])
+				for _, target := range targets {
+					sh, dh, ok := Converged95(target, sdc, due)
+					if sh != half[ks] || dh != half[kd] {
+						t.Fatalf("n=%d sdc=%d due=%d: half-widths %v, %v; Wilson95 gives %v, %v",
+							n, ks, kd, sh, dh, half[ks], half[kd])
+					}
+					if old := !(half[ks] > target || half[kd] > target); ok != old {
+						t.Fatalf("n=%d sdc=%d due=%d target=%v: converged %v, Wilson95 rule %v",
+							n, ks, kd, target, ok, old)
+					}
+				}
+			}
+		}
+	}
+}

@@ -18,6 +18,9 @@
 #      the full-site model so SDCs occur): the merged report must again
 #      match single-process byte-for-byte, and /metrics must carry the
 #      propagation histogram and fingerprint tallies.
+#   6. A pruned campaign (-prune): flameserve + 2 flameworkers must
+#      merge to the flameinject -prune report byte-for-byte, pruned
+#      counters included.
 #
 # Artifacts (state dir, logs, reports, metrics, dashboard.html) land in
 # $OUT (default: a temp dir).
@@ -198,6 +201,36 @@ grep -q "^flame_propagation_cycles_bucket" "$OUT/metrics-fp.txt" \
 grep -q "^flame_propagation_fingerprint_total" "$OUT/metrics-fp.txt" \
     || die "fingerprint tallies missing from /metrics"
 log "PASS: traced report byte-identical; propagation metrics exported"
+
+# --- Pruned campaign: the pruner through the shipped binaries --------
+# The workers classify provably-masked trials without simulation; the
+# merged report, pruned_* counters included, must match flameinject
+# -prune on the same benchmarks and seed.
+PRUNE_BENCHES="${PRUNE_BENCHES:-Triad,SRAD}"
+log "pruned campaign (-prune): flameserve + 2 flameworkers vs flameinject"
+"$OUT/flameinject" -bench "$PRUNE_BENCHES" -trials "$TRIALS" -seed "$SEED" -prune \
+    -json "$OUT/single-prune.json" >"$OUT/single-prune.txt" 2>>"$OUT/single.log"
+rc=$?
+[ $rc -eq 0 ] || [ $rc -eq 2 ] || die "pruned flameinject exited $rc"
+
+"$OUT/flameserve" -addr "$ADDR" -state "$OUT/state-prune" \
+    -bench "$PRUNE_BENCHES" -trials "$TRIALS" -seed "$SEED" -prune -shard-size 2 \
+    -json "$OUT/dist-prune.json" >"$OUT/dist-prune.txt" 2>>"$OUT/serve.log" &
+PRUNE_PID=$!
+start_worker p1
+start_worker p2
+wait "$PRUNE_PID"
+rc=$?
+[ $rc -eq 0 ] || [ $rc -eq 2 ] || die "pruned coordinator exited $rc (see serve.log)"
+for w in p1 p2; do
+    eval 'wait $WPID_'"$w" || die "pruned worker $w failed (see worker-$w.log)"
+done
+
+cmp -s "$OUT/single-prune.json" "$OUT/dist-prune.json" \
+    || die "pruned distributed report differs from single-process"
+grep -q '"pruned_' "$OUT/dist-prune.json" \
+    || die "pruned report carries no pruned_* counters"
+log "PASS: pruned distributed report byte-identical"
 
 log "artifacts in $OUT"
 log "OK"
