@@ -200,23 +200,19 @@ func (m *OverheadMatrix) SchemeRow(s core.Scheme) []float64 {
 	return nil
 }
 
-// Figure13_14 measures normalized execution time for every non-baseline
-// scheme on every benchmark (the paper's per-application bars), with
-// Flame = Sensor+Renaming including the region-extension optimization.
-func Figure13_14(cfg Config) (*OverheadMatrix, error) {
-	cfg.fill()
-	schemes := []core.Scheme{
-		core.Renaming, core.Checkpointing,
-		core.SensorRenaming, core.SensorCheckpointing,
-		core.DupRenaming, core.DupCheckpointing,
-		core.HybridRenaming, core.HybridCheckpointing,
-	}
-	m := &OverheadMatrix{Schemes: schemes}
-	for _, b := range cfg.Benchmarks {
-		m.Benchmarks = append(m.Benchmarks, b.Name)
-	}
+// gridSchemes are the Figure 13/14 schemes in column order.
+var gridSchemes = []core.Scheme{
+	core.Renaming, core.Checkpointing,
+	core.SensorRenaming, core.SensorCheckpointing,
+	core.DupRenaming, core.DupCheckpointing,
+	core.HybridRenaming, core.HybridCheckpointing,
+}
+
+// gridCells returns the Figure 13/14 cells, scheme-major, without their
+// baselines.
+func gridCells(cfg *Config) []cell {
 	var cells []cell
-	for _, s := range schemes {
+	for _, s := range gridSchemes {
 		opt := core.Options{Scheme: s, WCDL: cfg.WCDL}
 		if s == core.SensorRenaming {
 			opt.ExtendRegions = true // the full Flame design
@@ -225,6 +221,20 @@ func Figure13_14(cfg Config) (*OverheadMatrix, error) {
 			cells = append(cells, cell{arch: cfg.Arch, bench: b, opt: opt})
 		}
 	}
+	return cells
+}
+
+// Figure13_14 measures normalized execution time for every non-baseline
+// scheme on every benchmark (the paper's per-application bars), with
+// Flame = Sensor+Renaming including the region-extension optimization.
+func Figure13_14(cfg Config) (*OverheadMatrix, error) {
+	cfg.fill()
+	schemes := gridSchemes
+	m := &OverheadMatrix{Schemes: schemes}
+	for _, b := range cfg.Benchmarks {
+		m.Benchmarks = append(m.Benchmarks, b.Name)
+	}
+	cells := gridCells(&cfg)
 	ov, err := overheads(cells)
 	if err != nil {
 		return nil, err
