@@ -178,13 +178,7 @@ func (r *recorder) observe(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 	// The executing lanes holding register files: Injector.pickLane's
 	// set. An event without one never fires a strike (the injector stays
 	// armed through it), so it owns no arm cycles.
-	var mask uint32
-	em := w.LastExecMask()
-	for l := range w.Regs {
-		if em&(1<<l) != 0 && w.Regs[l] != nil {
-			mask |= 1 << l
-		}
-	}
+	mask := w.LastExecMask() & w.RegLanes()
 	if r.strata != nil && mask != 0 {
 		r.strata.Observe(d.Cyc, pc)
 	}

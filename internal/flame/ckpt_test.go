@@ -123,9 +123,12 @@ func runPartialCkpt(t *testing.T, p *isa.Program, sections []regions.Section, sl
 				}
 				put(uint32(w.GlobalBlock))
 				put(uint32(w.WarpInBlock))
-				for _, regs := range w.Regs {
-					for _, v := range regs {
-						put(v)
+				for lane := 0; lane < isa.Lanes; lane++ {
+					if w.RegLanes()&(1<<lane) == 0 {
+						continue
+					}
+					for r := 0; r < p.NumRegs; r++ {
+						put(w.Reg(lane, isa.Reg(r)))
 					}
 				}
 			}
@@ -187,23 +190,21 @@ func TestCkptRestoreRecorded(t *testing.T) {
 	}
 }
 
-// fakeWarp builds a warp outside a device: lanes with a nil register
-// file are dead, and the top of the SIMT stack carries the active mask.
+// fakeWarp builds a warp outside a device: lanes outside alive hold no
+// thread, and the top of the SIMT stack carries the active mask.
 func fakeWarp(nregs int, alive, active uint32) *gpu.Warp {
-	w := &gpu.Warp{AliveMask: alive, Stack: gpu.SIMTStack{{Mask: active}}}
-	w.Regs = make([][]uint32, 32)
-	for lane := range w.Regs {
-		if alive&(1<<lane) != 0 {
-			w.Regs[lane] = make([]uint32, nregs)
-		}
-	}
+	w := gpu.NewWarp(nregs, alive)
+	w.Stack[0].Mask = active
 	return w
 }
 
-func fillRegs(w *gpu.Warp, base uint32) {
-	for lane, regs := range w.Regs {
-		for r := range regs {
-			regs[r] = base + uint32(100*lane+r)
+func fillRegs(w *gpu.Warp, nregs int, base uint32) {
+	for lane := 0; lane < isa.Lanes; lane++ {
+		if w.RegLanes()&(1<<lane) == 0 {
+			continue
+		}
+		for r := 0; r < nregs; r++ {
+			w.SetReg(lane, isa.Reg(r), base+uint32(100*lane+r))
 		}
 	}
 }
@@ -215,18 +216,19 @@ func fillRegs(w *gpu.Warp, base uint32) {
 func TestCkptBufReuse(t *testing.T) {
 	c := NewController(Mode{CkptSlots: map[isa.Reg]int32{9: 0, 2: 4, 5: 8}})
 	w := fakeWarp(10, 0x0000ffff, 0x000000f0) // 16 live lanes, 4 active
-	fillRegs(w, 0)
+	fillRegs(w, 10, 0)
 	c.recordCkpt(w, 5)
 	c.recordCkpt(w, 9)
 	c.advanceRPT(w, Snapshot{})
 	c.recordCkpt(w, 2) // still pending at the recovery
-	fillRegs(w, 1<<20)
+	fillRegs(w, 10, 1<<20)
 	c.restoreCkpt(w)
 	if c.Stats.RestoredRegs != 8 {
 		t.Fatalf("restored %d registers, want 8 (4 lanes x r5, r9)", c.Stats.RestoredRegs)
 	}
-	for lane, regs := range w.Regs[:16] {
-		for r, v := range regs {
+	for lane := 0; lane < 16; lane++ {
+		for r := 0; r < 10; r++ {
+			v := w.Reg(lane, isa.Reg(r))
 			want := uint32(1<<20 + 100*lane + r)
 			if lane >= 4 && lane < 8 && (r == 5 || r == 9) {
 				want = uint32(100*lane + r)

@@ -246,7 +246,7 @@ func (c *Controller) beforeIssue(d *gpu.Device, sm *gpu.SM, w *gpu.Warp) bool {
 		c.Stats.MaxRBQ = q.Len()
 	}
 	c.Stats.Enqueues++
-	w.Suspended = true
+	w.SetSuspended(true)
 	return false
 }
 
@@ -339,12 +339,12 @@ func (c *Controller) popOne(d *gpu.Device, sm *gpu.SM, q *RBQ) {
 		// the recovery PC must not move inside a collectively recovered
 		// section.
 		c.cleared[w] = e.snap.PC
-		w.Suspended = false
+		w.SetSuspended(false)
 		return
 	}
 	c.advanceRPT(w, e.snap)
 	c.cleared[w] = e.snap.PC
-	w.Suspended = false
+	w.SetSuspended(false)
 }
 
 // applyCompleteSections releases blocks whose live warps all verified an
@@ -359,11 +359,11 @@ func (c *Controller) applyCompleteSections(d *gpu.Device) {
 			if !ok || b.GlobalID < 0 {
 				continue
 			}
-			live := sm.WarpsOfBlock(b)
 			alive := 0
 			complete := true
-			for _, w := range live {
-				if w.Finished {
+			for _, wi := range b.WarpIdx {
+				w := sm.Warps[wi]
+				if w == nil || w.Finished {
 					continue
 				}
 				alive++
@@ -380,7 +380,7 @@ func (c *Controller) applyCompleteSections(d *gpu.Device) {
 				}
 				c.advanceRPT(w, snap)
 				c.cleared[w] = snap.PC
-				w.Suspended = false
+				w.SetSuspended(false)
 			}
 			delete(c.sectionPending, b)
 			c.Stats.CollectiveApplies++
@@ -441,12 +441,9 @@ func (c *Controller) recordCkpt(w *gpu.Warp, reg isa.Reg) {
 	}
 	k := len(c.ckptRegs)
 	slot := c.ckptSlot[reg]
-	mask := w.ActiveMask()
-	for lane := 0; lane < len(w.Regs); lane++ {
-		if mask&(1<<lane) == 0 || w.Regs[lane] == nil {
-			continue
-		}
-		b.pend[lane*k+slot] = w.Regs[lane][reg]
+	for m := w.ActiveMask() & w.RegLanes(); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		b.pend[lane*k+slot] = w.Reg(lane, reg)
 		b.pendSet[slot] |= 1 << lane
 	}
 }
@@ -489,13 +486,11 @@ func (c *Controller) restoreCkpt(w *gpu.Warp) {
 	}
 	clear(b.pendSet)
 	k := len(c.ckptRegs)
-	for lane, regs := range w.Regs {
-		if regs == nil {
-			continue
-		}
+	for m := w.RegLanes(); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		for slot, r := range c.ckptRegs {
 			if b.commSet[slot]&(1<<lane) != 0 {
-				regs[r] = b.comm[lane*k+slot]
+				w.SetReg(lane, r, b.comm[lane*k+slot])
 				c.Stats.RestoredRegs++
 			}
 		}

@@ -2,6 +2,7 @@ package flame
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"flame/internal/gpu"
@@ -275,7 +276,7 @@ func (inj *Injector) Observe(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 	case in.Defs() != isa.NoReg && in.Origin != isa.OrigDup &&
 		(inj.Model == FullSite || !inj.excluded[in.Defs()]):
 		r := in.Defs()
-		w.Regs[lane][r] ^= bit
+		w.SetReg(lane, r, w.Reg(lane, r)^bit)
 		s.Reg = r
 		s.Excluded = inj.excluded[r]
 		s.Description = fmt.Sprintf("cycle %d: flipped bit %#x of %s (lane %d, warp %d, SM %d, inst %d: %s)",
@@ -336,17 +337,15 @@ func (inj *Injector) ExcludedStrikes() int {
 // widened mask would let a strike land on a lane whose address/data
 // registers were never computed on this path.
 func (inj *Injector) pickLane(w *gpu.Warp) int {
-	mask := w.LastExecMask()
-	var lanes []int
-	for l := 0; l < len(w.Regs); l++ {
-		if mask&(1<<l) != 0 && w.Regs[l] != nil {
-			lanes = append(lanes, l)
-		}
-	}
-	if len(lanes) == 0 {
+	mask := w.LastExecMask() & w.RegLanes()
+	n := bits.OnesCount32(mask)
+	if n == 0 {
 		return -1
 	}
-	return lanes[inj.Rand.Intn(len(lanes))]
+	for k := inj.Rand.Intn(n); k > 0; k-- {
+		mask &= mask - 1
+	}
+	return bits.TrailingZeros32(mask)
 }
 
 // NextDetection returns the earliest cycle a fired-but-undetected strike

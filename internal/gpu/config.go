@@ -176,6 +176,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("gpu: bad SM/warp geometry")
 	case c.MaxWarpsPerSM <= 0 || c.MaxBlocksPerSM <= 0:
 		return fmt.Errorf("gpu: bad occupancy limits")
+	case c.MaxWarpsPerSM > 64:
+		// The issue scan keeps one bit per warp slot in a uint64.
+		return fmt.Errorf("gpu: MaxWarpsPerSM %d exceeds the 64 warp slots an SM supports", c.MaxWarpsPerSM)
 	case c.SchedulersPerSM <= 0:
 		return fmt.Errorf("gpu: need at least one scheduler")
 	case c.LineBytes < 4 || c.LineBytes%4 != 0:

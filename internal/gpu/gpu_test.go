@@ -434,7 +434,7 @@ func TestHooksBeforeIssueSuspends(t *testing.T) {
 		BeforeIssue: func(d *Device, sm *SM, w *Warp) bool {
 			in := &d.launch.Prog.Insts[w.PC()]
 			if in.Boundary && !released[w] {
-				w.Suspended = true
+				w.SetSuspended(true)
 				pending = append(pending, rel{w, d.Cyc + 100})
 				released[w] = true
 				return false
@@ -444,7 +444,7 @@ func TestHooksBeforeIssueSuspends(t *testing.T) {
 		OnCycle: func(d *Device) {
 			for i := 0; i < len(pending); {
 				if d.Cyc >= pending[i].at {
-					pending[i].w.Suspended = false
+					pending[i].w.SetSuspended(false)
 					pending = append(pending[:i], pending[i+1:]...)
 				} else {
 					i++

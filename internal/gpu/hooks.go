@@ -7,9 +7,11 @@ import "flame/internal/isa"
 type Hooks struct {
 	// BeforeIssue runs when the scheduler considers issuing warp w's next
 	// instruction. Returning false blocks the warp for this cycle (the
-	// hook may also set w.Suspended to deschedule it durably — this is
-	// how WCDL-aware warp scheduling treats a region boundary as a
-	// long-latency operation).
+	// hook may also call w.SetSuspended(true) to deschedule it durably —
+	// this is how WCDL-aware warp scheduling treats a region boundary as
+	// a long-latency operation). The hook must not change the state of
+	// any other warp: the scheduler reads its partition's suspension and
+	// barrier masks once, before the first BeforeIssue call.
 	BeforeIssue func(d *Device, sm *SM, w *Warp) bool
 
 	// OnExecuted runs after warp w architecturally executed the

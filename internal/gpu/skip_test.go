@@ -206,7 +206,7 @@ func TestCycleSkipBudgetError(t *testing.T) {
 		// must diagnose at exactly MaxCycles.
 		hooks := &Hooks{
 			BeforeIssue: func(d *Device, sm *SM, w *Warp) bool {
-				w.Suspended = true
+				w.SetSuspended(true)
 				return false
 			},
 		}

@@ -1,6 +1,6 @@
 package gpu
 
-import "flame/internal/isa"
+import "math/bits"
 
 // Scheduler-slot attribution: every cycle, each warp scheduler of each
 // SM owns exactly one issue slot, and that slot is credited to exactly
@@ -114,30 +114,22 @@ func combineSlots(a, b SlotSink) SlotSink {
 // barrier-parked warps reclassify only through hook events or issues,
 // which already bound the skip elsewhere.
 func (sm *SM) nextSlotChange(from, to int64) int64 {
-	if sm.liveWarps == 0 {
-		return to
-	}
-	prog := sm.dev.launch.Prog
 	bound := to
 	clamp := func(t int64) {
 		if t > from && t < bound {
 			bound = t
 		}
 	}
-	for _, w := range sm.Warps {
-		if w == nil || w.Finished || w.Suspended || w.AtBarrier {
-			continue
-		}
-		clamp(w.depsAtFor(prog))
-		in := &prog.Insts[w.PC()]
-		if in.Op.IsMemory() {
+	for m := sm.issuable(); m != 0; m &= m - 1 {
+		g := sm.gateOf(bits.TrailingZeros64(m))
+		clamp(g.at)
+		if g.hz&hzLSU != 0 {
 			clamp(sm.lsuBusyUntil)
-			if in.Space == isa.SpaceGlobal && sm.dev.Cfg.MSHRs > 0 &&
-				len(sm.mshrRelease) >= sm.dev.Cfg.MSHRs {
+			if g.hz&hzMSHR != 0 && !sm.mshrAvailable() {
 				clamp(sm.mshrRelease[0])
 			}
 		}
-		if in.Op.IsSFU() {
+		if g.hz&hzSFU != 0 {
 			clamp(sm.sfuBusyUntil)
 		}
 	}

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -206,5 +207,63 @@ func TestOperandStringForms(t *testing.T) {
 	}
 	if NoGuard.String() != "" {
 		t.Errorf("NoGuard = %q", NoGuard.String())
+	}
+}
+
+// interestingWord draws operands that stress both integer and float
+// semantics: edge integers, signed zeros, infinities, NaNs, denormals
+// and uniformly random words.
+func interestingWord(r *rand.Rand) uint32 {
+	edges := [...]uint32{0, 1, 2, 31, 32, 0x7fffffff, 0x80000000, 0xffffffff, 0xfffffffe,
+		f32bits(1), f32bits(-1.5), f32bits(0.5), 0x80000000, 0x7f800000, 0xff800000,
+		0x7fc00000, 0x00000001, 0x3f800001}
+	if r.Intn(3) == 0 {
+		return edges[r.Intn(len(edges))]
+	}
+	return r.Uint32()
+}
+
+func randomRow(r *rand.Rand) *Row {
+	var row Row
+	for i := range row {
+		row[i] = interestingWord(r)
+	}
+	return &row
+}
+
+// TestRowKernelsMatchScalar checks that the row kernels compute, lane
+// by lane, exactly what the scalar evaluators do, for every opcode and
+// comparison, including a result row aliasing its first source.
+func TestRowKernelsMatchScalar(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for op := Opcode(0); op < numOpcodes; op++ {
+		for trial := 0; trial < 20; trial++ {
+			a, b, c := randomRow(r), randomRow(r), randomRow(r)
+			var out Row
+			EvalALURow(op, &out, a, b, c)
+			alias := *a
+			EvalALURow(op, &alias, &alias, b, c)
+			for i := range out {
+				want := EvalALU(op, a[i], b[i], c[i])
+				if out[i] != want || alias[i] != want {
+					t.Fatalf("%s lane %d (%#x, %#x, %#x): row %#x, aliased %#x, scalar %#x",
+						op, i, a[i], b[i], c[i], out[i], alias[i], want)
+				}
+			}
+		}
+	}
+	for cmp := CmpOp(0); cmp < numCmpOps; cmp++ {
+		for trial := 0; trial < 20; trial++ {
+			a, b := randomRow(r), randomRow(r)
+			if trial%2 == 1 {
+				b = a // equal operands in every lane
+			}
+			m := EvalCmpRow(cmp, a, b)
+			for i := range a {
+				if got, want := m&(1<<i) != 0, EvalCmp(cmp, a[i], b[i]); got != want {
+					t.Fatalf("%s lane %d (%#x, %#x): row %v, scalar %v", cmp, i, a[i], b[i], got, want)
+				}
+			}
+		}
 	}
 }

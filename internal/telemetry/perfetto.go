@@ -174,8 +174,8 @@ func (t *TraceWriter) onCycle(d *gpu.Device) {
 		base := sm.ID * t.maxWarps
 		for wi, w := range sm.Warps {
 			s := &st[base+wi]
-			rbq := w != nil && !w.Finished && w.Suspended
-			bar := w != nil && !w.Finished && w.AtBarrier
+			rbq := w != nil && !w.Finished && w.Suspended()
+			bar := w != nil && !w.Finished && w.AtBarrier()
 			if rbq != s.inRBQ {
 				s.inRBQ = rbq
 				t.span(rbq, "rbq-wait", d.Cyc, sm.ID, wi)
