@@ -34,20 +34,23 @@ type PerfReport struct {
 		GoVer  string `json:"go"`
 		Commit string `json:"commit,omitempty"`
 	} `json:"host"`
+	// The throughput fields below are omitted, not written as zeros, on
+	// entries that did not measure them (a sampling-only study).
+
 	// SimCyclesPerSec is Device.Run throughput on a memory-bound
 	// benchmark with event-driven cycle skipping on (the default) and
 	// off (the naive per-cycle loop).
-	SimCyclesPerSec      float64 `json:"sim_cycles_per_sec"`
-	SimCyclesPerSecNaive float64 `json:"sim_cycles_per_sec_naive"`
-	SkipSpeedup          float64 `json:"skip_speedup"`
+	SimCyclesPerSec      float64 `json:"sim_cycles_per_sec,omitempty"`
+	SimCyclesPerSecNaive float64 `json:"sim_cycles_per_sec_naive,omitempty"`
+	SkipSpeedup          float64 `json:"skip_speedup,omitempty"`
 	// TrialsPerSec is end-to-end campaign throughput (mini-campaign,
 	// all workers) and AllocsPerTrial / BytesPerTrial the per-trial
 	// allocation cost measured single-threaded on one pooled engine.
-	CampaignTrials int     `json:"campaign_trials"`
-	TrialsPerSec   float64 `json:"trials_per_sec"`
-	AllocsPerTrial float64 `json:"allocs_per_trial"`
-	BytesPerTrial  float64 `json:"bytes_per_trial"`
-	Benchmark      string  `json:"benchmark"`
+	CampaignTrials int     `json:"campaign_trials,omitempty"`
+	TrialsPerSec   float64 `json:"trials_per_sec,omitempty"`
+	AllocsPerTrial float64 `json:"allocs_per_trial,omitempty"`
+	BytesPerTrial  float64 `json:"bytes_per_trial,omitempty"`
+	Benchmark      string  `json:"benchmark,omitempty"`
 
 	// Page-granular restore accounting for the campaign above (COW on,
 	// the default): mean pages copied back from the golden image per
@@ -57,30 +60,34 @@ type PerfReport struct {
 	RestoredPagesPerTrial float64 `json:"restored_pages_per_trial,omitempty"`
 	DiffPagesPerTrial     float64 `json:"diff_pages_per_trial,omitempty"`
 
-	// Restore-bound microbenchmark: a tiny kernel over a large footprint
-	// (worst case for full-image restore, best case for dirty-page
-	// restore), measured with page tracking on and off over the same
-	// trial set. CowSpeedup is the headline restore-path win; reports are
-	// byte-identical either way, so only the rate may differ.
-	RestoreBound struct {
-		Benchmark             string  `json:"benchmark"`
-		FootprintPages        int     `json:"footprint_pages"`
-		Trials                int     `json:"trials"`
-		TrialsPerSec          float64 `json:"trials_per_sec"`
-		TrialsPerSecNoCOW     float64 `json:"trials_per_sec_no_cow"`
-		CowSpeedup            float64 `json:"cow_speedup"`
-		RestoredPagesPerTrial float64 `json:"restored_pages_per_trial"`
-		// PrunedFraction is the share of this workload's trials the
-		// dataflow-slice pruner classifies without simulation (Baseline
-		// scheme; detecting schemes disable pruning).
-		PrunedFraction float64 `json:"pruned_fraction"`
-	} `json:"restore_bound"`
+	// RestoreBound is the restore-bound microbenchmark, nil when not
+	// measured.
+	RestoreBound *RestoreBoundPerf `json:"restore_bound,omitempty"`
 
 	// Sampling holds the stratified-sampling efficiency study from
 	// `flamebench -exp sampling` (see SamplingStudy). Entries carrying
 	// only Sampling have TrialsPerSec 0 and are skipped by the perf
 	// guard's baseline walk.
 	Sampling []SamplingBenchPerf `json:"sampling,omitempty"`
+}
+
+// RestoreBoundPerf is the restore-bound microbenchmark: a tiny kernel
+// over a large footprint (worst case for full-image restore, best case
+// for dirty-page restore), measured with page tracking on and off over
+// the same trial set. CowSpeedup is the headline restore-path win;
+// reports are byte-identical either way, so only the rate may differ.
+type RestoreBoundPerf struct {
+	Benchmark             string  `json:"benchmark"`
+	FootprintPages        int     `json:"footprint_pages"`
+	Trials                int     `json:"trials"`
+	TrialsPerSec          float64 `json:"trials_per_sec"`
+	TrialsPerSecNoCOW     float64 `json:"trials_per_sec_no_cow"`
+	CowSpeedup            float64 `json:"cow_speedup"`
+	RestoredPagesPerTrial float64 `json:"restored_pages_per_trial"`
+	// PrunedFraction is the share of this workload's trials the
+	// dataflow-slice pruner classifies without simulation (Baseline
+	// scheme; detecting schemes disable pruning).
+	PrunedFraction float64 `json:"pruned_fraction"`
 }
 
 // HostKey is the machine-class key for comparing history entries: rates
@@ -255,7 +262,8 @@ func perfRestoreBound(cfg Config, rep *PerfReport, trials int) error {
 		return err
 	}
 	g, px := s.Golden, s.Prune
-	rb := &rep.RestoreBound
+	rb := &RestoreBoundPerf{}
+	rep.RestoreBound = rb
 	rb.Benchmark = spec.Name
 	rb.FootprintPages = (spec.MemBytes + gpu.PageBytes - 1) / gpu.PageBytes
 	rb.Trials = trials

@@ -163,3 +163,26 @@ func TestCheckPerfRegression(t *testing.T) {
 		}
 	})
 }
+
+// TestPerfReportOmitsUnmeasured pins the history format of a
+// sampling-only entry: no zeroed throughput fields and no restore-bound
+// section, only what the study measured.
+func TestPerfReportOmitsUnmeasured(t *testing.T) {
+	rep := &PerfReport{Timestamp: "2026-08-05T00:00:00Z", Sampling: []SamplingBenchPerf{{Benchmark: "Triad"}}}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"sim_cycles_per_sec", "trials_per_sec", "allocs_per_trial", "benchmark", "restore_bound"} {
+		if _, ok := fields[k]; ok {
+			t.Errorf("sampling-only entry writes %q: %s", k, data)
+		}
+	}
+	if _, ok := fields["sampling"]; !ok {
+		t.Errorf("sampling-only entry lost its study: %s", data)
+	}
+}
