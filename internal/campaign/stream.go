@@ -124,13 +124,13 @@ type benchDoneEvent struct {
 
 // progressEvent summarizes throughput; emitted every ~2% of trials.
 type progressEvent struct {
-	Event        string          `json:"event"` // "progress"
-	Done         int             `json:"done"`
-	Total        int             `json:"total"`
-	ElapsedSec   float64         `json:"elapsed_sec"`
-	TrialsPerSec float64         `json:"trials_per_sec"`
-	EtaSec       float64         `json:"eta_sec"`
-	Tallies      map[string]int  `json:"tallies"`
+	Event        string         `json:"event"` // "progress"
+	Done         int            `json:"done"`
+	Total        int            `json:"total"`
+	ElapsedSec   float64        `json:"elapsed_sec"`
+	TrialsPerSec float64        `json:"trials_per_sec"`
+	EtaSec       float64        `json:"eta_sec"`
+	Tallies      map[string]int `json:"tallies"`
 }
 
 // doneEvent closes a stream with the fleet summary. The restore-page
