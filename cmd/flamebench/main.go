@@ -116,12 +116,11 @@ func main() {
 		if err != nil {
 			return err
 		}
-		for _, r := range rows {
-			if r.Result.SDC > 0 || r.Result.DUE > 0 || r.Result.Hang > 0 {
-				return fmt.Errorf("%s: unrecovered faults: %s", r.Benchmark, r.Result.String())
-			}
+		verdict, err := harness.InjectionVerdict(rows)
+		if err != nil {
+			return err
 		}
-		fmt.Println("all injected faults recovered; outputs validated")
+		fmt.Println(verdict)
 		return nil
 	})
 	run("coverage", func() error {

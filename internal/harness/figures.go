@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"flame/internal/bench"
 	"flame/internal/core"
@@ -382,13 +383,42 @@ func InjectionStudy(cfg Config, runsPerBench int, seed int64) ([]InjectionRow, e
 	if err != nil {
 		return nil, err
 	}
-	t := &stats.Table{Header: []string{"benchmark", "injected", "masked", "recovered", "sdc", "due", "hang"}}
+	t := &stats.Table{Header: []string{"benchmark", "injected", "masked", "recovered", "sdc", "due", "hang", "coverage"}}
 	for _, r := range out {
 		res := &r.Result
-		t.Add(r.Benchmark, res.Injected, res.Masked, res.Recovered, res.SDC, res.DUE, res.Hang)
+		coverage := "covered"
+		if !r.Covered() {
+			coverage = "uncovered"
+		}
+		t.Add(r.Benchmark, res.Injected, res.Masked, res.Recovered, res.SDC, res.DUE, res.Hang, coverage)
 	}
 	cfg.printf("Fault-injection validation under Flame\n%s\n", t)
 	return out, nil
+}
+
+// Covered reports whether the row's campaign injected a fault in at
+// least one trial. A row without one validates nothing.
+func (r *InjectionRow) Covered() bool { return r.Result.Injected > 0 }
+
+// InjectionVerdict is the one-line summary of an injection study. It
+// fails if any benchmark had an SDC, DUE or hang, and names every
+// uncovered benchmark instead of counting it as recovered.
+func InjectionVerdict(rows []InjectionRow) (string, error) {
+	var uncovered []string
+	for i := range rows {
+		r := &rows[i]
+		if r.Result.SDC > 0 || r.Result.DUE > 0 || r.Result.Hang > 0 {
+			return "", fmt.Errorf("%s: unrecovered faults: %s", r.Benchmark, r.Result.String())
+		}
+		if !r.Covered() {
+			uncovered = append(uncovered, r.Benchmark)
+		}
+	}
+	if len(uncovered) == 0 {
+		return "all injected faults recovered; outputs validated", nil
+	}
+	return fmt.Sprintf("injected faults recovered in %d of %d benchmarks; outputs validated; uncovered (no trial injected a fault): %s",
+		len(rows)-len(uncovered), len(rows), strings.Join(uncovered, ", ")), nil
 }
 
 // FalsePositiveRow is one benchmark's spurious-recovery cost.

@@ -212,6 +212,30 @@ func TestInjectionStudyQuick(t *testing.T) {
 	}
 }
 
+// TestInjectionVerdict checks the injection study's summary line: a
+// benchmark with no injected trial is named as uncovered, not counted
+// as recovered, and an SDC, DUE or hang fails the study.
+func TestInjectionVerdict(t *testing.T) {
+	row := func(name string, injected, recovered, sdc, hang int) InjectionRow {
+		return InjectionRow{Benchmark: name, Result: core.CampaignResult{
+			Runs: 3, Injected: injected, Recovered: recovered, SDC: sdc, Hang: hang}}
+	}
+	got, err := InjectionVerdict([]InjectionRow{row("AES", 3, 3, 0, 0), row("BFS", 2, 2, 0, 0)})
+	if err != nil || got != "all injected faults recovered; outputs validated" {
+		t.Errorf("all covered: %q, %v", got, err)
+	}
+	got, err = InjectionVerdict([]InjectionRow{row("AES", 3, 3, 0, 0), row("BP", 0, 0, 0, 0), row("CG", 0, 0, 0, 0)})
+	want := "injected faults recovered in 1 of 3 benchmarks; outputs validated; uncovered (no trial injected a fault): BP, CG"
+	if err != nil || got != want {
+		t.Errorf("uncovered: %q, %v; want %q", got, err, want)
+	}
+	for _, bad := range []InjectionRow{row("SC", 3, 2, 1, 0), row("SC", 3, 2, 0, 1)} {
+		if _, err := InjectionVerdict([]InjectionRow{row("BP", 0, 0, 0, 0), bad}); err == nil {
+			t.Errorf("%s: no error", bad.Result.String())
+		}
+	}
+}
+
 func TestMaskingStudyQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign")
