@@ -144,6 +144,7 @@ func NewController(mode Mode) *Controller {
 func (c *Controller) Hooks() *gpu.Hooks {
 	return &gpu.Hooks{
 		BeforeIssue:    c.beforeIssue,
+		IssueAt:        verifiesAt,
 		OnExecuted:     c.onExecuted,
 		OnAtomic:       c.onAtomic,
 		OnCycle:        c.onCycle,
@@ -201,17 +202,17 @@ func (c *Controller) rbqOf(d *gpu.Device, sm *gpu.SM, w *gpu.Warp) *RBQ {
 	return c.rbqs[idx]
 }
 
-// boundaryAt reports whether issuing pc crosses a region boundary that
+// verifiesAt reports whether issuing in crosses a region boundary that
 // needs verification: an annotated boundary or a thread exit (the final
-// region is verified before the warp may retire).
-func boundaryAt(prog *isa.Program, pc int) bool {
-	in := &prog.Insts[pc]
+// region is verified before the warp may retire). It is the hooks'
+// IssueAt: beforeIssue acts nowhere else.
+func verifiesAt(in *isa.Inst) bool {
 	return in.Boundary || in.Op == isa.OpExit
 }
 
 func (c *Controller) beforeIssue(d *gpu.Device, sm *gpu.SM, w *gpu.Warp) bool {
 	pc := w.PC()
-	if !boundaryAt(d.Kernel(), pc) {
+	if !verifiesAt(&d.Kernel().Insts[pc]) {
 		return true
 	}
 	if !c.Mode.EagerSectionVerify && c.midSection(pc) {

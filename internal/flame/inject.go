@@ -282,7 +282,7 @@ func (inj *Injector) Observe(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 		s.Description = fmt.Sprintf("cycle %d: flipped bit %#x of %s (lane %d, warp %d, SM %d, inst %d: %s)",
 			d.Cyc, bit, r, lane, w.ID, sm.ID, pc, in.String())
 	case in.Op == isa.OpSt && in.Space == isa.SpaceGlobal:
-		addr := sm.LaneAddress(w, lane, in)
+		addr := sm.LaneAddress(w, lane, pc)
 		v, err := d.Mem.Load(addr)
 		if err != nil {
 			return

@@ -14,6 +14,14 @@ type Hooks struct {
 	// barrier masks once, before the first BeforeIssue call.
 	BeforeIssue func(d *Device, sm *SM, w *Warp) bool
 
+	// IssueAt declares the instructions BeforeIssue acts on; nil means
+	// every instruction. It is evaluated once per PC at launch, and the
+	// scheduler calls BeforeIssue only for a warp whose next
+	// instruction it selects. At any other instruction BeforeIssue must
+	// return true and have no side effects, so that not calling it
+	// changes nothing.
+	IssueAt func(in *isa.Inst) bool
+
 	// OnExecuted runs after warp w architecturally executed the
 	// instruction at pc.
 	OnExecuted func(d *Device, sm *SM, w *Warp, pc int)
@@ -60,6 +68,11 @@ type Hooks struct {
 	// first cycle any warp could reclassify, so sink totals are
 	// bit-identical with and without skipping.
 	Slots SlotSink
+}
+
+// issueAt reports whether BeforeIssue runs before in issues.
+func (h *Hooks) issueAt(in *isa.Inst) bool {
+	return h != nil && h.BeforeIssue != nil && (h.IssueAt == nil || h.IssueAt(in))
 }
 
 func (h *Hooks) beforeIssue(d *Device, sm *SM, w *Warp) bool {

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 
 	"flame/internal/isa"
 	"flame/internal/kernel"
@@ -74,12 +75,108 @@ func (l *Launch) BlocksPerSM(cfg *Config) int {
 	return n
 }
 
-// compiledKernel caches per-program structures shared by all warps.
+// compiledKernel holds the per-program structures shared by all warps
+// of a launch. It is built once per launch (Device.Run), after the
+// compiler passes have finished mutating the program.
 type compiledKernel struct {
 	prog *isa.Program
 	info *kernel.Info
+	// desc[pc] is instruction pc's predecoded issue descriptor.
+	desc []issueDesc
+	// consts[pc][i] is the 32-lane row of instruction pc's source
+	// operand i when that operand is a constant: an immediate, or zero
+	// for an absent or predicate operand. It is nil for a register or a
+	// special register, whose rows differ per warp.
+	consts []operandRows
 }
 
-func compileKernel(p *isa.Program) *compiledKernel {
-	return &compiledKernel{prog: p, info: kernel.Analyze(p)}
+// operandRows is one instruction's constant source rows (see
+// compiledKernel.consts).
+type operandRows [3]*isa.Row
+
+// issueDesc is what the issue gate needs to know about an instruction:
+// the scoreboard entries it waits on, the structural hazards it is
+// subject to, and whether the hooks' BeforeIssue acts on it.
+type issueDesc struct {
+	// regs[:nregs] are the registers read and the one written;
+	// preds[:npreds] the guard, selp and setp predicates.
+	regs   [4]isa.Reg
+	preds  [3]isa.PredReg
+	nregs  uint8
+	npreds uint8
+	hz     uint8
+	hook   bool
+}
+
+func compileKernel(p *isa.Program, h *Hooks) *compiledKernel {
+	k := &compiledKernel{
+		prog:   p,
+		info:   kernel.Analyze(p),
+		desc:   make([]issueDesc, len(p.Insts)),
+		consts: make([]operandRows, len(p.Insts)),
+	}
+	// Instructions share one constant row per distinct value.
+	var vals []uint32
+	for pc := range p.Insts {
+		in := &p.Insts[pc]
+		k.desc[pc] = describe(in, h.issueAt(in))
+		for _, o := range in.Src {
+			if isConst(o) && !slices.Contains(vals, uint32(o.Imm)) {
+				vals = append(vals, uint32(o.Imm))
+			}
+		}
+	}
+	rows := make([]isa.Row, len(vals))
+	for j, v := range vals {
+		for lane := range rows[j] {
+			rows[j][lane] = v
+		}
+	}
+	for pc := range p.Insts {
+		for i, o := range p.Insts[pc].Src {
+			if isConst(o) {
+				k.consts[pc][i] = &rows[slices.Index(vals, uint32(o.Imm))]
+			}
+		}
+	}
+	return k
+}
+
+// isConst reports whether a source operand has the same value in every
+// lane of every warp: anything but a register or a special register.
+func isConst(o isa.Operand) bool {
+	return o.Kind != isa.OperReg && o.Kind != isa.OperSpecial
+}
+
+// describe predecodes an instruction's issue descriptor.
+func describe(in *isa.Inst, hook bool) issueDesc {
+	dc := issueDesc{hook: hook}
+	var uses [3]isa.Reg
+	for _, r := range in.Uses(uses[:0]) {
+		dc.regs[dc.nregs] = r
+		dc.nregs++
+	}
+	if r := in.Defs(); r != isa.NoReg {
+		dc.regs[dc.nregs] = r
+		dc.nregs++
+	}
+	var preds [2]isa.PredReg
+	for _, p := range in.UsesPred(preds[:0]) {
+		dc.preds[dc.npreds] = p
+		dc.npreds++
+	}
+	if p := in.DefsPred(); p != isa.NoPred {
+		dc.preds[dc.npreds] = p
+		dc.npreds++
+	}
+	if in.Op.IsMemory() {
+		dc.hz |= hzLSU
+		if in.Space == isa.SpaceGlobal {
+			dc.hz |= hzMSHR
+		}
+	}
+	if in.Op.IsSFU() {
+		dc.hz |= hzSFU
+	}
+	return dc
 }

@@ -78,9 +78,14 @@ func (m *GlobalMem) Store(addr, v uint32) error {
 		return err
 	}
 	m.words[i] = v
+	m.markDirty(i)
+	return nil
+}
+
+// markDirty marks the page holding word i dirty.
+func (m *GlobalMem) markDirty(i int) {
 	p := i >> pageShift
 	m.dirty[p>>6] |= 1 << uint(p&63)
-	return nil
 }
 
 func (m *GlobalMem) index(addr uint32, op string) (int, error) {

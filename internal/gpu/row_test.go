@@ -66,7 +66,8 @@ func laneVal(regs []uint32, o isa.Operand, lane int) uint32 {
 // TestRowKernelsMatchScalarUnderMasks drives the SM's row execution of
 // every ALU/SFU opcode, selp and every setp comparison on random
 // operands, with the destination often aliasing a source, under the
-// exec masks of rowTestMasks. Each exec lane must get exactly the
+// exec masks of rowTestMasks. Each instruction is compiled as a
+// one-instruction program, so immediates come from its constant rows. Each exec lane must get exactly the
 // scalar EvalALU/EvalCmp result on the pre-instruction values; every
 // other lane's registers and every other predicate stay untouched.
 func TestRowKernelsMatchScalarUnderMasks(t *testing.T) {
@@ -114,15 +115,18 @@ func TestRowKernelsMatchScalarUnderMasks(t *testing.T) {
 		}
 	}
 	run := func(in *isa.Inst) {
+		prog := &isa.Program{Name: "row", Insts: []isa.Inst{*in}, NumRegs: nregs}
+		c := &compileKernel(prog, nil).consts[0]
+		in = &prog.Insts[0]
 		for _, exec := range rowTestMasks(r) {
 			w := rowTestWarp(r, nregs)
 			exec &= w.regLanes
 			regs := append([]uint32(nil), w.regs...)
 			preds := w.preds
 			if in.Op == isa.OpSetp {
-				sm.setp(w, in, exec)
+				sm.setp(w, in, c, exec)
 			} else {
-				sm.alu(w, in, exec)
+				sm.alu(w, in, c, exec)
 			}
 			check(in, w, exec, regs, preds)
 		}

@@ -83,7 +83,7 @@ func (d *Device) Run(l *Launch, hooks *Hooks) (*Stats, error) {
 		return nil, err
 	}
 	d.launch = l
-	d.kern = compileKernel(l.Prog)
+	d.kern = compileKernel(l.Prog, hooks)
 	d.hooks = hooks
 	d.slots = nil
 	if hooks != nil {

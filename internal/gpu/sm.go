@@ -76,38 +76,25 @@ type SM struct {
 }
 
 // issueGate is a warp slot's memoized issue gate for its current
-// instruction: the cycle its scoreboard dependencies clear
-// (Warp.depsReadyAt) and the structural hazards it is subject to. The
-// scoreboard and PC only change when the warp executes or its pipeline
-// resets, and both invalidate the gate, so between issues the per-cycle
-// scan reads one flat slot instead of walking operands through a warp
-// pointer.
+// instruction: the cycle its scoreboard dependencies clear, the
+// structural hazards it is subject to and whether BeforeIssue acts on
+// it. The scoreboard and PC only change when the warp executes or its
+// pipeline resets, and both invalidate the gate, so between issues the
+// per-cycle scan reads one flat slot instead of walking operands
+// through a warp pointer.
 type issueGate struct {
 	at    int64
 	hz    uint8
+	hook  bool
 	valid bool
 }
 
-// Hazard classes of an instruction (issueGate.hz).
+// Hazard classes of an instruction (issueDesc.hz, issueGate.hz).
 const (
 	hzLSU  uint8 = 1 << iota // memory op: waits for the LSU
 	hzMSHR                   // global memory op: also needs an MSHR
 	hzSFU                    // SFU op: waits for the SFU
 )
-
-func hazardOf(in *isa.Inst) uint8 {
-	var hz uint8
-	if in.Op.IsMemory() {
-		hz |= hzLSU
-		if in.Space == isa.SpaceGlobal {
-			hz |= hzMSHR
-		}
-	}
-	if in.Op.IsSFU() {
-		hz |= hzSFU
-	}
-	return hz
-}
 
 // gateOf returns slot wi's issue gate, recomputing it if invalidated.
 // The valid check inlines into the scans; the refill does not.
@@ -118,11 +105,22 @@ func (sm *SM) gateOf(wi int) *issueGate {
 	return sm.refillGate(wi)
 }
 
+// refillGate recomputes slot wi's gate from its instruction's
+// descriptor: the scoreboard bound is the latest pending write among
+// the registers and predicates the instruction reads or writes (it may
+// be in the past).
 func (sm *SM) refillGate(wi int) *issueGate {
 	g := &sm.gate[wi]
 	w := sm.Warps[wi]
-	in := &sm.dev.launch.Prog.Insts[w.PC()]
-	g.at, g.hz, g.valid = w.depsReadyAt(in), hazardOf(in), true
+	dc := &sm.dev.kern.desc[w.PC()]
+	var t int64
+	for _, r := range dc.regs[:dc.nregs] {
+		t = max(t, w.regReady[r])
+	}
+	for _, p := range dc.preds[:dc.npreds] {
+		t = max(t, w.predReady[p])
+	}
+	g.at, g.hz, g.hook, g.valid = t, dc.hz, dc.hook, true
 	return g
 }
 
@@ -472,7 +470,8 @@ func (sm *SM) ResetBarrierGen(b *BlockState) {
 // suspended and barrier-parked warps are booked by popcount, and only
 // the rest are visited, in ascending slot order (so BeforeIssue side
 // effects such as RBQ pushes happen in slot order), each against its
-// memoized issue gate.
+// memoized issue gate. BeforeIssue runs only for hazard-clear warps
+// whose instruction the hooks declared (Hooks.IssueAt).
 func (sm *SM) step(cycle int64) error {
 	sm.mshrDrain(cycle)
 	if sm.live == 0 {
@@ -506,7 +505,7 @@ func (sm *SM) step(cycle int64) error {
 				sb |= 1 << uint(wi)
 			case g.hz != 0 && sm.structBusy(g.hz, cycle):
 				mem |= 1 << uint(wi)
-			case !d.hooks.beforeIssue(d, sm, sm.Warps[wi]):
+			case g.hook && !d.hooks.BeforeIssue(d, sm, sm.Warps[wi]):
 				veto |= 1 << uint(wi)
 			default:
 				ready = append(ready, wi)

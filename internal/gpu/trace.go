@@ -8,7 +8,8 @@ import (
 )
 
 // CombineHooks chains two hook sets: both observers run; BeforeIssue
-// permits issue only if both permit. Either argument may be nil.
+// permits issue only if both permit, at the union of the instructions
+// the two declare (IssueAt). Either argument may be nil.
 func CombineHooks(a, b *Hooks) *Hooks {
 	if a == nil {
 		return b
@@ -16,9 +17,16 @@ func CombineHooks(a, b *Hooks) *Hooks {
 	if b == nil {
 		return a
 	}
-	return &Hooks{
-		BeforeIssue: func(d *Device, sm *SM, w *Warp) bool {
+	var beforeIssue func(d *Device, sm *SM, w *Warp) bool
+	if a.BeforeIssue != nil || b.BeforeIssue != nil {
+		beforeIssue = func(d *Device, sm *SM, w *Warp) bool {
 			return a.beforeIssue(d, sm, w) && b.beforeIssue(d, sm, w)
+		}
+	}
+	return &Hooks{
+		BeforeIssue: beforeIssue,
+		IssueAt: func(in *isa.Inst) bool {
+			return a.issueAt(in) || b.issueAt(in)
 		},
 		OnExecuted: func(d *Device, sm *SM, w *Warp, pc int) {
 			a.onExecuted(d, sm, w, pc)

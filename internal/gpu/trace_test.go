@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"flame/internal/isa"
@@ -89,6 +90,51 @@ func TestCombineHooksOnAdvance(t *testing.T) {
 			t.Errorf("tee did not fan out: a=%d b=%d", a, b)
 		}
 	})
+}
+
+// TestCombineHooksIssueAt checks that a combined hook set declares the
+// union of its constituents' BeforeIssue instructions: a constituent
+// with BeforeIssue and nil IssueAt covers every instruction, one
+// without BeforeIssue covers none, whatever its IssueAt says.
+func TestCombineHooksIssueAt(t *testing.T) {
+	permit := func(*Device, *SM, *Warp) bool { return true }
+	exitOnly := func(in *isa.Inst) bool { return in.Op == isa.OpExit }
+	boundaryOnly := func(in *isa.Inst) bool { return in.Boundary }
+	insts := map[string]*isa.Inst{
+		"add":      {Op: isa.OpAdd},
+		"exit":     {Op: isa.OpExit},
+		"boundary": {Op: isa.OpAdd, Boundary: true},
+	}
+	for _, tc := range []struct {
+		name string
+		a, b *Hooks
+		want string // the instructions covered, in sorted order
+	}{
+		{"declared+undeclared", &Hooks{BeforeIssue: permit, IssueAt: exitOnly},
+			&Hooks{BeforeIssue: permit}, "add boundary exit"},
+		{"undeclared+declared", &Hooks{BeforeIssue: permit},
+			&Hooks{BeforeIssue: permit, IssueAt: exitOnly}, "add boundary exit"},
+		{"union", &Hooks{BeforeIssue: permit, IssueAt: exitOnly},
+			&Hooks{BeforeIssue: permit, IssueAt: boundaryOnly}, "boundary exit"},
+		{"observer", &Hooks{BeforeIssue: permit, IssueAt: exitOnly},
+			&Hooks{OnExecuted: func(*Device, *SM, *Warp, int) {}}, "exit"},
+		{"IssueAt without BeforeIssue", &Hooks{IssueAt: exitOnly},
+			&Hooks{OnCycle: func(*Device) {}}, ""},
+	} {
+		h := CombineHooks(tc.a, tc.b)
+		var got []string
+		for _, name := range []string{"add", "boundary", "exit"} {
+			if h.issueAt(insts[name]) {
+				got = append(got, name)
+			}
+		}
+		if s := strings.Join(got, " "); s != tc.want {
+			t.Errorf("%s: covers %q, want %q", tc.name, s, tc.want)
+		}
+		if (h.BeforeIssue != nil) != (tc.want != "") {
+			t.Errorf("%s: combined BeforeIssue set = %v", tc.name, h.BeforeIssue != nil)
+		}
+	}
 }
 
 // sinkFunc adapts a closure to SlotSink for tests.

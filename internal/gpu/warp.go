@@ -201,33 +201,6 @@ func (w *Warp) exitLanes(mask uint32) {
 	}
 }
 
-// depsReadyAt returns the earliest cycle at which the instruction's
-// source and destination registers have no pending writes: the latest
-// pending-write completion among them (which may be in the past).
-func (w *Warp) depsReadyAt(in *isa.Inst) int64 {
-	var t int64
-	var uses [4]isa.Reg
-	for _, r := range in.Uses(uses[:0]) {
-		if w.regReady[r] > t {
-			t = w.regReady[r]
-		}
-	}
-	if d := in.Defs(); d != isa.NoReg && w.regReady[d] > t {
-		t = w.regReady[d]
-	}
-	if g := in.Guard; g.Valid() && w.predReady[g.Pred] > t {
-		t = w.predReady[g.Pred]
-	}
-	if in.Op == isa.OpSelp && in.Src[2].Kind == isa.OperPred &&
-		w.predReady[in.Src[2].Pred] > t {
-		t = w.predReady[in.Src[2].Pred]
-	}
-	if pd := in.DefsPred(); pd != isa.NoPred && w.predReady[pd] > t {
-		t = w.predReady[pd]
-	}
-	return t
-}
-
 // invalidateDeps discards the SM's memoized scoreboard gate for the
 // warp (call after any scoreboard write or control-flow change).
 func (w *Warp) invalidateDeps() {

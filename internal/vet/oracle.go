@@ -126,7 +126,7 @@ func (m *orMachine) add(sev Severity, inst int, msg string) {
 	}
 }
 
-// commitEligible mirrors flame's boundaryAt + mid-section skip.
+// commitEligible mirrors flame's verifiesAt + mid-section skip.
 func (m *orMachine) commitEligible(pc int) bool {
 	in := &m.t.Prog.Insts[pc]
 	if !in.Boundary && in.Op != isa.OpExit {
