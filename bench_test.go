@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"flame/internal/bench"
+	"flame/internal/campaign"
 	"flame/internal/core"
 	"flame/internal/gpu"
 	"flame/internal/harness"
@@ -34,7 +35,7 @@ func benchConfig(b *testing.B) harness.Config {
 	}
 	cfg.Arch.NumSMs = 4
 	var subset []*bench.Benchmark
-	for _, name := range []string{"Triad", "SGEMM", "LUD", "Histogram", "BS", "WT", "BFS", "Hotspot"} {
+	for _, name := range harness.QuickBenchmarks {
 		bb, err := bench.ByName(name)
 		if err != nil {
 			b.Fatal(err)
@@ -211,26 +212,21 @@ func BenchmarkHardwareCost_SectionVIA2(b *testing.B) {
 }
 
 // BenchmarkInjection_RecoveryValidation runs the fault-injection
-// campaign; every fault must be recovered.
+// campaign; every fault must be masked or recovered.
 func BenchmarkInjection_RecoveryValidation(b *testing.B) {
 	cfg := benchConfig(b)
-	var recovered, injected float64
+	var rep *campaign.Report
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.InjectionStudy(cfg, 3, int64(2024+i))
-		if err != nil {
+		var err error
+		if rep, err = harness.InjectionStudy(cfg, 3, uint64(2024+i)); err != nil {
 			b.Fatal(err)
 		}
-		recovered, injected = 0, 0
-		for _, r := range rows {
-			injected += float64(r.Result.Injected)
-			recovered += float64(r.Result.Recovered)
-			if r.Result.SDC > 0 || r.Result.DUE > 0 {
-				b.Fatalf("%s: unrecovered faults: %s", r.Benchmark, r.Result.String())
-			}
+		if _, err := harness.InjectionVerdict(rep); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(recovered, "recovered")
-	b.ReportMetric(injected-recovered, "unrecovered")
+	b.ReportMetric(float64(rep.Fleet.Recovered), "recovered")
+	b.ReportMetric(float64(rep.Fleet.Injected-rep.Fleet.Masked-rep.Fleet.Recovered), "unrecovered")
 }
 
 // BenchmarkSimulatorThroughput measures raw simulator speed (cycles
@@ -259,18 +255,11 @@ func BenchmarkMaskingStudy(b *testing.B) {
 	cfg := benchConfig(b)
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.MaskingStudy(cfg, 3, int64(11+i))
+		rep, err := harness.MaskingStudy(cfg, 3, uint64(11+i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		var inj, masked int
-		for _, r := range rows {
-			inj += r.Result.Armed
-			masked += r.Result.Masked
-		}
-		if inj > 0 {
-			rate = 100 * float64(masked) / float64(inj)
-		}
+		rate = 100 * rep.Fleet.Coverage
 	}
 	b.ReportMetric(rate, "masking-%")
 }

@@ -14,18 +14,36 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"flame/internal/bench"
-	flamehw "flame/internal/flame"
 	"flame/internal/harness"
 )
 
-// quickSubset is a structurally diverse 8-benchmark subset for -quick.
-var quickSubset = []string{"Triad", "SGEMM", "LUD", "Histogram", "BS", "WT", "BFS", "Hotspot"}
+// experiments are the valid -exp names, in the order they run.
+var experiments = []string{
+	"fig12", "table2", "fig13", "fig15", "fig16", "fig17", "fig18", "fig19",
+	"discussion", "hw", "ckptplace", "occupancy", "falsepos", "masking",
+	"ablation", "inject", "telemetry", "sampling", "perf", "all",
+}
+
+// parseExps returns the set of experiments a comma-separated -exp list
+// names, rejecting any name that is not an experiment.
+func parseExps(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, e := range strings.Split(list, ",") {
+		e = strings.TrimSpace(e)
+		if !slices.Contains(experiments, e) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", e, strings.Join(experiments, ","))
+		}
+		want[e] = true
+	}
+	return want, nil
+}
 
 func main() {
-	exp := flag.String("exp", "all", "experiments: fig12,table2,fig13,fig15,fig16,fig17,fig18,fig19,discussion,hw,masking,ablation,falsepos,occupancy,ckptplace,inject,coverage,telemetry,perf,sampling,all")
+	exp := flag.String("exp", "all", "experiments: "+strings.Join(experiments, ","))
 	quick := flag.Bool("quick", false, "use an 8-benchmark subset")
 	benchList := flag.String("benchmarks", "", "comma-separated benchmark subset")
 	sms := flag.Int("sms", 0, "override SM count (smaller = faster)")
@@ -36,6 +54,10 @@ func main() {
 	samplingTrials := flag.Int("sampling-trials", 400, "uniform-grid budget for -exp sampling")
 	perfGuard := flag.Bool("perf-guard", true, "with -exp perf: fail if trials/s regressed >20% vs the previous same-host history entry")
 	flag.Parse()
+	want, err := parseExps(*exp)
+	if err != nil {
+		fail("%v", err)
+	}
 
 	cfg := harness.Default()
 	cfg.Out = os.Stdout
@@ -55,7 +77,7 @@ func main() {
 		}
 	case *quick:
 		cfg.Benchmarks = nil
-		for _, name := range quickSubset {
+		for _, name := range harness.QuickBenchmarks {
 			b, err := bench.ByName(name)
 			if err != nil {
 				fail("%v", err)
@@ -64,10 +86,6 @@ func main() {
 		}
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
 	all := want["all"]
 	run := func(name string, f func() error) {
 		if !all && !want[name] {
@@ -112,20 +130,16 @@ func main() {
 	})
 	run("ablation", func() error { _, err := harness.SectionSkipAblation(cfg); return err })
 	run("inject", func() error {
-		rows, err := harness.InjectionStudy(cfg, *injectRuns, 2024)
+		rep, err := harness.InjectionStudy(cfg, *injectRuns, 2024)
 		if err != nil {
 			return err
 		}
-		verdict, err := harness.InjectionVerdict(rows)
+		verdict, err := harness.InjectionVerdict(rep)
 		if err != nil {
 			return err
 		}
 		fmt.Println(verdict)
 		return nil
-	})
-	run("coverage", func() error {
-		_, err := harness.CoverageSummary(cfg, *injectRuns, 0, 2024, flamehw.DataSlice)
-		return err
 	})
 	run("telemetry", func() error { _, err := harness.TelemetryStudy(cfg); return err })
 	// perf and sampling write BENCH_sim.json as a side effect, so they

@@ -47,13 +47,13 @@ func main() {
 				inj.DetectedAt-inj.InjectedAt, res.Flame.UndoneAtomics, res.Flame.Flushed)
 		}
 
-		// A full campaign: every injection must be recovered.
-		camp, err := core.Campaign(cfg, spec, core.FlameOptions(), 10, 99)
+		// A full campaign: every injection must be masked or recovered.
+		camp, err := flame.Campaign(cfg, spec, flame.FlameOptions(), 10, 99)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  campaign: %s\n\n", camp)
-		if camp.SDC != 0 || camp.DUE != 0 || camp.Hang != 0 {
+		if camp.SDC != 0 || camp.DUE != 0 || camp.Hang != 0 || camp.Internal != 0 {
 			log.Fatalf("%s: unrecovered faults!", name)
 		}
 	}

@@ -29,6 +29,7 @@
 package flame
 
 import (
+	"flame/internal/campaign"
 	"flame/internal/core"
 	"flame/internal/gpu"
 	"flame/internal/isa"
@@ -48,8 +49,10 @@ type (
 	KernelSpec = core.KernelSpec
 	// Result is one simulated run.
 	Result = core.Result
-	// CampaignResult summarizes a fault-injection campaign.
-	CampaignResult = core.CampaignResult
+	// CampaignResult is one workload's fault-injection campaign:
+	// Masked / Recovered / SDC / DUE / Hang counts and the coverage
+	// rate with its Wilson 95% confidence interval.
+	CampaignResult = campaign.BenchReport
 	// Config describes a GPU architecture.
 	Config = gpu.Config
 	// Program is an assembled kernel.
@@ -93,10 +96,16 @@ func Run(cfg Config, spec *KernelSpec, opt Options) (*Result, error) {
 	return core.Run(cfg, spec, opt)
 }
 
-// Campaign runs n fault-injection trials of the workload under the
-// scheme and reports recovery outcomes.
-func Campaign(cfg Config, spec *KernelSpec, opt Options, n int, seed int64) (*CampaignResult, error) {
-	return core.Campaign(cfg, spec, opt, n, seed)
+// Campaign runs n data-slice fault-injection trials of the workload
+// under the scheme and classifies each against the fault-free run.
+// Trial t depends only on (seed, spec.Name, t). Baseline is accepted:
+// it measures raw masking with no protection.
+func Campaign(cfg Config, spec *KernelSpec, opt Options, n int, seed uint64) (*CampaignResult, error) {
+	rep, err := campaign.Run(campaign.Config{Arch: cfg, Opt: opt, Specs: []*KernelSpec{spec}, Trials: n, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return &rep.Benchmarks[0], nil
 }
 
 // OverheadOf returns a run's execution time normalized to a baseline run.

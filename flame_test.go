@@ -63,8 +63,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if camp.SDC != 0 {
-		t.Fatalf("campaign SDCs: %s", camp)
+	if camp.Benchmark != "vadd" || camp.Trials != 5 {
+		t.Fatalf("campaign: %s %s", camp.Benchmark, camp)
+	}
+	if camp.SDC != 0 || camp.DUE != 0 || camp.Hang != 0 || camp.Internal != 0 {
+		t.Fatalf("campaign left faults uncovered: %s", camp)
 	}
 }
 

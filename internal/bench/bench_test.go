@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"flame/internal/campaign"
 	"flame/internal/core"
 	"flame/internal/gpu"
 	"flame/internal/regions"
@@ -108,18 +109,23 @@ func TestInjectionSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign")
 	}
-	sample := []string{"Triad", "GUPS", "WT", "Transpose"}
-	for _, name := range sample {
+	var specs []*core.KernelSpec
+	for _, name := range []string{"Triad", "GUPS", "WT", "Transpose"} {
 		b, err := ByName(name)
 		if err != nil {
-			continue // not yet implemented in this build stage
+			t.Fatal(err)
 		}
-		res, err := core.Campaign(benchCfg(), b.Spec(), core.FlameOptions(), 6, 2024)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res.SDC != 0 || res.DUE != 0 {
-			t.Errorf("%s: %s", name, res)
+		specs = append(specs, b.Spec())
+	}
+	rep, err := campaign.Run(campaign.Config{
+		Arch: benchCfg(), Opt: core.FlameOptions(), Specs: specs, Trials: 6, Seed: 2024,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range rep.Benchmarks {
+		if b.SDC != 0 || b.DUE != 0 || b.Hang != 0 || b.Internal != 0 {
+			t.Errorf("%s: %s", b.Benchmark, &b)
 		}
 	}
 }

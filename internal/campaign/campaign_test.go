@@ -121,6 +121,42 @@ func TestCampaignCoverageDataSlice(t *testing.T) {
 	}
 }
 
+// TestSchemeRecoveryMatrix: under the data-slice model every detecting
+// scheme, and Sensor+Checkpointing with its region-end checkpoint
+// placement, turns each injected strike into Masked or Recovered, and
+// its outcome counters add up to the trial count.
+func TestSchemeRecoveryMatrix(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opt  core.Options
+	}{
+		{"SensorRenaming", core.Options{Scheme: core.SensorRenaming, WCDL: 20, ExtendRegions: true}},
+		{"SensorCheckpointing", core.Options{Scheme: core.SensorCheckpointing, WCDL: 20, ExtendRegions: true}},
+		{"HybridRenaming", core.Options{Scheme: core.HybridRenaming, WCDL: 20, ExtendRegions: true}},
+		{"DupRenaming", core.Options{Scheme: core.DupRenaming, WCDL: 20, ExtendRegions: true}},
+		{"SensorCheckpointing-CkptAtRegionEnd", core.Options{Scheme: core.SensorCheckpointing, WCDL: 20, CkptAtRegionEnd: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig(t, []string{"Triad"}, 12, 0)
+			cfg.Opt = c.opt
+			rep, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := &rep.Benchmarks[0]
+			if got := b.NoInjection + b.Masked + b.Recovered + b.SDC + b.DUE + b.Hang + b.Internal; got != 12 || b.Trials != 12 {
+				t.Fatalf("outcomes sum to %d over %d trials, want 12: %s", got, b.Trials, b)
+			}
+			if b.SDC != 0 || b.DUE != 0 || b.Hang != 0 || b.Internal != 0 {
+				t.Errorf("uncovered outcomes: %s", b)
+			}
+			if b.Injected == 0 || b.Recovered == 0 {
+				t.Errorf("nothing injected and recovered: %s", b)
+			}
+		})
+	}
+}
+
 // TestCampaignFullSiteFindsUncovered: the full-site model on an
 // unprotected Baseline reports its outcomes without error and records
 // excluded-site strikes (the boundary the data-slice model hides).

@@ -285,6 +285,13 @@ func (b *BenchReport) finish() {
 	}
 }
 
+// String summarizes the counters and the coverage interval on one line.
+func (b *BenchReport) String() string {
+	return fmt.Sprintf("trials=%d injected=%d masked=%d recovered=%d sdc=%d due=%d hang=%d internal=%d coverage=%.2f%% [%.2f%%, %.2f%%]",
+		b.Trials, b.Injected, b.Masked, b.Recovered, b.SDC, b.DUE, b.Hang, b.Internal,
+		b.Coverage*100, b.CoverageLo*100, b.CoverageHi*100)
+}
+
 // Report is a full campaign summary. Every field is a deterministic
 // function of the campaign Config, so two runs with the same config are
 // bit-identical regardless of worker count.

@@ -242,31 +242,6 @@ func TestCompileStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestCampaignAllRecovered(t *testing.T) {
-	spec := saxpySpec()
-	cfg := testCfg()
-	for _, s := range []Scheme{SensorRenaming, SensorCheckpointing, HybridRenaming, DupRenaming} {
-		res, err := Campaign(cfg, spec, Options{Scheme: s, WCDL: 20, ExtendRegions: true}, 12, 99)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		if res.SDC != 0 || res.DUE != 0 {
-			t.Errorf("%s: %s", s, res)
-		}
-		if res.Injected == 0 {
-			t.Errorf("%s: nothing injected: %s", s, res)
-		}
-		t.Logf("%s: %s", s, res)
-	}
-}
-
-func TestCampaignRejectsNonDetecting(t *testing.T) {
-	spec := saxpySpec()
-	if _, err := Campaign(testCfg(), spec, Options{Scheme: Renaming}, 1, 1); err == nil {
-		t.Fatal("expected error for detection-less scheme")
-	}
-}
-
 func TestSchemePredicates(t *testing.T) {
 	if !SensorRenaming.UsesSensors() || DupRenaming.UsesSensors() {
 		t.Fatal("UsesSensors wrong")
@@ -283,21 +258,6 @@ func TestSchemePredicates(t *testing.T) {
 			t.Fatalf("duplicate scheme name %s", s)
 		}
 		names[s.String()] = true
-	}
-}
-
-func TestCheckpointAtRegionEndRecovers(t *testing.T) {
-	// The grouped placement must be recovery-correct too: inject under
-	// Sensor+Checkpointing with region-end checkpoints.
-	spec := saxpySpec()
-	cfg := testCfg()
-	opt := Options{Scheme: SensorCheckpointing, WCDL: 20, CkptAtRegionEnd: true}
-	res, err := Campaign(cfg, spec, opt, 10, 321)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SDC != 0 || res.DUE != 0 || res.Injected == 0 {
-		t.Fatalf("campaign: %s", res)
 	}
 }
 

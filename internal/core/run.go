@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"flame/internal/flame"
 	"flame/internal/gpu"
@@ -173,98 +172,4 @@ func Overhead(scheme, baseline *Result) float64 {
 		return 0
 	}
 	return float64(scheme.Stats.Cycles) / float64(baseline.Stats.Cycles)
-}
-
-// CampaignResult summarizes a fault-injection campaign in the standard
-// masked / detected+recovered / SDC / DUE / hang taxonomy. Counts are of
-// trials (a trial may carry several strikes).
-type CampaignResult struct {
-	Runs     int
-	Injected int // trials where at least one strike corrupted state
-	Detected int // trials where every strike was detected
-	// Masked: output bit-identical to the golden run although no
-	// detection fired (the corruption died out on its own).
-	Masked int
-	// Recovered: detected, recovered, and output bit-identical to the
-	// golden run.
-	Recovered int
-	// SDC: run completed with memory differing from the golden run
-	// (silent data corruption).
-	SDC int
-	// DUE: run failed outright (detected unrecoverable error).
-	DUE int
-	// Hang: run exhausted its cycle budget (livelocked control flow).
-	Hang int
-	// Benign: armed but no eligible instruction was corrupted.
-	Benign int
-	// Internal: the trial infrastructure panicked (recovered at the
-	// trial boundary); excluded from coverage denominators.
-	Internal int
-}
-
-// Add folds one classified trial into the counters.
-func (c *CampaignResult) Add(t *TrialResult) {
-	if t.Strikes > 0 {
-		c.Injected++
-	}
-	if t.Detected {
-		c.Detected++
-	}
-	switch t.Outcome {
-	case OutcomeMasked:
-		c.Masked++
-	case OutcomeRecovered:
-		c.Recovered++
-	case OutcomeSDC:
-		c.SDC++
-	case OutcomeDUE:
-		c.DUE++
-	case OutcomeHang:
-		c.Hang++
-	case OutcomeNoInjection:
-		c.Benign++
-	case OutcomeInternal:
-		c.Internal++
-	}
-}
-
-// String summarizes the campaign.
-func (c *CampaignResult) String() string {
-	s := fmt.Sprintf("runs=%d injected=%d masked=%d recovered=%d sdc=%d due=%d hang=%d benign=%d",
-		c.Runs, c.Injected, c.Masked, c.Recovered, c.SDC, c.DUE, c.Hang, c.Benign)
-	if c.Internal > 0 {
-		s += fmt.Sprintf(" internal=%d", c.Internal)
-	}
-	return s
-}
-
-// Campaign runs n single-strike fault-injection trials of the spec under
-// the scheme, classifying each against a fault-free golden run. Each
-// trial arms the injector at a random cycle within the fault-free
-// execution window. The detection delay is uniform in [1, WCDL] for
-// sensor schemes and immediate for duplication/hybrid detection. It is a
-// thin sequential wrapper over the trial engine (GoldenRun + RunTrial);
-// the campaign package runs the same trials in parallel with
-// reproducible seeding.
-func Campaign(cfg gpu.Config, spec *KernelSpec, opt Options, n int, seed int64) (*CampaignResult, error) {
-	if opt.Scheme == Baseline || !opt.Scheme.Detects() {
-		return nil, fmt.Errorf("core: scheme %s has no detection; campaign is meaningless", opt.Scheme)
-	}
-	g, err := GoldenRun(cfg, spec, opt)
-	if err != nil {
-		return nil, err
-	}
-	eng := NewEngine(cfg)
-	rng := rand.New(rand.NewSource(seed))
-	out := &CampaignResult{Runs: n}
-	for i := 0; i < n; i++ {
-		arm := rng.Int63n(g.Window*9/10 + 1)
-		tr := eng.RunTrial(spec, g, TrialSpec{
-			Arms:      []int64{arm},
-			Seed:      rng.Int63(),
-			MaxCycles: g.HangBudget(0),
-		})
-		out.Add(tr)
-	}
-	return out, nil
 }

@@ -276,24 +276,3 @@ func TestTrialWallClockTimeout(t *testing.T) {
 		t.Fatalf("generous timeout changed the trial: %v (%q)", tr.Outcome, tr.Err)
 	}
 }
-
-// TestCampaignCounts: the sequential campaign wrapper carries the
-// full taxonomy and its counters add up.
-func TestCampaignCounts(t *testing.T) {
-	res, err := Campaign(testCfg(), saxpySpec(), FlameOptions(), 12, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Runs != 12 {
-		t.Fatalf("runs = %d", res.Runs)
-	}
-	if got := res.Masked + res.Recovered + res.SDC + res.DUE + res.Hang + res.Benign; got != res.Runs {
-		t.Fatalf("outcomes sum to %d, want %d: %s", got, res.Runs, res)
-	}
-	if res.SDC != 0 || res.DUE != 0 || res.Hang != 0 {
-		t.Fatalf("uncovered outcomes under Flame: %s", res)
-	}
-	if res.Recovered == 0 {
-		t.Fatalf("no recoveries in 12 trials: %s", res)
-	}
-}

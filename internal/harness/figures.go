@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"flame/internal/bench"
+	"flame/internal/campaign"
 	"flame/internal/core"
 	"flame/internal/flame"
 	"flame/internal/gpu"
@@ -254,47 +255,25 @@ func DiscussionStats(cfg Config) (*Discussion, error) {
 	return d, nil
 }
 
-// MaskingRow is one benchmark's unprotected-injection outcome.
-type MaskingRow struct {
-	Benchmark string
-	Result    core.MaskingResult
-}
-
 // MaskingStudy injects faults into UNPROTECTED baseline runs: without
-// detection, unmasked faults become silent data corruptions. This is the
-// motivation experiment — the SDC rate Flame exists to eliminate — and
-// the measured masking rate bounds the sensors' false-positive rate
-// (Section IV).
-func MaskingStudy(cfg Config, runsPerBench int, seed int64) ([]MaskingRow, error) {
+// detection, unmasked faults become silent data corruptions (or crash
+// or hang the kernel). This is the motivation experiment — the SDC rate
+// Flame exists to eliminate — and the measured masking rate bounds the
+// sensors' false-positive rate (Section IV). A trial is masked when the
+// final memory is bit-identical to the fault-free run. Under Baseline
+// nothing is recovered, so each row's coverage is its masking rate.
+func MaskingStudy(cfg Config, trials int, seed uint64) (*campaign.Report, error) {
 	cfg.fill()
-	specs := specsOf(cfg.Benchmarks)
-	out := make([]MaskingRow, len(specs))
-	err := par.For(len(specs), func(i int) error {
-		b := cfg.Benchmarks[i]
-		res, err := core.MaskingCampaign(cfg.Arch, specs[i], runsPerBench, seed+int64(i))
-		if err != nil {
-			return fmt.Errorf("%s: %w", b.Name, err)
-		}
-		out[i] = MaskingRow{Benchmark: b.Name, Result: *res}
-		return nil
-	})
+	rep, err := runCampaign(&cfg, core.Options{Scheme: core.Baseline}, trials, seed)
 	if err != nil {
 		return nil, err
 	}
-	t := &stats.Table{Header: []string{"benchmark", "injected", "masked", "sdc", "masking"}}
-	var inj, masked int
-	for _, r := range out {
-		res := &r.Result
-		t.Add(r.Benchmark, res.Armed, res.Masked, res.SDC, fmt.Sprintf("%.0f%%", res.MaskingRate()*100))
-		inj += res.Armed
-		masked += res.Masked
+	cfg.printf("Unprotected fault injection (bit-exact masking study)\n%s", rep.Table())
+	if f := &rep.Fleet; f.Injected > 0 {
+		cfg.printf("overall bit-exact masking rate: %.1f%% (%d/%d), 95%% CI [%.1f%%, %.1f%%]; without Flame every unmasked fault is an SDC, DUE or hang\n\n",
+			f.Coverage*100, f.Masked, f.Injected, f.CoverageLo*100, f.CoverageHi*100)
 	}
-	cfg.printf("Unprotected fault injection (bit-exact masking study)\n%s", t)
-	if inj > 0 {
-		cfg.printf("overall bit-exact masking rate: %.1f%% (%d/%d); every unmasked fault is an SDC without Flame\n\n",
-			100*float64(masked)/float64(inj), masked, inj)
-	}
-	return out, nil
+	return rep, nil
 }
 
 // AblationRow compares Flame with and without the mid-section
@@ -358,67 +337,56 @@ func HardwareCostFor(cfg Config) HardwareCost {
 	return hc
 }
 
-// InjectionRow summarizes a fault-injection campaign on one benchmark.
-type InjectionRow struct {
-	Benchmark string
-	Result    core.CampaignResult
-}
-
-// InjectionStudy validates end-to-end recovery: for each benchmark it
-// runs a campaign of fault injections under Flame and reports outcomes.
-// Every injected error must be recovered (no SDC, no DUE).
-func InjectionStudy(cfg Config, runsPerBench int, seed int64) ([]InjectionRow, error) {
+// InjectionStudy validates end-to-end recovery: it runs a fault-injection
+// campaign under Flame on every benchmark and prints the report. Every
+// injected error must be masked or recovered (see InjectionVerdict).
+func InjectionStudy(cfg Config, trials int, seed uint64) (*campaign.Report, error) {
 	cfg.fill()
-	specs := specsOf(cfg.Benchmarks)
-	out := make([]InjectionRow, len(specs))
-	err := par.For(len(specs), func(i int) error {
-		b := cfg.Benchmarks[i]
-		res, err := core.Campaign(cfg.Arch, specs[i], cfg.flameOptions(), runsPerBench, seed+int64(i))
-		if err != nil {
-			return fmt.Errorf("%s: %w", b.Name, err)
-		}
-		out[i] = InjectionRow{Benchmark: b.Name, Result: *res}
-		return nil
-	})
+	rep, err := runCampaign(&cfg, cfg.flameOptions(), trials, seed)
 	if err != nil {
 		return nil, err
 	}
-	t := &stats.Table{Header: []string{"benchmark", "injected", "masked", "recovered", "sdc", "due", "hang", "coverage"}}
-	for _, r := range out {
-		res := &r.Result
-		coverage := "covered"
-		if !r.Covered() {
-			coverage = "uncovered"
-		}
-		t.Add(r.Benchmark, res.Injected, res.Masked, res.Recovered, res.SDC, res.DUE, res.Hang, coverage)
-	}
-	cfg.printf("Fault-injection validation under Flame\n%s\n", t)
-	return out, nil
+	cfg.printf("Fault-injection validation under Flame\n%s\n", rep)
+	return rep, nil
 }
 
-// Covered reports whether the row's campaign injected a fault in at
-// least one trial. A row without one validates nothing.
-func (r *InjectionRow) Covered() bool { return r.Result.Injected > 0 }
+// runCampaign runs trials data-slice injection trials per benchmark
+// under opt. Trial t of a benchmark depends only on (seed, benchmark
+// name, t), so a row does not depend on which other benchmarks run.
+func runCampaign(cfg *Config, opt core.Options, trials int, seed uint64) (*campaign.Report, error) {
+	return campaign.Run(campaign.Config{
+		Arch:   cfg.Arch,
+		Opt:    opt,
+		Specs:  specsOf(cfg.Benchmarks),
+		Trials: trials,
+		Seed:   seed,
+	})
+}
 
-// InjectionVerdict is the one-line summary of an injection study. It
-// fails if any benchmark had an SDC, DUE or hang, and names every
-// uncovered benchmark instead of counting it as recovered.
-func InjectionVerdict(rows []InjectionRow) (string, error) {
+// InjectionVerdict is the one-line summary of an injection study with
+// the fleet coverage and its Wilson 95% interval. It fails if any
+// benchmark had an SDC, DUE, hang or internal trial failure, and names
+// every uncovered benchmark (no trial injected a fault) instead of
+// counting it as recovered.
+func InjectionVerdict(rep *campaign.Report) (string, error) {
 	var uncovered []string
-	for i := range rows {
-		r := &rows[i]
-		if r.Result.SDC > 0 || r.Result.DUE > 0 || r.Result.Hang > 0 {
-			return "", fmt.Errorf("%s: unrecovered faults: %s", r.Benchmark, r.Result.String())
+	for i := range rep.Benchmarks {
+		b := &rep.Benchmarks[i]
+		if b.SDC > 0 || b.DUE > 0 || b.Hang > 0 || b.Internal > 0 {
+			return "", fmt.Errorf("%s: unrecovered faults: %s", b.Benchmark, b)
 		}
-		if !r.Covered() {
-			uncovered = append(uncovered, r.Benchmark)
+		if b.Injected == 0 {
+			uncovered = append(uncovered, b.Benchmark)
 		}
 	}
+	f := &rep.Fleet
+	fleet := fmt.Sprintf("fleet coverage %d/%d, 95%% CI [%.2f%%, %.2f%%]",
+		f.Masked+f.Recovered, f.Injected, f.CoverageLo*100, f.CoverageHi*100)
 	if len(uncovered) == 0 {
-		return "all injected faults recovered; outputs validated", nil
+		return "all injected faults masked or recovered; outputs validated; " + fleet, nil
 	}
-	return fmt.Sprintf("injected faults recovered in %d of %d benchmarks; outputs validated; uncovered (no trial injected a fault): %s",
-		len(rows)-len(uncovered), len(rows), strings.Join(uncovered, ", ")), nil
+	return fmt.Sprintf("injected faults masked or recovered in %d of %d benchmarks; outputs validated; %s; uncovered (no trial injected a fault): %s",
+		len(rep.Benchmarks)-len(uncovered), len(rep.Benchmarks), fleet, strings.Join(uncovered, ", ")), nil
 }
 
 // FalsePositiveRow is one benchmark's spurious-recovery cost.

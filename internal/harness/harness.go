@@ -36,6 +36,10 @@ func Default() Config {
 	return Config{Arch: gpu.GTX480(), WCDL: 20, Benchmarks: bench.All()}
 }
 
+// QuickBenchmarks is the structurally diverse 8-benchmark subset that
+// flamebench -quick runs.
+var QuickBenchmarks = []string{"Triad", "SGEMM", "LUD", "Histogram", "BS", "WT", "BFS", "Hotspot"}
+
 func (c *Config) fill() {
 	if c.Arch.Name == "" {
 		c.Arch = gpu.GTX480()

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"flame/internal/bench"
+	"flame/internal/campaign"
 	"flame/internal/core"
 	"flame/internal/gpu"
+	"flame/internal/stats"
 )
 
 // quick returns a fast config: a 4-SM device and a 5-benchmark subset
@@ -200,38 +202,51 @@ func TestInjectionStudyQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign")
 	}
-	cfg := quick(t)
-	rows, err := InjectionStudy(cfg, 4, 7)
+	rep, err := InjectionStudy(quick(t), 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if r.Result.SDC != 0 || r.Result.DUE != 0 {
-			t.Errorf("%s: %s", r.Benchmark, r.Result.String())
-		}
+	if _, err := InjectionVerdict(rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 5 || rep.Fleet.Injected == 0 {
+		t.Fatalf("injection study:\n%s", rep)
 	}
 }
 
 // TestInjectionVerdict checks the injection study's summary line: a
 // benchmark with no injected trial is named as uncovered, not counted
-// as recovered, and an SDC, DUE or hang fails the study.
+// as recovered, and an SDC, DUE, hang or internal failure fails the
+// study.
 func TestInjectionVerdict(t *testing.T) {
-	row := func(name string, injected, recovered, sdc, hang int) InjectionRow {
-		return InjectionRow{Benchmark: name, Result: core.CampaignResult{
-			Runs: 3, Injected: injected, Recovered: recovered, SDC: sdc, Hang: hang}}
+	row := func(name string, injected, recovered, sdc, due, hang, internal int) campaign.BenchReport {
+		return campaign.BenchReport{Benchmark: name, Trials: 3, NoInjection: 3 - injected - internal,
+			Injected: injected, Recovered: recovered, SDC: sdc, DUE: due, Hang: hang, Internal: internal}
 	}
-	got, err := InjectionVerdict([]InjectionRow{row("AES", 3, 3, 0, 0), row("BFS", 2, 2, 0, 0)})
-	if err != nil || got != "all injected faults recovered; outputs validated" {
-		t.Errorf("all covered: %q, %v", got, err)
+	report := func(rows ...campaign.BenchReport) *campaign.Report {
+		rep := &campaign.Report{Benchmarks: rows}
+		for _, r := range rows {
+			rep.Fleet.Injected += r.Injected
+			rep.Fleet.Recovered += r.Recovered
+		}
+		rep.Fleet.CoverageLo, rep.Fleet.CoverageHi = stats.Wilson95(rep.Fleet.Recovered, rep.Fleet.Injected)
+		return rep
 	}
-	got, err = InjectionVerdict([]InjectionRow{row("AES", 3, 3, 0, 0), row("BP", 0, 0, 0, 0), row("CG", 0, 0, 0, 0)})
-	want := "injected faults recovered in 1 of 3 benchmarks; outputs validated; uncovered (no trial injected a fault): BP, CG"
+	got, err := InjectionVerdict(report(row("AES", 3, 3, 0, 0, 0, 0), row("BFS", 2, 2, 0, 0, 0, 0)))
+	want := "all injected faults masked or recovered; outputs validated; fleet coverage 5/5, 95% CI [56.55%, 100.00%]"
+	if err != nil || got != want {
+		t.Errorf("all covered: %q, %v; want %q", got, err, want)
+	}
+	got, err = InjectionVerdict(report(row("AES", 3, 3, 0, 0, 0, 0), row("BP", 0, 0, 0, 0, 0, 0), row("CG", 0, 0, 0, 0, 0, 0)))
+	want = "injected faults masked or recovered in 1 of 3 benchmarks; outputs validated; fleet coverage 3/3, 95% CI [43.85%, 100.00%]; uncovered (no trial injected a fault): BP, CG"
 	if err != nil || got != want {
 		t.Errorf("uncovered: %q, %v; want %q", got, err, want)
 	}
-	for _, bad := range []InjectionRow{row("SC", 3, 2, 1, 0), row("SC", 3, 2, 0, 1)} {
-		if _, err := InjectionVerdict([]InjectionRow{row("BP", 0, 0, 0, 0), bad}); err == nil {
-			t.Errorf("%s: no error", bad.Result.String())
+	for _, bad := range []campaign.BenchReport{
+		row("SC", 3, 2, 1, 0, 0, 0), row("SC", 3, 2, 0, 1, 0, 0), row("SC", 3, 2, 0, 0, 1, 0), row("SC", 2, 2, 0, 0, 0, 1),
+	} {
+		if _, err := InjectionVerdict(report(row("BP", 0, 0, 0, 0, 0, 0), bad)); err == nil {
+			t.Errorf("%s: no error", &bad)
 		}
 	}
 }
@@ -240,20 +255,16 @@ func TestMaskingStudyQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign")
 	}
-	cfg := quick(t)
-	rows, err := MaskingStudy(cfg, 4, 11)
+	rep, err := MaskingStudy(quick(t), 4, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	injected := 0
-	for _, r := range rows {
-		injected += r.Result.Armed
-		if r.Result.Crashed != 0 {
-			t.Errorf("%s: crashed runs: %s", r.Benchmark, r.Result.String())
-		}
-	}
-	if injected == 0 {
+	f := &rep.Fleet
+	if f.Injected == 0 {
 		t.Fatal("nothing injected in masking study")
+	}
+	if f.Recovered != 0 || f.Internal != 0 {
+		t.Errorf("unprotected runs recovered or failed internally: %s", f)
 	}
 }
 
