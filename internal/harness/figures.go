@@ -161,12 +161,7 @@ func pairOverheads(cfg *Config, benches []*bench.Benchmark, a, b core.Options) (
 // geomean overhead at each setting.
 func Figure17(cfg Config) (stats.Series, error) {
 	cfg.fill()
-	var labels []string
-	var points []cell
-	for _, wcdl := range []int{10, 20, 30, 40, 50} {
-		labels = append(labels, fmt.Sprint(wcdl))
-		points = append(points, cell{arch: cfg.Arch, opt: core.Options{Scheme: core.SensorRenaming, WCDL: wcdl, ExtendRegions: true}})
-	}
+	labels, points := wcdlPoints(&cfg)
 	s, t, err := geomeanSweep(&cfg, "Flame overhead vs WCDL", "WCDL", labels, points)
 	if err != nil {
 		return s, err
@@ -175,18 +170,20 @@ func Figure17(cfg Config) (stats.Series, error) {
 	return s, nil
 }
 
+// wcdlPoints returns Figure 17's points: Flame at each WCDL.
+func wcdlPoints(cfg *Config) (labels []string, points []cell) {
+	for _, wcdl := range []int{10, 20, 30, 40, 50} {
+		labels = append(labels, fmt.Sprint(wcdl))
+		points = append(points, cell{arch: cfg.Arch, opt: core.Options{Scheme: core.SensorRenaming, WCDL: wcdl, ExtendRegions: true}})
+	}
+	return labels, points
+}
+
 // Figure18 measures Flame's overhead under the four warp scheduler
 // models, each normalized to its own baseline.
 func Figure18(cfg Config) (stats.Series, error) {
 	cfg.fill()
-	var labels []string
-	var points []cell
-	for _, sched := range []gpu.SchedulerKind{gpu.GTO, gpu.OLD, gpu.LRR, gpu.TwoLevel} {
-		arch := cfg.Arch
-		arch.Scheduler = sched
-		labels = append(labels, sched.String())
-		points = append(points, cell{arch: arch, opt: cfg.flameOptions()})
-	}
+	labels, points := schedulerPoints(&cfg)
 	s, t, err := geomeanSweep(&cfg, "Flame overhead vs scheduler", "scheduler", labels, points)
 	if err != nil {
 		return s, err
@@ -195,22 +192,39 @@ func Figure18(cfg Config) (stats.Series, error) {
 	return s, nil
 }
 
+// schedulerPoints returns Figure 18's points: Flame under each warp
+// scheduler.
+func schedulerPoints(cfg *Config) (labels []string, points []cell) {
+	for _, sched := range []gpu.SchedulerKind{gpu.GTO, gpu.OLD, gpu.LRR, gpu.TwoLevel} {
+		arch := cfg.Arch
+		arch.Scheduler = sched
+		labels = append(labels, sched.String())
+		points = append(points, cell{arch: arch, opt: cfg.flameOptions()})
+	}
+	return labels, points
+}
+
 // Figure19 measures Flame's overhead on the four GPU architectures, each
 // normalized to its own baseline.
 func Figure19(cfg Config) (stats.Series, error) {
 	cfg.fill()
-	var labels []string
-	var points []cell
-	for _, arch := range gpu.Architectures() {
-		labels = append(labels, arch.Name)
-		points = append(points, cell{arch: arch, opt: cfg.flameOptions()})
-	}
+	labels, points := archPoints(&cfg)
 	s, t, err := geomeanSweep(&cfg, "Flame overhead vs architecture", "GPU", labels, points)
 	if err != nil {
 		return s, err
 	}
 	cfg.printf("Figure 19: Flame overhead per GPU architecture (WCDL=%d)\n%s\n", cfg.WCDL, t)
 	return s, nil
+}
+
+// archPoints returns Figure 19's points: Flame on each architecture at
+// its own SM count (the config's architecture is not used).
+func archPoints(cfg *Config) (labels []string, points []cell) {
+	for _, arch := range gpu.Architectures() {
+		labels = append(labels, arch.Name)
+		points = append(points, cell{arch: arch, opt: cfg.flameOptions()})
+	}
+	return labels, points
 }
 
 // Discussion reproduces the Section IV arithmetic: false-positive rate
@@ -481,20 +495,25 @@ func FalsePositiveStudy(cfg Config, nFP int) ([]FalsePositiveRow, error) {
 // overhead should fall as warp-level parallelism grows.
 func OccupancyStudy(cfg Config) (stats.Series, error) {
 	cfg.fill()
-	var labels []string
-	var points []cell
-	for _, maxBlocks := range []int{1, 2, 4, 8} {
-		arch := cfg.Arch
-		arch.MaxBlocksPerSM = maxBlocks
-		labels = append(labels, fmt.Sprint(maxBlocks))
-		points = append(points, cell{arch: arch, opt: cfg.flameOptions()})
-	}
+	labels, points := occupancyPoints(&cfg)
 	s, t, err := geomeanSweep(&cfg, "Flame overhead vs occupancy", "max blocks/SM", labels, points)
 	if err != nil {
 		return s, err
 	}
 	cfg.printf("Occupancy study: Flame overhead vs resident blocks per SM (WCDL=%d)\n%s\n", cfg.WCDL, t)
 	return s, nil
+}
+
+// occupancyPoints returns the occupancy study's points: Flame with the
+// resident blocks per SM capped at 1, 2, 4 and 8.
+func occupancyPoints(cfg *Config) (labels []string, points []cell) {
+	for _, maxBlocks := range []int{1, 2, 4, 8} {
+		arch := cfg.Arch
+		arch.MaxBlocksPerSM = maxBlocks
+		labels = append(labels, fmt.Sprint(maxBlocks))
+		points = append(points, cell{arch: arch, opt: cfg.flameOptions()})
+	}
+	return labels, points
 }
 
 // CkptPlacementRow compares checkpoint store placements on one benchmark.

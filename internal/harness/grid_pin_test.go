@@ -12,6 +12,7 @@ import (
 
 	"flame/internal/bench"
 	"flame/internal/core"
+	"flame/internal/gpu"
 )
 
 // gridPinFile pins every Figure 13/14 cell at 4 SMs: the headline
@@ -38,14 +39,18 @@ func gridPinRows(t *testing.T, cfg Config) []string {
 	}
 	rows := make([]string, len(cells))
 	for i, c := range cells {
-		st := &res[i].Stats
-		sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", *st)))
-		rows[i] = fmt.Sprintf("%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s",
-			c.bench.Name, c.opt.Scheme.FlagName(), st.Cycles, st.Issued, st.StallCycles,
-			st.BarrierWaits, st.RBQWaitCycles, st.L1Hits, st.L1Misses, st.L2Hits, st.L2Misses,
-			hex.EncodeToString(sum[:]))
+		rows[i] = c.bench.Name + "\t" + c.opt.Scheme.FlagName() + "\t" + statsPinCols(&res[i].Stats)
 	}
 	return rows
+}
+
+// statsPinCols formats a run's pinned columns: the headline counters
+// and a SHA-256 of the full gpu.Stats.
+func statsPinCols(st *gpu.Stats) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", *st)))
+	return fmt.Sprintf("%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s",
+		st.Cycles, st.Issued, st.StallCycles, st.BarrierWaits, st.RBQWaitCycles,
+		st.L1Hits, st.L1Misses, st.L2Hits, st.L2Misses, hex.EncodeToString(sum[:]))
 }
 
 // TestFigureGridPinned diffs the Figure 13/14 grid at 4 SMs against the

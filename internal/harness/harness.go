@@ -112,13 +112,28 @@ type baselineKey struct {
 
 // overheads runs every cell with its benchmark's Baseline run on the
 // cell's architecture, all in one batch, and returns each cell's
-// execution time normalized to that baseline. A baseline is an ordinary
-// cell, placed just before the first cell that needs it and shared by
-// the later ones.
+// execution time normalized to that baseline.
 func overheads(cells []cell) ([]float64, error) {
-	batch := make([]cell, 0, 2*len(cells))
-	at := make([]int, len(cells))   // batch index of cell i
-	base := make([]int, len(cells)) // batch index of cell i's baseline
+	batch, at, base := withBaselines(cells)
+	res, err := runCells(batch)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(cells))
+	for i := range cells {
+		out[i] = float64(res[at[i]].Stats.Cycles) / float64(res[base[i]].Stats.Cycles)
+	}
+	return out, nil
+}
+
+// withBaselines returns the batch overheads runs: every cell, each
+// benchmark's Baseline run on the cell's architecture placed just
+// before the first cell that needs it and shared by the later ones.
+// at[i] and base[i] are the batch indices of cell i and its baseline.
+func withBaselines(cells []cell) (batch []cell, at, base []int) {
+	batch = make([]cell, 0, 2*len(cells))
+	at = make([]int, len(cells))
+	base = make([]int, len(cells))
 	seen := map[baselineKey]int{}
 	for i, c := range cells {
 		k := baselineKey{c.arch, c.bench.Name}
@@ -131,15 +146,7 @@ func overheads(cells []cell) ([]float64, error) {
 		base[i], at[i] = j, len(batch)
 		batch = append(batch, c)
 	}
-	res, err := runCells(batch)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(cells))
-	for i := range cells {
-		out[i] = float64(res[at[i]].Stats.Cycles) / float64(res[base[i]].Stats.Cycles)
-	}
-	return out, nil
+	return batch, at, base
 }
 
 // geomeanSweep runs a sensitivity sweep: at each point (a cell without
@@ -149,13 +156,7 @@ func overheads(cells []cell) ([]float64, error) {
 // holds the points' labels.
 func geomeanSweep(cfg *Config, name, column string, labels []string, points []cell) (stats.Series, *stats.Table, error) {
 	s := stats.Series{Name: name}
-	var cells []cell
-	for _, p := range points {
-		for _, b := range cfg.Benchmarks {
-			cells = append(cells, cell{arch: p.arch, bench: b, opt: p.opt})
-		}
-	}
-	ov, err := overheads(cells)
+	ov, err := overheads(sweepCells(cfg, points))
 	if err != nil {
 		return s, nil, err
 	}
@@ -168,6 +169,18 @@ func geomeanSweep(cfg *Config, name, column string, labels []string, points []ce
 		t.Add(label, g, stats.OverheadPct(g))
 	}
 	return s, t, nil
+}
+
+// sweepCells returns a sweep's cells, point-major: every configured
+// benchmark at each point.
+func sweepCells(cfg *Config, points []cell) []cell {
+	var cells []cell
+	for _, p := range points {
+		for _, b := range cfg.Benchmarks {
+			cells = append(cells, cell{arch: p.arch, bench: b, opt: p.opt})
+		}
+	}
+	return cells
 }
 
 // flameOptions returns the full Flame configuration at the config's WCDL.
