@@ -1,12 +1,15 @@
 package gpu
 
+import "math/bits"
+
 // scheduler picks which ready warp a scheduler slot issues each cycle.
-// Implementations receive the warps they manage (their partition) and the
-// indices of currently-ready warps, and return the chosen index into the
-// partition (or -1).
+// pick receives the SM's warp slots and the ready set as a mask over
+// them (bit i is warps[i]; only the scheduler's partition has bits set)
+// and returns the chosen slot, or -1.
 type scheduler interface {
-	pick(warps []*Warp, ready []int, cycle int64) int
-	// stalled informs the policy that its greedy/active warp stalled.
+	pick(warps []*Warp, ready uint64, cycle int64) int
+	// reset tells the policy that the warp it just issued finished and
+	// left its slot.
 	reset()
 }
 
@@ -23,28 +26,33 @@ func newScheduler(kind SchedulerKind, groupSize int) scheduler {
 	}
 }
 
+// oldest returns the slot in m holding the oldest warp (smallest Age),
+// the lowest such slot on a tie, or -1 if m is empty.
+func oldest(warps []*Warp, m uint64) int {
+	best := -1
+	var bestAge int64
+	for ; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if best == -1 || warps[i].Age < bestAge {
+			best, bestAge = i, warps[i].Age
+		}
+	}
+	return best
+}
+
 // gtoSched: greedy-then-oldest. Keep issuing the same warp until it
 // stalls; then switch to the oldest ready warp.
 type gtoSched struct {
 	current int // warp index currently run greedily, -1 if none
 }
 
-func (s *gtoSched) pick(warps []*Warp, ready []int, cycle int64) int {
-	for _, i := range ready {
-		if i == s.current {
-			return i
-		}
+func (s *gtoSched) pick(warps []*Warp, ready uint64, cycle int64) int {
+	if s.current >= 0 && ready&(1<<uint(s.current)) != 0 {
+		return s.current
 	}
 	// Greedy warp stalled: pick the oldest ready warp.
-	best := -1
-	var bestAge int64
-	for _, i := range ready {
-		if best == -1 || warps[i].Age < bestAge {
-			best, bestAge = i, warps[i].Age
-		}
-	}
-	s.current = best
-	return best
+	s.current = oldest(warps, ready)
+	return s.current
 }
 
 func (s *gtoSched) reset() { s.current = -1 }
@@ -52,15 +60,8 @@ func (s *gtoSched) reset() { s.current = -1 }
 // oldSched: always the oldest ready warp.
 type oldSched struct{}
 
-func (oldSched) pick(warps []*Warp, ready []int, cycle int64) int {
-	best := -1
-	var bestAge int64
-	for _, i := range ready {
-		if best == -1 || warps[i].Age < bestAge {
-			best, bestAge = i, warps[i].Age
-		}
-	}
-	return best
+func (oldSched) pick(warps []*Warp, ready uint64, cycle int64) int {
+	return oldest(warps, ready)
 }
 
 func (oldSched) reset() {}
@@ -70,26 +71,17 @@ type lrrSched struct {
 	last int
 }
 
-func (s *lrrSched) pick(warps []*Warp, ready []int, cycle int64) int {
-	if len(ready) == 0 {
+func (s *lrrSched) pick(warps []*Warp, ready uint64, cycle int64) int {
+	if ready == 0 {
 		return -1
 	}
-	best := -1
-	// The smallest index strictly greater than last, wrapping around.
-	for _, i := range ready {
-		if i > s.last && (best == -1 || i < best) {
-			best = i
-		}
+	// The lowest ready slot above last, wrapping around.
+	m := ready &^ (uint64(2)<<uint(s.last) - 1)
+	if m == 0 {
+		m = ready
 	}
-	if best == -1 {
-		for _, i := range ready {
-			if best == -1 || i < best {
-				best = i
-			}
-		}
-	}
-	s.last = best
-	return best
+	s.last = bits.TrailingZeros64(m)
+	return s.last
 }
 
 func (s *lrrSched) reset() {}
@@ -102,54 +94,37 @@ type twoLevelSched struct {
 	rr     int
 }
 
-func (s *twoLevelSched) pick(warps []*Warp, ready []int, cycle int64) int {
+func (s *twoLevelSched) pick(warps []*Warp, ready uint64, cycle int64) int {
 	if s.group <= 0 {
 		s.group = 8
 	}
-	readySet := map[int]bool{}
-	for _, i := range ready {
-		readySet[i] = true
-	}
 	// Drop finished or stalled-too-long warps from the active set.
+	var in uint64
 	keep := s.active[:0]
 	for _, i := range s.active {
-		if i < len(warps) && !warps[i].Finished && (readySet[i] || cycle-warps[i].LastIssue < 8) {
+		if i < len(warps) && !warps[i].Finished && (ready&(1<<uint(i)) != 0 || cycle-warps[i].LastIssue < 8) {
 			keep = append(keep, i)
+			in |= 1 << uint(i)
 		}
 	}
 	s.active = keep
 	// Refill from ready warps not in the set, oldest first.
 	for len(s.active) < s.group {
-		best := -1
-		var bestAge int64
-		for _, i := range ready {
-			inSet := false
-			for _, a := range s.active {
-				if a == i {
-					inSet = true
-					break
-				}
-			}
-			if inSet {
-				continue
-			}
-			if best == -1 || warps[i].Age < bestAge {
-				best, bestAge = i, warps[i].Age
-			}
-		}
+		best := oldest(warps, ready&^in)
 		if best == -1 {
 			break
 		}
 		s.active = append(s.active, best)
+		in |= 1 << uint(best)
 	}
 	if len(s.active) == 0 {
 		return -1
 	}
 	// Round-robin within the active set.
 	for k := 1; k <= len(s.active); k++ {
-		cand := s.active[(s.rr+k)%len(s.active)]
-		if readySet[cand] {
-			s.rr = (s.rr + k) % len(s.active)
+		j := (s.rr + k) % len(s.active)
+		if cand := s.active[j]; ready&(1<<uint(cand)) != 0 {
+			s.rr = j
 			return cand
 		}
 	}

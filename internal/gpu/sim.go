@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"flame/internal/isa"
 )
@@ -114,6 +115,7 @@ func (d *Device) Run(l *Launch, hooks *Hooks) (*Stats, error) {
 		sm.Warps = sm.Warps[:0]
 		sm.Blocks = sm.Blocks[:0]
 		sm.live, sm.suspended, sm.atBarrier = 0, 0, 0
+		sm.valid, sm.sbWait, sm.sbNext = 0, 0, math.MaxInt64
 		sm.lsuBusyUntil = 0
 		sm.sfuBusyUntil = 0
 		sm.dramFree = 0

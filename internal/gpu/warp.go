@@ -205,7 +205,7 @@ func (w *Warp) exitLanes(mask uint32) {
 // warp (call after any scoreboard write or control-flow change).
 func (w *Warp) invalidateDeps() {
 	if w.sm != nil {
-		w.sm.gate[w.ID].valid = false
+		w.sm.invalidate(w.ID)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -306,8 +307,14 @@ func perfRestoreBound(cfg Config, rep *PerfReport, trials int) error {
 // the tolerance fraction (tolerance <= 0 selects 0.20). Entries from
 // other host keys are skipped — wall-clock rates are only comparable on
 // the same machine class — and a history with no comparable predecessor
-// passes vacuously.
+// passes vacuously. The baseline it compares against, or the fact that
+// it found none, is reported on stderr.
 func CheckPerfRegression(path string, tolerance float64) error {
+	return checkPerfRegression(path, tolerance, os.Stderr)
+}
+
+// checkPerfRegression is CheckPerfRegression reporting to log.
+func checkPerfRegression(path string, tolerance float64, log io.Writer) error {
 	if tolerance <= 0 {
 		tolerance = 0.20
 	}
@@ -326,7 +333,7 @@ func CheckPerfRegression(path string, tolerance float64) error {
 		if err := json.Unmarshal(trimmed, &one); err != nil {
 			return err
 		}
-		return nil
+		return vacuous(log)
 	default:
 		if err := json.Unmarshal(trimmed, &history); err != nil {
 			return err
@@ -346,7 +353,7 @@ func CheckPerfRegression(path string, tolerance float64) error {
 		}
 	}
 	if li < 0 {
-		return nil // nothing measured: vacuous
+		return vacuous(log) // nothing measured
 	}
 	last := &history[li]
 	for i := li - 1; i >= 0; i-- {
@@ -359,7 +366,7 @@ func CheckPerfRegression(path string, tolerance float64) error {
 		if prev.Timestamp == "" || prev.Host.Commit == "" {
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "harness: perf-guard baseline: commit %s @ %s, %.1f trials/s (head: %.1f trials/s)\n",
+		fmt.Fprintf(log, "harness: perf-guard baseline: commit %s @ %s, %.1f trials/s (head: %.1f trials/s)\n",
 			prev.Host.Commit, prev.Timestamp, prev.TrialsPerSec, last.TrialsPerSec)
 		if floor := prev.TrialsPerSec * (1 - tolerance); last.TrialsPerSec < floor {
 			return fmt.Errorf("harness: perf regression on %s: %.1f trials/s is more than %.0f%% below the previous entry's %.1f (floor %.1f)",
@@ -367,6 +374,13 @@ func CheckPerfRegression(path string, tolerance float64) error {
 		}
 		return nil
 	}
+	return vacuous(log)
+}
+
+// vacuous reports a guard that found nothing to compare against and
+// passes.
+func vacuous(log io.Writer) error {
+	fmt.Fprintln(log, "harness: perf-guard vacuous: no same-host baseline")
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -122,6 +123,29 @@ func TestCheckPerfRegression(t *testing.T) {
 	if err := CheckPerfRegression(write(t, mk(4, 100)), 0); err != nil {
 		t.Fatalf("single-entry history should pass vacuously: %v", err)
 	}
+
+	// A vacuous pass says so; a real comparison names its baseline.
+	t.Run("vacuous-reported", func(t *testing.T) {
+		const msg = "harness: perf-guard vacuous: no same-host baseline\n"
+		for _, tc := range []struct {
+			name string
+			path string
+			want string
+		}{
+			{"foreign-host", write(t, mk(32, 1000), mk(4, 10)), msg},
+			{"single-entry", write(t, mk(4, 100)), msg},
+			{"nothing-measured", write(t, mk(4, 0)), msg},
+			{"same-host", write(t, mk(4, 100), mk(4, 95)), "harness: perf-guard baseline: commit abc1234 @ 2026-08-05T00:00:00Z, 100.0 trials/s (head: 95.0 trials/s)\n"},
+		} {
+			var log bytes.Buffer
+			if err := checkPerfRegression(tc.path, 0, &log); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if log.String() != tc.want {
+				t.Errorf("%s: reported %q, want %q", tc.name, log.String(), tc.want)
+			}
+		}
+	})
 
 	t.Run("legacy-single-object", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "BENCH_sim.json")
