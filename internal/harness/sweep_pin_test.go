@@ -15,7 +15,10 @@ import (
 // 19 (architectures, each at its own SM count) and the occupancy study,
 // baselines included, as the headline counters plus a SHA-256 of the
 // cell's gpu.Stats, and each point's geomean as `flamebench -exp
-// fig17,fig18,fig19,occupancy -quick -sms 4` computes it. A change
+// fig17,fig18,fig19,occupancy -quick -sms 4` computes it. It also pins
+// the Section IV numbers: each benchmark's false-positive study row
+// (`-exp falsepos`, 5 spurious recoveries) and the discussion values
+// (`-exp discussion`). A change
 // meant to move them regenerates the file with
 // UPDATE_GRID_PINS=1 go test ./internal/harness -run TestSweepsPinned
 // and the diff then shows which cells moved.
@@ -39,7 +42,9 @@ var pinnedSweeps = []struct {
 // sweepPinRows runs every pinned sweep on cfg and formats its pin
 // rows: one per simulated cell, each baseline under the first point
 // that needs it, then with geomeans set one "geomean" row per point
-// holding the sweep function's value.
+// holding the sweep function's value. The false-positive rows follow,
+// one per benchmark, and with geomeans set the discussion values, which
+// aggregate over every benchmark.
 func sweepPinRows(t *testing.T, cfg Config, geomeans bool) []string {
 	t.Helper()
 	n := len(cfg.Benchmarks)
@@ -74,6 +79,32 @@ func sweepPinRows(t *testing.T, cfg Config, geomeans bool) []string {
 			rows = append(rows, fmt.Sprintf("%s\t%s\tgeomean\t%s\t%.6f",
 				sw.name, s.Labels[k], points[k].opt.Scheme.FlagName(), v))
 		}
+	}
+	scheme := cfg.flameOptions().Scheme.FlagName()
+	fps, err := FalsePositiveStudy(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range fps {
+		rows = append(rows, fmt.Sprintf("falsepos\tnfp=5\t%s\t%s\t%.6f\t%d",
+			r.Benchmark, scheme, r.Overhead, r.NumFP))
+	}
+	if !geomeans {
+		return rows
+	}
+	d, err := DiscussionStats(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []struct {
+		name string
+		v    float64
+	}{
+		{"raw_errors_per_day", d.RawErrorsPerDay},
+		{"false_pos_per_day", d.FalsePosPerDay},
+		{"avg_dyn_region_insts", d.AvgDynRegionInsts},
+	} {
+		rows = append(rows, fmt.Sprintf("discussion\t%s\tall\t%s\t%.6f", v.name, scheme, v.v))
 	}
 	return rows
 }
