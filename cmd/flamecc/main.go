@@ -16,7 +16,6 @@ import (
 	"os"
 	"strings"
 
-	"flame/internal/avf"
 	"flame/internal/bench"
 	"flame/internal/core"
 	"flame/internal/flame"
@@ -26,23 +25,11 @@ import (
 	"flame/internal/vet"
 )
 
-var schemeByFlag = map[string]core.Scheme{
-	"baseline":             core.Baseline,
-	"renaming":             core.Renaming,
-	"checkpointing":        core.Checkpointing,
-	"flame":                core.SensorRenaming,
-	"sensor-renaming":      core.SensorRenaming,
-	"sensor-checkpointing": core.SensorCheckpointing,
-	"dup-renaming":         core.DupRenaming,
-	"dup-checkpointing":    core.DupCheckpointing,
-	"hybrid-renaming":      core.HybridRenaming,
-	"hybrid-checkpointing": core.HybridCheckpointing,
-}
-
 func main() {
 	in := flag.String("in", "", "kernel assembly file")
 	benchName := flag.String("bench", "", "use a named benchmark kernel instead of -in")
-	schemeFlag := flag.String("scheme", "flame", "resilience scheme: "+schemeList())
+	schemeNames := strings.Join(core.SchemeFlagNames(), ", ")
+	schemeFlag := flag.String("scheme", "flame", "resilience scheme: "+schemeNames)
 	wcdl := flag.Int("wcdl", 20, "sensor worst-case detection latency (cycles)")
 	extend := flag.Bool("extend", true, "enable the Section III-E region extension (sensor schemes)")
 	dump := flag.Bool("dump", true, "dump the compiled program")
@@ -53,9 +40,9 @@ func main() {
 	modelFlag := flag.String("model", "data", "fault model for -avf: data or full")
 	flag.Parse()
 
-	scheme, ok := schemeByFlag[strings.ToLower(*schemeFlag)]
-	if !ok {
-		fail("unknown scheme %q; choose one of %s", *schemeFlag, schemeList())
+	scheme, err := core.SchemeByName(*schemeFlag)
+	if err != nil {
+		fail("unknown scheme %q; choose one of %s", *schemeFlag, schemeNames)
 	}
 
 	var prog *isa.Program
@@ -141,21 +128,13 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		p, err := avf.Predict(arch, bm.Spec(), core.Options{Scheme: scheme, WCDL: *wcdl, ExtendRegions: *extend}, model)
+		p, err := vet.Predict(arch, bm.Spec(), core.Options{Scheme: scheme, WCDL: *wcdl, ExtendRegions: *extend}, model)
 		if err != nil {
 			fail("%v", err)
 		}
 		fmt.Println()
 		fmt.Print(p.String())
 	}
-}
-
-func schemeList() string {
-	names := make([]string, 0, len(schemeByFlag))
-	for k := range schemeByFlag {
-		names = append(names, k)
-	}
-	return strings.Join(names, ", ")
 }
 
 func benchNames() string {

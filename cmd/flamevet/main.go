@@ -13,7 +13,7 @@
 //	flamevet -list                                 # the check registry
 //
 // With -avf it instead runs the AVF cross-validation gate: the static
-// vulnerability engine (internal/avf) predicts per-benchmark×scheme
+// vulnerability engine (vet.Predict) predicts per-benchmark×scheme
 // masked/recovered fractions, a real injection campaign measures them,
 // and every prediction must be consistent with the measured Wilson 95%
 // CI (point containment for sharp pairs, ACE-band overlap for all):
@@ -39,19 +39,6 @@ import (
 	"flame/internal/vet"
 )
 
-var schemeByFlag = map[string]core.Scheme{
-	"baseline":             core.Baseline,
-	"renaming":             core.Renaming,
-	"checkpointing":        core.Checkpointing,
-	"flame":                core.SensorRenaming,
-	"sensor-renaming":      core.SensorRenaming,
-	"sensor-checkpointing": core.SensorCheckpointing,
-	"dup-renaming":         core.DupRenaming,
-	"dup-checkpointing":    core.DupCheckpointing,
-	"hybrid-renaming":      core.HybridRenaming,
-	"hybrid-checkpointing": core.HybridCheckpointing,
-}
-
 func main() {
 	os.Exit(run())
 }
@@ -59,7 +46,7 @@ func main() {
 func run() int {
 	in := flag.String("in", "", "verify a kernel assembly file")
 	benchFlag := flag.String("bench", "", "comma-separated benchmark names, or \"all\"")
-	schemeFlag := flag.String("scheme", "all", "comma-separated schemes, or \"all\": "+schemeList())
+	schemeFlag := flag.String("scheme", "all", "comma-separated schemes, or \"all\": "+strings.Join(core.SchemeFlagNames(), ", "))
 	wcdl := flag.Int("wcdl", 20, "sensor worst-case detection latency budget (instructions)")
 	extend := flag.Bool("extend", true, "enable the Section III-E region extension (sensor schemes)")
 	oracle := flag.Bool("oracle", false, "run the dynamic re-execution oracle (needs -bench: launches real inputs)")
@@ -276,9 +263,9 @@ func parseSchemes(s string) ([]core.Scheme, error) {
 		if name == "" {
 			continue
 		}
-		sc, ok := schemeByFlag[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown scheme %q; choose from %s", name, schemeList())
+		sc, err := core.SchemeByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("unknown scheme %q; choose from %s", name, strings.Join(core.SchemeFlagNames(), ", "))
 		}
 		out = append(out, sc)
 	}
@@ -303,14 +290,6 @@ func parseBenches(s string) ([]*bench.Benchmark, error) {
 		out = append(out, b)
 	}
 	return out, nil
-}
-
-func schemeList() string {
-	names := make([]string, 0, len(schemeByFlag))
-	for k := range schemeByFlag {
-		names = append(names, k)
-	}
-	return strings.Join(names, ", ")
 }
 
 func usage(format string, args ...any) int {

@@ -10,7 +10,7 @@ import (
 
 // SiteCensus partitions the single-strike arm-cycle space [0, ArmSpan)
 // of one benchmark by what the pruner can prove about each arm's firing
-// event. It is the trace-ACE half of AVF prediction (internal/avf): the
+// event. It is the trace-ACE half of AVF prediction (vet.Predict): the
 // fault-free golden schedule decides which arm cycles strike provably
 // un-ACE state — a register that is statically outside the store-reach
 // slice, or whose struck lane never reads it again — and which strike

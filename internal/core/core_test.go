@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"flame/internal/gpu"
@@ -291,5 +292,27 @@ func TestMultiKernelStepsAccumulate(t *testing.T) {
 	}
 	if fl.Flame.Enqueues == 0 {
 		t.Fatal("no RBQ activity across multi-kernel run")
+	}
+}
+
+// TestSchemeFlagNamesRoundTrip: every scheme's canonical spelling parses
+// back to that scheme, and every listed spelling parses.
+func TestSchemeFlagNamesRoundTrip(t *testing.T) {
+	for _, s := range Schemes() {
+		got, err := SchemeByName(s.FlagName())
+		if err != nil || got != s {
+			t.Errorf("SchemeByName(%q) = %v, %v; want %v", s.FlagName(), got, err, s)
+		}
+		if upper, err := SchemeByName(strings.ToUpper(s.FlagName())); err != nil || upper != s {
+			t.Errorf("SchemeByName is case-sensitive for %q", s.FlagName())
+		}
+	}
+	for _, name := range SchemeFlagNames() {
+		if _, err := SchemeByName(name); err != nil {
+			t.Errorf("listed spelling %q does not parse: %v", name, err)
+		}
+	}
+	if _, err := SchemeByName("no-such-scheme"); err == nil {
+		t.Error("unknown spelling parsed")
 	}
 }

@@ -72,58 +72,50 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("scheme(%d)", uint8(s))
 }
 
-// schemeFlags maps the CLI flag spellings to schemes (shared by
-// flamesim and flameinject).
-var schemeFlags = map[string]Scheme{
-	"baseline": Baseline, "renaming": Renaming,
-	"checkpointing": Checkpointing, "flame": SensorRenaming,
-	"sensor-renaming": SensorRenaming, "sensor-checkpointing": SensorCheckpointing,
-	"dup-renaming": DupRenaming, "dup-checkpointing": DupCheckpointing,
-	"hybrid-renaming": HybridRenaming, "hybrid-checkpointing": HybridCheckpointing,
+// schemeFlags lists each scheme's CLI spellings, canonical first. It is
+// the one spelling table: SchemeByName, FlagName and SchemeFlagNames
+// all read it.
+var schemeFlags = [numSchemes][]string{
+	Baseline:            {"baseline"},
+	Renaming:            {"renaming"},
+	Checkpointing:       {"checkpointing"},
+	SensorRenaming:      {"flame", "sensor-renaming"},
+	SensorCheckpointing: {"sensor-checkpointing"},
+	DupRenaming:         {"dup-renaming"},
+	DupCheckpointing:    {"dup-checkpointing"},
+	HybridRenaming:      {"hybrid-renaming"},
+	HybridCheckpointing: {"hybrid-checkpointing"},
 }
 
 // SchemeByName parses a CLI scheme spelling ("flame", "dup-renaming",
 // ... — case-insensitive).
 func SchemeByName(s string) (Scheme, error) {
-	sc, ok := schemeFlags[strings.ToLower(s)]
-	if !ok {
-		return Baseline, fmt.Errorf("core: unknown scheme %q", s)
+	lower := strings.ToLower(s)
+	for sc, names := range schemeFlags {
+		for _, name := range names {
+			if name == lower {
+				return Scheme(sc), nil
+			}
+		}
 	}
-	return sc, nil
+	return Baseline, fmt.Errorf("core: unknown scheme %q", s)
 }
 
 // FlagName returns the scheme's canonical CLI spelling — the inverse of
 // SchemeByName, used on wire protocols that must round-trip schemes
 // (String returns the paper's figure labels, which do not parse).
 func (s Scheme) FlagName() string {
-	switch s {
-	case Baseline:
-		return "baseline"
-	case Renaming:
-		return "renaming"
-	case Checkpointing:
-		return "checkpointing"
-	case SensorRenaming:
-		return "flame"
-	case SensorCheckpointing:
-		return "sensor-checkpointing"
-	case DupRenaming:
-		return "dup-renaming"
-	case DupCheckpointing:
-		return "dup-checkpointing"
-	case HybridRenaming:
-		return "hybrid-renaming"
-	case HybridCheckpointing:
-		return "hybrid-checkpointing"
+	if int(s) < len(schemeFlags) {
+		return schemeFlags[s][0]
 	}
 	return fmt.Sprintf("scheme(%d)", uint8(s))
 }
 
 // SchemeFlagNames lists the accepted CLI spellings, sorted.
 func SchemeFlagNames() []string {
-	out := make([]string, 0, len(schemeFlags))
-	for k := range schemeFlags {
-		out = append(out, k)
+	var out []string
+	for _, names := range schemeFlags {
+		out = append(out, names...)
 	}
 	sort.Strings(out)
 	return out
