@@ -273,11 +273,11 @@ func aggregate(cfg *Config, set []core.Setup, ran []trial, results []core.TrialR
 			PruneDisabled: set[b].Prune.Disabled(),
 		}
 		for ; k < len(ran) && ran[k].b == b; k++ {
-			br.fold(&results[k])
+			br.Fold(&results[k])
 		}
-		br.finish()
+		br.Finish()
 		rep.Benchmarks = append(rep.Benchmarks, br)
-		rep.Fleet.merge(&br)
+		rep.Fleet.Merge(&br)
 	}
 	return rep
 }

@@ -136,7 +136,7 @@ func (p *pool) close(rep *Report, stopped bool) (*Report, error) {
 		p.cfg.RestoreStats.Add(rs)
 	}
 	rep.Fleet.Benchmark = "fleet"
-	rep.Fleet.finish()
+	rep.Fleet.Finish()
 	if p.str != nil {
 		p.str.campaignDone(rep, rs)
 		if err := p.str.err(); err != nil {

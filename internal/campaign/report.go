@@ -194,8 +194,9 @@ func rateCounts(strata []StratumReport) (sdc, due []stats.StratumCount) {
 	return sdc, due
 }
 
-// fold adds one trial.
-func (b *BenchReport) fold(t *core.TrialResult) {
+// Fold adds one trial to the counters. The derived fields (Injected,
+// Coverage, Propagation) read stale until Finish.
+func (b *BenchReport) Fold(t *core.TrialResult) {
 	b.Trials++
 	switch t.Outcome {
 	case core.OutcomeNoInjection:
@@ -239,8 +240,8 @@ func (b *BenchReport) fold(t *core.TrialResult) {
 	}
 }
 
-// merge accumulates another report's counters (fleet aggregation).
-func (b *BenchReport) merge(o *BenchReport) {
+// Merge accumulates another report's counters (fleet aggregation).
+func (b *BenchReport) Merge(o *BenchReport) {
 	b.Trials += o.Trials
 	b.NoInjection += o.NoInjection
 	b.Masked += o.Masked
@@ -269,8 +270,9 @@ func (b *BenchReport) merge(o *BenchReport) {
 	}
 }
 
-// finish computes the derived rates.
-func (b *BenchReport) finish() {
+// Finish computes the derived fields from the counters. It may run
+// again after further folds.
+func (b *BenchReport) Finish() {
 	b.Injected = b.Trials - b.NoInjection - b.Internal
 	if b.Injected > 0 {
 		b.Coverage = float64(b.Masked+b.Recovered) / float64(b.Injected)

@@ -133,7 +133,7 @@ func RunStratified(cfg Config) (*Report, error) {
 			results := make([]core.TrialResult, len(batch))
 			n := p.run(batch, results)
 			for i := range batch[:n] {
-				br.fold(&results[i])
+				br.Fold(&results[i])
 				batch[i].ss.rep.foldOutcome(results[i].Outcome)
 			}
 			used += n
@@ -151,9 +151,9 @@ func RunStratified(cfg Config) (*Report, error) {
 
 		br.Sampling = buildSampling(m.Span, m.NoInjectionSites,
 			cfg.Trials, used, rounds, reason, stratumReports(states))
-		br.finish()
+		br.Finish()
 		rep.Benchmarks = append(rep.Benchmarks, br)
-		rep.Fleet.merge(&br)
+		rep.Fleet.Merge(&br)
 		if p.str != nil {
 			p.str.benchDone(spec.Name, used, rounds, reason)
 		}

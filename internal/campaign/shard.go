@@ -59,18 +59,7 @@ func PlanShards(benches []string, trials, size int) []Shard {
 // coordinator emits it at the head of the merged stream so Replay sees
 // the same skeleton a single-process stream carries.
 func MarshalStartEvent(cfg *Config, parallel, wcdl int) ([]byte, error) {
-	benches := make([]string, len(cfg.Specs))
-	for i, sp := range cfg.Specs {
-		benches[i] = sp.Name
-	}
-	return marshalLine(startEvent{
-		Event: "campaign_start", Arch: cfg.Arch.Name, Scheme: cfg.Opt.Scheme.String(),
-		Model: cfg.Model.String(), WCDL: wcdl, Seed: cfg.Seed,
-		TrialsPerBench: cfg.Trials, StrikesPerTrial: maxInt(1, cfg.StrikesPerTrial),
-		Parallel: parallel, Benchmarks: benches, TotalTrials: len(benches) * cfg.Trials,
-		Stratified: cfg.Stratify, CITarget: cfg.CITarget, Pilot: cfg.Pilot,
-		Trace: cfg.Trace,
-	})
+	return marshalLine(newStartEvent(cfg, parallel, wcdl, len(cfg.Specs)*cfg.Trials))
 }
 
 // MarshalGoldenEvent renders a golden JSONL line (newline included)
@@ -92,13 +81,7 @@ func MarshalPruneDisabledEvent(bench, reason string) ([]byte, error) {
 // exactly as Run's streamer writes it — every field the report
 // aggregation consumes, so shard streams replay byte-identically.
 func MarshalTrialEvent(bench string, t int, r *core.TrialResult) ([]byte, error) {
-	return marshalLine(trialEvent{
-		Event: "trial", Benchmark: bench, Trial: t,
-		Outcome: r.Outcome.String(), Detected: r.Detected,
-		Strikes: r.Strikes, ExcludedStrikes: r.ExcludedStrikes,
-		Cycles: r.Cycles, Pruned: r.Pruned, Stratum: r.Stratum,
-		Description: r.Description, Prop: r.Prop,
-	})
+	return marshalLine(newTrialEvent(bench, t, r))
 }
 
 // marshalLine matches json.Encoder's output: marshal plus newline.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -44,6 +45,23 @@ type startEvent struct {
 	// Trace marks a propagation-traced campaign (omitted otherwise, so
 	// untraced streams keep the pre-tracing format).
 	Trace bool `json:"trace,omitempty"`
+}
+
+// newStartEvent builds the campaign_start record of a campaign planning
+// total trials; the streamer and MarshalStartEvent both write it.
+func newStartEvent(cfg *Config, parallel, wcdl, total int) startEvent {
+	benches := make([]string, len(cfg.Specs))
+	for i, sp := range cfg.Specs {
+		benches[i] = sp.Name
+	}
+	return startEvent{
+		Event: "campaign_start", Arch: cfg.Arch.Name, Scheme: cfg.Opt.Scheme.String(),
+		Model: cfg.Model.String(), WCDL: wcdl, Seed: cfg.Seed,
+		TrialsPerBench: cfg.Trials, StrikesPerTrial: maxInt(1, cfg.StrikesPerTrial),
+		Parallel: parallel, Benchmarks: benches, TotalTrials: total,
+		Stratified: cfg.Stratify, CITarget: cfg.CITarget, Pilot: cfg.Pilot,
+		Trace: cfg.Trace,
+	}
 }
 
 // goldenEvent reports one workload's fault-free reference run.
@@ -94,6 +112,56 @@ type trialEvent struct {
 	// format). Replay folds it back so traced reports rebuild
 	// byte-identically.
 	Prop *core.PropRecord `json:"prop,omitempty"`
+}
+
+// newTrialEvent builds the trial record of trial t of bench; the
+// streamer and MarshalTrialEvent both write it, and DecodeTrial inverts
+// it.
+func newTrialEvent(bench string, t int, r *core.TrialResult) trialEvent {
+	return trialEvent{
+		Event: "trial", Benchmark: bench, Trial: t,
+		Outcome: r.Outcome.String(), Detected: r.Detected,
+		Strikes: r.Strikes, ExcludedStrikes: r.ExcludedStrikes,
+		Cycles: r.Cycles, Pruned: r.Pruned, Stratum: r.Stratum,
+		Description: r.Description, Prop: r.Prop,
+	}
+}
+
+// unusableTrial is DecodeTrial's error for a well-formed trial line
+// that cannot be folded; replay counts it dropped, not malformed.
+type unusableTrial string
+
+func (e unusableTrial) Error() string { return string(e) }
+
+// dropDetail describes a trial line that cannot be folded.
+func dropDetail(bench string, t int, outcome string) unusableTrial {
+	return unusableTrial(fmt.Sprintf("trial %s/%d outcome %q", bench, t, outcome))
+}
+
+// DecodeTrial parses one trial JSONL line, the inverse of
+// MarshalTrialEvent. It rejects a line that is not JSON, not a trial
+// event, names an unknown outcome or carries a negative trial index.
+// Every reader of trial lines (ReplayIntegrity, DoneSet and the
+// distributed coordinator) decodes through it, so they agree on which
+// lines count.
+func DecodeTrial(line []byte) (bench string, trial int, r core.TrialResult, err error) {
+	var e trialEvent
+	if err := json.Unmarshal(line, &e); err != nil {
+		return "", 0, r, err
+	}
+	if e.Event != "trial" {
+		return "", 0, r, fmt.Errorf("campaign: %q event is not a trial", e.Event)
+	}
+	outcome, ok := outcomeByName[e.Outcome]
+	if !ok || e.Trial < 0 {
+		return e.Benchmark, e.Trial, r, dropDetail(e.Benchmark, e.Trial, e.Outcome)
+	}
+	return e.Benchmark, e.Trial, core.TrialResult{
+		Outcome: outcome, Detected: e.Detected,
+		Strikes: e.Strikes, ExcludedStrikes: e.ExcludedStrikes,
+		Cycles: e.Cycles, Pruned: e.Pruned, Stratum: e.Stratum,
+		Description: e.Description, Prop: e.Prop,
+	}, nil
 }
 
 // strataEvent reports one workload's site-space enumeration (stratified
@@ -191,18 +259,7 @@ func (s *streamer) emitLocked(v any) {
 }
 
 func (s *streamer) campaignStart(cfg *Config, parallel, wcdl int) {
-	benches := make([]string, len(cfg.Specs))
-	for i, sp := range cfg.Specs {
-		benches[i] = sp.Name
-	}
-	s.emitLocked(startEvent{
-		Event: "campaign_start", Arch: cfg.Arch.Name, Scheme: cfg.Opt.Scheme.String(),
-		Model: cfg.Model.String(), WCDL: wcdl, Seed: cfg.Seed,
-		TrialsPerBench: cfg.Trials, StrikesPerTrial: maxInt(1, cfg.StrikesPerTrial),
-		Parallel: parallel, Benchmarks: benches, TotalTrials: s.total,
-		Stratified: cfg.Stratify, CITarget: cfg.CITarget, Pilot: cfg.Pilot,
-		Trace: cfg.Trace,
-	})
+	s.emitLocked(newStartEvent(cfg, parallel, wcdl, s.total))
 }
 
 func (s *streamer) golden(bench string, window int64) {
@@ -236,13 +293,7 @@ func (s *streamer) trial(bench string, t int, r *core.TrialResult) {
 	defer s.mu.Unlock()
 	s.done++
 	s.tally[r.Outcome]++
-	s.emit(trialEvent{
-		Event: "trial", Benchmark: bench, Trial: t,
-		Outcome: r.Outcome.String(), Detected: r.Detected,
-		Strikes: r.Strikes, ExcludedStrikes: r.ExcludedStrikes,
-		Cycles: r.Cycles, Pruned: r.Pruned, Stratum: r.Stratum,
-		Description: r.Description, Prop: r.Prop,
-	})
+	s.emit(newTrialEvent(bench, t, r))
 	if s.done%s.every != 0 && s.done != s.total {
 		return
 	}
@@ -377,7 +428,15 @@ func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 	pruneOff := map[string]string{}
 	strataBy := map[string]*strataEvent{}
 	doneBy := map[string]*benchDoneEvent{}
-	var trials []trialEvent
+	// trials keeps every trial line in stream order; drop is set on
+	// the ones that cannot be folded.
+	type replayTrial struct {
+		bench string
+		t     int
+		r     core.TrialResult
+		drop  unusableTrial
+	}
+	var trials []replayTrial
 	malformed := func(line int, raw []byte, err error) {
 		ig.Malformed++
 		if ig.FirstMalformed == "" {
@@ -436,12 +495,13 @@ func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 			}
 			doneBy[e.Benchmark] = &e
 		case "trial":
-			var e trialEvent
-			if err := json.Unmarshal(raw, &e); err != nil {
+			bench, t, r, err := DecodeTrial(raw)
+			var drop unusableTrial
+			if err != nil && !errors.As(err, &drop) {
 				malformed(ig.Lines, raw, err)
 				continue
 			}
-			trials = append(trials, e)
+			trials = append(trials, replayTrial{bench: bench, t: t, r: r, drop: drop})
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -458,26 +518,25 @@ func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 	// Drop unusable trial events before sorting (unknown benchmarks have
 	// no defined position in the grid).
 	usable := trials[:0]
-	for i := range trials {
-		e := &trials[i]
-		_, knownBench := order[e.Benchmark]
-		_, knownOutcome := outcomeByName[e.Outcome]
-		switch {
-		case !knownBench, !knownOutcome, e.Trial < 0, e.Trial >= start.TrialsPerBench:
+	for _, e := range trials {
+		if _, known := order[e.bench]; e.drop == "" && (!known || e.t >= start.TrialsPerBench) {
+			e.drop = dropDetail(e.bench, e.t, e.r.Outcome.String())
+		}
+		if e.drop != "" {
 			ig.Dropped++
 			if ig.FirstDropped == "" {
-				ig.FirstDropped = fmt.Sprintf("trial %s/%d outcome %q", e.Benchmark, e.Trial, e.Outcome)
+				ig.FirstDropped = string(e.drop)
 			}
-		default:
-			usable = append(usable, *e)
+			continue
 		}
+		usable = append(usable, e)
 	}
 	trials = usable
 	sort.SliceStable(trials, func(i, j int) bool {
-		if bi, bj := order[trials[i].Benchmark], order[trials[j].Benchmark]; bi != bj {
+		if bi, bj := order[trials[i].bench], order[trials[j].bench]; bi != bj {
 			return bi < bj
 		}
-		return trials[i].Trial < trials[j].Trial
+		return trials[i].t < trials[j].t
 	})
 
 	rep := &Report{
@@ -501,23 +560,15 @@ func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 			}
 		}
 		folded := 0
-		for ; k < len(trials) && trials[k].Benchmark == bench; k++ {
+		for ; k < len(trials) && trials[k].bench == bench; k++ {
 			e := &trials[k]
-			if folded > 0 && trials[k-1].Trial == e.Trial {
+			if folded > 0 && trials[k-1].t == e.t {
 				ig.Duplicates++
 				continue
 			}
-			outcome := outcomeByName[e.Outcome]
-			br.fold(&core.TrialResult{
-				Outcome:         outcome,
-				ExcludedStrikes: e.ExcludedStrikes,
-				Pruned:          e.Pruned,
-				Stratum:         e.Stratum,
-				Description:     e.Description,
-				Prop:            e.Prop,
-			})
-			if i, ok := keyIdx[e.Stratum]; ok {
-				counts[i].foldOutcome(outcome)
+			br.Fold(&e.r)
+			if i, ok := keyIdx[e.r.Stratum]; ok {
+				counts[i].foldOutcome(e.r.Outcome)
 			}
 			folded++
 		}
@@ -545,12 +596,12 @@ func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 			br.Sampling = buildSampling(se.SpanSites, se.NoInjectionSites,
 				start.TrialsPerBench, used, rounds, reason, counts)
 		}
-		br.finish()
+		br.Finish()
 		rep.Benchmarks = append(rep.Benchmarks, br)
-		rep.Fleet.merge(&br)
+		rep.Fleet.Merge(&br)
 	}
 	rep.Fleet.Benchmark = "fleet"
-	rep.Fleet.finish()
+	rep.Fleet.Finish()
 	return rep, ig, nil
 }
 
@@ -564,17 +615,14 @@ func DoneSet(r io.Reader) (map[string]map[int]bool, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
 	for sc.Scan() {
-		var e trialEvent
-		if err := json.Unmarshal(bytes.TrimSpace(sc.Bytes()), &e); err != nil || e.Event != "trial" {
+		bench, t, _, err := DecodeTrial(bytes.TrimSpace(sc.Bytes()))
+		if err != nil {
 			continue
 		}
-		if _, ok := outcomeByName[e.Outcome]; !ok || e.Trial < 0 {
-			continue
+		if done[bench] == nil {
+			done[bench] = map[int]bool{}
 		}
-		if done[e.Benchmark] == nil {
-			done[e.Benchmark] = map[int]bool{}
-		}
-		done[e.Benchmark][e.Trial] = true
+		done[bench][t] = true
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("campaign: done-set scan: %w", err)

@@ -3,8 +3,11 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+
+	"flame/internal/core"
 )
 
 // TestStreamReplayMatchesReport is the streaming contract: replaying a
@@ -144,5 +147,34 @@ func TestReplayRejectsGarbage(t *testing.T) {
 		`{"event":"campaign_start","benchmarks":["x"],"trials_per_benchmark":1}` + "\n" +
 			`{"event":"trial","benchmark":"x","trial":0,"outcome":"not-an-outcome"}` + "\n")); err == nil {
 		t.Error("replay with unknown outcome should fail")
+	}
+}
+
+// TestDecodeTrial: DecodeTrial inverts MarshalTrialEvent field for
+// field, and rejects malformed JSON, other events, unknown outcomes and
+// negative trial indices.
+func TestDecodeTrial(t *testing.T) {
+	want := core.TrialResult{
+		Outcome: core.OutcomeSDC, Detected: true, Strikes: 2, ExcludedStrikes: 1,
+		Cycles: 977, Pruned: true, Stratum: "k0/s1/alu", Description: "r3 bit 7",
+		Prop: &core.PropRecord{StrikeCycle: 5, StoreCycle: 9, Depth: 4, DetectLatency: -1, Fingerprint: "00ff"},
+	}
+	line, err := MarshalTrialEvent("Triad", 3, &want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, trial, got, err := DecodeTrial(line)
+	if err != nil || bench != "Triad" || trial != 3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("DecodeTrial = %s, %d, %+v, %v; want Triad, 3, %+v", bench, trial, got, err, want)
+	}
+	for _, bad := range []string{
+		`{"event":"trial","benchmark":"Triad","trial":`,
+		`{"event":"golden","benchmark":"Triad","window_cycles":10}`,
+		`{"event":"trial","benchmark":"Triad","trial":1,"outcome":"bogus"}`,
+		`{"event":"trial","benchmark":"Triad","trial":-1,"outcome":"masked"}`,
+	} {
+		if _, _, _, err := DecodeTrial([]byte(bad)); err == nil {
+			t.Errorf("DecodeTrial accepted %s", bad)
+		}
 	}
 }

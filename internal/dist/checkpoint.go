@@ -7,9 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"flame/internal/campaign"
-	"flame/internal/stats"
 )
 
 // On-disk layout of a coordinator state dir:
@@ -138,45 +135,27 @@ func appendShardFile(path string, lines []byte) error {
 	return f.Close()
 }
 
-// scanShardFile rebuilds a shard's progress from its stream: the set of
-// distinct in-range trials persisted, their outcome tally, and the
-// coverage proportion over injected trials; propagation records fold
-// into pt (when non-nil) so /metrics tallies survive a restart. Lines
-// that do not parse (a torn final write from a crash) or fall outside
-// the shard's range are skipped — the merge-time ReplayIntegrity
-// accounts for them.
-func scanShardFile(path string, shard campaign.Shard, pt *propTally) (map[int]bool, map[string]int, stats.Prop, error) {
-	seen := map[int]bool{}
-	tally := map[string]int{}
-	var cov stats.Prop
+// scanShardFile rebuilds shard sc's progress from its stream on disk,
+// folding each line through foldLine as handleEvents did when it
+// arrived. Lines foldLine rejects (a torn final write from a crash) are
+// skipped; the merge-time ReplayIntegrity accounts for them.
+func (c *Coordinator) scanShardFile(sc *shardCtl) error {
+	path := shardFilePath(c.cc.StateDir, sc.shard.ID)
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return seen, tally, cov, nil
+			return nil
 		}
-		return nil, nil, cov, err
+		return err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	for sc.Scan() {
-		var p trialProbe
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil ||
-			p.Event != "trial" || p.Benchmark != shard.Bench ||
-			p.Trial < shard.Lo || p.Trial >= shard.Hi || seen[p.Trial] {
-			continue
-		}
-		seen[p.Trial] = true
-		tally[p.Outcome]++
-		if pt != nil {
-			pt.fold(p.Prop)
-		}
-		if p.Outcome != "no-injection" && p.Outcome != "internal" {
-			cov.Add(p.Outcome == "masked" || p.Outcome == "recovered")
-		}
+	scan := bufio.NewScanner(f)
+	scan.Buffer(make([]byte, 0, 64<<10), 4<<20)
+	for scan.Scan() {
+		_, _ = c.foldLine(sc, scan.Bytes()) // rejected lines are skipped, see above
 	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, cov, fmt.Errorf("dist: scan %s: %w", path, err)
+	if err := scan.Err(); err != nil {
+		return fmt.Errorf("dist: scan %s: %w", path, err)
 	}
-	return seen, tally, cov, nil
+	return nil
 }

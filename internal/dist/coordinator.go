@@ -98,37 +98,15 @@ type Coordinator struct {
 	leases   map[string]*shardCtl
 	workers  map[string]string // name -> "" (ok) or ban reason
 	doneSeen map[string]bool   // workers that received a Done lease reply
-	tally    map[string]int    // outcome name -> distinct trials
-	prop     propTally         // propagation records over persisted trials
-	cov      stats.Prop        // coverage over injected trials so far
-	bstats   map[string]*benchTally
+	// live folds every persisted trial line into its benchmark's report
+	// row, the same fold the merged report replays; /metrics,
+	// /v1/status and the ci_target early stop read it.
+	live     map[string]*campaign.BenchReport
 	stopped  map[string]bool // benchmarks early-stopped by ci_target
 	finished bool
 	final    *FinalReport
 	done     chan struct{}
 	started  time.Time
-}
-
-// benchTally is one benchmark's live injected/SDC/DUE counts, fed from
-// accepted event lines (and the shard-stream rescan on resume) — the
-// inputs of the ci_target early-stop rule.
-type benchTally struct {
-	injected, sdc, due int
-}
-
-// observe folds n persisted trials of one outcome into the tally,
-// mirroring the report's conditional-on-injection rate denominators.
-func (bt *benchTally) observe(outcome string, n int) {
-	if outcome == "no-injection" || outcome == "internal" {
-		return
-	}
-	bt.injected += n
-	switch outcome {
-	case "sdc":
-		bt.sdc += n
-	case "due":
-		bt.due += n
-	}
 }
 
 // NewCoordinator builds a coordinator: reconstructs the campaign,
@@ -172,8 +150,7 @@ func NewCoordinator(cc CoordConfig) (*Coordinator, error) {
 		leases:   map[string]*shardCtl{},
 		workers:  map[string]string{},
 		doneSeen: map[string]bool{},
-		tally:    map[string]int{},
-		bstats:   map[string]*benchTally{},
+		live:     map[string]*campaign.BenchReport{},
 		pruneOff: map[string]string{},
 		stopped:  map[string]bool{},
 		done:     make(chan struct{}),
@@ -195,6 +172,7 @@ func NewCoordinator(cc CoordConfig) (*Coordinator, error) {
 	benches := make([]string, len(cfg.Specs))
 	for i, sp := range cfg.Specs {
 		benches[i] = sp.Name
+		c.live[sp.Name] = &campaign.BenchReport{Benchmark: sp.Name}
 	}
 	for _, s := range campaign.PlanShards(benches, cfg.Trials, cc.ShardSize) {
 		c.shards = append(c.shards, &shardCtl{shard: s, state: statePending, seen: map[int]bool{}})
@@ -211,7 +189,7 @@ func NewCoordinator(cc CoordConfig) (*Coordinator, error) {
 	// Re-evaluate the early-stop rule on resumed data: a campaign killed
 	// after converging cancels its remaining pending shards before
 	// leasing anything out, and a bench restored with cancelled shards
-	// re-derives its stopped flag from the same (monotone) tallies.
+	// re-derives its stopped flag from the same (monotone) counts.
 	for _, sp := range cfg.Specs {
 		c.maybeEarlyStopLocked(sp.Name)
 	}
@@ -250,21 +228,13 @@ func (c *Coordinator) resume() error {
 		}
 	}
 	for _, sc := range c.shards {
-		seen, tally, cov, err := scanShardFile(shardFilePath(c.cc.StateDir, sc.shard.ID), sc.shard, &c.prop)
-		if err != nil {
+		if err := c.scanShardFile(sc); err != nil {
 			return err
 		}
-		sc.seen = seen
-		bt := c.benchTallyFor(sc.shard.Bench)
-		for o, n := range tally {
-			c.tally[o] += n
-			bt.observe(o, n)
-		}
-		c.cov.Observe(cov.K, cov.N)
-		if sc.state != stateQuarantined && len(seen) == sc.shard.Trials() {
+		if sc.state != stateQuarantined && len(sc.seen) == sc.shard.Trials() {
 			sc.state = stateDone
 		}
-		if len(seen) > 0 || sc.state != statePending {
+		if len(sc.seen) > 0 || sc.state != statePending {
 			c.cc.Logf("resume: %s state=%s trials-on-disk=%d/%d fails=%d",
 				sc.shard, sc.state, len(sc.seen), sc.shard.Trials(), sc.fails)
 		}
@@ -353,15 +323,41 @@ func (c *Coordinator) checkpointAndCheckLocked() {
 	c.checkFinishedLocked()
 }
 
-// benchTallyFor returns (allocating on first use) a benchmark's live
-// injected/SDC/DUE tally.
-func (c *Coordinator) benchTallyFor(bench string) *benchTally {
-	bt := c.bstats[bench]
-	if bt == nil {
-		bt = &benchTally{}
-		c.bstats[bench] = bt
+// foldLine decodes one trial line of shard sc with campaign.DecodeTrial.
+// A line that names a trial of sc's range not yet seen marks the trial
+// seen and folds it into its benchmark's live report; fresh reports
+// that. Every other line is an error: not a usable trial line, or a
+// trial outside sc's range. handleEvents and the resume rescan both
+// fold through here, so the live view is the merged report's fold over
+// the same lines.
+func (c *Coordinator) foldLine(sc *shardCtl, line []byte) (fresh bool, err error) {
+	bench, t, r, err := campaign.DecodeTrial(line)
+	if err != nil {
+		return false, err
 	}
-	return bt
+	if bench != sc.shard.Bench || t < sc.shard.Lo || t >= sc.shard.Hi {
+		return false, fmt.Errorf("trial %s/%d is outside %s", bench, t, sc.shard)
+	}
+	if sc.seen[t] {
+		return false, nil // a re-leased shard re-streaming a prefix; keep the first copy
+	}
+	sc.seen[t] = true
+	c.live[bench].Fold(&r)
+	return true, nil
+}
+
+// fleetLocked finishes every benchmark's live report and returns their
+// merged fleet row: the final report's fleet counts over the trials
+// persisted so far.
+func (c *Coordinator) fleetLocked() *campaign.BenchReport {
+	fleet := &campaign.BenchReport{Benchmark: "fleet"}
+	for _, sp := range c.cfg.Specs {
+		br := c.live[sp.Name]
+		br.Finish()
+		fleet.Merge(br)
+	}
+	fleet.Finish()
+	return fleet
 }
 
 // maybeEarlyStopLocked applies the adaptive stopping rule: when the
@@ -377,13 +373,14 @@ func (c *Coordinator) maybeEarlyStopLocked(bench string) {
 	if target <= 0 || c.stopped[bench] {
 		return
 	}
-	bt := c.bstats[bench]
-	if bt == nil || bt.injected == 0 {
+	br := c.live[bench]
+	br.Finish()
+	if br.Injected == 0 {
 		return
 	}
 	sdcHalf, dueHalf, ok := stats.Converged95(target,
-		[]stats.StratumCount{{Weight: 1, N: bt.injected, K: bt.sdc}},
-		[]stats.StratumCount{{Weight: 1, N: bt.injected, K: bt.due}})
+		[]stats.StratumCount{{Weight: 1, N: br.Injected, K: br.SDC}},
+		[]stats.StratumCount{{Weight: 1, N: br.Injected, K: br.DUE}})
 	if !ok {
 		return
 	}
@@ -396,7 +393,7 @@ func (c *Coordinator) maybeEarlyStopLocked(bench string) {
 		}
 	}
 	c.cc.Logf("%s converged (sdc ±%.4f, due ±%.4f <= ci_target %.4f after %d injected trials); cancelled %d pending shards",
-		bench, sdcHalf, dueHalf, target, bt.injected, cancelled)
+		bench, sdcHalf, dueHalf, target, br.Injected, cancelled)
 }
 
 // checkFinishedLocked finalizes once no shard can make further
@@ -683,16 +680,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HeartbeatResponse{OK: true})
 }
 
-// trialProbe is the subset of a trial event the coordinator validates
-// (and tallies for /metrics) before persisting a worker's line.
-type trialProbe struct {
-	Event     string           `json:"event"`
-	Benchmark string           `json:"benchmark"`
-	Trial     int              `json:"trial"`
-	Outcome   string           `json:"outcome"`
-	Prop      *core.PropRecord `json:"prop"`
-}
-
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var req EventsRequest
 	if !readJSON(w, r, &req) {
@@ -708,22 +695,13 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sc.deadline = time.Now().Add(c.cc.LeaseTTL) // a batch is a heartbeat
 	var accept []byte
 	for _, raw := range req.Lines {
-		var p trialProbe
-		if err := json.Unmarshal(raw, &p); err != nil ||
-			p.Event != "trial" || p.Benchmark != sc.shard.Bench ||
-			p.Trial < sc.shard.Lo || p.Trial >= sc.shard.Hi {
-			c.cc.Logf("lease %s: dropped invalid event line (%.80s)", req.LeaseID, raw)
+		fresh, err := c.foldLine(sc, raw)
+		if err != nil {
+			c.cc.Logf("lease %s: dropped invalid event line: %v (%.80s)", req.LeaseID, err, raw)
 			continue
 		}
-		if sc.seen[p.Trial] {
-			continue // re-leased shard re-streaming a prefix; keep the first copy
-		}
-		sc.seen[p.Trial] = true
-		c.tally[p.Outcome]++
-		c.prop.fold(p.Prop)
-		c.benchTallyFor(sc.shard.Bench).observe(p.Outcome, 1)
-		if p.Outcome != "no-injection" && p.Outcome != "internal" {
-			c.cov.Add(p.Outcome == "masked" || p.Outcome == "recovered")
+		if !fresh {
+			continue
 		}
 		accept = append(accept, raw...)
 		if len(raw) == 0 || raw[len(raw)-1] != '\n' {
@@ -801,18 +779,17 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	for i, sp := range c.cfg.Specs {
 		benches[i] = sp.Name
 	}
+	fleet := c.fleetLocked()
 	st := StatusResponse{
 		Benchmarks:  benches,
 		TotalTrials: len(benches) * c.cfg.Trials,
-		Tallies:     map[string]int{},
+		Tallies:     tallies(fleet),
+		Coverage:    fleet.Coverage,
+		CoverageLo:  fleet.CoverageLo,
+		CoverageHi:  fleet.CoverageHi,
 		Complete:    c.finished && c.final != nil && c.final.Complete,
 		ElapsedSec:  time.Since(c.started).Seconds(),
 	}
-	for o, n := range c.tally {
-		st.Tallies[o] = n
-	}
-	st.Coverage = c.cov.Rate()
-	st.CoverageLo, st.CoverageHi = c.cov.CI95()
 	for _, sc := range c.shards {
 		st.DoneTrials += len(sc.seen)
 		switch sc.state {

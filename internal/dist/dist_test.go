@@ -3,9 +3,12 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -224,6 +227,7 @@ func TestDistCoordinatorRestartResume(t *testing.T) {
 	if err == nil {
 		t.Fatal("mayfly survived")
 	}
+	before := readLive(t, srv1.URL)
 	// Kill the coordinator. Its state dir keeps the checkpoint and the
 	// partial shard streams.
 	cancel1()
@@ -245,6 +249,9 @@ func TestDistCoordinatorRestartResume(t *testing.T) {
 	if resumed == 0 {
 		t.Fatal("restarted coordinator found no persisted trials to resume from")
 	}
+	if after := readLive(t, srv2.URL); !reflect.DeepEqual(after, before) {
+		t.Fatalf("resumed coordinator serves a different live view:\n before %+v\n after  %+v", before, after)
+	}
 
 	if err := RunWorker(context.Background(), WorkerConfig{
 		URL: srv2.URL, Name: "finisher", FlushEvery: 2, Logf: t.Logf,
@@ -253,6 +260,80 @@ func TestDistCoordinatorRestartResume(t *testing.T) {
 	}
 	fr := waitDone(t, c2, 60*time.Second)
 	checkByteIdentical(t, fr, want)
+	checkLiveMatchesFinal(t, srv2.URL, fr)
+}
+
+// TestDistRejectsUnknownOutcome: a trial line whose outcome does not
+// parse is dropped at the coordinator. It is not persisted or counted,
+// and its trial is not marked seen, so the shard's completion is refused
+// as short and the trial is leased again; the campaign still merges
+// Complete and byte-identical to the single-process run.
+func TestDistRejectsUnknownOutcome(t *testing.T) {
+	info := testInfo(6)
+	cfg, err := info.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Parallel = 2
+	var stream bytes.Buffer
+	cfg.Events = &stream
+	rep, err := campaign.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, srv, _ := testCoord(t, info, t.TempDir())
+
+	// A hand-driven worker leases a shard and streams its real trial
+	// lines, the middle one with a forged outcome.
+	w := &worker{wc: WorkerConfig{URL: srv.URL, Client: http.DefaultClient}}
+	ctx := context.Background()
+	var jr JoinResponse
+	if err := w.post(ctx, "/v1/join", JoinRequest{Worker: "forger", Goldens: c.sigs}, &jr); err != nil || !jr.OK {
+		t.Fatalf("join: %v %+v", err, jr)
+	}
+	var lr LeaseResponse
+	if err := w.post(ctx, "/v1/lease", LeaseRequest{Worker: "forger"}, &lr); err != nil || lr.Shard == nil {
+		t.Fatalf("lease: %v %+v", err, lr)
+	}
+	sh := *lr.Shard
+	var lines []json.RawMessage
+	for _, line := range bytes.Split(stream.Bytes(), []byte("\n")) {
+		bench, tr, r, err := campaign.DecodeTrial(line)
+		if err != nil || bench != sh.Bench || tr < sh.Lo || tr >= sh.Hi {
+			continue
+		}
+		if tr == sh.Lo+1 {
+			line = bytes.Replace(line, []byte(`"outcome":"`+r.Outcome.String()+`"`), []byte(`"outcome":"bogus"`), 1)
+		}
+		lines = append(lines, line)
+	}
+	if len(lines) != sh.Trials() {
+		t.Fatalf("found %d trial lines for %s", len(lines), sh)
+	}
+	var er EventsResponse
+	if err := w.post(ctx, "/v1/events", EventsRequest{LeaseID: lr.LeaseID, Lines: lines}, &er); err != nil || !er.OK {
+		t.Fatalf("events: %v %+v", err, er)
+	}
+	var cr CompleteResponse
+	if err := w.post(ctx, "/v1/complete", CompleteRequest{LeaseID: lr.LeaseID}, &cr); err != nil {
+		t.Fatal(err)
+	}
+	if short := fmt.Sprintf("%s: %d/%d trials persisted", sh, sh.Trials()-1, sh.Trials()); cr.OK || cr.Reason != short {
+		t.Fatalf("complete = %+v, want refused as %q", cr, short)
+	}
+
+	if err := RunWorker(ctx, WorkerConfig{URL: srv.URL, Name: "honest", FlushEvery: 2, Logf: t.Logf}); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	fr := waitDone(t, c, 60*time.Second)
+	checkByteIdentical(t, fr, want)
+	if !fr.Integrity.Clean() || fr.Integrity.Duplicates != 0 {
+		t.Fatalf("merged integrity: %s", fr.Integrity)
+	}
 }
 
 // TestDistPoisonShardQuarantine: a shard whose trials always kill their

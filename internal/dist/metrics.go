@@ -14,60 +14,25 @@ import (
 // The coordinator's /metrics endpoint exposes the fleet's live state in
 // the Prometheus text format (hand-rolled in internal/obs — no client
 // library). Every counter here is derived from state the coordinator
-// rebuilds from disk on restart (shard streams for trial counts and
-// propagation tallies, the checkpoint for lease and failure counts), so
-// counters stay monotone across a coordinator kill/restart — the chaos
-// smoke test asserts exactly that.
+// rebuilds from disk on restart (the live reports refolded from the
+// shard streams for trial outcomes and propagation, the checkpoint for
+// lease and failure counts), so counters stay monotone across a
+// coordinator kill/restart — the chaos smoke test asserts exactly that.
 
-// propTally is the running propagation aggregate over persisted trial
-// lines of a traced campaign: the /metrics view of what the final
-// report's propagation section will say. Folded from accepted event
-// batches and from the shard-stream rescan on resume.
-type propTally struct {
-	traced, storeReached int
-	depthHist            []int // Log2Bucket'd strike-to-store depths
-	fps                  map[string]int
-}
-
-func (pt *propTally) fold(p *core.PropRecord) {
-	if p == nil {
-		return
-	}
-	pt.traced++
-	if p.Depth >= 0 {
-		pt.storeReached++
-		b := campaign.Log2Bucket(p.Depth)
-		for len(pt.depthHist) <= b {
-			pt.depthHist = append(pt.depthHist, 0)
+// tallies maps each outcome name to its trial count in b, omitting
+// outcomes no trial had.
+func tallies(b *campaign.BenchReport) map[string]int {
+	m := map[string]int{}
+	for o, n := range map[core.Outcome]int{
+		core.OutcomeNoInjection: b.NoInjection, core.OutcomeMasked: b.Masked,
+		core.OutcomeRecovered: b.Recovered, core.OutcomeSDC: b.SDC, core.OutcomeDUE: b.DUE,
+		core.OutcomeHang: b.Hang, core.OutcomeInternal: b.Internal,
+	} {
+		if n > 0 {
+			m[o.String()] = n
 		}
-		pt.depthHist[b]++
 	}
-	if p.Fingerprint != "" {
-		if pt.fps == nil {
-			pt.fps = map[string]int{}
-		}
-		pt.fps[p.Fingerprint]++
-	}
-}
-
-// topFingerprints returns the most frequent fingerprints (count
-// descending, hash ascending), capped at n — the same leaderboard rule
-// the campaign report uses.
-func (pt *propTally) topFingerprints(n int) []campaign.FingerprintCount {
-	top := make([]campaign.FingerprintCount, 0, len(pt.fps))
-	for fp, c := range pt.fps {
-		top = append(top, campaign.FingerprintCount{Fingerprint: fp, Count: c})
-	}
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].Count != top[j].Count {
-			return top[i].Count > top[j].Count
-		}
-		return top[i].Fingerprint < top[j].Fingerprint
-	})
-	if len(top) > n {
-		top = top[:n]
-	}
-	return top
+	return m
 }
 
 // renderMetricsLocked builds the metrics page from the coordinator's
@@ -112,36 +77,34 @@ func (c *Coordinator) renderMetricsLocked(elapsed float64) []byte {
 			float64(done)/elapsed)
 	}
 
-	outcomes := make([]string, 0, len(c.tally))
-	for o := range c.tally {
+	fleet := c.fleetLocked()
+	counts := tallies(fleet)
+	outcomes := make([]string, 0, len(counts))
+	for o := range counts {
 		outcomes = append(outcomes, o)
 	}
 	sort.Strings(outcomes)
 	for _, o := range outcomes {
 		p.Counter("flame_campaign_outcome_total", "Persisted trials by outcome.",
-			float64(c.tally[o]), "outcome", o)
+			float64(counts[o]), "outcome", o)
 	}
-	p.Gauge("flame_campaign_coverage", "Live coverage over injected trials (masked+recovered fraction).", c.cov.Rate())
-	lo, hi := c.cov.CI95()
-	p.Gauge("flame_campaign_coverage_lo", "Wilson 95% lower bound of live coverage.", lo)
-	p.Gauge("flame_campaign_coverage_hi", "Wilson 95% upper bound of live coverage.", hi)
+	p.Gauge("flame_campaign_coverage", "Live coverage over injected trials (masked+recovered fraction).", fleet.Coverage)
+	p.Gauge("flame_campaign_coverage_lo", "Wilson 95% lower bound of live coverage.", fleet.CoverageLo)
+	p.Gauge("flame_campaign_coverage_hi", "Wilson 95% upper bound of live coverage.", fleet.CoverageHi)
 
 	for _, sp := range c.cfg.Specs {
-		bt := c.bstats[sp.Name]
-		if bt == nil {
-			bt = &benchTally{}
-		}
+		br := c.live[sp.Name]
 		p.Counter("flame_bench_injected_total", "Injected trials persisted, by benchmark.",
-			float64(bt.injected), "bench", sp.Name)
+			float64(br.Injected), "bench", sp.Name)
 		p.Counter("flame_bench_sdc_total", "SDC trials persisted, by benchmark.",
-			float64(bt.sdc), "bench", sp.Name)
+			float64(br.SDC), "bench", sp.Name)
 		p.Counter("flame_bench_due_total", "DUE trials persisted, by benchmark.",
-			float64(bt.due), "bench", sp.Name)
+			float64(br.DUE), "bench", sp.Name)
 	}
 	for _, sp := range c.cfg.Specs {
-		if bt := c.bstats[sp.Name]; bt != nil && bt.injected > 0 {
-			sLo, sHi := stats.Wilson95(bt.sdc, bt.injected)
-			dLo, dHi := stats.Wilson95(bt.due, bt.injected)
+		if br := c.live[sp.Name]; br.Injected > 0 {
+			sLo, sHi := stats.Wilson95(br.SDC, br.Injected)
+			dLo, dHi := stats.Wilson95(br.DUE, br.Injected)
 			p.Gauge("flame_bench_ci_halfwidth", "Live Wilson 95% half-width of the per-benchmark rate (the ci_target convergence signal).",
 				(sHi-sLo)/2, "bench", sp.Name, "rate", "sdc")
 			p.Gauge("flame_bench_ci_halfwidth", "Live Wilson 95% half-width of the per-benchmark rate (the ci_target convergence signal).",
@@ -191,19 +154,19 @@ func (c *Coordinator) renderMetricsLocked(elapsed float64) []byte {
 	p.Gauge("flame_workers", "Workers that passed the golden vote and are not banned.", float64(live))
 	p.Gauge("flame_workers_banned", "Workers rejected by the golden replica vote.", float64(banned))
 
-	if c.prop.traced > 0 {
+	if pr := fleet.Propagation; pr != nil {
 		p.Counter("flame_propagation_traced_total", "Persisted trials carrying a propagation record.",
-			float64(c.prop.traced))
+			float64(pr.Traced))
 		p.Counter("flame_propagation_store_reached_total", "Traced trials whose strike's taint reached a global store.",
-			float64(c.prop.storeReached))
+			float64(pr.StoreReached))
 		p.Log2Histogram("flame_propagation_cycles", "Strike-to-first-corrupted-store distance in cycles.",
-			c.prop.depthHist)
-		for _, fc := range c.prop.topFingerprints(8) {
+			pr.DepthHist)
+		for _, fc := range pr.Fingerprints {
 			p.Counter("flame_propagation_fingerprint_total", "SDC trials by corruption fingerprint (top 8).",
 				float64(fc.Count), "fingerprint", fc.Fingerprint)
 		}
 		p.Gauge("flame_propagation_fingerprints_distinct", "Distinct SDC fingerprints observed.",
-			float64(len(c.prop.fps)))
+			float64(pr.DistinctFingerprints))
 	}
 	return p.Bytes()
 }

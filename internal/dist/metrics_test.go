@@ -2,17 +2,21 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"flame/internal/campaign"
 	"flame/internal/core"
 )
 
@@ -50,9 +54,11 @@ func TestWriteJSONContentTypeAndEncodeErrors(t *testing.T) {
 	}
 }
 
-// metricsTestCoordinator builds a coordinator with hand-set state — no
-// golden runs, no HTTP — so the rendered metrics page is a pure
-// function of the struct and can be pinned byte-for-byte.
+// metricsTestCoordinator builds a coordinator with no golden runs and
+// no HTTP. Its trial counts come from a fixed list of trial results
+// folded through foldLine, the entry point handleEvents uses, so the
+// rendered page is a pure function of those results and can be pinned
+// byte-for-byte.
 func metricsTestCoordinator(t *testing.T) *Coordinator {
 	t.Helper()
 	info := testInfo(6)
@@ -68,38 +74,57 @@ func metricsTestCoordinator(t *testing.T) *Coordinator {
 		leaseSeq: 7,
 		leases:   map[string]*shardCtl{},
 		workers:  map[string]string{"w0": "", "w1": "", "evil": "golden vote failed"},
-		tally:    map[string]int{"masked": 5, "sdc": 2, "due": 1, "no-injection": 1},
-		bstats: map[string]*benchTally{
-			"Triad":     {injected: 5, sdc: 2, due: 1},
-			"Histogram": {injected: 3, sdc: 0, due: 0},
-		},
+		live:     map[string]*campaign.BenchReport{},
 		stopped:  map[string]bool{"Histogram": true},
 		pruneOff: map[string]string{"Triad": "schedule overflow"},
 	}
-	mkShard := func(id, lo, hi int, bench, state string, fails, seen int) *shardCtl {
+	for _, sp := range cfg.Specs {
+		c.live[sp.Name] = &campaign.BenchReport{Benchmark: sp.Name}
+	}
+	mkShard := func(id, lo, hi int, bench, state string, fails int) *shardCtl {
 		sc := &shardCtl{state: state, fails: fails, seen: map[int]bool{}}
 		sc.shard.ID, sc.shard.Lo, sc.shard.Hi, sc.shard.Bench = id, lo, hi, bench
-		for i := 0; i < seen; i++ {
-			sc.seen[lo+i] = true
-		}
 		return sc
 	}
 	c.shards = []*shardCtl{
-		mkShard(0, 0, 3, "Triad", stateDone, 0, 3),
-		mkShard(1, 3, 6, "Triad", stateLeased, 1, 2),
-		mkShard(2, 0, 3, "Histogram", stateDone, 0, 3),
-		mkShard(3, 3, 6, "Histogram", stateCancelled, 0, 0),
+		mkShard(0, 0, 3, "Triad", stateDone, 0),
+		mkShard(1, 3, 6, "Triad", stateLeased, 1),
+		mkShard(2, 0, 3, "Histogram", stateDone, 0),
+		mkShard(3, 3, 6, "Histogram", stateCancelled, 0),
 	}
 	c.leases["e2-l7-s1"] = c.shards[1]
-	for _, v := range []int64{0, 3, 9, 40} {
-		c.prop.fold(&core.PropRecord{StrikeCycle: 1, StoreCycle: 1 + v, Depth: v, DetectLatency: -1})
+
+	// prop builds a traced trial's record; depth < 0 means the strike
+	// never reached a store.
+	prop := func(depth int64, fp string) *core.PropRecord {
+		store := int64(-1)
+		if depth >= 0 {
+			store = 1 + depth
+		}
+		return &core.PropRecord{StrikeCycle: 1, StoreCycle: store, Depth: depth, DetectLatency: -1, Fingerprint: fp}
 	}
-	c.prop.fold(&core.PropRecord{StrikeCycle: 1, StoreCycle: -1, Depth: -1, DetectLatency: -1,
-		Fingerprint: "00000000deadbeef"})
-	c.prop.fold(&core.PropRecord{StrikeCycle: 1, StoreCycle: -1, Depth: -1, DetectLatency: -1,
-		Fingerprint: "00000000deadbeef"})
-	c.prop.fold(&core.PropRecord{StrikeCycle: 1, StoreCycle: -1, Depth: -1, DetectLatency: -1,
-		Fingerprint: "0123456789abcdef"})
+	for _, tr := range []struct {
+		shard, trial int
+		r            core.TrialResult
+	}{
+		{0, 0, core.TrialResult{Outcome: core.OutcomeMasked, Prop: prop(0, "")}},
+		{0, 1, core.TrialResult{Outcome: core.OutcomeSDC, Prop: prop(3, "00000000deadbeef")}},
+		{0, 2, core.TrialResult{Outcome: core.OutcomeSDC, Prop: prop(9, "00000000deadbeef")}},
+		{1, 3, core.TrialResult{Outcome: core.OutcomeSDC, Prop: prop(40, "0123456789abcdef")}},
+		{1, 4, core.TrialResult{Outcome: core.OutcomeDUE, Prop: prop(-1, "")}},
+		{2, 0, core.TrialResult{Outcome: core.OutcomeMasked, Prop: prop(-1, "")}},
+		{2, 1, core.TrialResult{Outcome: core.OutcomeMasked, Prop: prop(-1, "")}},
+		{2, 2, core.TrialResult{Outcome: core.OutcomeNoInjection}},
+	} {
+		sc := c.shards[tr.shard]
+		line, err := campaign.MarshalTrialEvent(sc.shard.Bench, tr.trial, &tr.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh, err := c.foldLine(sc, line); !fresh || err != nil {
+			t.Fatalf("foldLine(%s, %d) = %v, %v", sc.shard, tr.trial, fresh, err)
+		}
+	}
 	return c
 }
 
@@ -173,6 +198,7 @@ func TestStatusAndMetricsUnderLoad(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	checkByteIdentical(t, fr, want)
+	checkLiveMatchesFinal(t, srv.URL, fr)
 
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -188,6 +214,82 @@ func TestStatusAndMetricsUnderLoad(t *testing.T) {
 		if !strings.Contains(string(page), want) {
 			t.Errorf("metrics page missing %q:\n%s", want, page)
 		}
+	}
+}
+
+// liveView is the coordinator's live outcome counts: the /v1/status
+// tallies and coverage interval and the per-benchmark
+// flame_bench_{injected,sdc,due}_total samples of /metrics, keyed by
+// their series name.
+type liveView struct {
+	Tallies                          map[string]int
+	Coverage, CoverageLo, CoverageHi float64
+	Bench                            map[string]float64
+}
+
+// readLive fetches the live view from a coordinator.
+func readLive(t *testing.T, url string) liveView {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st StatusResponse
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := liveView{Tallies: st.Tallies, Coverage: st.Coverage,
+		CoverageLo: st.CoverageLo, CoverageHi: st.CoverageHi, Bench: map[string]float64{}}
+	resp, err = http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, line := range strings.Split(string(page), "\n") {
+		for _, fam := range []string{"flame_bench_injected_total{", "flame_bench_sdc_total{", "flame_bench_due_total{"} {
+			if series, val, ok := strings.Cut(line, " "); ok && strings.HasPrefix(line, fam) {
+				n, err := strconv.ParseFloat(val, 64)
+				if err != nil {
+					t.Fatalf("metrics line %q: %v", line, err)
+				}
+				v.Bench[series] = n
+			}
+		}
+	}
+	return v
+}
+
+// checkLiveMatchesFinal asserts that the coordinator at url serves live
+// counts equal to the merged report's: the fleet tallies and coverage
+// interval on /v1/status and each benchmark's injected/SDC/DUE counts
+// on /metrics.
+func checkLiveMatchesFinal(t *testing.T, url string, fr *FinalReport) {
+	t.Helper()
+	f := &fr.Report.Fleet
+	want := liveView{
+		Tallies:  map[string]int{},
+		Coverage: f.Coverage, CoverageLo: f.CoverageLo, CoverageHi: f.CoverageHi,
+		Bench: map[string]float64{},
+	}
+	for o, n := range map[string]int{
+		"no-injection": f.NoInjection, "masked": f.Masked, "recovered": f.Recovered,
+		"sdc": f.SDC, "due": f.DUE, "hang": f.Hang, "internal": f.Internal,
+	} {
+		if n > 0 {
+			want.Tallies[o] = n
+		}
+	}
+	for _, br := range fr.Report.Benchmarks {
+		label := fmt.Sprintf("{bench=%q}", br.Benchmark)
+		want.Bench["flame_bench_injected_total"+label] = float64(br.Injected)
+		want.Bench["flame_bench_sdc_total"+label] = float64(br.SDC)
+		want.Bench["flame_bench_due_total"+label] = float64(br.DUE)
+	}
+	if got := readLive(t, url); !reflect.DeepEqual(got, want) {
+		t.Fatalf("live view differs from the merged report:\n got  %+v\n want %+v", got, want)
 	}
 }
 

@@ -16,6 +16,13 @@
 // streamer would have written (campaign.MarshalTrialEvent), so merging
 // is replay, not re-aggregation.
 //
+// The live view is replay too: the coordinator decodes every accepted
+// line with campaign.DecodeTrial and folds it into one
+// campaign.BenchReport per benchmark, the fold the merged report
+// replays. /metrics, /v1/status and the ci_target early stop read those
+// reports, so the live counts equal the final report's over the same
+// lines, and a line the fold cannot use is never persisted.
+//
 // Worker trust follows the teaMPI/SWE team-replication pattern: every
 // worker runs the same fault-free golden runs the coordinator ran and
 // votes with a hash of (window, initial memory, final memory) per
@@ -250,7 +257,7 @@ type ShardStatus struct {
 }
 
 // StatusResponse is the live progress view served at /v1/status,
-// including the incremental Wilson interval over streamed trials.
+// including the fleet coverage interval over the trials persisted so far.
 type StatusResponse struct {
 	Benchmarks  []string       `json:"benchmarks"`
 	TotalTrials int            `json:"total_trials"`

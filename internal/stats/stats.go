@@ -114,43 +114,6 @@ func Wilson(k, n int, z float64) (lo, hi float64) {
 // Wilson95 is Wilson at the conventional 95% level.
 func Wilson95(k, n int) (lo, hi float64) { return Wilson(k, n, 1.959963984540054) }
 
-// Prop is an incrementally-updatable binomial proportion with Wilson
-// confidence intervals — the live-progress counterpart to the batch
-// Wilson call the final report uses. The campaign coordinator folds
-// each streamed trial in as it arrives and serves the running coverage
-// estimate with its CI from /status, so an operator can watch the
-// interval tighten while shards are still out. The zero value is ready
-// to use; Prop is not synchronized (guard it with the caller's lock).
-type Prop struct {
-	K int `json:"k"` // successes
-	N int `json:"n"` // observations
-}
-
-// Add folds in one observation.
-func (p *Prop) Add(success bool) {
-	p.N++
-	if success {
-		p.K++
-	}
-}
-
-// Observe folds in a pre-aggregated batch of k successes in n trials.
-func (p *Prop) Observe(k, n int) {
-	p.K += k
-	p.N += n
-}
-
-// Rate returns the point estimate k/n (0 when empty).
-func (p Prop) Rate() float64 {
-	if p.N == 0 {
-		return 0
-	}
-	return float64(p.K) / float64(p.N)
-}
-
-// CI95 returns the Wilson 95% interval for the current counts.
-func (p Prop) CI95() (lo, hi float64) { return Wilson95(p.K, p.N) }
-
 // Table is a simple aligned plain-text table.
 type Table struct {
 	Header []string

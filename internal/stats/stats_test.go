@@ -133,45 +133,3 @@ func TestWilsonProperties(t *testing.T) {
 		t.Fatalf("interval did not tighten: [%v,%v] vs [%v,%v]", lo1, hi1, lo2, hi2)
 	}
 }
-
-// TestPropMatchesBatchWilson: folding observations in one at a time
-// yields exactly the batch Wilson interval for the same counts — the
-// incremental path a live coordinator serves must agree with the final
-// report's.
-func TestPropMatchesBatchWilson(t *testing.T) {
-	var p Prop
-	k, n := 0, 0
-	for i := 0; i < 250; i++ {
-		ok := i%7 != 0
-		p.Add(ok)
-		n++
-		if ok {
-			k++
-		}
-		lo, hi := p.CI95()
-		wlo, whi := Wilson95(k, n)
-		if lo != wlo || hi != whi {
-			t.Fatalf("after %d obs: incremental CI [%v,%v] != batch [%v,%v]", n, lo, hi, wlo, whi)
-		}
-		if got := p.Rate(); got != float64(k)/float64(n) {
-			t.Fatalf("rate %v, want %v", got, float64(k)/float64(n))
-		}
-	}
-	var q Prop
-	q.Observe(k, n)
-	if q != p {
-		t.Fatalf("Observe(%d,%d) = %+v, want %+v", k, n, q, p)
-	}
-}
-
-// TestPropZeroValue: the zero Prop reports the vacuous interval.
-func TestPropZeroValue(t *testing.T) {
-	var p Prop
-	if p.Rate() != 0 {
-		t.Fatalf("empty rate = %v", p.Rate())
-	}
-	lo, hi := p.CI95()
-	if lo != 0 || hi != 1 {
-		t.Fatalf("empty CI = [%v,%v], want [0,1]", lo, hi)
-	}
-}
