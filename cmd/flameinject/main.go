@@ -245,47 +245,40 @@ func strataTable(arch gpu.Config, opt core.Options, specs []*core.KernelSpec, mo
 		model, opt.Scheme, opt.WCDL, out.String(), t.String())
 }
 
-// restoreProfile runs every selected benchmark's trial sequence once on
-// a pooled engine and renders the page-accounting table behind the
-// -profile-restore flag: the memory footprint in pages, how many pages
-// trials actually dirty (and so how many a restore copies and a diff
-// scans), and what fraction of trials the pruner classifies without
-// simulation — or why pruning is unavailable for the benchmark.
+// restoreProfile runs every selected benchmark's trials as its own
+// pruned single-worker campaign and renders the page-accounting table
+// behind the -profile-restore flag: the memory footprint in pages, how
+// many pages trials actually dirty (and so how many a restore copies
+// and a diff scans), and what fraction of trials the pruner classifies
+// without simulation — or why pruning is unavailable for the benchmark.
 func restoreProfile(cfg campaign.Config) string {
-	specs := cfg.Specs
 	t := &stats.Table{Header: []string{
 		"benchmark", "footprint", "dirty/trial", "restored/trial",
 		"diff/trial", "pruned", "prune status",
 	}}
-	// One benchmark per worker; rows are kept in spec order.
+	// One campaign per benchmark and worker, on one engine, so the
+	// restore counters are the benchmark's own; rows stay in spec order.
 	type row struct {
-		px     *core.PruneIndex
-		pruned int
-		st     core.RestoreStats
+		br campaign.BenchReport
+		st core.RestoreStats
 	}
-	rows := make([]row, len(specs))
-	err := par.For(len(specs), func(b int) error {
-		spec := specs[b]
-		s, err := core.Prepare(cfg.Arch, spec, cfg.Opt, core.Want{Prune: true})
+	rows := make([]row, len(cfg.Specs))
+	err := par.For(len(cfg.Specs), func(b int) error {
+		bc := cfg
+		bc.Specs, bc.Prune, bc.Parallel = cfg.Specs[b:b+1], true, 1
+		bc.RestoreStats = &rows[b].st
+		rep, err := campaign.Run(bc)
 		if err != nil {
-			return fmt.Errorf("%s: %w", spec.Name, err)
+			return err
 		}
-		g, r := s.Golden, &rows[b]
-		r.px = s.Prune
-		eng := core.NewEngine(cfg.Arch)
-		for i := 0; i < cfg.Trials; i++ {
-			if eng.Trial(spec, g, r.px, cfg.TrialSpec(g, spec.Name, i)).Pruned {
-				r.pruned++
-			}
-		}
-		r.st = eng.Stats()
+		rows[b].br = rep.Benchmarks[0]
 		return nil
 	})
 	if err != nil {
 		fail("%v", err)
 	}
-	for b, spec := range specs {
-		px, pruned, st := rows[b].px, rows[b].pruned, rows[b].st
+	for b, spec := range cfg.Specs {
+		br, st := &rows[b].br, rows[b].st
 		perTrial := func(n int64) string {
 			if st.Trials == 0 {
 				return "-"
@@ -293,14 +286,14 @@ func restoreProfile(cfg campaign.Config) string {
 			return fmt.Sprintf("%.1f", float64(n)/float64(st.Trials))
 		}
 		status := "ok"
-		if px.Disabled() != "" {
-			status = px.Disabled()
+		if br.PruneDisabled != "" {
+			status = br.PruneDisabled
 		}
 		footprint := (spec.MemBytes + gpu.PageBytes - 1) / gpu.PageBytes
 		t.Add(spec.Name,
 			fmt.Sprintf("%d pages", footprint),
 			perTrial(st.DirtyPages), perTrial(st.RestoredPages), perTrial(st.DiffPages),
-			fmt.Sprintf("%d/%d", pruned, cfg.Trials), status)
+			fmt.Sprintf("%d/%d", br.PrunedMasked+br.PrunedNoInjection, cfg.Trials), status)
 	}
 	return fmt.Sprintf("restore/prune profile: trials=%d/bench scheme=%s model=%s seed=%d\n%s",
 		cfg.Trials, cfg.Opt.Scheme, cfg.Model, cfg.Seed, t.String())

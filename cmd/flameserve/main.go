@@ -44,7 +44,6 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "lease deadline without a heartbeat")
 	heartbeat := flag.Duration("heartbeat", 0, "heartbeat cadence told to workers (0 = lease-ttl/3)")
 	quarantine := flag.Int("quarantine-after", 3, "quarantine a shard after this many failed leases")
-	dashboard := flag.Bool("dashboard", false, "serve the live HTML dashboard at GET /dashboard (Prometheus metrics are always at GET /metrics)")
 	cf := campaignflag.Bind(flag.CommandLine)
 	flag.Parse()
 
@@ -61,7 +60,7 @@ func main() {
 		Coord: dist.CoordConfig{
 			Info: dist.InfoFromConfig(&cfg), StateDir: *state, ShardSize: *shardSize,
 			LeaseTTL: *leaseTTL, Heartbeat: *heartbeat, QuarantineAfter: *quarantine,
-			Dashboard: *dashboard, Logf: logf,
+			Logf: logf,
 		},
 	})
 	interrupted := errors.Is(err, context.Canceled)

@@ -21,7 +21,6 @@ import (
 	"flame/internal/core"
 	"flame/internal/flame"
 	"flame/internal/gpu"
-	"flame/internal/obs"
 	"flame/internal/prof"
 	"flame/internal/telemetry"
 )
@@ -145,7 +144,7 @@ func main() {
 	// run supplies the reference memory, and the tracer follows the
 	// strike's taint through the register dataflow to the first global
 	// store it could have corrupted.
-	var tracer *obs.Tracer
+	var tracer *telemetry.Tracer
 	var golden *core.Golden
 	if *fingerprint {
 		if inj == nil {
@@ -154,7 +153,7 @@ func main() {
 		if golden, err = core.GoldenRun(arch, spec, opt); err != nil {
 			fail("golden: %v", err)
 		}
-		tracer = obs.NewTracer()
+		tracer = telemetry.NewTracer()
 		tracer.BeginTrial(golden, inj)
 		hooks = gpu.CombineHooks(hooks, tracer.TrialHooks())
 	}
@@ -217,7 +216,7 @@ func main() {
 // propagation record: how far the strike travelled before it could
 // touch memory, when detection caught it, and — if the output actually
 // diverged — the corruption fingerprint campaigns group SDCs by.
-func printPropagation(tracer *obs.Tracer, inj *flame.Injector, res *core.Result, golden *core.Golden) {
+func printPropagation(tracer *telemetry.Tracer, inj *flame.Injector, res *core.Result, golden *core.Golden) {
 	tr := core.TrialResult{Outcome: core.OutcomeMasked, Strikes: inj.FiredStrikes()}
 	if memDiverged(res.Mem, golden.Mem) {
 		tr.Outcome = core.OutcomeSDC

@@ -81,11 +81,6 @@ type Intervals struct {
 // Liveness returns the block-level liveness the intervals were built on.
 func (iv *Intervals) Liveness() *Liveness { return iv.lv }
 
-// EntryLiveCount returns the number of registers live at program entry
-// (nonzero means the program reads state a previous launch left in the
-// register file — cross-launch composition must then be conservative).
-func (iv *Intervals) EntryLiveCount() int { return iv.lv.LiveIn[0].Count() }
-
 // ComputeIntervals runs the per-instruction interval analysis over a
 // CFG. It is a single backward scan per block seeded with block-level
 // liveness, so it costs O(insts) after ComputeLiveness.

@@ -98,7 +98,7 @@ type Config struct {
 	// copy whatever the previous trial on that engine dirtied).
 	RestoreStats *core.RestoreStats
 
-	// Trace attaches a propagation tracer (internal/obs) to every
+	// Trace attaches a propagation tracer (telemetry.Tracer) to every
 	// simulated trial: trial events gain a prop record (strike-to-store
 	// propagation depth, detection latency, SDC memory fingerprints)
 	// and the report gains per-benchmark propagation sections. Outcomes,
@@ -130,32 +130,25 @@ type Config struct {
 	StrataKey string
 }
 
-// emitSetup writes the set-up event lines after set-up has finished,
-// in the order the serial set-up wrote them: campaign start, every
-// golden, every strata enumeration, then every benchmark whose pruning
-// is off.
-func emitSetup(str *streamer, cfg *Config, set []core.Setup, parallel int) {
-	if str == nil {
-		return
-	}
-	str.campaignStart(cfg, parallel, set[0].Golden.Comp.Opt.WCDL)
-	for i, spec := range cfg.Specs {
-		str.golden(spec.Name, set[i].Golden.Window)
-	}
-	for i, s := range set {
-		if m := s.Strata; m != nil {
-			info := make([]stratumInfo, len(m.Strata))
-			for j := range m.Strata {
-				info[j] = stratumInfo{Key: m.Strata[j].Key(), Sites: m.Strata[j].Sites}
-			}
-			str.strata(cfg.Specs[i].Name, m.Span, m.NoInjectionSites, info)
+// Prepare runs the campaign's set-up: every benchmark's fault-free
+// golden run on GOMAXPROCS workers, recording the pruning oracle under
+// Prune and, under Stratify, the site strata of the StrataKey. The
+// in-process pool and every distributed replica call it, so they all
+// prune and stratify the same trials.
+func (cfg *Config) Prepare() ([]core.Setup, error) {
+	want := core.Want{Prune: cfg.Prune}
+	if cfg.Stratify {
+		key, err := core.ParseStrataKey(cfg.StrataKey)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: %w", err)
 		}
+		want.Strata, want.Model, want.Key = true, cfg.Model, key
 	}
-	for i, spec := range cfg.Specs {
-		if reason := set[i].Prune.Disabled(); reason != "" {
-			str.pruneDisabled(spec.Name, reason)
-		}
+	set, err := core.PrepareAll(cfg.Arch, cfg.Specs, cfg.Opt, want)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
+	return set, nil
 }
 
 // Validate rejects a campaign that cannot run: no workloads, a
@@ -207,7 +200,7 @@ func Run(cfg Config) (*Report, error) {
 	// Fault-free golden runs, one per workload, each recording its
 	// pruning oracle as it runs. A benchmark that fails a soundness gate
 	// gets a disabled index and falls back to simulation.
-	p, err := newPool(&cfg, core.Want{}, len(plan))
+	p, err := newPool(&cfg, len(plan))
 	if err != nil {
 		return nil, err
 	}

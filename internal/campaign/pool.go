@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"flame/internal/core"
-	"flame/internal/obs"
+	"flame/internal/telemetry"
 )
 
 // trial is one planned trial of a batch.
@@ -21,23 +21,20 @@ type trial struct {
 
 // pool is the campaign's one trial executor, shared by the uniform grid
 // (one batch) and the stratified sampler (one batch per round). Each
-// worker owns an engine — one pooled device per workload, reused
-// across trials and batches with bit-identical results — and a tracer
-// that is reset per trial and records only deterministic per-trial
-// facts, so reports stay independent of the worker count.
+// worker owns an Executor, reused across trials and batches with
+// bit-identical results, so reports stay independent of the worker
+// count.
 type pool struct {
-	cfg     *Config
-	set     []core.Setup // per workload, in spec order
-	str     *streamer    // nil without Config.Events
-	engines []*core.Engine
-	tracers []core.TrialObserver // nil entries without Config.Trace
+	cfg   *Config
+	set   []core.Setup // per workload, in spec order
+	str   *streamer    // nil without Config.Events
+	execs []*Executor
 }
 
-// newPool runs the campaign's set-up — every benchmark's golden run on
-// GOMAXPROCS workers, recording the pruning oracle under Config.Prune
-// and whatever else want asks for — and writes its event lines; total
-// is the planned trial count the progress records count towards.
-func newPool(cfg *Config, want core.Want, total int) (*pool, error) {
+// newPool runs the campaign's set-up (Config.Prepare) and writes its
+// event lines; total is the planned trial count the progress records
+// count towards.
+func newPool(cfg *Config, total int) (*pool, error) {
 	parallel := cfg.Parallel
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
@@ -46,25 +43,54 @@ func newPool(cfg *Config, want core.Want, total int) (*pool, error) {
 	if cfg.Events != nil {
 		p.str = newStreamer(cfg.Events, total)
 	}
-	want.Prune = cfg.Prune
-	set, err := core.PrepareAll(cfg.Arch, cfg.Specs, cfg.Opt, want)
+	set, err := cfg.Prepare()
 	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
+		return nil, err
 	}
 	p.set = set
-	emitSetup(p.str, cfg, set, parallel)
+	if p.str != nil {
+		p.str.setup(cfg, set, parallel)
+	}
 	for w := 0; w < parallel; w++ {
-		eng := core.NewEngine(cfg.Arch)
-		eng.SetNoCOW(cfg.NoCOW)
-		p.engines = append(p.engines, eng)
-		var tracer core.TrialObserver
-		if cfg.Trace {
-			tracer = obs.NewTracer()
-		}
-		p.tracers = append(p.tracers, tracer)
+		p.execs = append(p.execs, cfg.NewExecutor(set))
 	}
 	return p, nil
 }
+
+// Executor runs trials of one campaign on one worker: a pooled engine
+// (one device per workload, restored from the golden image between
+// trials, under Config.NoCOW by full copy) and, under Config.Trace, a
+// propagation tracer that is reset per trial and records only
+// deterministic per-trial facts. The in-process pool gives each of its
+// workers one, and each distributed worker process runs its shards on
+// one. An Executor is not safe for concurrent use.
+type Executor struct {
+	cfg    *Config
+	set    []core.Setup
+	eng    *core.Engine
+	tracer core.TrialObserver // nil without Config.Trace
+}
+
+// NewExecutor builds an executor over the set-up Prepare returned.
+func (cfg *Config) NewExecutor(set []core.Setup) *Executor {
+	x := &Executor{cfg: cfg, set: set, eng: core.NewEngine(cfg.Arch)}
+	x.eng.SetNoCOW(cfg.NoCOW)
+	if cfg.Trace {
+		x.tracer = telemetry.NewTracer()
+	}
+	return x
+}
+
+// Trial runs one trial of benchmark b (its index in Config.Specs)
+// through the engine's prune-or-simulate step, with the tracer attached.
+func (x *Executor) Trial(b int, ts core.TrialSpec) *core.TrialResult {
+	s := &x.set[b]
+	ts.Observer = x.tracer
+	return x.eng.Trial(x.cfg.Specs[b], s.Golden, s.Prune, ts)
+}
+
+// Stats returns the engine's restore/diff page counters so far.
+func (x *Executor) Stats() core.RestoreStats { return x.eng.Stats() }
 
 // run executes batch, writing trial i's result to out[i], and returns
 // how many trials ran. Trials are dispatched in batch order until
@@ -74,16 +100,16 @@ func newPool(cfg *Config, want core.Want, total int) (*pool, error) {
 func (p *pool) run(batch []trial, out []core.TrialResult) int {
 	// One queued trial per worker: a worker that finishes picks up its
 	// next trial without waiting for the dispatcher to be scheduled.
-	next := make(chan int, len(p.engines))
+	next := make(chan int, len(p.execs))
 	var wg sync.WaitGroup
-	for w := range p.engines {
+	for _, x := range p.execs {
 		wg.Add(1)
-		go func(eng *core.Engine, tracer core.TrialObserver) {
+		go func(x *Executor) {
 			defer wg.Done()
 			for i := range next {
-				p.runTrial(eng, tracer, &batch[i], &out[i])
+				p.runTrial(x, &batch[i], &out[i])
 			}
-		}(p.engines[w], p.tracers[w])
+		}(x)
 	}
 	n := 0
 	for n < len(batch) && !closed(p.cfg.Stop) {
@@ -98,11 +124,9 @@ func (p *pool) run(batch []trial, out []core.TrialResult) int {
 	return n
 }
 
-// runTrial derives one trial's spec, runs it through the engine's
-// prune-or-simulate step and streams it.
-func (p *pool) runTrial(eng *core.Engine, tracer core.TrialObserver, tr *trial, out *core.TrialResult) {
-	spec, s := p.cfg.Specs[tr.b], &p.set[tr.b]
-	g := s.Golden
+// runTrial derives one trial's spec, runs it on x and streams it.
+func (p *pool) runTrial(x *Executor, tr *trial, out *core.TrialResult) {
+	spec, g := p.cfg.Specs[tr.b], p.set[tr.b].Golden
 	if p.str != nil {
 		p.str.trialStart(spec.Name, tr.t)
 	}
@@ -112,8 +136,7 @@ func (p *pool) runTrial(eng *core.Engine, tracer core.TrialObserver, tr *trial, 
 	} else {
 		ts = p.cfg.TrialSpec(g, spec.Name, tr.t)
 	}
-	ts.Observer = tracer
-	res := eng.Trial(spec, g, s.Prune, ts)
+	res := x.Trial(tr.b, ts)
 	if tr.ss != nil {
 		res.Stratum = tr.ss.st.Key()
 	}
@@ -129,8 +152,8 @@ func (p *pool) runTrial(eng *core.Engine, tracer core.TrialObserver, tr *trial, 
 // short.
 func (p *pool) close(rep *Report, stopped bool) (*Report, error) {
 	var rs core.RestoreStats
-	for _, eng := range p.engines {
-		rs.Add(eng.Stats())
+	for _, x := range p.execs {
+		rs.Add(x.Stats())
 	}
 	if p.cfg.RestoreStats != nil {
 		p.cfg.RestoreStats.Add(rs)

@@ -73,14 +73,10 @@ func RunStratified(cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	strataKey, err := core.ParseStrataKey(cfg.StrataKey)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
 
 	// Golden runs, each enumerating its strata (and, under Prune,
 	// recording its pruning oracle) as it runs.
-	p, err := newPool(&cfg, core.Want{Strata: true, Model: cfg.Model, Key: strataKey}, len(cfg.Specs)*cfg.Trials)
+	p, err := newPool(&cfg, len(cfg.Specs)*cfg.Trials)
 	if err != nil {
 		return nil, err
 	}

@@ -54,39 +54,11 @@ func PlanShards(benches []string, trials, size int) []Shard {
 	return out
 }
 
-// MarshalStartEvent renders the campaign_start JSONL line (newline
-// included) exactly as Run's streamer writes it. The distributed
-// coordinator emits it at the head of the merged stream so Replay sees
-// the same skeleton a single-process stream carries.
-func MarshalStartEvent(cfg *Config, parallel, wcdl int) ([]byte, error) {
-	return marshalLine(newStartEvent(cfg, parallel, wcdl, len(cfg.Specs)*cfg.Trials))
-}
-
-// MarshalGoldenEvent renders a golden JSONL line (newline included)
-// exactly as Run's streamer writes it.
-func MarshalGoldenEvent(bench string, window int64) ([]byte, error) {
-	return marshalLine(goldenEvent{Event: "golden", Benchmark: bench, WindowCycles: window})
-}
-
-// MarshalPruneDisabledEvent renders a prune_disabled JSONL line
-// (newline included) exactly as Run's streamer writes it. The
-// distributed coordinator emits one per affected workload after the
-// goldens, so a merged stream replays with the same per-workload
-// fallback accounting a single-process report carries.
-func MarshalPruneDisabledEvent(bench, reason string) ([]byte, error) {
-	return marshalLine(pruneDisabledEvent{Event: "prune_disabled", Benchmark: bench, Reason: reason})
-}
-
 // MarshalTrialEvent renders a trial JSONL line (newline included)
 // exactly as Run's streamer writes it — every field the report
 // aggregation consumes, so shard streams replay byte-identically.
 func MarshalTrialEvent(bench string, t int, r *core.TrialResult) ([]byte, error) {
-	return marshalLine(newTrialEvent(bench, t, r))
-}
-
-// marshalLine matches json.Encoder's output: marshal plus newline.
-func marshalLine(v any) ([]byte, error) {
-	data, err := json.Marshal(v)
+	data, err := json.Marshal(newTrialEvent(bench, t, r))
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-
-	"flame/internal/core"
 )
 
 // TestPlanShards: the plan tiles every (benchmark, trial) pair exactly
@@ -44,8 +42,8 @@ func TestPlanShards(t *testing.T) {
 // TestShardedRunReplaysByteIdentical is the distribution contract in
 // miniature, with no HTTP in the way: running every shard of the plan
 // independently — each on its own engine, as a worker process would —
-// and assembling the coordinator-style merged stream (synthetic header,
-// golden lines, shard trial lines in arbitrary order) replays into a
+// and assembling the coordinator-style merged stream (set-up lines,
+// shard trial lines in arbitrary order) replays into a
 // report byte-identical to the single-process campaign.Run report.
 func TestShardedRunReplaysByteIdentical(t *testing.T) {
 	names := []string{"Triad", "Histogram"}
@@ -60,37 +58,27 @@ func TestShardedRunReplaysByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Coordinator": goldens + header.
+	// "Coordinator": the set-up lines.
 	var merged bytes.Buffer
-	goldens := map[string]*core.Golden{}
-	specs := map[string]*core.KernelSpec{}
-	hdr, err := MarshalStartEvent(&cfg, 3, 20)
+	set, err := cfg.Prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged.Write(hdr)
-	for _, spec := range cfg.Specs {
-		g, err := core.GoldenRun(cfg.Arch, spec, cfg.Opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		goldens[spec.Name] = g
-		specs[spec.Name] = spec
-		line, err := MarshalGoldenEvent(spec.Name, g.Window)
-		if err != nil {
-			t.Fatal(err)
-		}
-		merged.Write(line)
+	if err := WriteSetup(&merged, &cfg, set, 3, len(names)*cfg.Trials); err != nil {
+		t.Fatal(err)
 	}
 
-	// "Workers": run shards in reverse plan order on fresh engines.
+	// "Workers": run shards in reverse plan order on fresh executors.
 	shards := PlanShards(names, cfg.Trials, 3)
 	for i := len(shards) - 1; i >= 0; i-- {
 		s := shards[i]
-		eng := core.NewEngine(cfg.Arch)
+		b := 0
+		if s.Bench != names[0] {
+			b = 1
+		}
+		x := cfg.NewExecutor(set)
 		for tr := s.Lo; tr < s.Hi; tr++ {
-			g := goldens[s.Bench]
-			res := eng.RunTrial(specs[s.Bench], g, cfg.TrialSpec(g, s.Bench, tr))
+			res := x.Trial(b, cfg.TrialSpec(set[b].Golden, s.Bench, tr))
 			line, err := MarshalTrialEvent(s.Bench, tr, res)
 			if err != nil {
 				t.Fatal(err)

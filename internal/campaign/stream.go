@@ -47,21 +47,53 @@ type startEvent struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// newStartEvent builds the campaign_start record of a campaign planning
-// total trials; the streamer and MarshalStartEvent both write it.
-func newStartEvent(cfg *Config, parallel, wcdl, total int) startEvent {
+// WriteSetup writes the set-up lines of a campaign prepared as set, in
+// the order the serial set-up wrote them: campaign_start (announcing total
+// planned trials on parallel workers), every golden, every strata
+// enumeration, then every benchmark whose pruning is off. The streamer
+// writes them at the head of a campaign's stream and the distributed
+// coordinator at the head of its merged stream, so both replay to the
+// same report skeleton.
+func WriteSetup(w io.Writer, cfg *Config, set []core.Setup, parallel, total int) error {
 	benches := make([]string, len(cfg.Specs))
 	for i, sp := range cfg.Specs {
 		benches[i] = sp.Name
 	}
-	return startEvent{
+	lines := []any{startEvent{
 		Event: "campaign_start", Arch: cfg.Arch.Name, Scheme: cfg.Opt.Scheme.String(),
-		Model: cfg.Model.String(), WCDL: wcdl, Seed: cfg.Seed,
+		Model: cfg.Model.String(), WCDL: set[0].Golden.Comp.Opt.WCDL, Seed: cfg.Seed,
 		TrialsPerBench: cfg.Trials, StrikesPerTrial: maxInt(1, cfg.StrikesPerTrial),
 		Parallel: parallel, Benchmarks: benches, TotalTrials: total,
 		Stratified: cfg.Stratify, CITarget: cfg.CITarget, Pilot: cfg.Pilot,
 		Trace: cfg.Trace,
+	}}
+	for i, name := range benches {
+		lines = append(lines, goldenEvent{Event: "golden", Benchmark: name, WindowCycles: set[i].Golden.Window})
 	}
+	for i, s := range set {
+		if m := s.Strata; m != nil {
+			info := make([]stratumInfo, len(m.Strata))
+			for j := range m.Strata {
+				info[j] = stratumInfo{Key: m.Strata[j].Key(), Sites: m.Strata[j].Sites}
+			}
+			lines = append(lines, strataEvent{
+				Event: "strata", Benchmark: benches[i],
+				SpanSites: m.Span, NoInjectionSites: m.NoInjectionSites, Strata: info,
+			})
+		}
+	}
+	for i, name := range benches {
+		if reason := set[i].Prune.Disabled(); reason != "" {
+			lines = append(lines, pruneDisabledEvent{Event: "prune_disabled", Benchmark: name, Reason: reason})
+		}
+	}
+	enc := json.NewEncoder(w)
+	for _, v := range lines {
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // goldenEvent reports one workload's fault-free reference run.
@@ -229,6 +261,7 @@ type doneEvent struct {
 // streamer serializes events from concurrent workers onto one writer.
 type streamer struct {
 	mu       sync.Mutex
+	w        io.Writer
 	enc      *json.Encoder
 	start    time.Time
 	done     int
@@ -243,7 +276,7 @@ func newStreamer(w io.Writer, total int) *streamer {
 	if every < 1 {
 		every = 1
 	}
-	return &streamer{enc: json.NewEncoder(w), start: time.Now(), total: total, every: every}
+	return &streamer{w: w, enc: json.NewEncoder(w), start: time.Now(), total: total, every: every}
 }
 
 func (s *streamer) emit(v any) {
@@ -258,23 +291,13 @@ func (s *streamer) emitLocked(v any) {
 	s.emit(v)
 }
 
-func (s *streamer) campaignStart(cfg *Config, parallel, wcdl int) {
-	s.emitLocked(newStartEvent(cfg, parallel, wcdl, s.total))
-}
-
-func (s *streamer) golden(bench string, window int64) {
-	s.emitLocked(goldenEvent{Event: "golden", Benchmark: bench, WindowCycles: window})
-}
-
-func (s *streamer) pruneDisabled(bench, reason string) {
-	s.emitLocked(pruneDisabledEvent{Event: "prune_disabled", Benchmark: bench, Reason: reason})
-}
-
-func (s *streamer) strata(bench string, span, noInj int64, strata []stratumInfo) {
-	s.emitLocked(strataEvent{
-		Event: "strata", Benchmark: bench,
-		SpanSites: span, NoInjectionSites: noInj, Strata: strata,
-	})
+// setup writes the set-up lines (WriteSetup) before any trial runs.
+func (s *streamer) setup(cfg *Config, set []core.Setup, parallel int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := WriteSetup(s.w, cfg, set, parallel, s.total); err != nil && s.firstErr == nil {
+		s.firstErr = err
+	}
 }
 
 func (s *streamer) benchDone(bench string, used, rounds int, reason string) {

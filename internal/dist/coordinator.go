@@ -54,9 +54,6 @@ type CoordConfig struct {
 	// backoff: fail n waits base<<(n-1), capped (defaults 250ms / 15s).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// Dashboard serves the self-contained HTML dashboard at GET
-	// /dashboard (it polls /v1/status and /metrics client-side).
-	Dashboard bool
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -79,17 +76,15 @@ type shardCtl struct {
 // (lease expiry + re-lease) and its own (checkpoint + shard streams on
 // disk), and merges the result.
 type Coordinator struct {
-	cc      CoordConfig
-	cfg     campaign.Config
-	goldens []*core.Golden
-	sigs    map[string]GoldenSig
-	// pruneOff maps benchmark -> PruneIndex.Disabled reason when
-	// cfg.Prune requested pruning but a soundness gate disabled it.
-	// The reasons are deterministic in (arch, spec, golden), so the
-	// coordinator's own indexes agree with every worker's; they feed
-	// the /metrics gauge and the synthesized prune_disabled lines of
-	// the merged stream.
-	pruneOff map[string]string
+	cc  CoordConfig
+	cfg campaign.Config
+	// set is the campaign's set-up, the same every worker replicates:
+	// the goldens anchor the hash vote, and the set-up lines head the
+	// merged stream, prune fallbacks included (their reasons are
+	// deterministic in (arch, spec, golden), so they agree with every
+	// worker's). Only disabled prune indexes are kept.
+	set  []core.Setup
+	sigs map[string]GoldenSig
 
 	mu       sync.Mutex
 	epoch    int // bumped every coordinator start; part of lease IDs
@@ -100,7 +95,8 @@ type Coordinator struct {
 	doneSeen map[string]bool   // workers that received a Done lease reply
 	// live folds every persisted trial line into its benchmark's report
 	// row, the same fold the merged report replays; /metrics,
-	// /v1/status and the ci_target early stop read it.
+	// /v1/status and the ci_target early stop read it. Each row carries
+	// its benchmark's prune fallback reason from the set-up.
 	live     map[string]*campaign.BenchReport
 	stopped  map[string]bool // benchmarks early-stopped by ci_target
 	finished bool
@@ -151,28 +147,27 @@ func NewCoordinator(cc CoordConfig) (*Coordinator, error) {
 		workers:  map[string]string{},
 		doneSeen: map[string]bool{},
 		live:     map[string]*campaign.BenchReport{},
-		pruneOff: map[string]string{},
 		stopped:  map[string]bool{},
 		done:     make(chan struct{}),
 		started:  time.Now(),
 	}
-	setups, err := core.PrepareAll(cfg.Arch, cfg.Specs, cfg.Opt, core.Want{Prune: cfg.Prune})
-	if err != nil {
+	if c.set, err = c.cfg.Prepare(); err != nil {
 		return nil, fmt.Errorf("dist: set-up: %w", err)
-	}
-	for i, spec := range cfg.Specs {
-		g := setups[i].Golden
-		c.goldens = append(c.goldens, g)
-		c.sigs[spec.Name] = Signature(g)
-		if px := setups[i].Prune; px != nil && px.Disabled() != "" {
-			c.pruneOff[spec.Name] = px.Disabled()
-			cc.Logf("prune disabled for %s: %s", spec.Name, px.Disabled())
-		}
 	}
 	benches := make([]string, len(cfg.Specs))
 	for i, sp := range cfg.Specs {
 		benches[i] = sp.Name
-		c.live[sp.Name] = &campaign.BenchReport{Benchmark: sp.Name}
+		c.sigs[sp.Name] = Signature(c.set[i].Golden)
+		off := c.set[i].Prune.Disabled()
+		if off != "" {
+			cc.Logf("prune disabled for %s: %s", sp.Name, off)
+		} else {
+			// The coordinator runs no trials, and a live index's
+			// recorded schedule is most of the set-up's memory; only a
+			// disabled index's reason is needed, in the merged stream.
+			c.set[i].Prune = nil
+		}
+		c.live[sp.Name] = &campaign.BenchReport{Benchmark: sp.Name, PruneDisabled: off}
 	}
 	for _, s := range campaign.PlanShards(benches, cfg.Trials, cc.ShardSize) {
 		c.shards = append(c.shards, &shardCtl{shard: s, state: statePending, seen: map[int]bool{}})
@@ -426,35 +421,13 @@ func (c *Coordinator) checkFinishedLocked() {
 		mode, f.Trials, f.Coverage*100, f.CoverageLo*100, f.CoverageHi*100)
 }
 
-// mergeLocked assembles the merged stream — synthetic header, golden
+// mergeLocked assembles the merged stream — the campaign's set-up
 // lines, every shard stream in plan order (quarantined shards
 // contribute whatever partial range they streamed) — and replays it.
 func (c *Coordinator) mergeLocked() (*FinalReport, error) {
-	var buf []byte
-	hdr, err := campaign.MarshalStartEvent(&c.cfg, len(c.workers), c.goldens[0].Comp.Opt.WCDL)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := campaign.WriteSetup(&buf, &c.cfg, c.set, len(c.workers), len(c.cfg.Specs)*c.cfg.Trials); err != nil {
 		return nil, err
-	}
-	buf = append(buf, hdr...)
-	for i, spec := range c.cfg.Specs {
-		line, err := campaign.MarshalGoldenEvent(spec.Name, c.goldens[i].Window)
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, line...)
-	}
-	// Prune fallbacks ride the merged stream like in-process streams, so
-	// the replayed report carries the same per-workload accounting.
-	for _, spec := range c.cfg.Specs {
-		reason, ok := c.pruneOff[spec.Name]
-		if !ok {
-			continue
-		}
-		line, err := campaign.MarshalPruneDisabledEvent(spec.Name, reason)
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, line...)
 	}
 	var quarantined, cancelled []campaign.Shard
 	cancelledMissing := 0
@@ -475,7 +448,7 @@ func (c *Coordinator) mergeLocked() (*FinalReport, error) {
 			}
 			return nil, err
 		}
-		buf = append(buf, data...)
+		buf.Write(data)
 	}
 	var earlyStopped []string
 	for _, sp := range c.cfg.Specs {
@@ -483,7 +456,7 @@ func (c *Coordinator) mergeLocked() (*FinalReport, error) {
 			earlyStopped = append(earlyStopped, sp.Name)
 		}
 	}
-	rep, ig, err := campaign.ReplayIntegrity(bytes.NewReader(buf))
+	rep, ig, err := campaign.ReplayIntegrity(&buf)
 	if err != nil {
 		return nil, err
 	}
@@ -548,9 +521,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/status", c.handleStatus)
 	mux.HandleFunc("GET /v1/report", c.handleReport)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	if c.cc.Dashboard {
-		mux.HandleFunc("GET /dashboard", handleDashboard)
-	}
+	mux.HandleFunc("GET /dashboard", handleDashboard)
 	return mux
 }
 

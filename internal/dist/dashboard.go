@@ -3,9 +3,8 @@ package dist
 import "net/http"
 
 // The live dashboard is one self-contained HTML page (no external
-// assets, no build step) served at GET /dashboard when
-// CoordConfig.Dashboard is set. Everything it shows comes from the two
-// read-only endpoints the coordinator already serves: /v1/status (JSON)
+// assets, no build step) served at GET /dashboard. Everything it shows
+// comes from the two read-only endpoints the coordinator already serves: /v1/status (JSON)
 // and /metrics (Prometheus text) — the page polls both every two
 // seconds and renders the shard map, per-benchmark CI convergence, and
 // the propagation-fingerprint summary client-side. Keeping the server

@@ -7,12 +7,11 @@ import (
 
 	"flame/internal/campaign"
 	"flame/internal/core"
-	"flame/internal/obs"
 	"flame/internal/stats"
 )
 
 // The coordinator's /metrics endpoint exposes the fleet's live state in
-// the Prometheus text format (hand-rolled in internal/obs — no client
+// the Prometheus text format (hand-rolled in prom.go — no client
 // library). Every counter here is derived from state the coordinator
 // rebuilds from disk on restart (the live reports refolded from the
 // shard streams for trial outcomes and propagation, the checkpoint for
@@ -39,7 +38,7 @@ func tallies(b *campaign.BenchReport) map[string]int {
 // current state. elapsed is passed in (rather than read from the clock)
 // so the golden test can pin the exact output bytes.
 func (c *Coordinator) renderMetricsLocked(elapsed float64) []byte {
-	p := obs.NewProm()
+	p := newProm()
 	info := c.cc.Info
 	trace := "0"
 	if info.Trace {
@@ -119,13 +118,11 @@ func (c *Coordinator) renderMetricsLocked(elapsed float64) []byte {
 		p.Gauge("flame_bench_early_stopped", "1 once the benchmark's CIs converged under ci_target.", v, "bench", sp.Name)
 	}
 	for _, sp := range c.cfg.Specs {
-		reason, ok := c.pruneOff[sp.Name]
-		if !ok {
-			continue
+		if reason := c.live[sp.Name].PruneDisabled; reason != "" {
+			p.Gauge("flame_prune_disabled",
+				"1 when pruning was requested but the benchmark's index failed a soundness gate and fell back to full simulation.",
+				1, "bench", sp.Name, "reason", reason)
 		}
-		p.Gauge("flame_prune_disabled",
-			"1 when pruning was requested but the benchmark's index failed a soundness gate and fell back to full simulation.",
-			1, "bench", sp.Name, "reason", reason)
 	}
 
 	for _, st := range []struct {
@@ -175,6 +172,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	page := c.renderMetricsLocked(time.Since(c.started).Seconds())
 	c.mu.Unlock()
-	w.Header().Set("Content-Type", obs.ContentType)
+	w.Header().Set("Content-Type", promContentType)
 	w.Write(page)
 }

@@ -76,11 +76,11 @@ func metricsTestCoordinator(t *testing.T) *Coordinator {
 		workers:  map[string]string{"w0": "", "w1": "", "evil": "golden vote failed"},
 		live:     map[string]*campaign.BenchReport{},
 		stopped:  map[string]bool{"Histogram": true},
-		pruneOff: map[string]string{"Triad": "schedule overflow"},
 	}
 	for _, sp := range cfg.Specs {
 		c.live[sp.Name] = &campaign.BenchReport{Benchmark: sp.Name}
 	}
+	c.live["Triad"].PruneDisabled = "schedule overflow"
 	mkShard := func(id, lo, hi int, bench, state string, fails int) *shardCtl {
 		sc := &shardCtl{state: state, fails: fails, seen: map[int]bool{}}
 		sc.shard.ID, sc.shard.Lo, sc.shard.Hi, sc.shard.Bench = id, lo, hi, bench
@@ -354,13 +354,12 @@ func TestDistTracedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDashboardServed: the dashboard is gated by CoordConfig.Dashboard
-// and serves a self-contained HTML page that references the two
-// endpoints it polls.
+// TestDashboardServed: the coordinator serves a self-contained HTML
+// dashboard that references the two endpoints it polls.
 func TestDashboardServed(t *testing.T) {
 	info := testInfo(3)
 	c, err := NewCoordinator(CoordConfig{
-		Info: info, StateDir: t.TempDir(), Dashboard: true, Logf: t.Logf,
+		Info: info, StateDir: t.TempDir(), Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -382,19 +381,4 @@ func TestDashboardServed(t *testing.T) {
 		}
 	}
 
-	// Without the flag the route does not exist.
-	c2, err := NewCoordinator(CoordConfig{Info: info, StateDir: t.TempDir(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := httptest.NewServer(c2.Handler())
-	defer srv2.Close()
-	resp2, err := http.Get(srv2.URL + "/dashboard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("ungated /dashboard returned %d, want 404", resp2.StatusCode)
-	}
 }

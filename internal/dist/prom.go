@@ -1,4 +1,4 @@
-package obs
+package dist
 
 import (
 	"bytes"
@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// Prom accumulates metric samples and renders them in the Prometheus
+// prom accumulates metric samples and renders them in the Prometheus
 // text exposition format (version 0.0.4) with no client-library
 // dependency. The output is deterministic: families render in the
 // order their first sample was added, samples within a family in the
@@ -14,7 +14,7 @@ import (
 // expected to add all samples of a family together, in a stable order
 // (sorted label values), so the rendered page is reproducible — the
 // metrics golden test pins the exact bytes.
-type Prom struct {
+type prom struct {
 	order []string
 	fams  map[string]*promFamily
 }
@@ -29,17 +29,17 @@ type promSample struct {
 	value  float64
 }
 
-// NewProm returns an empty metric page builder.
-func NewProm() *Prom { return &Prom{fams: map[string]*promFamily{}} }
+// newProm returns an empty metric page builder.
+func newProm() *prom { return &prom{fams: map[string]*promFamily{}} }
 
 // Counter adds one sample of a counter family. labels are alternating
 // key, value pairs.
-func (p *Prom) Counter(name, help string, v float64, labels ...string) {
+func (p *prom) Counter(name, help string, v float64, labels ...string) {
 	p.add(name, "counter", help, v, labels)
 }
 
 // Gauge adds one sample of a gauge family.
-func (p *Prom) Gauge(name, help string, v float64, labels ...string) {
+func (p *prom) Gauge(name, help string, v float64, labels ...string) {
 	p.add(name, "gauge", help, v, labels)
 }
 
@@ -48,7 +48,7 @@ func (p *Prom) Gauge(name, help string, v float64, labels ...string) {
 // Prometheus histogram: <name>_bucket{le="2^k"} series, a +Inf bucket,
 // and <name>_count. The observation sum is not tracked by the bucketed
 // source data, so no _sum series is emitted.
-func (p *Prom) Log2Histogram(name, help string, buckets []int, labels ...string) {
+func (p *prom) Log2Histogram(name, help string, buckets []int, labels ...string) {
 	cum := 0
 	for k, n := range buckets {
 		cum += n
@@ -59,7 +59,7 @@ func (p *Prom) Log2Histogram(name, help string, buckets []int, labels ...string)
 	p.add(name+"_count", "histogram", help, float64(cum), labels)
 }
 
-func (p *Prom) add(name, typ, help string, v float64, labels []string) {
+func (p *prom) add(name, typ, help string, v float64, labels []string) {
 	f := p.fams[name]
 	if f == nil {
 		f = &promFamily{typ: typ, help: help}
@@ -96,7 +96,7 @@ func escapeLabel(s string) string {
 }
 
 // Bytes renders the accumulated page.
-func (p *Prom) Bytes() []byte {
+func (p *prom) Bytes() []byte {
 	var buf bytes.Buffer
 	for _, name := range p.order {
 		f := p.fams[name]
@@ -133,5 +133,5 @@ func (p *Prom) Bytes() []byte {
 	return buf.Bytes()
 }
 
-// ContentType is the HTTP Content-Type of the rendered page.
-const ContentType = "text/plain; version=0.0.4; charset=utf-8"
+// promContentType is the HTTP Content-Type of the rendered page.
+const promContentType = "text/plain; version=0.0.4; charset=utf-8"

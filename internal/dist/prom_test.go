@@ -1,4 +1,4 @@
-package obs
+package dist
 
 import (
 	"strings"
@@ -10,7 +10,7 @@ import (
 // once per family, values use shortest-roundtrip formatting, and label
 // values are escaped per the 0.0.4 spec.
 func TestPromRendering(t *testing.T) {
-	p := NewProm()
+	p := newProm()
 	p.Gauge("up", "Is it up.", 1)
 	p.Counter("requests_total", "Requests.", 3, "code", "200")
 	p.Counter("requests_total", "ignored on second add", 1.5, "code", "500")
@@ -40,7 +40,7 @@ weird{v="a\\b\"c\nd"} 2
 // TestPromLog2Histogram: the cumulative buckets, the +Inf bucket, and
 // the _count series share one family header carrying the base name.
 func TestPromLog2Histogram(t *testing.T) {
-	p := NewProm()
+	p := newProm()
 	p.Log2Histogram("depth", "Cycles.", []int{1, 0, 2, 1})
 	got := string(p.Bytes())
 	want := `# HELP depth Cycles.
@@ -61,7 +61,7 @@ depth_count 4
 }
 
 func TestPromContentType(t *testing.T) {
-	if !strings.Contains(ContentType, "version=0.0.4") {
-		t.Fatalf("ContentType = %q", ContentType)
+	if !strings.Contains(promContentType, "version=0.0.4") {
+		t.Fatalf("promContentType = %q", promContentType)
 	}
 }

@@ -14,7 +14,10 @@
 // benchmark b is the same trial on any worker (campaign.Config.TrialSpec),
 // and workers stream exactly the JSONL trial lines the in-process
 // streamer would have written (campaign.MarshalTrialEvent), so merging
-// is replay, not re-aggregation.
+// is replay, not re-aggregation. The set-up is the campaign package's
+// too: the coordinator and every worker run campaign.Config.Prepare,
+// workers run their trials on a campaign.Executor, and the merged
+// stream opens with the set-up lines campaign.WriteSetup writes.
 //
 // The live view is replay too: the coordinator decodes every accepted
 // line with campaign.DecodeTrial and folds it into one

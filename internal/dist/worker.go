@@ -16,7 +16,6 @@ import (
 
 	"flame/internal/campaign"
 	"flame/internal/core"
-	"flame/internal/obs"
 )
 
 // WorkerConfig configures RunWorker.
@@ -115,7 +114,7 @@ type workerMetrics struct {
 }
 
 func (w *worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
-	p := obs.NewProm()
+	p := newProm()
 	p.Gauge("flame_worker_info", "Worker identity; the value is always 1.", 1, "name", w.wc.Name)
 	p.Counter("flame_worker_trials_total", "Trials computed (including pruned).", float64(w.m.trials.Load()))
 	p.Counter("flame_worker_pruned_total", "Trials classified without simulation.", float64(w.m.pruned.Load()))
@@ -125,23 +124,20 @@ func (w *worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
 	p.Counter("flame_worker_restored_pages_total", "Pages copied back from the golden image before launches.", float64(w.m.restored.Load()))
 	p.Counter("flame_worker_dirty_pages_total", "Pages written by trials.", float64(w.m.dirty.Load()))
 	p.Counter("flame_worker_diff_pages_total", "Pages compared during classification.", float64(w.m.diff.Load()))
-	rw.Header().Set("Content-Type", obs.ContentType)
+	rw.Header().Set("Content-Type", promContentType)
 	rw.Write(p.Bytes())
 }
 
-// worker is one campaign replica: its own engine, goldens, and specs,
+// worker is one campaign replica: its own set-up and trial executor,
 // reconstructed from the coordinator's CampaignInfo.
 type worker struct {
-	wc      WorkerConfig
-	cfg     campaign.Config
-	eng     *core.Engine
-	specs   map[string]*core.KernelSpec
-	goldens map[string]*core.Golden
-	prune   map[string]*core.PruneIndex // nil unless cfg.Prune
-	tracer  core.TrialObserver          // nil unless cfg.Trace
-	sigs    map[string]GoldenSig
-	hb      time.Duration
-	m       workerMetrics
+	wc   WorkerConfig
+	cfg  campaign.Config
+	set  []core.Setup
+	x    *campaign.Executor
+	sigs map[string]GoldenSig
+	hb   time.Duration
+	m    workerMetrics
 }
 
 // setup fetches the campaign, replicates the golden runs, and joins
@@ -156,43 +152,25 @@ func (w *worker) setup(ctx context.Context) error {
 		return fmt.Errorf("dist: reconstruct campaign: %w", err)
 	}
 	w.cfg = cfg
-	w.eng = core.NewEngine(cfg.Arch)
-	w.eng.SetNoCOW(cfg.NoCOW)
-	if cfg.Trace {
-		// One tracer for the whole worker: trials run sequentially, and
-		// the tracer resets per trial (BeginTrial).
-		w.tracer = obs.NewTracer()
-	}
-	w.specs = map[string]*core.KernelSpec{}
-	w.goldens = map[string]*core.Golden{}
-	if cfg.Prune {
-		w.prune = map[string]*core.PruneIndex{}
-	}
 	// The pruning oracle is a deterministic function of (arch, spec,
 	// golden), so every replica prunes exactly the same trials the
 	// coordinator would, and streamed lines stay byte-identical.
-	setups, err := core.PrepareAll(cfg.Arch, cfg.Specs, cfg.Opt, core.Want{Prune: cfg.Prune})
+	w.set, err = w.cfg.Prepare()
 	if err != nil {
 		return fmt.Errorf("dist: set-up: %w", err)
 	}
-	sigs := map[string]GoldenSig{}
+	w.x = w.cfg.NewExecutor(w.set)
+	w.sigs = map[string]GoldenSig{}
 	for i, spec := range cfg.Specs {
-		g := setups[i].Golden
-		w.specs[spec.Name] = spec
-		w.goldens[spec.Name] = g
-		if cfg.Prune {
-			w.prune[spec.Name] = setups[i].Prune
-		}
-		sigs[spec.Name] = Signature(g)
+		w.sigs[spec.Name] = Signature(w.set[i].Golden)
 	}
 	if w.wc.CorruptGolden {
-		for name, sig := range sigs {
+		for name, sig := range w.sigs {
 			sig.Hash = "deadbeef" + sig.Hash[8:]
-			sigs[name] = sig
+			w.sigs[name] = sig
 			break
 		}
 	}
-	w.sigs = sigs
 	return w.join(ctx)
 }
 
@@ -265,10 +243,17 @@ func (w *worker) loop(ctx context.Context) error {
 // and heartbeating concurrently.
 func (w *worker) runShard(ctx context.Context, lr LeaseResponse) error {
 	sh := *lr.Shard
-	spec, g := w.specs[sh.Bench], w.goldens[sh.Bench]
-	if spec == nil || g == nil {
+	b := -1
+	for i, spec := range w.cfg.Specs {
+		if spec.Name == sh.Bench {
+			b = i
+			break
+		}
+	}
+	if b < 0 {
 		return fmt.Errorf("dist: leased unknown benchmark %q", sh.Bench)
 	}
+	g := w.set[b].Golden
 	w.m.leases.Add(1)
 	if lr.Attempt > 1 {
 		w.wc.Logf("lease %s: running %s (attempt %d — previous lease failed)", lr.LeaseID, sh, lr.Attempt)
@@ -348,13 +333,11 @@ func (w *worker) runShard(ctx context.Context, lr LeaseResponse) error {
 				return fmt.Errorf("dist: worker killed before %s trial %d: %w", sh.Bench, t, err)
 			}
 		}
-		ts := w.cfg.TrialSpec(g, sh.Bench, t)
-		ts.Observer = w.tracer
-		res := w.eng.Trial(spec, g, w.prune[sh.Bench], ts)
+		res := w.x.Trial(b, w.cfg.TrialSpec(g, sh.Bench, t))
 		if res.Pruned {
 			w.m.pruned.Add(1)
 		} else {
-			s := w.eng.Stats()
+			s := w.x.Stats()
 			w.m.restored.Store(s.RestoredPages)
 			w.m.dirty.Store(s.DirtyPages)
 			w.m.diff.Store(s.DiffPages)

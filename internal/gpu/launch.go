@@ -29,9 +29,6 @@ type Launch struct {
 	Stop func() bool
 }
 
-// Threads returns the total number of threads in the launch.
-func (l *Launch) Threads() int { return l.Grid.Count() * l.Block.Count() }
-
 // Validate checks launch sanity against a configuration.
 func (l *Launch) Validate(cfg *Config) error {
 	switch {

@@ -51,9 +51,6 @@ func NewGlobalMem(bytes int) *GlobalMem {
 	return &GlobalMem{words: words, dirty: make([]uint64, (pages+63)/64)}
 }
 
-// SizeBytes returns the memory size in bytes.
-func (m *GlobalMem) SizeBytes() int { return len(m.words) * 4 }
-
 // NumPages returns the number of dirty-tracking pages (the last one may
 // be partial).
 func (m *GlobalMem) NumPages() int { return (len(m.words) + PageWords - 1) / PageWords }

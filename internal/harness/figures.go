@@ -439,9 +439,7 @@ func FalsePositiveStudy(cfg Config, nFP int) ([]FalsePositiveRow, error) {
 		if spec.Setup != nil {
 			spec.Setup(dev.Mem.Words())
 		}
-		ctl := flame.NewController(flame.Mode{
-			WCDL: cfg.WCDL, UseRBQ: true, Sections: comp.Sections,
-		})
+		ctl := comp.Controller()
 		// Spread the spurious detections across the main launch (for
 		// multi-kernel applications the total is split evenly).
 		window := clean.Stats.Cycles / int64(len(spec.Steps)+1)

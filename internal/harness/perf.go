@@ -108,12 +108,7 @@ func PerfBench(cfg Config, outPath string, trials int) (*PerfReport, error) {
 		trials = 50
 	}
 	rep := &PerfReport{Benchmark: "Triad"}
-	rep.Timestamp = time.Now().UTC().Format(time.RFC3339)
-	rep.Host.OS = runtime.GOOS
-	rep.Host.Arch = runtime.GOARCH
-	rep.Host.CPUs = runtime.NumCPU()
-	rep.Host.GoVer = runtime.Version()
-	rep.Host.Commit = headCommit()
+	rep.stamp()
 
 	b, err := bench.ByName(rep.Benchmark)
 	if err != nil {
@@ -323,19 +318,8 @@ func checkPerfRegression(path string, tolerance float64, log io.Writer) error {
 		return err
 	}
 	var history []PerfReport
-	trimmed := bytes.TrimSpace(data)
-	switch {
-	case len(trimmed) == 0:
-		return fmt.Errorf("harness: %s: empty perf history", path)
-	case trimmed[0] == '{':
-		// Legacy format: one bare report object — nothing to compare.
-		var one PerfReport
-		if err := json.Unmarshal(trimmed, &one); err != nil {
-			return err
-		}
-		return vacuous(log)
-	default:
-		if err := json.Unmarshal(trimmed, &history); err != nil {
+	if len(bytes.TrimSpace(data)) > 0 {
+		if err := json.Unmarshal(data, &history); err != nil {
 			return err
 		}
 	}
@@ -384,6 +368,17 @@ func vacuous(log io.Writer) error {
 	return nil
 }
 
+// stamp records when and on which host and commit the report is
+// measured.
+func (r *PerfReport) stamp() {
+	r.Timestamp = time.Now().UTC().Format(time.RFC3339)
+	r.Host.OS = runtime.GOOS
+	r.Host.Arch = runtime.GOARCH
+	r.Host.CPUs = runtime.NumCPU()
+	r.Host.GoVer = runtime.Version()
+	r.Host.Commit = headCommit()
+}
+
 // headCommit identifies the measured revision: CI's GITHUB_SHA when set,
 // otherwise a best-effort `git rev-parse`; empty when neither works.
 func headCommit() string {
@@ -400,24 +395,15 @@ func headCommit() string {
 // AppendPerfHistory appends the report to the JSON history at path, so
 // BENCH_sim.json accumulates the performance trajectory across commits
 // instead of only remembering the latest run. The file is a JSON array
-// in time order; a legacy single-object file (the pre-history format) is
-// migrated into a one-element array before appending. Unreadable or
-// corrupt existing content is an error — history is never silently
-// discarded.
+// in time order. Unreadable or corrupt existing content is an error —
+// history is never silently discarded.
 func AppendPerfHistory(path string, rep *PerfReport) error {
 	var history []json.RawMessage
 	data, err := os.ReadFile(path)
 	switch {
 	case err == nil:
-		if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 {
-			if trimmed[0] == '{' {
-				// Legacy format: one bare report object.
-				var legacy json.RawMessage
-				if err := json.Unmarshal(trimmed, &legacy); err != nil {
-					return err
-				}
-				history = append(history, legacy)
-			} else if err := json.Unmarshal(trimmed, &history); err != nil {
+		if len(bytes.TrimSpace(data)) > 0 {
+			if err := json.Unmarshal(data, &history); err != nil {
 				return err
 			}
 		}

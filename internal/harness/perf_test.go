@@ -10,8 +10,7 @@ import (
 
 // TestAppendPerfHistory pins the BENCH_sim.json history semantics:
 // fresh files start a one-element array, repeated runs append in order,
-// a legacy single-object file is migrated rather than clobbered, and a
-// corrupt file errors instead of silently erasing the trajectory.
+// and a corrupt file errors instead of silently erasing the trajectory.
 func TestAppendPerfHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
 	mk := func(commit string, rate float64) *PerfReport {
@@ -44,31 +43,6 @@ func TestAppendPerfHistory(t *testing.T) {
 	if h := read(); len(h) != 2 || h[0].Host.Commit != "aaa" || h[1].Host.Commit != "bbb" {
 		t.Fatalf("after second append: %+v", h)
 	}
-
-	t.Run("legacy-migration", func(t *testing.T) {
-		legacy := filepath.Join(t.TempDir(), "BENCH_sim.json")
-		one, err := json.MarshalIndent(mk("old", 9), "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(legacy, one, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := AppendPerfHistory(legacy, mk("new", 10)); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(legacy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hist []PerfReport
-		if err := json.Unmarshal(data, &hist); err != nil {
-			t.Fatalf("migrated file is not an array: %v", err)
-		}
-		if len(hist) != 2 || hist[0].Host.Commit != "old" || hist[1].Host.Commit != "new" {
-			t.Fatalf("migration lost entries: %+v", hist)
-		}
-	})
 
 	t.Run("corrupt-file-errors", func(t *testing.T) {
 		bad := filepath.Join(t.TempDir(), "BENCH_sim.json")
@@ -144,20 +118,6 @@ func TestCheckPerfRegression(t *testing.T) {
 			if log.String() != tc.want {
 				t.Errorf("%s: reported %q, want %q", tc.name, log.String(), tc.want)
 			}
-		}
-	})
-
-	t.Run("legacy-single-object", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "BENCH_sim.json")
-		data, err := json.MarshalIndent(mk(1, 200), "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := CheckPerfRegression(path, 0); err != nil {
-			t.Fatalf("legacy single-object history should pass: %v", err)
 		}
 	})
 

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"flame/internal/bench"
 	"flame/internal/campaign"
@@ -185,12 +183,7 @@ func SamplingStudy(cfg Config, outPath string, trials int) ([]SamplingBenchPerf,
 
 	if outPath != "" {
 		rep := &PerfReport{Sampling: out}
-		rep.Timestamp = time.Now().UTC().Format(time.RFC3339)
-		rep.Host.OS = runtime.GOOS
-		rep.Host.Arch = runtime.GOARCH
-		rep.Host.CPUs = runtime.NumCPU()
-		rep.Host.GoVer = runtime.Version()
-		rep.Host.Commit = headCommit()
+		rep.stamp()
 		if err := AppendPerfHistory(outPath, rep); err != nil {
 			return nil, err
 		}

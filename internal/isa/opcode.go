@@ -141,22 +141,12 @@ func (op Opcode) IsMemory() bool {
 	return op == OpLd || op == OpSt || op == OpAtom
 }
 
-// IsLoad reports whether the opcode reads from memory.
-func (op Opcode) IsLoad() bool { return op == OpLd }
-
 // IsStore reports whether the opcode writes to memory
 // (OpAtom both reads and writes and reports true here too).
 func (op Opcode) IsStore() bool { return op == OpSt || op == OpAtom }
 
-// IsAtomic reports whether the opcode is an atomic read-modify-write.
-func (op Opcode) IsAtomic() bool { return op == OpAtom }
-
 // IsBranch reports whether the opcode may redirect control flow.
 func (op Opcode) IsBranch() bool { return op == OpBra }
-
-// IsBarrier reports whether the opcode is a block-wide synchronization
-// barrier.
-func (op Opcode) IsBarrier() bool { return op == OpBar }
 
 // IsSync reports whether the opcode is a synchronization primitive that the
 // idempotent-region formation pass must treat as a region boundary

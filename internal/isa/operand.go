@@ -112,9 +112,6 @@ func Spec(s Special) Operand { return Operand{Kind: OperSpecial, Spec: s} }
 // PredOperand returns a predicate-register operand (for selp).
 func PredOperand(p PredReg) Operand { return Operand{Kind: OperPred, Pred: p} }
 
-// IsReg reports whether the operand is a general register.
-func (o Operand) IsReg() bool { return o.Kind == OperReg }
-
 // String returns the assembly form of the operand.
 func (o Operand) String() string {
 	switch o.Kind {

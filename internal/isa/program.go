@@ -116,17 +116,6 @@ func (p *Program) BoundaryCount() int {
 	return n
 }
 
-// CountOrigin returns the number of instructions with the given origin.
-func (p *Program) CountOrigin(o Origin) int {
-	n := 0
-	for i := range p.Insts {
-		if p.Insts[i].Origin == o {
-			n++
-		}
-	}
-	return n
-}
-
 // String disassembles the whole program, marking region boundaries with a
 // "--" line, in a form that Parse accepts back (modulo synthesized labels).
 func (p *Program) String() string {

@@ -1,8 +1,9 @@
 // Package telemetry is the simulator's observability layer: scheduler-
 // slot stall attribution (Collector), interval time-series sampling
-// (Sampler), Perfetto/Chrome trace export (TraceWriter), and
-// reflection-complete gpu.Stats export helpers. Everything here is
-// strictly opt-in — a run with no telemetry attached pays nothing.
+// (Sampler), Perfetto/Chrome trace export (TraceWriter), the
+// per-trial strike propagation tracer (Tracer) and the gpu.Stats field
+// list. Everything here is strictly opt-in — a run with no telemetry
+// attached pays nothing.
 package telemetry
 
 import (

@@ -1,19 +1,15 @@
 package telemetry
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"io"
 	"reflect"
-	"strconv"
 
 	"flame/internal/gpu"
 )
 
-// Stats export built on reflection over gpu.Stats, so a counter added
-// to the struct shows up in every CSV/JSON report automatically — it
-// cannot be silently dropped. The round-trip test enforces that the
+// The gpu.Stats field list, built by reflection, so a counter added to
+// the struct shows up in the interval sampler's CSV automatically — it
+// cannot be silently dropped. TestStatsRoundTrip enforces that the
 // field list always matches the struct.
 
 // statsFields caches the exported int64 counter names of gpu.Stats in
@@ -43,49 +39,4 @@ func StatsValues(s *gpu.Stats) []int64 {
 		out[i] = v.Field(i).Int()
 	}
 	return out
-}
-
-// StatsFromValues rebuilds a Stats from StatsFields-ordered values
-// (the inverse of StatsValues; used by round-trip tests and replayers).
-func StatsFromValues(vals []int64) (gpu.Stats, error) {
-	var s gpu.Stats
-	v := reflect.ValueOf(&s).Elem()
-	if len(vals) != v.NumField() {
-		return s, fmt.Errorf("telemetry: %d values for %d stats fields", len(vals), v.NumField())
-	}
-	for i, x := range vals {
-		v.Field(i).SetInt(x)
-	}
-	return s, nil
-}
-
-// WriteStatsCSV emits a two-line CSV (header + one record) covering
-// every counter.
-func WriteStatsCSV(w io.Writer, s *gpu.Stats) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(statsFields); err != nil {
-		return err
-	}
-	vals := StatsValues(s)
-	rec := make([]string, len(vals))
-	for i, x := range vals {
-		rec[i] = strconv.FormatInt(x, 10)
-	}
-	if err := cw.Write(rec); err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteStatsJSON emits every counter as a flat JSON object keyed by
-// field name.
-func WriteStatsJSON(w io.Writer, s *gpu.Stats) error {
-	m := make(map[string]int64, len(statsFields))
-	for i, x := range StatsValues(s) {
-		m[statsFields[i]] = x
-	}
-	e := json.NewEncoder(w)
-	e.SetIndent("", "  ")
-	return e.Encode(m)
 }

@@ -2,10 +2,8 @@ package telemetry_test
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"flame/internal/bench"
@@ -246,10 +244,10 @@ func TestPerfettoTrace(t *testing.T) {
 	}
 }
 
-// TestStatsRoundTrip asserts the reflection exporter covers every
+// TestStatsRoundTrip asserts the reflection field list covers every
 // gpu.Stats field: a struct with every counter set to a distinct value
-// survives CSV and JSON round-trips bit-exactly, so a new counter can
-// never be silently dropped from reports.
+// reads back through StatsValues in StatsFields order, so a new counter
+// can never be silently dropped from the interval sampler's CSV.
 func TestStatsRoundTrip(t *testing.T) {
 	var s gpu.Stats
 	v := reflect.ValueOf(&s).Elem()
@@ -260,59 +258,11 @@ func TestStatsRoundTrip(t *testing.T) {
 	for i := 0; i < v.NumField(); i++ {
 		v.Field(i).SetInt(int64(1_000_003 + i))
 	}
-
-	t.Run("csv", func(t *testing.T) {
-		var buf bytes.Buffer
-		if err := telemetry.WriteStatsCSV(&buf, &s); err != nil {
-			t.Fatal(err)
+	for i, x := range telemetry.StatsValues(&s) {
+		if name := telemetry.StatsFields()[i]; x != v.FieldByName(name).Int() {
+			t.Errorf("StatsValues[%d] = %d, want field %s = %d", i, x, name, v.FieldByName(name).Int())
 		}
-		recs, err := csv.NewReader(&buf).ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != 2 {
-			t.Fatalf("want header+record, got %d rows", len(recs))
-		}
-		vals := make([]int64, len(recs[1]))
-		for i, f := range recs[1] {
-			if vals[i], err = strconv.ParseInt(f, 10, 64); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := telemetry.StatsFromValues(vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != s {
-			t.Errorf("csv round-trip mismatch:\n want %+v\n  got %+v", s, got)
-		}
-	})
-
-	t.Run("json", func(t *testing.T) {
-		var buf bytes.Buffer
-		if err := telemetry.WriteStatsJSON(&buf, &s); err != nil {
-			t.Fatal(err)
-		}
-		var m map[string]int64
-		if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-			t.Fatal(err)
-		}
-		vals := make([]int64, 0, len(telemetry.StatsFields()))
-		for _, f := range telemetry.StatsFields() {
-			x, ok := m[f]
-			if !ok {
-				t.Fatalf("field %s missing from JSON export", f)
-			}
-			vals = append(vals, x)
-		}
-		got, err := telemetry.StatsFromValues(vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != s {
-			t.Errorf("json round-trip mismatch:\n want %+v\n  got %+v", s, got)
-		}
-	})
+	}
 }
 
 // TestCollectorResetAndTable smoke-tests the human-readable surface.

@@ -1,16 +1,15 @@
-// Package obs is the observability layer over the trial engine: a
-// propagation tracer that follows each injected strike through the
+package telemetry
+
+// The propagation tracer follows each injected strike through the
 // register dataflow to the first global store it could have corrupted
-// (the ROADMAP's "propagation depth"), plus the Prometheus text
-// exposition the distributed service exports fleet metrics in.
+// (the propagation depth campaign reports and /metrics show).
 //
-// The tracer rides the ordinary gpu.Hooks machinery (OnExecuted /
+// It rides the ordinary gpu.Hooks machinery (OnExecuted /
 // OnWarpDispatch only), so it is inherently skip-safe: executed
 // instructions are never skipped and their observation cycles are
 // bit-identical with and without event-driven cycle skipping. Every
 // field it records is a deterministic function of the trial, keeping
 // traced campaign reports byte-identical at any worker count.
-package obs
 
 import (
 	"fmt"

@@ -4,10 +4,12 @@
 # Proves the fault-tolerance contract end to end with real processes:
 #   1. Run the reference campaign single-process (flameinject) -> report A.
 #   2. Run the same campaign distributed: flameserve + 4 flameworkers.
-#      Mid-campaign, kill -9 one worker (its lease must expire and its
-#      shard be re-leased), then kill -9 the coordinator itself and
-#      restart it on the same state dir (it must resume from checkpoint
-#      + shard streams while the surviving workers reconnect).
+#      Mid-campaign, kill -9 the only running worker while it holds a
+#      lease (the lease must expire: no other worker is alive to finish
+#      the campaign first), then kill -9 the coordinator itself, start
+#      the other three workers during the outage, and restart the
+#      coordinator on the same state dir (it must resume from
+#      checkpoint + shard streams while the workers retry through it).
 #   3. Assert the merged distributed report is byte-identical to A.
 #   4. Observability: sample /metrics before the coordinator murder and
 #      after the restart — flame_campaign_trials_done_total must be
@@ -60,7 +62,7 @@ rc=$?
 start_coordinator() {
     "$OUT/flameserve" -addr "$ADDR" -state "$STATE" \
         -bench "$BENCHES" -trials "$TRIALS" -seed "$SEED" \
-        -shard-size 2 -lease-ttl 3s -dashboard \
+        -shard-size 2 -lease-ttl 3s \
         -json "$OUT/dist.json" >"$OUT/dist.txt" 2>>"$OUT/serve.log" &
     SERVE_PID=$!
 }
@@ -75,25 +77,35 @@ start_worker() { # $1 = name
     eval "WPID_$1=$!"
 }
 
-log "starting coordinator + 4 workers"
+log "starting coordinator + worker w1"
 start_coordinator
-for w in w1 w2 w3 w4; do start_worker "$w"; done
+start_worker w1
 
-# Wait until some trials have been streamed, then murder worker w1.
-for i in $(seq 1 100); do
-    done_trials=$(curl -fsS "$URL/v1/status" 2>/dev/null \
-        | sed -n 's/.*"done_trials":\([0-9]*\).*/\1/p')
-    [ -n "${done_trials:-}" ] && [ "$done_trials" -ge 1 ] && break
+# Freeze w1 once it has streamed some trials and holds a lease. A
+# frozen worker can neither finish nor hand back its shard, so the
+# lease can only end by expiring, however fast the host is. w1 runs on
+# between polls, so a stop that lands between shards is undone.
+held=""
+for i in $(seq 1 1000); do
     kill -0 "$SERVE_PID" 2>/dev/null || die "coordinator died early (see serve.log)"
-    sleep 0.2
+    kill -STOP "$WPID_w1" 2>/dev/null
+    status=$(curl -fsS "$URL/v1/status" 2>/dev/null)
+    done_trials=$(echo "$status" | sed -n 's/.*"done_trials":\([0-9]*\).*/\1/p')
+    if [ "${done_trials:-0}" -ge 1 ] \
+        && echo "$status" | grep -Eq '"state":"leased",("retries":[0-9]+,)?"worker":"w1"'; then
+        held=1
+        break
+    fi
+    kill -CONT "$WPID_w1" 2>/dev/null
+    sleep 0.02
 done
 [ "${done_trials:-0}" -ge 1 ] || die "no trials streamed after 20s"
+[ -n "$held" ] || die "w1 never held a lease while stopped"
 
-log "kill -9 worker w1 mid-campaign ($done_trials trials streamed so far)"
+log "kill -9 worker w1 mid-shard ($done_trials trials streamed so far)"
 kill -9 "$WPID_w1" 2>/dev/null
 
-# The murdered worker's lease must expire and its shard be re-leased
-# to a survivor before we also kill the coordinator.
+# No worker is alive, so the murdered worker's lease must expire.
 for i in $(seq 1 100); do
     grep -q "expired" "$OUT/serve.log" && break
     kill -0 "$SERVE_PID" 2>/dev/null || break
@@ -102,7 +114,7 @@ done
 grep -q "expired" "$OUT/serve.log" || die "no lease expiry recorded — w1's death went unnoticed"
 
 # Observability snapshot before the murder: the Prometheus page and the
-# live dashboard (served because the coordinator runs with -dashboard).
+# live dashboard.
 curl -fsS "$URL/metrics" >"$OUT/metrics-before.txt" \
     || die "GET /metrics failed on the live coordinator"
 done_before=$(metric_value flame_campaign_trials_done_total "$OUT/metrics-before.txt")
@@ -111,9 +123,10 @@ grep -q 'flame_shards{state="' "$OUT/metrics-before.txt" || die "shard-state gau
 curl -fsS "$URL/dashboard" >"$OUT/dashboard.html" || die "GET /dashboard failed"
 grep -q "<html" "$OUT/dashboard.html" || die "dashboard snapshot is not HTML"
 
-log "kill -9 the coordinator and restart it from its state dir"
+log "kill -9 the coordinator, start w2-w4 during the outage, restart it from its state dir"
 kill -9 "$SERVE_PID" 2>/dev/null
 wait "$SERVE_PID" 2>/dev/null
+for w in w2 w3 w4; do start_worker "$w"; done
 sleep 1
 start_coordinator
 
@@ -132,7 +145,7 @@ done_after=$(metric_value flame_campaign_trials_done_total "$OUT/metrics-after.t
     || die "trials_done_total went backwards across restart: $done_before -> $done_after"
 log "trials_done_total monotone across restart: $done_before -> $done_after"
 
-# The surviving workers retry through the outage and finish the campaign.
+# The workers retry through the outage and finish the campaign.
 wait "$SERVE_PID"
 rc=$?
 [ $rc -eq 0 ] || [ $rc -eq 2 ] || die "restarted coordinator exited $rc (see serve.log)"
@@ -146,7 +159,7 @@ else
     die "distributed report differs from single-process report"
 fi
 
-# The surviving workers must drain cleanly (exit 0) once told Done.
+# The workers must drain cleanly (exit 0) once told Done.
 for w in w2 w3 w4; do
     eval 'pid=$WPID_'"$w"
     wait "$pid"
@@ -177,14 +190,20 @@ rc=$?
 FP_PID=$!
 start_worker fp
 
-# Keep the freshest /metrics page that carries propagation tallies; the
-# coordinator exits as soon as the campaign completes.
+# Sample /metrics until a page carries fingerprint tallies. The
+# coordinator exits as soon as the campaign completes, so the worker is
+# frozen around each sample: the campaign cannot finish while a page is
+# fetched, however fast the host is.
 while kill -0 "$FP_PID" 2>/dev/null; do
+    kill -STOP "$WPID_fp" 2>/dev/null
     if curl -fsS "$URL/metrics" >"$OUT/metrics-fp.tmp" 2>/dev/null \
-        && grep -q "^flame_propagation_traced_total " "$OUT/metrics-fp.tmp"; then
+        && grep -q "^flame_propagation_fingerprint_total" "$OUT/metrics-fp.tmp"; then
         mv "$OUT/metrics-fp.tmp" "$OUT/metrics-fp.txt"
+        kill -CONT "$WPID_fp" 2>/dev/null
+        break
     fi
-    sleep 0.1
+    kill -CONT "$WPID_fp" 2>/dev/null
+    sleep 0.02
 done
 wait "$FP_PID"
 rc=$?
