@@ -28,6 +28,9 @@ var experiments = []string{
 	"ablation", "inject", "telemetry", "sampling", "perf", "all",
 }
 
+// The campaign trials -exp perf measures and the uniform-grid budget of -exp sampling.
+const perfTrials, samplingTrials = 50, 400
+
 // parseExps returns the set of experiments a comma-separated -exp list
 // names, rejecting any name that is not an experiment.
 func parseExps(list string) (map[string]bool, error) {
@@ -50,8 +53,6 @@ func main() {
 	wcdl := flag.Int("wcdl", 20, "sensor WCDL")
 	injectRuns := flag.Int("inject-runs", 5, "injection trials per benchmark")
 	perfOut := flag.String("perf-out", "BENCH_sim.json", "output path for the -exp perf report")
-	perfTrials := flag.Int("perf-trials", 50, "campaign trials measured by -exp perf")
-	samplingTrials := flag.Int("sampling-trials", 400, "uniform-grid budget for -exp sampling")
 	perfGuard := flag.Bool("perf-guard", true, "with -exp perf: fail if trials/s regressed >20% vs the previous same-host history entry")
 	flag.Parse()
 	want, err := parseExps(*exp)
@@ -145,12 +146,12 @@ func main() {
 	// perf and sampling write BENCH_sim.json as a side effect, so they
 	// only run when asked for by name, never as part of -exp all.
 	if want["sampling"] {
-		if _, err := harness.SamplingStudy(cfg, *perfOut, *samplingTrials); err != nil {
+		if _, err := harness.SamplingStudy(cfg, *perfOut, samplingTrials); err != nil {
 			fail("sampling: %v", err)
 		}
 	}
 	if want["perf"] {
-		if _, err := harness.PerfBench(cfg, *perfOut, *perfTrials); err != nil {
+		if _, err := harness.PerfBench(cfg, *perfOut, perfTrials); err != nil {
 			fail("perf: %v", err)
 		}
 		if *perfGuard {

@@ -1,13 +1,13 @@
 // Command flamecc is the Flame compiler driver: it assembles a kernel
 // (from a file or a named benchmark), runs a resilience scheme's compiler
 // pipeline, and dumps the region-annotated program plus compilation
-// statistics.
+// statistics. The static checks and the AVF prediction live in
+// flamevet (flamevet -bench B -scheme S; flamevet -avf -avf-trials 0).
 //
 // Usage:
 //
 //	flamecc -bench LUD -scheme flame
 //	flamecc -in kernel.fasm -scheme dup-renaming -wcdl 30 -dump
-//	flamecc -bench Triad -scheme renaming -avf     # static AVF prediction
 package main
 
 import (
@@ -18,11 +18,8 @@ import (
 
 	"flame/internal/bench"
 	"flame/internal/core"
-	"flame/internal/flame"
-	"flame/internal/gpu"
 	"flame/internal/isa"
 	"flame/internal/regions"
-	"flame/internal/vet"
 )
 
 func main() {
@@ -34,10 +31,6 @@ func main() {
 	extend := flag.Bool("extend", true, "enable the Section III-E region extension (sensor schemes)")
 	dump := flag.Bool("dump", true, "dump the compiled program")
 	verify := flag.Bool("verify", true, "check idempotence invariants of the result")
-	runVet := flag.Bool("vet", false, "run the full flamevet static analysis on the result (exit 1 on errors)")
-	avfRep := flag.Bool("avf", false, "print the static AVF vulnerability prediction (needs -bench: runs the fault-free golden)")
-	archName := flag.String("arch", "GTX480", "GPU architecture for -avf: GTX480, TITANX, GV100, RTX2060")
-	modelFlag := flag.String("model", "data", "fault model for -avf: data or full")
 	flag.Parse()
 
 	scheme, err := core.SchemeByName(*schemeFlag)
@@ -46,14 +39,12 @@ func main() {
 	}
 
 	var prog *isa.Program
-	var bm *bench.Benchmark
 	switch {
 	case *benchName != "":
 		b, err := bench.ByName(*benchName)
 		if err != nil {
 			fail("%v (known: %s)", err, benchNames())
 		}
-		bm = b
 		prog = b.Prog()
 	case *in != "":
 		src, err := os.ReadFile(*in)
@@ -107,33 +98,6 @@ func main() {
 	if *dump {
 		fmt.Println()
 		fmt.Print(comp.Prog.String())
-	}
-	if *runVet {
-		rep := vet.Compiled(comp, vet.Config{WCDL: *wcdl})
-		fmt.Println()
-		rep.WriteText(os.Stdout, vet.Info)
-		if rep.Errors() > 0 {
-			os.Exit(1)
-		}
-	}
-	if *avfRep {
-		if bm == nil {
-			fail("-avf needs -bench NAME (the prediction runs the benchmark's fault-free golden)")
-		}
-		arch, err := gpu.ConfigByName(*archName)
-		if err != nil {
-			fail("%v", err)
-		}
-		model, err := flame.ParseFaultModel(*modelFlag)
-		if err != nil {
-			fail("%v", err)
-		}
-		p, err := vet.Predict(arch, bm.Spec(), core.Options{Scheme: scheme, WCDL: *wcdl, ExtendRegions: *extend}, model)
-		if err != nil {
-			fail("%v", err)
-		}
-		fmt.Println()
-		fmt.Print(p.String())
 	}
 }
 

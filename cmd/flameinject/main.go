@@ -13,6 +13,10 @@
 //	flameinject -suite quick -trials 125 -strikes 2
 //	flameinject -trials 200 -events campaign.jsonl
 //	flameinject -trials 200 -events campaign.jsonl -resume   # continue an interrupted run
+//	flameinject -scheme baseline -prune -explain Histogram:5   # re-run and explain one trial
+//
+// -explain prints the trial's event line, byte-identical to the one a
+// -fingerprint -events run of the same flags streams, and a summary.
 //
 // SIGINT/SIGTERM stops gracefully: in-flight trials finish, the event
 // stream is flushed, and the partial report is printed; with -events
@@ -27,9 +31,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 
+	"flame/internal/bench"
 	"flame/internal/campaign"
 	"flame/internal/campaignflag"
 	"flame/internal/core"
@@ -51,6 +57,7 @@ func main() {
 	audit := flag.Bool("audit", false, "with -stratify: rerun the uniform grid at the same budget and require the stratified estimates to fall inside its Wilson CIs (exit 1 on failure)")
 	listStrata := flag.Bool("list-strata", false, "enumerate the injection-site strata per benchmark (sites, weights) and exit without running trials")
 	profileRestore := flag.Bool("profile-restore", false, "one-shot: per-benchmark restore/diff/prune profile table instead of a campaign report")
+	explain := flag.String("explain", "", "one-shot: re-run trial T of benchmark BENCH (BENCH:T), traced, and print its trial event line and a summary")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -80,6 +87,21 @@ func main() {
 	}
 	if *stratify && *resume {
 		fail("-stratify cannot -resume: the adaptive schedule depends on every prior outcome")
+	}
+
+	// One-shot single trial: the trial the campaign would run as T of
+	// BENCH, re-run through the campaign's own executor.
+	if *explain != "" {
+		if *stratify || *resume || *audit || *listStrata || *profileRestore || *events != "" {
+			fail("-explain re-runs one uniform-grid trial: it takes no -stratify, -resume, -audit, -list-strata, -profile-restore or -events")
+		}
+		line, res, err := explainTrial(cfg, *explain)
+		if err != nil {
+			fail("-explain: %v", err)
+		}
+		fmt.Print(string(line), describeTrial(res))
+		stopProf()
+		return
 	}
 
 	// One-shot strata listing: the enumerated injection-site partition
@@ -217,6 +239,65 @@ func main() {
 		stopProf() // os.Exit skips the deferred flush
 		os.Exit(2)
 	}
+}
+
+// explainTrial re-runs trial T of benchmark BENCH (ref is BENCH:T) of
+// the campaign cfg describes, traced, on the executor a campaign worker
+// uses, and returns its event line (as a traced campaign streams it)
+// and its result.
+func explainTrial(cfg campaign.Config, ref string) ([]byte, *core.TrialResult, error) {
+	name, idx, ok := strings.Cut(ref, ":")
+	t, err := strconv.Atoi(idx)
+	if !ok || err != nil || t < 0 {
+		return nil, nil, fmt.Errorf("malformed trial %q (want BENCH:T, T a trial index >= 0)", ref)
+	}
+	b, err := bench.ByName(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	spec := b.Spec()
+	cfg.Specs, cfg.Trace = []*core.KernelSpec{spec}, true
+	set, err := cfg.Prepare()
+	if err != nil {
+		return nil, nil, err
+	}
+	res := cfg.NewExecutor(set).Trial(0, cfg.TrialSpec(set[0].Golden, spec.Name, t))
+	line, err := campaign.MarshalTrialEvent(spec.Name, t, res)
+	return line, res, err
+}
+
+// describeTrial renders an explained trial for a reader: outcome, what
+// the strike corrupted, detection latency, propagation depth and, for an
+// SDC, the corruption fingerprint.
+func describeTrial(r *core.TrialResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "outcome: %s (strikes %d, excluded %d, detections %d, recoveries %d, cycles %d)\n",
+		r.Outcome, r.Strikes, r.ExcludedStrikes, r.Detections, r.Recoveries, r.Cycles)
+	if r.Description != "" {
+		fmt.Fprintf(&b, "strike: %s\n", r.Description)
+	}
+	if r.Err != "" {
+		fmt.Fprintf(&b, "error: %s\n", r.Err)
+	}
+	cycles := func(n int64, none string) string {
+		if n < 0 {
+			return none
+		}
+		return fmt.Sprintf("%d cycles", n)
+	}
+	if p := r.Prop; p != nil {
+		fmt.Fprintf(&b, "detection latency: %s (strike at cycle %d)\n", cycles(p.DetectLatency, "undetected"), p.StrikeCycle)
+		fmt.Fprintf(&b, "propagation depth: %s (%d tainted instructions)\n",
+			cycles(p.Depth, "no tainted global store"), p.TaintedInsts)
+		if p.Fingerprint != "" {
+			fmt.Fprintf(&b, "fingerprint: %s (%d words / %d pages diverged)\n", p.Fingerprint, p.DivergedWords, p.DivergedPages)
+		}
+	} else if r.Pruned {
+		b.WriteString("propagation: none, the trial was pruned (classified without simulation)\n")
+	} else {
+		b.WriteString("propagation: none, no strike fired\n")
+	}
+	return b.String()
 }
 
 // strataTable renders the -list-strata view: every benchmark's

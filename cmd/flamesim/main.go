@@ -1,12 +1,12 @@
 // Command flamesim runs one benchmark under one resilience scheme on the
 // cycle-level GPU simulator and prints execution statistics, optionally
-// with a fault injection.
+// with telemetry. Injection trials run through flameinject: a campaign,
+// or one trial re-run and explained with flameinject -explain BENCH:T.
 //
 // Usage:
 //
 //	flamesim -bench Histogram -scheme flame
-//	flamesim -bench SGEMM -scheme flame -arch GV100 -inject -seed 7
-//	flamesim -bench SGEMM -inject -fingerprint -seed 7
+//	flamesim -bench SGEMM -scheme flame -arch GV100 -sched LRR
 //	flamesim -bench Triad -telemetry -trace-out trace.json -interval 1000
 package main
 
@@ -19,7 +19,6 @@ import (
 
 	"flame/internal/bench"
 	"flame/internal/core"
-	"flame/internal/flame"
 	"flame/internal/gpu"
 	"flame/internal/prof"
 	"flame/internal/telemetry"
@@ -32,10 +31,6 @@ func main() {
 	schedName := flag.String("sched", "", "override warp scheduler: GTO, LRR, OLD, 2-Level")
 	wcdl := flag.Int("wcdl", 20, "sensor WCDL (cycles)")
 	extend := flag.Bool("extend", true, "enable region extension")
-	inject := flag.Bool("inject", false, "inject one soft error and recover")
-	seed := flag.Int64("seed", 1, "injection seed")
-	arm := flag.Int64("arm", 100, "injection arm cycle")
-	fingerprint := flag.Bool("fingerprint", false, "with -inject: trace the strike's propagation (cycles to the first corrupted global store, detection latency, divergence fingerprint)")
 	baseline := flag.Bool("baseline", true, "also run the baseline for comparison")
 	trace := flag.String("trace", "", "trace window \"FROM:TO\" (cycles) to stderr")
 	noskip := flag.Bool("noskip", false, "disable event-driven cycle skipping (naive per-cycle loop)")
@@ -43,10 +38,13 @@ func main() {
 	telemOut := flag.String("telemetry-out", "", "write per-SM stall-attribution CSV to this file")
 	traceOut := flag.String("trace-out", "", "write a Perfetto trace_event JSON timeline to this file")
 	interval := flag.Int64("interval", 0, "sample cumulative counters every N cycles")
-	intervalOut := flag.String("interval-out", "", "write the interval series to this file (.json for JSON, else CSV; default stdout)")
+	intervalOut := flag.String("interval-out", "", "with -interval: write the interval series to this file (.json for JSON, else CSV; default stdout)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+	if *intervalOut != "" && *interval <= 0 {
+		fail("-interval-out needs -interval")
+	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -99,18 +97,6 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	var inj *flame.Injector
-	if *inject {
-		if !scheme.Detects() {
-			fail("scheme %s has no detection; cannot inject", scheme)
-		}
-		delay := *wcdl
-		if !scheme.UsesSensors() {
-			delay = 0
-		}
-		inj = flame.NewInjector(*arm, delay, *seed)
-	}
-
 	// Observer hooks are strictly opt-in: with no telemetry flag the run
 	// passes nil extra hooks and keeps the zero-overhead fast path.
 	var hooks *gpu.Hooks
@@ -140,25 +126,7 @@ func main() {
 		hooks = gpu.CombineHooks(hooks, tr.Hooks())
 	}
 
-	// Propagation tracing rides the same opt-in observer hooks: a golden
-	// run supplies the reference memory, and the tracer follows the
-	// strike's taint through the register dataflow to the first global
-	// store it could have corrupted.
-	var tracer *telemetry.Tracer
-	var golden *core.Golden
-	if *fingerprint {
-		if inj == nil {
-			fail("-fingerprint needs -inject")
-		}
-		if golden, err = core.GoldenRun(arch, spec, opt); err != nil {
-			fail("golden: %v", err)
-		}
-		tracer = telemetry.NewTracer()
-		tracer.BeginTrial(golden, inj)
-		hooks = gpu.CombineHooks(hooks, tracer.TrialHooks())
-	}
-
-	res, err := core.RunCompiledOpts(arch, spec, comp, inj, core.RunOpts{Hooks: hooks, KeepMem: tracer != nil})
+	res, err := core.RunCompiledOpts(arch, spec, comp, nil, core.RunOpts{Hooks: hooks})
 	if err != nil {
 		fail("%v", err)
 	}
@@ -171,18 +139,6 @@ func main() {
 		fmt.Printf("normalized execution time: %.4f (%+.2f%%)\n",
 			float64(res.Stats.Cycles)/float64(baseCycles),
 			(float64(res.Stats.Cycles)/float64(baseCycles)-1)*100)
-	}
-	if inj != nil {
-		if inj.Injected {
-			fmt.Printf("injection: %s\n", inj.Description)
-			fmt.Printf("detected after %d cycles; recovered, output validated\n",
-				inj.DetectedAt-inj.InjectedAt)
-		} else {
-			fmt.Println("injection: no eligible instruction was corrupted")
-		}
-	}
-	if tracer != nil {
-		printPropagation(tracer, inj, res, golden)
 	}
 
 	if col != nil && *telem {
@@ -210,51 +166,6 @@ func main() {
 		}
 		fmt.Println(smp.Summary())
 	}
-}
-
-// printPropagation closes out the tracer's trial and renders the
-// propagation record: how far the strike travelled before it could
-// touch memory, when detection caught it, and — if the output actually
-// diverged — the corruption fingerprint campaigns group SDCs by.
-func printPropagation(tracer *telemetry.Tracer, inj *flame.Injector, res *core.Result, golden *core.Golden) {
-	tr := core.TrialResult{Outcome: core.OutcomeMasked, Strikes: inj.FiredStrikes()}
-	if memDiverged(res.Mem, golden.Mem) {
-		tr.Outcome = core.OutcomeSDC
-	} else if inj.Detected {
-		tr.Outcome = core.OutcomeRecovered
-	}
-	tracer.EndTrial(&tr, res.Mem, golden)
-	p := tr.Prop
-	if p == nil {
-		fmt.Println("propagation: no strike fired; nothing to trace")
-		return
-	}
-	if p.Depth >= 0 {
-		fmt.Printf("propagation: first corrupted global store %d cycles after the strike (cycle %d)\n",
-			p.Depth, p.StoreCycle)
-	} else {
-		fmt.Printf("propagation: taint never reached a global store (%d tainted instructions)\n",
-			p.TaintedInsts)
-	}
-	if p.DetectLatency >= 0 {
-		fmt.Printf("propagation: detected %d cycles after the strike\n", p.DetectLatency)
-	}
-	if p.Fingerprint != "" {
-		fmt.Printf("propagation: SDC fingerprint %s (%d words / %d pages diverged)\n",
-			p.Fingerprint, p.DivergedWords, p.DivergedPages)
-	}
-}
-
-func memDiverged(mem, golden []uint32) bool {
-	if len(mem) != len(golden) {
-		return true
-	}
-	for i := range mem {
-		if mem[i] != golden[i] {
-			return true
-		}
-	}
-	return false
 }
 
 // writeFileWith creates path and streams through the writer function.

@@ -21,6 +21,10 @@
 //	flamevet -avf -bench Triad,Histogram,SRAD,GUPS -scheme renaming,flame \
 //	         -avf-trials 200 -json avf-report.json
 //
+// -avf -avf-trials 0 prints only the static predictions, no campaign:
+//
+//	flamevet -avf -avf-trials 0 -bench Triad -scheme renaming
+//
 // Exit status: 0 when no finding reaches the -fail-on severity (default
 // error), 1 when one does, 2 on usage or harness errors.
 package main
@@ -28,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -40,31 +45,34 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	in := flag.String("in", "", "verify a kernel assembly file")
-	benchFlag := flag.String("bench", "", "comma-separated benchmark names, or \"all\"")
-	schemeFlag := flag.String("scheme", "all", "comma-separated schemes, or \"all\": "+strings.Join(core.SchemeFlagNames(), ", "))
-	wcdl := flag.Int("wcdl", 20, "sensor worst-case detection latency budget (instructions)")
-	extend := flag.Bool("extend", true, "enable the Section III-E region extension (sensor schemes)")
-	oracle := flag.Bool("oracle", false, "run the dynamic re-execution oracle (needs -bench: launches real inputs)")
-	oracleSteps := flag.Int("oracle-steps", 0, "per-launch oracle step budget (0 = default)")
-	checks := flag.String("checks", "", "run only these checks (comma-separated; see -list)")
-	disable := flag.String("disable", "", "disable these checks (comma-separated)")
-	jsonOut := flag.String("json", "", "also write the findings as JSON to this file (\"-\" for stdout)")
-	failOn := flag.String("fail-on", "error", "lowest severity that fails the run: info, warning, error")
-	quiet := flag.Bool("q", false, "suppress per-target progress lines")
-	list := flag.Bool("list", false, "print the check registry and exit")
-	avfGate := flag.Bool("avf", false, "run the AVF model-vs-campaign cross-validation gate (needs -bench)")
-	avfTrials := flag.Int("avf-trials", 200, "injection trials per benchmark in the AVF gate campaign")
-	avfSharp := flag.Float64("avf-sharp", 0, "residual threshold for the strict point check (0 = default 0.02)")
-	archName := flag.String("arch", "GTX480", "GPU architecture for the AVF gate: GTX480, TITANX, GV100, RTX2060")
-	modelFlag := flag.String("model", "data", "fault model for the AVF gate: data or full")
-	parallel := flag.Int("parallel", 0, "AVF gate campaign workers (0 = GOMAXPROCS)")
-	seed := flag.Uint64("seed", 42, "AVF gate campaign seed")
-	flag.Parse()
+// run is flamevet on the command-line arguments args; it returns the
+// exit status.
+func run(args []string) int {
+	fs := flag.NewFlagSet("flamevet", flag.ExitOnError)
+	in := fs.String("in", "", "verify a kernel assembly file")
+	benchFlag := fs.String("bench", "", "comma-separated benchmark names, or \"all\"")
+	schemeFlag := fs.String("scheme", "all", "comma-separated schemes, or \"all\": "+strings.Join(core.SchemeFlagNames(), ", "))
+	wcdl := fs.Int("wcdl", 20, "sensor worst-case detection latency budget (instructions)")
+	extend := fs.Bool("extend", true, "enable the Section III-E region extension (sensor schemes)")
+	oracle := fs.Bool("oracle", false, "run the dynamic re-execution oracle (needs -bench: launches real inputs)")
+	oracleSteps := fs.Int("oracle-steps", 0, "per-launch oracle step budget (0 = default)")
+	checks := fs.String("checks", "", "run only these checks (comma-separated; see -list)")
+	disable := fs.String("disable", "", "disable these checks (comma-separated)")
+	jsonOut := fs.String("json", "", "also write the findings as JSON to this file (\"-\" for stdout)")
+	failOn := fs.String("fail-on", "error", "lowest severity that fails the run: info, warning, error")
+	quiet := fs.Bool("q", false, "suppress per-target progress lines")
+	list := fs.Bool("list", false, "print the check registry and exit")
+	avfGate := fs.Bool("avf", false, "run the AVF model-vs-campaign cross-validation gate (needs -bench)")
+	avfTrials := fs.Int("avf-trials", 200, "injection trials per benchmark in the AVF gate campaign (0 = print the static predictions only, no campaign)")
+	avfSharp := fs.Float64("avf-sharp", 0, "residual threshold for the strict point check (0 = default 0.02)")
+	archName := fs.String("arch", "GTX480", "GPU architecture for the AVF gate: GTX480, TITANX, GV100, RTX2060")
+	modelFlag := fs.String("model", "data", "fault model for the AVF gate: data or full")
+	parallel := fs.Int("parallel", 0, "AVF gate campaign workers (0 = GOMAXPROCS)")
+	seed := fs.Uint64("seed", 42, "AVF gate campaign seed")
+	fs.Parse(args) // ExitOnError: -h exits 0, a bad flag 2
 
 	if *list {
 		for _, c := range vet.Checks() {
@@ -88,6 +96,10 @@ func run() int {
 	schemes, err := parseSchemes(*schemeFlag)
 	if err != nil {
 		return usage("%v", err)
+	}
+
+	if *oracle && *benchFlag == "" {
+		return usage("-oracle needs -bench NAME[,NAME...]|all (it launches the benchmarks' real inputs)")
 	}
 
 	if *avfGate {
@@ -150,19 +162,8 @@ func run() int {
 	rep.WriteText(os.Stdout, vet.Info)
 	fmt.Printf("flamevet: %d target(s) verified\n", targets)
 
-	if *jsonOut != "" {
-		w := os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return usage("%v", err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := rep.WriteJSON(w); err != nil {
-			return usage("%v", err)
-		}
+	if err := writeJSON(*jsonOut, rep.WriteJSON); err != nil {
+		return usage("%v", err)
 	}
 
 	if max, any := rep.Max(); any && max >= failSev {
@@ -191,6 +192,14 @@ func runAVF(benchFlag string, schemes []core.Scheme, wcdl int, extend bool,
 	if err != nil {
 		return usage("%v", err)
 	}
+	switch {
+	case trials < 0:
+		return usage("-avf-trials must be >= 0")
+	case trials == 0 && jsonOut != "":
+		return usage("-json needs a campaign: -avf-trials 0 prints the predictions only")
+	case trials == 0:
+		return predictAVF(arch, benches, schemes, wcdl, extend, model)
+	}
 	acfg := vet.AVFConfig{
 		Arch:          arch,
 		Model:         model,
@@ -210,19 +219,8 @@ func runAVF(benchFlag string, schemes []core.Scheme, wcdl int, extend bool,
 		return usage("%v", err)
 	}
 	fmt.Print(rep)
-	if jsonOut != "" {
-		w := os.Stdout
-		if jsonOut != "-" {
-			f, err := os.Create(jsonOut)
-			if err != nil {
-				return usage("%v", err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := rep.WriteJSON(w); err != nil {
-			return usage("%v", err)
-		}
+	if err := writeJSON(jsonOut, rep.WriteJSON); err != nil {
+		return usage("%v", err)
 	}
 	if !rep.Pass {
 		fmt.Println("flamevet: AVF cross-validation FAILED")
@@ -230,6 +228,45 @@ func runAVF(benchFlag string, schemes []core.Scheme, wcdl int, extend bool,
 	}
 	fmt.Printf("flamevet: AVF cross-validation passed (%d pairs)\n", len(rep.Pairs))
 	return 0
+}
+
+// predictAVF prints the static AVF prediction of every benchmark×scheme
+// pair (-avf -avf-trials 0) without running a campaign.
+func predictAVF(arch gpu.Config, benches []*bench.Benchmark, schemes []core.Scheme, wcdl int, extend bool,
+	model flame.FaultModel) int {
+	for i, b := range benches {
+		for j, s := range schemes {
+			p, err := vet.Predict(arch, b.Spec(), core.Options{Scheme: s, WCDL: wcdl, ExtendRegions: extend}, model)
+			if err != nil {
+				return usage("%v", err)
+			}
+			if i+j > 0 {
+				fmt.Println()
+			}
+			fmt.Print(p.String())
+		}
+	}
+	return 0
+}
+
+// writeJSON writes a -json output with write: nowhere for "", to stdout
+// for "-", else to the named file.
+func writeJSON(path string, write func(io.Writer) error) error {
+	switch path {
+	case "":
+		return nil
+	case "-":
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // verifyProgram compiles prog for the scheme and runs the static passes.
