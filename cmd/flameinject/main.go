@@ -120,15 +120,20 @@ func main() {
 		return
 	}
 
-	// Resume: scan the previous event stream for classified trials and
-	// skip exactly those; new events append to the same file, and the
-	// final report is rebuilt from the union.
+	cfg.Parallel = *parallel
+	cfg.Stratify = *stratify
+	cfg.Pilot = *pilot
+	cfg.StrataKey = *strataKey
+
+	// Resume: scan the previous event stream of this same campaign for
+	// classified trials and skip exactly those; new events append to the
+	// same file, and the final report is rebuilt from the union.
 	if *resume {
 		if *events == "" || *events == "-" {
 			fail("-resume requires -events FILE")
 		}
 		if f, err := os.Open(*events); err == nil {
-			done, derr := campaign.DoneSet(f)
+			done, derr := cfg.DoneSet(f)
 			f.Close()
 			if derr != nil {
 				fail("%v", derr)
@@ -174,11 +179,7 @@ func main() {
 		os.Exit(130)
 	}()
 
-	cfg.Parallel = *parallel
 	cfg.Stop = stop
-	cfg.Stratify = *stratify
-	cfg.Pilot = *pilot
-	cfg.StrataKey = *strataKey
 	rep, err := campaign.Run(cfg)
 	stopped := errors.Is(err, campaign.ErrStopped)
 	if err != nil && !stopped {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"strings"
 	"testing"
 
 	"flame/internal/campaign"
@@ -79,5 +80,46 @@ func TestExplainRejectsMalformedRef(t *testing.T) {
 		if _, _, err := explainTrial(cfg, bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
+	}
+}
+
+// explainWith explains trial ref of the campaign the flameinject flags
+// args describe.
+func explainWith(t *testing.T, args []string, ref string) *core.TrialResult {
+	t.Helper()
+	fs := flag.NewFlagSet("flameinject", flag.ContinueOnError)
+	cf := campaignflag.Bind(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := cf.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, res, err := explainTrial(cfg, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestExplainDUEReportsItsCycle: a DUE trial reports the cycle its
+// launch faulted at, the one its error names, not zero.
+func TestExplainDUEReportsItsCycle(t *testing.T) {
+	res := explainWith(t, []string{"-bench", "Triad", "-scheme", "baseline", "-model", "full",
+		"-strikes", "2", "-budget", "4", "-seed", "11"}, "Triad:2")
+	if res.Outcome != core.OutcomeDUE || res.Cycles != 972 || !strings.Contains(res.Err, "cycle 972:") {
+		t.Fatalf("outcome %v, cycles %d, err %q; want a DUE at cycle 972", res.Outcome, res.Cycles, res.Err)
+	}
+}
+
+// TestExplainTaintThroughSharedMemory: Histogram bins through shared
+// memory, so a strike reaches global memory only via a shared store
+// and load; the tracer must follow it there.
+func TestExplainTaintThroughSharedMemory(t *testing.T) {
+	res := explainWith(t, []string{"-bench", "Histogram", "-scheme", "baseline", "-prune",
+		"-fingerprint", "-trials", "8"}, "Histogram:5")
+	if res.Outcome != core.OutcomeSDC || res.Prop == nil || res.Prop.Depth < 0 {
+		t.Fatalf("outcome %v, prop %+v; want an SDC with a propagation depth >= 0", res.Outcome, res.Prop)
 	}
 }

@@ -1,7 +1,8 @@
 // Fault injection: strike a benchmark kernel with soft errors at random
 // cycles and watch Flame detect (within the sensor WCDL) and recover
-// (idempotent re-execution) every one of them, validating the final
-// output each time.
+// (idempotent re-execution) every one of them: each strike is one
+// campaign trial on a core.Engine, classified against the fault-free
+// golden run's final memory.
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 	"flame/internal/bench"
 	"flame/internal/core"
 	flamehw "flame/internal/flame"
+	"flame/internal/telemetry"
 )
 
 func main() {
@@ -24,27 +26,33 @@ func main() {
 			log.Fatal(err)
 		}
 		spec := b.Spec()
-		comp, err := core.Compile(spec.Prog, core.FlameOptions())
+		set, err := core.Prepare(cfg, spec, core.FlameOptions(), core.Want{})
 		if err != nil {
 			log.Fatal(err)
 		}
+		g := set.Golden
 
 		fmt.Printf("=== %s (%s) — regions: %d, sections: %d\n",
-			b.Name, b.Description, comp.Prog.BoundaryCount()+1, len(comp.Sections))
+			b.Name, b.Description, g.Comp.Prog.BoundaryCount()+1, len(g.Comp.Sections))
 
+		eng := core.NewEngine(cfg)
+		tracer := telemetry.NewTracer() // reports the detection latency
 		for seed := int64(1); seed <= 3; seed++ {
-			inj := flamehw.NewInjector(50+seed*37, 20, seed)
-			res, err := core.RunCompiled(cfg, spec, comp, inj)
-			if err != nil {
-				log.Fatalf("%s seed %d: %v", name, seed, err)
-			}
-			if !inj.Injected {
+			tr := eng.RunTrial(spec, g, core.TrialSpec{
+				Arms: []int64{50 + seed*37}, Model: flamehw.DataSlice, Seed: seed,
+				MaxCycles: g.HangBudget(0), Observer: tracer,
+			})
+			switch tr.Outcome {
+			case core.OutcomeNoInjection:
 				fmt.Printf("  seed %d: no eligible target hit\n", seed)
 				continue
+			case core.OutcomeMasked, core.OutcomeRecovered:
+			default:
+				log.Fatalf("%s seed %d: %s: %s %s", name, seed, tr.Outcome, tr.Description, tr.Err)
 			}
-			fmt.Printf("  seed %d: %s\n", seed, inj.Description)
-			fmt.Printf("          detected %d cycles later; %d atomics undone, %d warps replayed; output correct\n",
-				inj.DetectedAt-inj.InjectedAt, res.Flame.UndoneAtomics, res.Flame.Flushed)
+			fmt.Printf("  seed %d: %s\n", seed, tr.Description)
+			fmt.Printf("          %s: detected %d cycles later, %d recoveries; output matches the fault-free run\n",
+				tr.Outcome, tr.Prop.DetectLatency, tr.Recoveries)
 		}
 
 		// A full campaign: every injection must be masked or recovered.

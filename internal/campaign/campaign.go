@@ -11,6 +11,11 @@
 // through the Shard/TrialSpec API, regardless of whether the trials ran
 // in one process or were sharded across worker processes by the
 // distributed coordinator (internal/dist).
+//
+// One function, assemble, builds every Report: from a campaign's set-up
+// records and its trials, which Run and RunStratified hold in memory
+// and ReplayIntegrity parses from an event stream (a resumed run, the
+// distributed merge).
 package campaign
 
 import (
@@ -152,13 +157,21 @@ func (cfg *Config) Prepare() ([]core.Setup, error) {
 }
 
 // Validate rejects a campaign that cannot run: no workloads, a
-// non-positive trial count, a CI target outside [0, 0.5) — a Wilson
-// half-width is below 0.5 once a single trial has run, so a larger
-// target would stop every benchmark after its first round — and, for
-// the stratified sampler, multi-strike trials or trial skipping. Run,
-// RunStratified and the distributed service's campaign description
-// all call it.
+// workload listed twice (streams, shards and reports key trials by
+// benchmark name), a non-positive trial count, a CI target outside
+// [0, 0.5) — a Wilson half-width is below 0.5 once a single trial has
+// run, so a larger target would stop every benchmark after its first
+// round — and, for the stratified sampler, multi-strike trials or trial
+// skipping. Run, RunStratified and the distributed service's campaign
+// description all call it.
 func (cfg *Config) Validate() error {
+	seen := map[string]bool{}
+	for _, sp := range cfg.Specs {
+		if seen[sp.Name] {
+			return fmt.Errorf("campaign: benchmark %s listed twice", sp.Name)
+		}
+		seen[sp.Name] = true
+	}
 	switch {
 	case len(cfg.Specs) == 0:
 		return fmt.Errorf("campaign: no workloads")
@@ -185,9 +198,8 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	// Plan the trial grid up front, honouring Skip, in (workload, trial)
-	// order: results land in plan order, so aggregation — and therefore
-	// the report — is independent of worker interleaving, and stopped or
-	// skipped trials stay out of the aggregate.
+	// order: results land in plan order, and stopped or skipped trials
+	// stay out of the report.
 	plan := make([]trial, 0, len(cfg.Specs)*cfg.Trials)
 	for b, spec := range cfg.Specs {
 		for t := 0; t < cfg.Trials; t++ {
@@ -204,9 +216,9 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	results := make([]core.TrialResult, len(plan))
-	n := p.run(plan, results)
-	return p.close(aggregate(&cfg, p.set, plan[:n], results), n < len(plan))
+	ran := make([]trialRecord, len(plan))
+	n := p.run(plan, ran)
+	return p.close(ran[:n], n < len(plan))
 }
 
 // TrialSpec derives trial t's full specification — strike arm cycles,
@@ -235,49 +247,4 @@ func (cfg *Config) TrialSpec(g *core.Golden, bench string, t int) core.TrialSpec
 		MaxCycles: g.HangBudget(cfg.HangBudgetMult),
 		Timeout:   cfg.TrialTimeout,
 	}
-}
-
-// newReport starts a campaign's report.
-func (cfg *Config) newReport(set []core.Setup) *Report {
-	rep := &Report{
-		Arch:            cfg.Arch.Name,
-		Scheme:          cfg.Opt.Scheme.String(),
-		Model:           cfg.Model.String(),
-		WCDL:            set[0].Golden.Comp.Opt.WCDL,
-		Seed:            cfg.Seed,
-		Trials:          cfg.Trials,
-		StrikesPerTrial: maxInt(1, cfg.StrikesPerTrial),
-	}
-	if cfg.Stratify {
-		rep.Stratified, rep.CITarget = true, cfg.CITarget
-	}
-	return rep
-}
-
-// aggregate folds the trials that ran (in plan order, so grouped by
-// workload and ascending in trial index) into the report.
-func aggregate(cfg *Config, set []core.Setup, ran []trial, results []core.TrialResult) *Report {
-	rep := cfg.newReport(set)
-	k := 0
-	for b, spec := range cfg.Specs {
-		br := BenchReport{
-			Benchmark:     spec.Name,
-			WindowCycles:  set[b].Golden.Window,
-			PruneDisabled: set[b].Prune.Disabled(),
-		}
-		for ; k < len(ran) && ran[k].b == b; k++ {
-			br.Fold(&results[k])
-		}
-		br.Finish()
-		rep.Benchmarks = append(rep.Benchmarks, br)
-		rep.Fleet.Merge(&br)
-	}
-	return rep
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

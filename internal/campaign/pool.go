@@ -26,8 +26,9 @@ type trial struct {
 // count.
 type pool struct {
 	cfg   *Config
-	set   []core.Setup // per workload, in spec order
-	str   *streamer    // nil without Config.Events
+	set   []core.Setup  // per workload, in spec order
+	recs  *setupRecords // the set-up records the report is assembled from
+	str   *streamer     // nil without Config.Events
 	execs []*Executor
 }
 
@@ -48,8 +49,9 @@ func newPool(cfg *Config, total int) (*pool, error) {
 		return nil, err
 	}
 	p.set = set
+	p.recs = cfg.setupRecords(set, parallel, total)
 	if p.str != nil {
-		p.str.setup(cfg, set, parallel)
+		p.str.setup(p.recs)
 	}
 	for w := 0; w < parallel; w++ {
 		p.execs = append(p.execs, cfg.NewExecutor(set))
@@ -92,12 +94,12 @@ func (x *Executor) Trial(b int, ts core.TrialSpec) *core.TrialResult {
 // Stats returns the engine's restore/diff page counters so far.
 func (x *Executor) Stats() core.RestoreStats { return x.eng.Stats() }
 
-// run executes batch, writing trial i's result to out[i], and returns
+// run executes batch, writing trial i's record to out[i], and returns
 // how many trials ran. Trials are dispatched in batch order until
 // Config.Stop closes; dispatched trials finish, so the trials that ran
 // are always batch[:n], and n < len(batch) only when the campaign was
 // stopped.
-func (p *pool) run(batch []trial, out []core.TrialResult) int {
+func (p *pool) run(batch []trial, out []trialRecord) int {
 	// One queued trial per worker: a worker that finishes picks up its
 	// next trial without waiting for the dispatcher to be scheduled.
 	next := make(chan int, len(p.execs))
@@ -125,7 +127,7 @@ func (p *pool) run(batch []trial, out []core.TrialResult) int {
 }
 
 // runTrial derives one trial's spec, runs it on x and streams it.
-func (p *pool) runTrial(x *Executor, tr *trial, out *core.TrialResult) {
+func (p *pool) runTrial(x *Executor, tr *trial, out *trialRecord) {
 	spec, g := p.cfg.Specs[tr.b], p.set[tr.b].Golden
 	if p.str != nil {
 		p.str.trialStart(spec.Name, tr.t)
@@ -140,17 +142,18 @@ func (p *pool) runTrial(x *Executor, tr *trial, out *core.TrialResult) {
 	if tr.ss != nil {
 		res.Stratum = tr.ss.st.Key()
 	}
-	*out = *res
+	*out = trialRecord{bench: spec.Name, t: tr.t, r: *res}
 	if p.str != nil {
 		p.str.trial(spec.Name, tr.t, res)
 	}
 }
 
-// close finishes the campaign: it sums the engines' restore counters
-// (into Config.RestoreStats too), completes the fleet row, writes the
-// campaign_done record and returns ErrStopped when Stop cut the run
-// short.
-func (p *pool) close(rep *Report, stopped bool) (*Report, error) {
+// close finishes the campaign: it assembles the report from the set-up
+// records and the trials that ran, sums the engines' restore counters
+// (into Config.RestoreStats too), writes the campaign_done record and
+// returns ErrStopped when Stop cut the run short.
+func (p *pool) close(ran []trialRecord, stopped bool) (*Report, error) {
+	rep := assemble(p.recs, ran, &Integrity{})
 	var rs core.RestoreStats
 	for _, x := range p.execs {
 		rs.Add(x.Stats())
@@ -158,8 +161,6 @@ func (p *pool) close(rep *Report, stopped bool) (*Report, error) {
 	if p.cfg.RestoreStats != nil {
 		p.cfg.RestoreStats.Add(rs)
 	}
-	rep.Fleet.Benchmark = "fleet"
-	rep.Fleet.Finish()
 	if p.str != nil {
 		p.str.campaignDone(rep, rs)
 		if err := p.str.err(); err != nil {

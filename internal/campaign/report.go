@@ -162,21 +162,9 @@ type SamplingReport struct {
 	Strata []StratumReport `json:"strata"`
 }
 
-// buildSampling assembles a SamplingReport from per-stratum outcome
-// counts, computing the post-stratified rate estimates. It is shared by
-// the sampler and stream replay so both construct identical reports.
-func buildSampling(span, noInj int64, budget, used, rounds int, reason string, strata []StratumReport) *SamplingReport {
-	sdc, due := rateCounts(strata)
-	rateCI := func(r stats.StratifiedResult) RateCI {
-		return RateCI{Rate: r.Rate, Lo: r.Lo, Hi: r.Hi, EffN: r.EffN}
-	}
-	return &SamplingReport{
-		SpanSites: span, NoInjectionSites: noInj,
-		Budget: budget, TrialsUsed: used, Rounds: rounds, StopReason: reason,
-		SDCRate: rateCI(stats.StratifiedWilson95(sdc)),
-		DUERate: rateCI(stats.StratifiedWilson95(due)),
-		Strata:  strata,
-	}
+// rateCI converts a stratified estimate to its report form.
+func rateCI(r stats.StratifiedResult) RateCI {
+	return RateCI{Rate: r.Rate, Lo: r.Lo, Hi: r.Hi, EffN: r.EffN}
 }
 
 // rateCounts is the strata's sampling state for the post-stratified

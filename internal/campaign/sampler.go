@@ -80,11 +80,10 @@ func RunStratified(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := cfg.newReport(p.set)
+	var ran []trialRecord
 	stopped := false
 	for b, spec := range cfg.Specs {
-		g, m := p.set[b].Golden, p.set[b].Strata
-		br := BenchReport{Benchmark: spec.Name, WindowCycles: g.Window, PruneDisabled: p.set[b].Prune.Disabled()}
+		m := p.set[b].Strata
 		states := make([]*stratumState, len(m.Strata))
 		for h := range m.Strata {
 			st := &m.Strata[h]
@@ -124,14 +123,15 @@ func RunStratified(cfg Config) (*Report, error) {
 				reason = "budget"
 				break
 			}
-			// Each round is a barrier; fold in batch order —
-			// deterministic at any parallelism.
-			results := make([]core.TrialResult, len(batch))
+			// Each round is a barrier. The strata tally its outcomes in
+			// batch order — deterministic at any parallelism — for the
+			// next round's allocation and the stopping rule.
+			results := make([]trialRecord, len(batch))
 			n := p.run(batch, results)
 			for i := range batch[:n] {
-				br.Fold(&results[i])
-				batch[i].ss.rep.foldOutcome(results[i].Outcome)
+				batch[i].ss.rep.foldOutcome(results[i].r.Outcome)
 			}
+			ran = append(ran, results[:n]...)
 			used += n
 			rounds++
 			if n < len(batch) {
@@ -145,16 +145,16 @@ func RunStratified(cfg Config) (*Report, error) {
 			}
 		}
 
-		br.Sampling = buildSampling(m.Span, m.NoInjectionSites,
-			cfg.Trials, used, rounds, reason, stratumReports(states))
-		br.Finish()
-		rep.Benchmarks = append(rep.Benchmarks, br)
-		rep.Fleet.Merge(&br)
+		done := &benchDoneEvent{
+			Event: "bench_done", Benchmark: spec.Name,
+			TrialsUsed: used, Rounds: rounds, StopReason: reason,
+		}
+		p.recs.done[spec.Name] = done
 		if p.str != nil {
-			p.str.benchDone(spec.Name, used, rounds, reason)
+			p.str.emitLocked(done)
 		}
 	}
-	return p.close(rep, stopped)
+	return p.close(ran, stopped)
 }
 
 // stratumReports collects the strata's outcome tallies.

@@ -3,8 +3,11 @@ package campaign
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
+
+	"flame/internal/core"
 )
 
 // TestPlanShards: the plan tiles every (benchmark, trial) pair exactly
@@ -226,5 +229,36 @@ func TestRunSkipResume(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed replay differs from uninterrupted run:\n-full:\n%s\n-resumed:\n%s", want, got)
+	}
+}
+
+// TestDoneSetRefusesOtherCampaign: the resume oracle accepts a stream of
+// the same campaign run at another worker count, and refuses a stream
+// another campaign wrote, naming the first field that differs.
+func TestDoneSetRefusesOtherCampaign(t *testing.T) {
+	var stream bytes.Buffer
+	cfg := testConfig(t, []string{"Triad"}, 4, 2)
+	cfg.Opt, cfg.Seed, cfg.Events = core.Options{Scheme: core.Baseline}, 1, &stream
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Events = nil
+
+	same := cfg
+	same.Parallel = 1
+	if done, err := same.DoneSet(bytes.NewReader(stream.Bytes())); err != nil || len(done["Triad"]) != 4 {
+		t.Fatalf("same campaign: %d trials done, err %v", len(done["Triad"]), err)
+	}
+	for field, mutate := range map[string]func(*Config){
+		"scheme":               func(c *Config) { c.Opt, c.Seed = core.FlameOptions(), 2 },
+		"seed":                 func(c *Config) { c.Seed = 2 },
+		"trials_per_benchmark": func(c *Config) { c.Trials = 12 },
+	} {
+		other := cfg
+		mutate(&other)
+		_, err := other.DoneSet(bytes.NewReader(stream.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), field+" is ") {
+			t.Errorf("%s changed: err %v, want one naming %s", field, err, field)
+		}
 	}
 }

@@ -7,11 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"flame/internal/core"
+	"flame/internal/stats"
 )
 
 // Campaign event streaming: when Config.Events is set, Run emits one
@@ -47,43 +50,85 @@ type startEvent struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// WriteSetup writes the set-up lines of a campaign prepared as set, in
-// the order the serial set-up wrote them: campaign_start (announcing total
-// planned trials on parallel workers), every golden, every strata
-// enumeration, then every benchmark whose pruning is off. The streamer
-// writes them at the head of a campaign's stream and the distributed
-// coordinator at the head of its merged stream, so both replay to the
-// same report skeleton.
-func WriteSetup(w io.Writer, cfg *Config, set []core.Setup, parallel, total int) error {
+// setupRecords is a campaign's set-up as its event stream records it:
+// the campaign_start header and, per benchmark, the golden window, the
+// strata enumeration (stratified campaigns), the prune fallback reason
+// and the stratified sampler's bench_done record. Run and RunStratified
+// build it in memory, WriteSetup encodes it (bench_done records stream
+// as each benchmark finishes), ReplayIntegrity parses a stream back into
+// it, and assemble turns it and the trials into the Report.
+type setupRecords struct {
+	start    *startEvent
+	windows  map[string]int64
+	strata   map[string]*strataEvent
+	pruneOff map[string]string
+	done     map[string]*benchDoneEvent
+}
+
+func newSetupRecords() *setupRecords {
+	return &setupRecords{
+		windows: map[string]int64{}, strata: map[string]*strataEvent{},
+		pruneOff: map[string]string{}, done: map[string]*benchDoneEvent{},
+	}
+}
+
+// startEvent returns the campaign_start record of this campaign run on
+// parallel workers with total planned trials.
+func (cfg *Config) startEvent(parallel, total int) *startEvent {
 	benches := make([]string, len(cfg.Specs))
 	for i, sp := range cfg.Specs {
 		benches[i] = sp.Name
 	}
-	lines := []any{startEvent{
+	return &startEvent{
 		Event: "campaign_start", Arch: cfg.Arch.Name, Scheme: cfg.Opt.Scheme.String(),
-		Model: cfg.Model.String(), WCDL: set[0].Golden.Comp.Opt.WCDL, Seed: cfg.Seed,
-		TrialsPerBench: cfg.Trials, StrikesPerTrial: maxInt(1, cfg.StrikesPerTrial),
+		Model: cfg.Model.String(), WCDL: cfg.Opt.EffectiveWCDL(), Seed: cfg.Seed,
+		TrialsPerBench: cfg.Trials, StrikesPerTrial: max(1, cfg.StrikesPerTrial),
 		Parallel: parallel, Benchmarks: benches, TotalTrials: total,
 		Stratified: cfg.Stratify, CITarget: cfg.CITarget, Pilot: cfg.Pilot,
 		Trace: cfg.Trace,
-	}}
-	for i, name := range benches {
-		lines = append(lines, goldenEvent{Event: "golden", Benchmark: name, WindowCycles: set[i].Golden.Window})
 	}
-	for i, s := range set {
-		if m := s.Strata; m != nil {
+}
+
+// setupRecords returns the set-up records of the campaign prepared as
+// set, run on parallel workers with total planned trials.
+func (cfg *Config) setupRecords(set []core.Setup, parallel, total int) *setupRecords {
+	rs := newSetupRecords()
+	rs.start = cfg.startEvent(parallel, total)
+	for i, name := range rs.start.Benchmarks {
+		rs.windows[name] = set[i].Golden.Window
+		if m := set[i].Strata; m != nil {
 			info := make([]stratumInfo, len(m.Strata))
 			for j := range m.Strata {
 				info[j] = stratumInfo{Key: m.Strata[j].Key(), Sites: m.Strata[j].Sites}
 			}
-			lines = append(lines, strataEvent{
-				Event: "strata", Benchmark: benches[i],
+			rs.strata[name] = &strataEvent{
+				Event: "strata", Benchmark: name,
 				SpanSites: m.Span, NoInjectionSites: m.NoInjectionSites, Strata: info,
-			})
+			}
+		}
+		if reason := set[i].Prune.Disabled(); reason != "" {
+			rs.pruneOff[name] = reason
 		}
 	}
-	for i, name := range benches {
-		if reason := set[i].Prune.Disabled(); reason != "" {
+	return rs
+}
+
+// encode writes the set-up lines in the order the serial set-up wrote
+// them: campaign_start, every golden, every strata enumeration, then
+// every benchmark whose pruning is off.
+func (rs *setupRecords) encode(w io.Writer) error {
+	benches := rs.start.Benchmarks
+	lines := []any{rs.start}
+	for _, name := range benches {
+		lines = append(lines, goldenEvent{Event: "golden", Benchmark: name, WindowCycles: rs.windows[name]})
+	}
+	for _, name := range benches {
+		if se := rs.strata[name]; se != nil {
+			lines = append(lines, se)
+		}
+	}
+	for _, name := range benches {
+		if reason := rs.pruneOff[name]; reason != "" {
 			lines = append(lines, pruneDisabledEvent{Event: "prune_disabled", Benchmark: name, Reason: reason})
 		}
 	}
@@ -94,6 +139,15 @@ func WriteSetup(w io.Writer, cfg *Config, set []core.Setup, parallel, total int)
 		}
 	}
 	return nil
+}
+
+// WriteSetup writes the set-up lines of a campaign prepared as set,
+// announcing total planned trials on parallel workers. The streamer
+// writes them at the head of a campaign's stream and the distributed
+// coordinator at the head of its merged stream, so both replay to the
+// same report skeleton.
+func WriteSetup(w io.Writer, cfg *Config, set []core.Setup, parallel, total int) error {
+	return cfg.setupRecords(set, parallel, total).encode(w)
 }
 
 // goldenEvent reports one workload's fault-free reference run.
@@ -157,6 +211,16 @@ func newTrialEvent(bench string, t int, r *core.TrialResult) trialEvent {
 		Cycles: r.Cycles, Pruned: r.Pruned, Stratum: r.Stratum,
 		Description: r.Description, Prop: r.Prop,
 	}
+}
+
+// trialRecord is one classified trial: its benchmark, its trial index
+// and its result. drop marks a streamed trial line that cannot be
+// folded.
+type trialRecord struct {
+	bench string
+	t     int
+	r     core.TrialResult
+	drop  unusableTrial
 }
 
 // unusableTrial is DecodeTrial's error for a well-formed trial line
@@ -291,20 +355,13 @@ func (s *streamer) emitLocked(v any) {
 	s.emit(v)
 }
 
-// setup writes the set-up lines (WriteSetup) before any trial runs.
-func (s *streamer) setup(cfg *Config, set []core.Setup, parallel int) {
+// setup writes the set-up lines before any trial runs.
+func (s *streamer) setup(rs *setupRecords) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := WriteSetup(s.w, cfg, set, parallel, s.total); err != nil && s.firstErr == nil {
+	if err := rs.encode(s.w); err != nil && s.firstErr == nil {
 		s.firstErr = err
 	}
-}
-
-func (s *streamer) benchDone(bench string, used, rounds int, reason string) {
-	s.emitLocked(benchDoneEvent{
-		Event: "bench_done", Benchmark: bench,
-		TrialsUsed: used, Rounds: rounds, StopReason: reason,
-	})
 }
 
 func (s *streamer) trialStart(bench string, t int) {
@@ -446,25 +503,21 @@ func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 	ig := &Integrity{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	var start *startEvent
-	windows := map[string]int64{}
-	pruneOff := map[string]string{}
-	strataBy := map[string]*strataEvent{}
-	doneBy := map[string]*benchDoneEvent{}
-	// trials keeps every trial line in stream order; drop is set on
-	// the ones that cannot be folded.
-	type replayTrial struct {
-		bench string
-		t     int
-		r     core.TrialResult
-		drop  unusableTrial
-	}
-	var trials []replayTrial
+	rs := newSetupRecords()
+	var trials []trialRecord // every trial line, in stream order
 	malformed := func(line int, raw []byte, err error) {
 		ig.Malformed++
 		if ig.FirstMalformed == "" {
 			ig.FirstMalformed = fmt.Sprintf("line %d: %v (%.60q)", line, err, raw)
 		}
+	}
+	// decode parses raw into v, counting it malformed on failure.
+	decode := func(raw []byte, v any) bool {
+		if err := json.Unmarshal(raw, v); err != nil {
+			malformed(ig.Lines, raw, err)
+			return false
+		}
+		return true
 	}
 	for sc.Scan() {
 		ig.Lines++
@@ -475,48 +528,32 @@ func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 		var probe struct {
 			Event string `json:"event"`
 		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			malformed(ig.Lines, raw, err)
+		if !decode(raw, &probe) {
 			continue
 		}
 		switch probe.Event {
 		case "campaign_start":
-			var e startEvent
-			if err := json.Unmarshal(raw, &e); err != nil {
-				malformed(ig.Lines, raw, err)
-				continue
-			}
 			// Resumed streams append a fresh header; the last one wins
-			// (same campaign, so the skeletons agree).
-			start = &e
+			// (DoneSet refuses to resume a different campaign).
+			if e := new(startEvent); decode(raw, e) {
+				rs.start = e
+			}
 		case "golden":
-			var e goldenEvent
-			if err := json.Unmarshal(raw, &e); err != nil {
-				malformed(ig.Lines, raw, err)
-				continue
+			if e := new(goldenEvent); decode(raw, e) {
+				rs.windows[e.Benchmark] = e.WindowCycles
 			}
-			windows[e.Benchmark] = e.WindowCycles
 		case "prune_disabled":
-			var e pruneDisabledEvent
-			if err := json.Unmarshal(raw, &e); err != nil {
-				malformed(ig.Lines, raw, err)
-				continue
+			if e := new(pruneDisabledEvent); decode(raw, e) {
+				rs.pruneOff[e.Benchmark] = e.Reason
 			}
-			pruneOff[e.Benchmark] = e.Reason
 		case "strata":
-			var e strataEvent
-			if err := json.Unmarshal(raw, &e); err != nil {
-				malformed(ig.Lines, raw, err)
-				continue
+			if e := new(strataEvent); decode(raw, e) {
+				rs.strata[e.Benchmark] = e
 			}
-			strataBy[e.Benchmark] = &e
 		case "bench_done":
-			var e benchDoneEvent
-			if err := json.Unmarshal(raw, &e); err != nil {
-				malformed(ig.Lines, raw, err)
-				continue
+			if e := new(benchDoneEvent); decode(raw, e) {
+				rs.done[e.Benchmark] = e
 			}
-			doneBy[e.Benchmark] = &e
 		case "trial":
 			bench, t, r, err := DecodeTrial(raw)
 			var drop unusableTrial
@@ -524,22 +561,33 @@ func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 				malformed(ig.Lines, raw, err)
 				continue
 			}
-			trials = append(trials, replayTrial{bench: bench, t: t, r: r, drop: drop})
+			trials = append(trials, trialRecord{bench: bench, t: t, r: r, drop: drop})
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("campaign: replay: %w", err)
 	}
-	if start == nil {
+	if rs.start == nil {
 		return nil, nil, fmt.Errorf("campaign: replay: no campaign_start event")
 	}
+	return assemble(rs, trials, ig), ig, nil
+}
 
+// assemble builds a campaign Report from its set-up records and its
+// trials; it is the only code that makes one. Run and RunStratified
+// call it with their in-memory records and results, ReplayIntegrity
+// with what it parsed from a stream. Trials are folded in (benchmark,
+// trial) order, keeping the first of repeated pairs, so the report does
+// not depend on the order trials finished in. ig receives the dropped,
+// duplicate and missing trial accounting; trials is reordered in place.
+func assemble(rs *setupRecords, trials []trialRecord, ig *Integrity) *Report {
+	start := rs.start
 	order := make(map[string]int, len(start.Benchmarks))
 	for i, b := range start.Benchmarks {
 		order[b] = i
 	}
-	// Drop unusable trial events before sorting (unknown benchmarks have
-	// no defined position in the grid).
+	// Drop unusable trials before sorting (unknown benchmarks have no
+	// defined position in the grid).
 	usable := trials[:0]
 	for _, e := range trials {
 		if _, known := order[e.bench]; e.drop == "" && (!known || e.t >= start.TrialsPerBench) {
@@ -570,12 +618,16 @@ func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 	}
 	k := 0
 	for _, bench := range start.Benchmarks {
-		br := BenchReport{Benchmark: bench, WindowCycles: windows[bench], PruneDisabled: pruneOff[bench]}
-		// Stratified streams rebuild the per-stratum breakdown from the
-		// bench's strata event plus each trial's stratum key.
+		br := BenchReport{Benchmark: bench, WindowCycles: rs.windows[bench], PruneDisabled: rs.pruneOff[bench]}
+		// Stratified campaigns rebuild the per-stratum breakdown from the
+		// bench's strata record plus each trial's stratum key.
+		se := rs.strata[bench]
+		if !start.Stratified {
+			se = nil
+		}
 		var counts []StratumReport
 		keyIdx := map[string]int{}
-		if se := strataBy[bench]; start.Stratified && se != nil {
+		if se != nil {
 			counts = make([]StratumReport, len(se.Strata))
 			for i, si := range se.Strata {
 				counts[i] = StratumReport{Key: si.Key, Sites: si.Sites}
@@ -595,14 +647,15 @@ func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 			}
 			folded++
 		}
+		// A stratified benchmark legitimately uses fewer trials than its
+		// budget; only its bench_done record says how many actually ran.
+		used, rounds, reason := folded, 0, "unknown"
+		if d := rs.done[bench]; d != nil {
+			used, rounds, reason = d.TrialsUsed, d.Rounds, d.StopReason
+		}
 		expected := start.TrialsPerBench
 		if start.Stratified {
-			// A stratified benchmark legitimately uses fewer trials than its
-			// budget; only its bench_done record says how many actually ran.
-			expected = folded
-			if d := doneBy[bench]; d != nil {
-				expected = d.TrialsUsed
-			}
+			expected = used
 		}
 		if miss := expected - folded; miss > 0 {
 			ig.Missing += miss
@@ -611,13 +664,15 @@ func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 			}
 			ig.MissingByBench[bench] = miss
 		}
-		if se := strataBy[bench]; start.Stratified && se != nil {
-			used, rounds, reason := folded, 0, "unknown"
-			if d := doneBy[bench]; d != nil {
-				used, rounds, reason = d.TrialsUsed, d.Rounds, d.StopReason
+		if se != nil {
+			sdc, due := rateCounts(counts)
+			br.Sampling = &SamplingReport{
+				SpanSites: se.SpanSites, NoInjectionSites: se.NoInjectionSites,
+				Budget: start.TrialsPerBench, TrialsUsed: used, Rounds: rounds, StopReason: reason,
+				SDCRate: rateCI(stats.StratifiedWilson95(sdc)),
+				DUERate: rateCI(stats.StratifiedWilson95(due)),
+				Strata:  counts,
 			}
-			br.Sampling = buildSampling(se.SpanSites, se.NoInjectionSites,
-				start.TrialsPerBench, used, rounds, reason, counts)
 		}
 		br.Finish()
 		rep.Benchmarks = append(rep.Benchmarks, br)
@@ -625,30 +680,58 @@ func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 	}
 	rep.Fleet.Benchmark = "fleet"
 	rep.Fleet.Finish()
-	return rep, ig, nil
+	return rep
 }
 
-// DoneSet scans an event stream leniently and returns the set of
-// (benchmark, trial) pairs that already have a classified trial event —
-// the resume oracle: a restarted campaign skips exactly these. Damaged
-// lines are ignored (a torn trial re-runs, which is safe: trials are
-// deterministic and replay deduplicates).
-func DoneSet(r io.Reader) (map[string]map[int]bool, error) {
+// DoneSet scans a prior event stream of this campaign leniently and
+// returns the set of (benchmark, trial) pairs that already have a
+// classified trial event — the resume oracle: a restarted campaign
+// skips exactly these. Damaged lines are ignored (a torn trial re-runs,
+// which is safe: trials are deterministic and replay deduplicates). It
+// refuses a stream whose last campaign_start differs from the one this
+// campaign writes in anything but parallel and total_trials: its trials
+// belong to another campaign, and folding them into this one's report
+// would misreport it.
+func (cfg *Config) DoneSet(r io.Reader) (map[string]map[int]bool, error) {
 	done := map[string]map[int]bool{}
+	var last *startEvent
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
 	for sc.Scan() {
-		bench, t, _, err := DecodeTrial(bytes.TrimSpace(sc.Bytes()))
-		if err != nil {
-			continue
+		line := bytes.TrimSpace(sc.Bytes())
+		bench, t, _, err := DecodeTrial(line)
+		if err == nil {
+			if done[bench] == nil {
+				done[bench] = map[int]bool{}
+			}
+			done[bench][t] = true
+		} else if e := new(startEvent); json.Unmarshal(line, e) == nil && e.Event == "campaign_start" {
+			last = e
 		}
-		if done[bench] == nil {
-			done[bench] = map[int]bool{}
-		}
-		done[bench][t] = true
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("campaign: done-set scan: %w", err)
 	}
+	if last != nil {
+		if field, theirs, ours := startDiff(last, cfg.startEvent(0, 0)); field != "" {
+			return nil, fmt.Errorf("campaign: cannot resume a different campaign: %s is %v in the stream, %v in this run", field, theirs, ours)
+		}
+	}
 	return done, nil
+}
+
+// startDiff returns the first field (by its JSON name) in which two
+// campaign_start records differ, ignoring parallel and total_trials,
+// with its two values; field is "" when they agree.
+func startDiff(a, b *startEvent) (field string, av, bv any) {
+	x, y := *a, *b
+	x.Parallel, x.TotalTrials, y.Parallel, y.TotalTrials = 0, 0, 0, 0
+	vx, vy := reflect.ValueOf(x), reflect.ValueOf(y)
+	for i := 0; i < vx.NumField(); i++ {
+		if av, bv = vx.Field(i).Interface(), vy.Field(i).Interface(); !reflect.DeepEqual(av, bv) {
+			field, _, _ = strings.Cut(vx.Type().Field(i).Tag.Get("json"), ",")
+			return field, av, bv
+		}
+	}
+	return "", nil, nil
 }

@@ -59,6 +59,7 @@ func TestRunValidation(t *testing.T) {
 		mutate     func(*campaign.Config)
 	}{
 		{"no workloads", false, func(c *campaign.Config) { c.Specs = nil }},
+		{"duplicate workload", false, func(c *campaign.Config) { c.Specs = append(c.Specs, triad.Spec()) }},
 		{"zero trials", false, func(c *campaign.Config) { c.Trials = 0 }},
 		{"negative trials", false, func(c *campaign.Config) { c.Trials = -3 }},
 		{"ci target 0.5", false, func(c *campaign.Config) { c.CITarget = 0.5 }},

@@ -43,11 +43,11 @@ func BenchmarkCampaignTrial(b *testing.B) {
 }
 
 // BenchmarkCampaignTrialFresh is the same trial without pooling: a
-// fresh device, controller and memory image per trial, as the engine
-// worked before device reuse. Kept as the before/after reference.
+// fresh device, full memory image and full diff per trial (freshTrial).
+// Kept as the before/after reference.
 func BenchmarkCampaignTrialFresh(b *testing.B) {
 	benchTrial(b, func(g *Golden, ts TrialSpec) *TrialResult {
-		return RunTrial(testCfg(), saxpySpecCached, g, ts)
+		return freshTrial(testCfg(), saxpySpecCached, g, ts)
 	})
 }
 

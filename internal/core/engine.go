@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"flame/internal/flame"
@@ -8,12 +9,15 @@ import (
 	"flame/internal/isa"
 )
 
-// Engine runs injection trials on pooled devices: one gpu.Device per
+// Engine is the one injection-trial runner: every campaign trial, every
+// explained trial and every test reference runs through Engine.RunTrial
+// (or Engine.Trial, which prunes first). It keeps one gpu.Device per
 // workload, reused across trials, with global memory restored from the
 // golden run's initial image instead of re-running host setup, and the
 // scheme compilation shared from the golden run instead of recompiled.
-// A campaign worker holds one Engine; trial results are bit-identical to
-// the fresh-device path (RunTrial), which the equivalence suite asserts.
+// A campaign worker holds one Engine. A brand-new Engine with SetNoCOW
+// is the fresh-device reference (new device, full-image restore, full
+// diff) the equivalence tests compare pooled trials against.
 //
 // An Engine is not safe for concurrent use — give each worker its own.
 // The Golden passed to RunTrial is shared read-only across all engines.
@@ -88,8 +92,10 @@ func (e *Engine) device(spec *KernelSpec) (*gpu.Device, error) {
 }
 
 // launchOne runs one compiled kernel on the device, optionally with the
-// injector attached, accumulating stats into res. Every simulation path
-// (RunCompiledOpts, Engine.RunTrial, the golden run) launches through it.
+// injector attached, accumulating stats into res — a launch that fails
+// still contributes its partial stats, so DUE and Hang trials report
+// the cycle they stopped at. Every simulation path (RunCompiledOpts,
+// Engine.RunTrial, the golden run) launches through it.
 func launchOne(dev *gpu.Device, spec *KernelSpec, c *Compiled, grid, block isa.Dim3,
 	params []uint32, inj *flame.Injector, ro *RunOpts, res *Result) error {
 	ctl := c.Controller()
@@ -110,21 +116,27 @@ func launchOne(dev *gpu.Device, spec *KernelSpec, c *Compiled, grid, block isa.D
 		MaxCycles: ro.MaxCycles, Stop: ro.Stop,
 	}
 	st, err := dev.Run(launch, gpu.CombineHooks(hooks, ro.Hooks))
-	if err != nil {
-		return fmt.Errorf("%s/%s: %w", spec.Name, c.Opt.Scheme, err)
+	if st != nil {
+		res.Stats.Accumulate(st)
 	}
-	res.Stats.Accumulate(st)
 	if ctl != nil {
 		res.Flame.Accumulate(&ctl.Stats)
+	}
+	if err != nil {
+		return fmt.Errorf("%s/%s: %w", spec.Name, c.Opt.Scheme, err)
 	}
 	return nil
 }
 
 // RunTrial executes one injection trial on the pooled device and
-// classifies the outcome exactly as core.RunTrial does, diffing the
-// device's final memory against the golden image in place (no copy).
-// Panics escaping the simulator are recovered into OutcomeInternal, as
-// in core.RunTrial.
+// classifies the outcome, diffing the device's final memory against the
+// golden image in place (no copy). The injector observes the main
+// kernel's launch under the golden compilation's controller (or
+// unprotected for a Baseline golden).
+//
+// A panic escaping the simulator or a scheme controller is recovered at
+// the trial boundary and classified as OutcomeInternal: one broken trial
+// must not kill a campaign worker (or, distributed, a worker process).
 func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialResult) {
 	inj := flame.NewCampaignInjector(ts.Arms, g.MaxDelay, ts.Model, ts.Seed)
 	tr = &TrialResult{}
@@ -156,8 +168,7 @@ func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialR
 		}
 		e.stats.Trials++
 		res := &Result{}
-		// The injector observes only the main kernel's launch, as in
-		// RunCompiledOpts.
+		// The injector observes only the main kernel's launch.
 		err = launchOne(dev, spec, g.Comp, spec.Grid, spec.Block, spec.Params,
 			inj, ro, res)
 		if err == nil {
@@ -209,14 +220,18 @@ func (e *Engine) Trial(spec *KernelSpec, g *Golden, px *PruneIndex, ts TrialSpec
 	return e.RunTrial(spec, g, ts)
 }
 
-// classifyTrial applies the standard outcome taxonomy. diff reports the
-// first byte where final memory diverges from the golden image (and
-// whether it does); it is only consulted for completed runs. SDC trials
-// get the divergence address appended to their description so report
-// exemplars say where memory went wrong.
+// classifyTrial applies the standard outcome taxonomy. A run error is a
+// Hang when the cycle budget or the wall-clock watchdog fired and a DUE
+// otherwise. diff reports the first byte where final memory diverges
+// from the golden image (and whether it does); it is only consulted for
+// completed runs. SDC trials get the divergence address appended to
+// their description so report exemplars say where memory went wrong.
 func classifyTrial(tr *TrialResult, err error, diff func() (int64, bool)) {
 	if err != nil {
-		classifyTrialErr(tr, err)
+		tr.Err, tr.Outcome = err.Error(), OutcomeDUE
+		if errors.Is(err, gpu.ErrCycleLimit) || errors.Is(err, gpu.ErrWallClock) {
+			tr.Outcome = OutcomeHang
+		}
 		return
 	}
 	if tr.Strikes == 0 {

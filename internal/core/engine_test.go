@@ -77,7 +77,7 @@ func errAt(i int, got uint32) error { return &validationErr{i, got} }
 // TestEngineTrialMatchesFreshDevice is the pooling-equivalence contract:
 // a sequence of trials on one Engine (pooled device, restored memory,
 // shared compilation) produces results deep-equal to fresh-device
-// core.RunTrial calls, across schemes, fault models and multi-launch
+// trials (freshTrial), across schemes, fault models and multi-launch
 // applications — including Hang and DUE trials, whose partial state the
 // next trial on the pooled device must not observe.
 func TestEngineTrialMatchesFreshDevice(t *testing.T) {
@@ -107,7 +107,7 @@ func TestEngineTrialMatchesFreshDevice(t *testing.T) {
 					Seed:      i*2654435761 + 17,
 					MaxCycles: g.HangBudget(0),
 				}
-				fresh := RunTrial(cfg, tc.spec, g, ts)
+				fresh := freshTrial(cfg, tc.spec, g, ts)
 				pooled := eng.RunTrial(tc.spec, g, ts)
 				if !reflect.DeepEqual(fresh, pooled) {
 					t.Fatalf("trial %d diverges:\n fresh: %+v\npooled: %+v", i, fresh, pooled)

@@ -50,7 +50,7 @@ func TestGoldenSharedAcrossEnginesImmutable(t *testing.T) {
 // TestGoldenRunSetsUpOnce pins the golden run's single pass over a
 // multi-step workload: host setup runs once (the run starts from the
 // InitMem image), the Steps run from the precompiled StepComps, and
-// the result matches a plain RunCompiledOpts of the same compilation.
+// the result matches a plain RunCompiled of the same compilation.
 // MainCycles is the main launch's own cycle count, not the window.
 func TestGoldenRunSetsUpOnce(t *testing.T) {
 	cfg := testCfg()
@@ -81,16 +81,22 @@ func TestGoldenRunSetsUpOnce(t *testing.T) {
 		t.Fatalf("%d step compilations, want 2", len(g.StepComps))
 	}
 
-	ref, err := RunCompiledOpts(cfg, spec, g.Comp, nil, RunOpts{KeepMem: true})
+	ref, err := RunCompiled(cfg, spec, g.Comp, nil) // validates its final memory
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Window != ref.Stats.Cycles || !reflect.DeepEqual(g.Mem, ref.Mem) {
-		t.Fatalf("golden window %d differs from a plain run's %d, or its memory does", g.Window, ref.Stats.Cycles)
+	// The whole final image is known: the kernel writes 2i+2 to word i
+	// of its 4*64 words and nothing else.
+	want := make([]uint32, len(g.InitMem))
+	for i := 0; i < 4*64; i++ {
+		want[i] = uint32(2*i + 2)
+	}
+	if g.Window != ref.Stats.Cycles || !reflect.DeepEqual(g.Mem, want) {
+		t.Fatalf("golden window %d differs from a plain run's %d, or its memory is wrong", g.Window, ref.Stats.Cycles)
 	}
 	mainOnly := *spec
 	mainOnly.Steps, mainOnly.Validate = nil, nil
-	main, err := RunCompiledOpts(cfg, &mainOnly, g.Comp, nil, RunOpts{})
+	main, err := RunCompiled(cfg, &mainOnly, g.Comp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,7 @@ import (
 
 // ErrValidation is wrapped by run errors caused by the spec's output
 // validation rejecting the final memory state (as opposed to the
-// simulator failing outright). Campaign classifiers match it with
-// errors.Is to tell an SDC from a DUE.
+// simulator failing outright); callers match it with errors.Is.
 var ErrValidation = errors.New("output validation failed")
 
 // Step is one additional kernel launch of a multi-kernel application,
@@ -51,11 +50,6 @@ type Result struct {
 	Compiled *Compiled
 	Stats    gpu.Stats
 	Flame    flame.Stats
-	// Injection is set when the run carried a fault injector.
-	Injection *flame.Injector
-	// Mem holds the final global memory when RunOpts.KeepMem asked for it
-	// (campaign trials diff it against a golden run).
-	Mem []uint32
 }
 
 // RunOpts tunes a single simulation beyond what the compiled scheme
@@ -64,11 +58,6 @@ type RunOpts struct {
 	// MaxCycles, when positive, bounds each launch of the run (the
 	// campaign hang watchdog). Zero keeps the device-wide default.
 	MaxCycles int64
-	// SkipValidate suppresses the spec's output validation (campaigns
-	// classify by golden-memory diff instead).
-	SkipValidate bool
-	// KeepMem copies the device's final global memory into Result.Mem.
-	KeepMem bool
 	// Hooks are extra observer hooks (telemetry collectors, tracers,
 	// samplers) combined after the scheme's own hooks on every launch of
 	// the run, main kernel and Steps alike. Combining after the scheme
@@ -116,15 +105,12 @@ func RunCompiledOpts(cfg gpu.Config, spec *KernelSpec, comp *Compiled, inj *flam
 	if spec.Setup != nil {
 		spec.Setup(dev.Mem.Words())
 	}
-	res := &Result{Compiled: comp, Injection: inj}
+	res := &Result{Compiled: comp}
 	err = launchOne(dev, spec, comp, spec.Grid, spec.Block, spec.Params, inj, &ro, res)
 	if err == nil {
 		err = runSteps(dev, spec, steps, &ro, res)
 	}
-	if ro.KeepMem {
-		res.Mem = append([]uint32(nil), dev.Mem.Words()...)
-	}
-	if err == nil && !ro.SkipValidate {
+	if err == nil {
 		err = validate(spec, comp, dev.Mem.Words())
 	}
 	return res, err

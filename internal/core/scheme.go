@@ -1,8 +1,10 @@
 // Package core orchestrates the resilience schemes the paper evaluates
 // (Section V-B): it runs the right compiler pipeline for each scheme,
-// attaches the matching Flame controller to the simulator, and provides
-// the fault-injection campaign runner. This is the layer the public API,
-// the benchmarks, and the experiment harness sit on.
+// attaches the matching Flame controller to the simulator, and runs
+// classified fault-injection trials. Engine is the only trial runner:
+// every campaign trial, explained trial and test reference goes through
+// Engine.RunTrial. This is the layer the public API, the benchmarks,
+// and the experiment harness sit on.
 package core
 
 import (
@@ -185,6 +187,15 @@ type Options struct {
 	CkptAtRegionEnd bool
 }
 
+// EffectiveWCDL is the WCDL a compilation uses: WCDL when positive,
+// else the paper's default of 20 cycles.
+func (o Options) EffectiveWCDL() int {
+	if o.WCDL <= 0 {
+		return 20
+	}
+	return o.WCDL
+}
+
 // Flame returns the full Flame configuration: sensors + renaming +
 // region extension at the paper's default 20-cycle WCDL.
 func FlameOptions() Options {
@@ -211,9 +222,7 @@ type Compiled struct {
 // Compile runs the scheme's compiler pipeline on a clone of the source
 // program (the source is never mutated).
 func Compile(src *isa.Program, opt Options) (*Compiled, error) {
-	if opt.WCDL <= 0 {
-		opt.WCDL = 20
-	}
+	opt.WCDL = opt.EffectiveWCDL()
 	c := &Compiled{Opt: opt, Prog: src.Clone()}
 	if opt.Scheme == Baseline {
 		return c, nil

@@ -8,7 +8,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"runtime/debug"
@@ -221,56 +220,12 @@ type TrialResult struct {
 	Pruned bool `json:",omitempty"`
 	// Stratum is the injection-site stratum key the trial was drawn
 	// from (stratified campaigns only; empty on the uniform grid).
-	// Set by the campaign sampler, never by RunTrial.
+	// Set by the campaign sampler, never by the engine.
 	Stratum string `json:",omitempty"`
 	// Prop is the propagation/fingerprint record a TrialObserver
 	// attached (nil when no observer ran — the untraced result encodes
 	// identically to the pre-tracing format).
 	Prop *PropRecord `json:",omitempty"`
-}
-
-// RunTrial executes one injection trial against a golden run and
-// classifies the outcome. The injector observes the main kernel's launch
-// under the golden compilation's controller (or unprotected for a
-// Baseline golden). It is the fresh-device reference path; campaigns use
-// Engine.RunTrial, which reuses devices across trials with bit-identical
-// results.
-//
-// A panic escaping the simulator or a scheme controller is recovered at
-// the trial boundary and classified as OutcomeInternal: one broken trial
-// must not kill a campaign worker (or, distributed, a worker process).
-func RunTrial(cfg gpu.Config, spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialResult) {
-	inj := flame.NewCampaignInjector(ts.Arms, g.MaxDelay, ts.Model, ts.Seed)
-	tr = &TrialResult{}
-	defer recoverTrialPanic(tr, inj)
-	if ts.Observer != nil {
-		ts.Observer.BeginTrial(g, inj)
-	}
-	res, err := RunCompiledOpts(cfg, spec, g.Comp, inj, RunOpts{
-		MaxCycles:    ts.MaxCycles,
-		SkipValidate: true, // classification diffs against the golden memory
-		KeepMem:      true,
-		Hooks:        ts.observerHooks(),
-		Stop:         ts.stopFunc(),
-	})
-	tr.Strikes = inj.FiredStrikes()
-	tr.ExcludedStrikes = inj.ExcludedStrikes()
-	tr.Detected = inj.Detected
-	tr.Detections = inj.Detections
-	tr.Description = inj.Description
-	if res != nil {
-		tr.Recoveries = res.Flame.Recoveries
-		tr.Cycles = res.Stats.Cycles
-	}
-	classifyTrial(tr, err, func() (int64, bool) { return memDiff(res.Mem, g.Mem) })
-	if ts.Observer != nil {
-		var mem []uint32
-		if res != nil {
-			mem = res.Mem
-		}
-		ts.Observer.EndTrial(tr, mem, g)
-	}
-	return tr
 }
 
 // stopFunc builds the launch Stop predicate for the trial's wall-clock
@@ -285,14 +240,6 @@ func (ts *TrialSpec) stopFunc() func() bool {
 	return func() bool { return time.Now().After(deadline) }
 }
 
-// recoverTrialPanic converts a panic escaping a trial into an
-// OutcomeInternal result (deferred form of trialPanicResult).
-func recoverTrialPanic(tr *TrialResult, inj *flame.Injector) {
-	if r := recover(); r != nil {
-		trialPanicResult(tr, inj, r)
-	}
-}
-
 // trialPanicResult fills a trial result for a recovered panic: the panic
 // value and a bounded stack land in Err for local debugging, a
 // single-line description in Description so reports can exemplify the
@@ -305,26 +252,8 @@ func trialPanicResult(tr *TrialResult, inj *flame.Injector, r any) {
 	tr.Outcome = OutcomeInternal
 	tr.Err = fmt.Sprintf("trial panic: %v\n%s", r, stack)
 	tr.Description = fmt.Sprintf("trial panic: %v", r)
-	if inj != nil {
-		tr.Strikes = inj.FiredStrikes()
-		tr.ExcludedStrikes = inj.ExcludedStrikes()
-	}
-}
-
-// classifyTrialErr maps a run error onto the taxonomy: a cycle-limit
-// exhaustion or a fired wall-clock watchdog is a Hang, a validation
-// rejection an SDC (unreachable from trials, which diff memory instead,
-// but kept so the taxonomy holds for any caller), anything else a DUE.
-func classifyTrialErr(tr *TrialResult, err error) {
-	tr.Err = err.Error()
-	switch {
-	case errors.Is(err, gpu.ErrCycleLimit), errors.Is(err, gpu.ErrWallClock):
-		tr.Outcome = OutcomeHang
-	case errors.Is(err, ErrValidation):
-		tr.Outcome = OutcomeSDC
-	default:
-		tr.Outcome = OutcomeDUE
-	}
+	tr.Strikes = inj.FiredStrikes()
+	tr.ExcludedStrikes = inj.ExcludedStrikes()
 }
 
 // memDiff compares two final-memory images word-by-word and returns the

@@ -44,6 +44,14 @@ func spinSpec() *KernelSpec {
 	}
 }
 
+// freshTrial runs ts as the fresh-device reference: a brand-new engine
+// (new device) with full-image restore and full-footprint diff.
+func freshTrial(cfg gpu.Config, spec *KernelSpec, g *Golden, ts TrialSpec) *TrialResult {
+	eng := NewEngine(cfg)
+	eng.SetNoCOW(true)
+	return eng.RunTrial(spec, g, ts)
+}
+
 func TestGoldenRunAndHangBudget(t *testing.T) {
 	g, err := GoldenRun(testCfg(), saxpySpec(), FlameOptions())
 	if err != nil {
@@ -84,7 +92,7 @@ func TestTrialMaskedNotRecovered(t *testing.T) {
 	}
 	masked := 0
 	for arm := int64(10); arm < g.Window; arm += g.Window / 40 {
-		tr := RunTrial(cfg, spec, g, TrialSpec{
+		tr := freshTrial(cfg, spec, g, TrialSpec{
 			Arms: []int64{arm}, Seed: arm, MaxCycles: g.HangBudget(0),
 		})
 		if tr.Detections == 0 && tr.Outcome == OutcomeRecovered {
@@ -111,7 +119,7 @@ func TestTrialNoInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := RunTrial(cfg, spec, g, TrialSpec{
+	tr := freshTrial(cfg, spec, g, TrialSpec{
 		Arms: []int64{g.Window * 4}, Seed: 1, MaxCycles: g.HangBudget(0),
 	})
 	if tr.Outcome != OutcomeNoInjection || tr.Strikes != 0 {
@@ -127,7 +135,7 @@ func TestTrialRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := RunTrial(cfg, spec, g, TrialSpec{
+	tr := freshTrial(cfg, spec, g, TrialSpec{
 		Arms: []int64{g.Window / 2}, Seed: 3, MaxCycles: g.HangBudget(0),
 	})
 	if tr.Outcome != OutcomeRecovered {
@@ -152,20 +160,23 @@ func TestTrialHangClassified(t *testing.T) {
 	var hangs, dues, sdcs int
 	for arm := int64(5); arm <= 100; arm += 5 {
 		for seed := int64(1); seed <= 3; seed++ {
-			tr := RunTrial(cfg, spec, g, TrialSpec{
+			tr := freshTrial(cfg, spec, g, TrialSpec{
 				Arms: []int64{arm}, Model: flame.FullSite, Seed: seed, MaxCycles: budget,
 			})
 			switch tr.Outcome {
 			case OutcomeHang:
 				hangs++
-				if tr.Cycles > budget {
-					t.Fatalf("hang trial ran %d cycles past the %d budget", tr.Cycles, budget)
+				if tr.Cycles != budget {
+					t.Fatalf("hang trial reports %d cycles, want its %d budget", tr.Cycles, budget)
 				}
 				if !strings.Contains(tr.Err, "cycle limit") {
 					t.Fatalf("hang error = %q", tr.Err)
 				}
 			case OutcomeDUE:
 				dues++
+				if tr.Cycles <= 0 {
+					t.Fatalf("DUE trial reports %d cycles (%s)", tr.Cycles, tr.Err)
+				}
 			case OutcomeSDC:
 				sdcs++
 			}
@@ -186,7 +197,7 @@ func TestTrialDataSliceNeverHangs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for arm := int64(5); arm <= 100; arm += 5 {
-		tr := RunTrial(cfg, spec, g, TrialSpec{
+		tr := freshTrial(cfg, spec, g, TrialSpec{
 			Arms: []int64{arm}, Model: flame.DataSlice, Seed: arm, MaxCycles: g.HangBudget(0),
 		})
 		switch tr.Outcome {
@@ -214,7 +225,7 @@ func TestTrialPanicRecovered(t *testing.T) {
 		}
 	}}
 
-	tr := RunTrial(cfg, spec, g, TrialSpec{
+	tr := freshTrial(cfg, spec, g, TrialSpec{
 		Arms: []int64{g.Window * 4}, Seed: 1, MaxCycles: g.HangBudget(0), Hooks: boom,
 	})
 	if tr.Outcome != OutcomeInternal {
@@ -267,12 +278,12 @@ func TestTrialWallClockTimeout(t *testing.T) {
 		Arms: []int64{g.Window * 4}, Seed: 1,
 		MaxCycles: g.HangBudget(0), Timeout: time.Nanosecond,
 	}
-	check("fresh", RunTrial(cfg, spec, g, ts))
+	check("fresh", freshTrial(cfg, spec, g, ts))
 	check("pooled", NewEngine(cfg).RunTrial(spec, g, ts))
 
 	// A generous budget never fires: the trial is untouched.
 	ts.Timeout = time.Hour
-	if tr := RunTrial(cfg, spec, g, ts); tr.Outcome != OutcomeNoInjection {
+	if tr := freshTrial(cfg, spec, g, ts); tr.Outcome != OutcomeNoInjection {
 		t.Fatalf("generous timeout changed the trial: %v (%q)", tr.Outcome, tr.Err)
 	}
 }

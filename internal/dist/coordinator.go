@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -825,23 +826,13 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 // --- small helpers ---------------------------------------------------
 
 // Signature hashes a golden run for the replica vote: FNV-1a over the
-// window, the initial memory image, and the final memory image.
+// window and the golden's memory-image fingerprint (Golden.Fingerprint).
 func Signature(g *core.Golden) GoldenSig {
 	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	put(uint64(g.Window))
-	for _, w := range g.InitMem {
-		put(uint64(w))
-	}
-	for _, w := range g.Mem {
-		put(uint64(w))
-	}
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:8], uint64(g.Window))
+	binary.LittleEndian.PutUint64(b[8:], g.Fingerprint())
+	h.Write(b[:])
 	return GoldenSig{Window: g.Window, Hash: fmt.Sprintf("%016x", h.Sum64())}
 }
 

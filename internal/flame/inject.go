@@ -244,14 +244,6 @@ func NewCampaignInjector(arms []int64, maxDelay int, model FaultModel, seed int6
 	return inj
 }
 
-// ArmCycle returns the first strike's arm cycle (single-strike callers).
-func (inj *Injector) ArmCycle() int64 {
-	if len(inj.Strikes) == 0 {
-		return 0
-	}
-	return inj.Strikes[0].ArmCycle
-}
-
 // Observe is called after each executed instruction (from the
 // controller's OnExecuted hook, or directly for unprotected campaigns);
 // it corrupts the first eligible instruction once a strike is armed.

@@ -78,7 +78,10 @@ func (d *Device) Cycle() int64 { return d.Cyc }
 
 // Run simulates one kernel launch to completion and returns its stats.
 // Hooks may be nil. Global memory contents persist across runs (host
-// code initializes and validates them via Mem).
+// code initializes and validates them via Mem). A launch that fails
+// once simulation has started (a fault, the cycle budget, the Stop
+// watchdog) returns its partial stats, Cycles being the cycle it
+// stopped at, alongside the error.
 func (d *Device) Run(l *Launch, hooks *Hooks) (*Stats, error) {
 	if err := l.Validate(&d.Cfg); err != nil {
 		return nil, err
@@ -146,16 +149,16 @@ func (d *Device) Run(l *Launch, hooks *Hooks) (*Stats, error) {
 		// one iteration can cover thousands of cycles anyway.
 		if l.Stop != nil {
 			if stopPoll == 0 && l.Stop() {
-				return nil, fmt.Errorf("gpu: %q: %w at cycle %d; %d/%d blocks done",
-					l.Prog.Name, ErrWallClock, d.Cyc, d.blocksDone, total)
+				return d.partial(fmt.Errorf("gpu: %q: %w at cycle %d; %d/%d blocks done",
+					l.Prog.Name, ErrWallClock, d.Cyc, d.blocksDone, total))
 			}
 			if stopPoll++; stopPoll >= 1024 {
 				stopPoll = 0
 			}
 		}
 		if d.Cyc >= budget {
-			return nil, fmt.Errorf("gpu: %q: %w after %d cycles; %d/%d blocks done",
-				l.Prog.Name, ErrCycleLimit, budget, d.blocksDone, total)
+			return d.partial(fmt.Errorf("gpu: %q: %w after %d cycles; %d/%d blocks done",
+				l.Prog.Name, ErrCycleLimit, budget, d.blocksDone, total))
 		}
 		d.issued = false
 		for _, sm := range d.SMs {
@@ -165,7 +168,7 @@ func (d *Device) Run(l *Launch, hooks *Hooks) (*Stats, error) {
 				continue
 			}
 			if err := sm.step(d.Cyc); err != nil {
-				return nil, fmt.Errorf("cycle %d: %w", d.Cyc, err)
+				return d.partial(fmt.Errorf("cycle %d: %w", d.Cyc, err))
 			}
 		}
 		d.hooks.onCycle(d)
@@ -174,8 +177,14 @@ func (d *Device) Run(l *Launch, hooks *Hooks) (*Stats, error) {
 			d.fastForward(budget)
 		}
 	}
+	return d.partial(nil)
+}
+
+// partial closes the launch's stats at the current cycle and returns
+// them with err.
+func (d *Device) partial(err error) (*Stats, error) {
 	d.Stats.Cycles = d.Cyc
-	return &d.Stats, nil
+	return &d.Stats, err
 }
 
 // fastForward advances the clock over cycles that are provably identical

@@ -71,17 +71,13 @@ type Tracer struct {
 	W io.Writer
 	// FromCycle / ToCycle bound the traced window (ToCycle 0 = no bound).
 	FromCycle, ToCycle int64
-	// SM filters to one SM (-1 = all).
-	SM int
-	// Warp filters to one warp ID (-1 = all).
-	Warp int
 	// Events counts emitted lines.
 	Events int64
 }
 
-// NewTracer returns a tracer for the whole run with no filters.
+// NewTracer returns a tracer for the whole run.
 func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{W: w, SM: -1, Warp: -1}
+	return &Tracer{W: w}
 }
 
 // Hooks returns simulator hooks that emit the trace. The OnAdvance
@@ -105,12 +101,6 @@ func (t *Tracer) onAdvance(d *Device, from, to int64) int64 {
 
 func (t *Tracer) onExecuted(d *Device, sm *SM, w *Warp, pc int) {
 	if d.Cyc < t.FromCycle || (t.ToCycle > 0 && d.Cyc > t.ToCycle) {
-		return
-	}
-	if t.SM >= 0 && sm.ID != t.SM {
-		return
-	}
-	if t.Warp >= 0 && w.ID != t.Warp {
 		return
 	}
 	in := &d.launch.Prog.Insts[pc]

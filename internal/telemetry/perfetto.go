@@ -32,13 +32,9 @@ import (
 // Only the first launch of a device is recorded: the simulator clock
 // restarts per launch, and overlapping timelines render as garbage.
 type TraceWriter struct {
-	// FromCycle/ToCycle bound the recorded window (ToCycle 0 = no bound).
-	FromCycle, ToCycle int64
-	// MaxEvents caps the event list (0 = DefaultMaxEvents). Issue events
-	// beyond the cap are dropped (Truncated counts them); wait spans and
-	// metadata are always kept so the timeline stays interpretable.
-	MaxEvents int
-	// Truncated counts issue events dropped by MaxEvents.
+	// Truncated counts issue events dropped by the DefaultMaxEvents cap;
+	// wait spans and metadata are always kept so the timeline stays
+	// interpretable.
 	Truncated int64
 
 	events   []traceEvent
@@ -50,8 +46,8 @@ type TraceWriter struct {
 	meta     bool
 }
 
-// DefaultMaxEvents bounds trace size to roughly what the Perfetto UI
-// loads comfortably.
+// DefaultMaxEvents caps the event list at roughly what the Perfetto UI
+// loads comfortably; issue events beyond it are dropped.
 const DefaultMaxEvents = 1 << 20
 
 type warpState struct {
@@ -70,7 +66,7 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// NewTraceWriter returns a whole-run trace writer with default caps.
+// NewTraceWriter returns a whole-run trace writer.
 func NewTraceWriter() *TraceWriter { return &TraceWriter{} }
 
 // Hooks returns the hook set that records the trace. The OnAdvance
@@ -84,17 +80,6 @@ func (t *TraceWriter) Hooks() *gpu.Hooks {
 		OnWarpDispatch: t.onDispatch,
 		OnAdvance:      func(d *gpu.Device, from, to int64) int64 { return to },
 	}
-}
-
-func (t *TraceWriter) inWindow(cyc int64) bool {
-	return cyc >= t.FromCycle && (t.ToCycle <= 0 || cyc <= t.ToCycle)
-}
-
-func (t *TraceWriter) cap() int {
-	if t.MaxEvents > 0 {
-		return t.MaxEvents
-	}
-	return DefaultMaxEvents
 }
 
 func (t *TraceWriter) ensure(d *gpu.Device) []warpState {
@@ -121,7 +106,7 @@ func (t *TraceWriter) ensure(d *gpu.Device) []warpState {
 }
 
 func (t *TraceWriter) onDispatch(d *gpu.Device, sm *gpu.SM, w *gpu.Warp) {
-	if t.launch > 0 || !t.inWindow(d.Cyc) {
+	if t.launch > 0 {
 		return
 	}
 	st := t.ensure(d)
@@ -133,7 +118,7 @@ func (t *TraceWriter) onDispatch(d *gpu.Device, sm *gpu.SM, w *gpu.Warp) {
 }
 
 func (t *TraceWriter) onExecuted(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
-	if t.launch > 0 || !t.inWindow(d.Cyc) {
+	if t.launch > 0 {
 		return
 	}
 	t.ensure(d)
@@ -144,7 +129,7 @@ func (t *TraceWriter) onExecuted(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int)
 			Args: map[string]any{"pc": pc},
 		})
 	}
-	if len(t.events) >= t.cap() {
+	if len(t.events) >= DefaultMaxEvents {
 		t.Truncated++
 		return
 	}
@@ -163,7 +148,7 @@ func (t *TraceWriter) onCycle(d *gpu.Device) {
 		t.launch++
 	}
 	t.lastCyc = d.Cyc
-	if t.launch > 0 || !t.inWindow(d.Cyc) {
+	if t.launch > 0 {
 		return
 	}
 	st := t.ensure(d)

@@ -1,8 +1,9 @@
 package telemetry
 
 // The propagation tracer follows each injected strike through the
-// register dataflow to the first global store it could have corrupted
-// (the propagation depth campaign reports and /metrics show).
+// register dataflow, and through shared and local memory, to the first
+// global store it could have corrupted (the propagation depth campaign
+// reports and /metrics show).
 //
 // It rides the ordinary gpu.Hooks machinery (OnExecuted /
 // OnWarpDispatch only), so it is inherently skip-safe: executed
@@ -22,12 +23,16 @@ import (
 )
 
 // Tracer implements core.TrialObserver: per-warp register taint
-// tracking seeded at each strike's corrupted site. Taint is monotone
-// (no strong updates — a per-warp bit cannot soundly model a per-lane
-// overwrite under divergence), so StoreCycle is the earliest global
-// store the strike could have reached, and Depth a conservative
-// propagation distance. A Tracer is reused across the trials of one
-// worker; it is not safe for concurrent use.
+// tracking seeded at each strike's corrupted site. Memory below global
+// is tracked one bit per space instance: a tainted store or atomic to
+// shared memory taints its block's whole scratchpad, one to local
+// memory its warp's, and any later load or atomic from a tainted
+// scratchpad taints its destination. Taint is monotone (no strong
+// updates — a per-warp bit cannot soundly model a per-lane overwrite
+// under divergence, nor a per-space bit a per-word one), so StoreCycle
+// is the earliest global store the strike could have reached, and
+// Depth a conservative propagation distance. A Tracer is reused across
+// the trials of one worker; it is not safe for concurrent use.
 type Tracer struct {
 	hooks gpu.Hooks
 
@@ -40,6 +45,10 @@ type Tracer struct {
 	// with it — corruption it stored lives on in memory, which the
 	// final-memory fingerprint accounts for.
 	taints map[int]*warpTaint
+	// shared holds the (SM, block slot) keys whose shared memory holds
+	// taint. A block slot's scratchpad is zeroed when a new block is
+	// placed in it, so dispatch clears the key.
+	shared map[int]bool
 
 	seen         int // strikes absorbed into taint state so far
 	taintedInsts int
@@ -50,6 +59,7 @@ type Tracer struct {
 type warpTaint struct {
 	regs  []bool
 	preds uint16 // bitmap over isa.NumPredRegs
+	local bool   // the warp's local memory holds taint
 }
 
 func (wt *warpTaint) reg(r isa.Reg) bool {
@@ -68,7 +78,7 @@ func (wt *warpTaint) setReg(r isa.Reg) {
 // NewTracer creates a propagation tracer. Give each campaign worker its
 // own and attach it via core.TrialSpec.Observer.
 func NewTracer() *Tracer {
-	t := &Tracer{taints: map[int]*warpTaint{}, storeCycle: -1}
+	t := &Tracer{taints: map[int]*warpTaint{}, shared: map[int]bool{}, storeCycle: -1}
 	t.hooks.OnExecuted = t.onExecuted
 	t.hooks.OnWarpDispatch = t.onWarpDispatch
 	return t
@@ -77,9 +87,8 @@ func NewTracer() *Tracer {
 // BeginTrial resets the tracer for a new trial (core.TrialObserver).
 func (t *Tracer) BeginTrial(g *core.Golden, inj *flame.Injector) {
 	t.inj, t.golden = inj, g
-	for k := range t.taints {
-		delete(t.taints, k)
-	}
+	clear(t.taints)
+	clear(t.shared)
 	t.seen, t.taintedInsts, t.storeCycle, t.done = 0, 0, -1, false
 }
 
@@ -90,8 +99,28 @@ func (t *Tracer) TrialHooks() *gpu.Hooks { return &t.hooks }
 
 func warpKey(smID, warpID int) int { return smID<<16 | warpID }
 
+// sharedKey keys a resident block's shared memory (every warp of the
+// block has the same key).
+func sharedKey(sm *gpu.SM, w *gpu.Warp) int { return warpKey(sm.ID, w.BlockSlot) }
+
 func (t *Tracer) onWarpDispatch(d *gpu.Device, sm *gpu.SM, w *gpu.Warp) {
 	delete(t.taints, warpKey(sm.ID, w.ID))
+	delete(t.shared, sharedKey(sm, w))
+}
+
+// memTainted reports whether in loads from a scratchpad (shared or
+// local memory) that holds taint.
+func (t *Tracer) memTainted(in *isa.Inst, sm *gpu.SM, w *gpu.Warp, wt *warpTaint) bool {
+	if in.Op != isa.OpLd && in.Op != isa.OpAtom {
+		return false
+	}
+	switch in.Space {
+	case isa.SpaceShared:
+		return t.shared[sharedKey(sm, w)]
+	case isa.SpaceLocal:
+		return wt != nil && wt.local
+	}
+	return false
 }
 
 func (t *Tracer) onExecuted(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
@@ -118,37 +147,31 @@ func (t *Tracer) onExecuted(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 		wt.setReg(s.Reg)
 	}
 	wt := t.taints[warpKey(sm.ID, w.ID)]
-	if wt == nil {
+	if wt == nil && len(t.shared) == 0 {
 		return
 	}
 	in := &d.Kernel().Insts[pc]
-	var uses [4]isa.Reg
-	tainted := false
-	for _, r := range in.Uses(uses[:0]) {
-		if wt.reg(r) {
-			tainted = true
-			break
-		}
-	}
-	if !tainted {
-		var pu [2]isa.PredReg
-		for _, p := range in.UsesPred(pu[:0]) {
-			if wt.preds&(1<<p) != 0 {
-				tainted = true
-				break
-			}
-		}
-	}
-	if !tainted {
+	tainted := wt != nil && wt.uses(in)
+	if !tainted && !t.memTainted(in, sm, w, wt) {
 		return
+	}
+	if wt == nil {
+		wt = &warpTaint{}
+		t.taints[warpKey(sm.ID, w.ID)] = wt
 	}
 	t.taintedInsts++
-	if in.Op.IsMemory() && in.Space == isa.SpaceGlobal &&
-		(in.Op == isa.OpSt || in.Op == isa.OpAtom) {
-		// A global store or atomic consuming a tainted address or data
-		// operand: the earliest point the strike can corrupt memory.
-		t.recordStore(d.Cyc)
-		return
+	if in.Op.IsStore() && tainted {
+		// A store or atomic consuming a tainted address or data operand.
+		switch in.Space {
+		case isa.SpaceGlobal:
+			// The earliest point the strike can corrupt global memory.
+			t.recordStore(d.Cyc)
+			return
+		case isa.SpaceShared:
+			t.shared[sharedKey(sm, w)] = true
+		case isa.SpaceLocal:
+			wt.local = true
+		}
 	}
 	if r := in.Defs(); r != isa.NoReg {
 		wt.setReg(r)
@@ -156,6 +179,23 @@ func (t *Tracer) onExecuted(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 	if p := in.DefsPred(); p != isa.NoPred {
 		wt.preds |= 1 << p
 	}
+}
+
+// uses reports whether in reads a tainted register or predicate.
+func (wt *warpTaint) uses(in *isa.Inst) bool {
+	var uses [4]isa.Reg
+	for _, r := range in.Uses(uses[:0]) {
+		if wt.reg(r) {
+			return true
+		}
+	}
+	var pu [2]isa.PredReg
+	for _, p := range in.UsesPred(pu[:0]) {
+		if wt.preds&(1<<p) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (t *Tracer) recordStore(cyc int64) {

@@ -32,7 +32,7 @@ func tracerTestGolden(t *testing.T, cfg gpu.Config) (*core.KernelSpec, *core.Gol
 func runTraced(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, g *core.Golden,
 	obsv core.TrialObserver, seed int64) *core.TrialResult {
 	t.Helper()
-	tr := core.RunTrial(cfg, spec, g, core.TrialSpec{
+	tr := core.NewEngine(cfg).RunTrial(spec, g, core.TrialSpec{
 		Arms:      []int64{100},
 		Model:     flame.DataSlice,
 		Seed:      seed,
