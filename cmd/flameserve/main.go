@@ -13,7 +13,7 @@
 //	flameworker -url http://host:8077        # on each machine
 //
 // The campaign flags (-bench, -suite, -scheme, -trials, -seed, -model,
-// -prune, -no-cow, -ci-target, -json, ...) are flameinject's; -ci-target
+// -prune, -ci-target, -json, ...) are flameinject's; -ci-target
 // cancels a benchmark's pending shards once its SDC and DUE Wilson 95%
 // half-widths reach the target.
 //
@@ -41,8 +41,7 @@ func main() {
 	addr := flag.String("addr", ":8077", "listen address")
 	state := flag.String("state", "flameserve-state", "state directory (checkpoint + shard streams); reuse to resume")
 	shardSize := flag.Int("shard-size", 25, "max trials per shard")
-	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "lease deadline without a heartbeat")
-	heartbeat := flag.Duration("heartbeat", 0, "heartbeat cadence told to workers (0 = lease-ttl/3)")
+	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "lease deadline without a heartbeat (workers renew every lease-ttl/3)")
 	quarantine := flag.Int("quarantine-after", 3, "quarantine a shard after this many failed leases")
 	cf := campaignflag.Bind(flag.CommandLine)
 	flag.Parse()
@@ -58,8 +57,8 @@ func main() {
 	fr, err := dist.Serve(ctx, dist.ServeConfig{
 		Addr: *addr,
 		Coord: dist.CoordConfig{
-			Info: dist.InfoFromConfig(&cfg), StateDir: *state, ShardSize: *shardSize,
-			LeaseTTL: *leaseTTL, Heartbeat: *heartbeat, QuarantineAfter: *quarantine,
+			Info: cfg.Identity(), StateDir: *state, ShardSize: *shardSize,
+			LeaseTTL: *leaseTTL, QuarantineAfter: *quarantine,
 			Logf: logf,
 		},
 	})

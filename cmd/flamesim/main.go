@@ -33,7 +33,6 @@ func main() {
 	extend := flag.Bool("extend", true, "enable region extension")
 	baseline := flag.Bool("baseline", true, "also run the baseline for comparison")
 	trace := flag.String("trace", "", "trace window \"FROM:TO\" (cycles) to stderr")
-	noskip := flag.Bool("noskip", false, "disable event-driven cycle skipping (naive per-cycle loop)")
 	telem := flag.Bool("telemetry", false, "print per-SM stall-attribution breakdown")
 	telemOut := flag.String("telemetry-out", "", "write per-SM stall-attribution CSV to this file")
 	traceOut := flag.String("trace-out", "", "write a Perfetto trace_event JSON timeline to this file")
@@ -60,7 +59,6 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	arch.NoCycleSkip = *noskip
 	if *schedName != "" {
 		switch strings.ToUpper(*schedName) {
 		case "GTO":

@@ -90,11 +90,6 @@ type Config struct {
 	// pruned_masked / pruned_no_injection counters but is otherwise
 	// identical to an unpruned run.
 	Prune bool
-	// NoCOW disables page-granular golden restore/diff in the worker
-	// engines (full memory copy and full scan per trial). Reports are
-	// byte-identical either way; this is the escape hatch and the
-	// baseline for throughput comparisons.
-	NoCOW bool
 	// RestoreStats, when non-nil, receives the summed restore/diff page
 	// counters of every worker engine after the campaign finishes. The
 	// DirtyPages and DiffPages sums are deterministic (per-trial work

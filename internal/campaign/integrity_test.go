@@ -110,7 +110,7 @@ func TestReplayIntegrityGarbageAndDuplicates(t *testing.T) {
 // an unknown outcome, or an out-of-range index are dropped and counted,
 // never folded.
 func TestReplayIntegrityDropped(t *testing.T) {
-	stream := `{"event":"campaign_start","benchmarks":["x"],"trials_per_benchmark":2}
+	stream := `{"event":"campaign_start","arch":{"Name":"GTX480"},"scheme":"baseline","model":"data","benchmarks":["x"],"trials_per_benchmark":2}
 {"event":"trial","benchmark":"x","trial":0,"outcome":"masked"}
 {"event":"trial","benchmark":"y","trial":0,"outcome":"masked"}
 {"event":"trial","benchmark":"x","trial":7,"outcome":"masked"}

@@ -61,11 +61,11 @@ func newPool(cfg *Config, total int) (*pool, error) {
 
 // Executor runs trials of one campaign on one worker: a pooled engine
 // (one device per workload, restored from the golden image between
-// trials, under Config.NoCOW by full copy) and, under Config.Trace, a
-// propagation tracer that is reset per trial and records only
-// deterministic per-trial facts. The in-process pool gives each of its
-// workers one, and each distributed worker process runs its shards on
-// one. An Executor is not safe for concurrent use.
+// trials) and, under Config.Trace, a propagation tracer that is reset
+// per trial and records only deterministic per-trial facts. The
+// in-process pool gives each of its workers one, and each distributed
+// worker process runs its shards on one. An Executor is not safe for
+// concurrent use.
 type Executor struct {
 	cfg    *Config
 	set    []core.Setup
@@ -73,10 +73,13 @@ type Executor struct {
 	tracer core.TrialObserver // nil without Config.Trace
 }
 
+// newEngine builds an executor's engine; the restore-equivalence test
+// swaps in full-copy (no-COW) engines.
+var newEngine = core.NewEngine
+
 // NewExecutor builds an executor over the set-up Prepare returned.
 func (cfg *Config) NewExecutor(set []core.Setup) *Executor {
-	x := &Executor{cfg: cfg, set: set, eng: core.NewEngine(cfg.Arch)}
-	x.eng.SetNoCOW(cfg.NoCOW)
+	x := &Executor{cfg: cfg, set: set, eng: newEngine(cfg.Arch)}
 	if cfg.Trace {
 		x.tracer = telemetry.NewTracer()
 	}

@@ -7,14 +7,16 @@ import (
 	"testing"
 
 	"flame/internal/core"
+	"flame/internal/gpu"
 	"flame/internal/isa"
 )
 
 // TestReportIdenticalCOWvsNoCOW is the dirty-page restore contract at
 // campaign level: page-granular restore/diff (the default) and
-// full-image restore/scan (-no-cow) must yield byte-identical JSON
-// reports at any worker count, and the deterministic page counters
-// (dirty, diff) must not depend on either knob.
+// full-image restore/scan (no-COW engines, swapped in through newEngine)
+// must yield byte-identical JSON reports at any worker count, and the
+// deterministic page counters (dirty, diff) must not depend on either
+// mode.
 func TestReportIdenticalCOWvsNoCOW(t *testing.T) {
 	names := []string{"Triad", "Histogram", "SRAD"}
 	type run struct {
@@ -23,7 +25,12 @@ func TestReportIdenticalCOWvsNoCOW(t *testing.T) {
 	}
 	do := func(parallel int, noCOW bool) run {
 		cfg := testConfig(t, names, 6, parallel)
-		cfg.NoCOW = noCOW
+		newEngine = func(arch gpu.Config) *core.Engine {
+			e := core.NewEngine(arch)
+			e.SetNoCOW(noCOW)
+			return e
+		}
+		defer func() { newEngine = core.NewEngine }()
 		var rs core.RestoreStats
 		cfg.RestoreStats = &rs
 		rep, err := Run(cfg)

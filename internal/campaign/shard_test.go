@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"flame/internal/core"
 )
@@ -253,6 +254,11 @@ func TestDoneSetRefusesOtherCampaign(t *testing.T) {
 		"scheme":               func(c *Config) { c.Opt, c.Seed = core.FlameOptions(), 2 },
 		"seed":                 func(c *Config) { c.Seed = 2 },
 		"trials_per_benchmark": func(c *Config) { c.Trials = 12 },
+		"extend_regions":       func(c *Config) { c.Opt.ExtendRegions = true },
+		"hang_budget_mult":     func(c *Config) { c.HangBudgetMult = 2 },
+		"prune":                func(c *Config) { c.Prune = true },
+		"trial_timeout_ms":     func(c *Config) { c.TrialTimeout = time.Minute },
+		"arch.NumSMs":          func(c *Config) { c.Arch.NumSMs++ },
 	} {
 		other := cfg
 		mutate(&other)

@@ -7,9 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -25,29 +23,29 @@ import (
 // the full Report from a finished stream, and the tests assert the
 // replayed report is byte-identical to the one Run returned.
 
-// startEvent opens a stream and carries everything a replayer needs to
-// reconstruct the report skeleton (workload order included).
+// startEvent opens a stream: the campaign's identity, from which a
+// replayer rebuilds the report skeleton (workload order included), plus
+// the two facts of this run that do not change the campaign.
 type startEvent struct {
-	Event           string   `json:"event"` // "campaign_start"
-	Arch            string   `json:"arch"`
-	Scheme          string   `json:"scheme"`
-	Model           string   `json:"model"`
-	WCDL            int      `json:"wcdl"`
-	Seed            uint64   `json:"seed"`
-	TrialsPerBench  int      `json:"trials_per_benchmark"`
-	StrikesPerTrial int      `json:"strikes_per_trial"`
-	Parallel        int      `json:"parallel"`
-	Benchmarks      []string `json:"benchmarks"`
-	TotalTrials     int      `json:"total_trials"`
-	// Stratified campaigns carry their sampler parameters; all omitted
-	// on uniform campaigns, so those streams are byte-identical to the
-	// pre-stratification format.
-	Stratified bool    `json:"stratified,omitempty"`
-	CITarget   float64 `json:"ci_target,omitempty"`
-	Pilot      int     `json:"pilot,omitempty"`
-	// Trace marks a propagation-traced campaign (omitted otherwise, so
-	// untraced streams keep the pre-tracing format).
-	Trace bool `json:"trace,omitempty"`
+	Event string `json:"event"` // "campaign_start"
+	Identity
+	Parallel    int `json:"parallel"`
+	TotalTrials int `json:"total_trials"`
+}
+
+// decodeStart parses a campaign_start line. A line that does not carry
+// a resolvable identity, as streams written before the header held one
+// do not, is an error naming what is missing.
+func decodeStart(raw []byte) (*startEvent, error) {
+	e := new(startEvent)
+	err := json.Unmarshal(raw, e)
+	if err == nil {
+		_, err = e.Config(nil)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("campaign: campaign_start carries no campaign identity (streams written before the identity header cannot be replayed or resumed): %v", err)
+	}
+	return e, nil
 }
 
 // setupRecords is a campaign's set-up as its event stream records it:
@@ -72,28 +70,11 @@ func newSetupRecords() *setupRecords {
 	}
 }
 
-// startEvent returns the campaign_start record of this campaign run on
-// parallel workers with total planned trials.
-func (cfg *Config) startEvent(parallel, total int) *startEvent {
-	benches := make([]string, len(cfg.Specs))
-	for i, sp := range cfg.Specs {
-		benches[i] = sp.Name
-	}
-	return &startEvent{
-		Event: "campaign_start", Arch: cfg.Arch.Name, Scheme: cfg.Opt.Scheme.String(),
-		Model: cfg.Model.String(), WCDL: cfg.Opt.EffectiveWCDL(), Seed: cfg.Seed,
-		TrialsPerBench: cfg.Trials, StrikesPerTrial: max(1, cfg.StrikesPerTrial),
-		Parallel: parallel, Benchmarks: benches, TotalTrials: total,
-		Stratified: cfg.Stratify, CITarget: cfg.CITarget, Pilot: cfg.Pilot,
-		Trace: cfg.Trace,
-	}
-}
-
 // setupRecords returns the set-up records of the campaign prepared as
 // set, run on parallel workers with total planned trials.
 func (cfg *Config) setupRecords(set []core.Setup, parallel, total int) *setupRecords {
 	rs := newSetupRecords()
-	rs.start = cfg.startEvent(parallel, total)
+	rs.start = &startEvent{Event: "campaign_start", Identity: cfg.Identity(), Parallel: parallel, TotalTrials: total}
 	for i, name := range rs.start.Benchmarks {
 		rs.windows[name] = set[i].Golden.Window
 		if m := set[i].Strata; m != nil {
@@ -498,7 +479,8 @@ func Replay(r io.Reader) (*Report, error) {
 // duplicate trials (re-leased shards) are deduplicated keeping the
 // first occurrence, and trials missing from the stream are tallied per
 // benchmark. The only fatal conditions are a reader error and a stream
-// with no campaign_start (nothing to rebuild a skeleton from).
+// with no campaign_start, or one without a campaign identity (nothing
+// to rebuild a skeleton from).
 func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 	ig := &Integrity{}
 	sc := bufio.NewScanner(r)
@@ -535,9 +517,11 @@ func ReplayIntegrity(r io.Reader) (*Report, *Integrity, error) {
 		case "campaign_start":
 			// Resumed streams append a fresh header; the last one wins
 			// (DoneSet refuses to resume a different campaign).
-			if e := new(startEvent); decode(raw, e) {
-				rs.start = e
+			e, err := decodeStart(raw)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%w (line %d)", err, ig.Lines)
 			}
+			rs.start = e
 		case "golden":
 			if e := new(goldenEvent); decode(raw, e) {
 				rs.windows[e.Benchmark] = e.WindowCycles
@@ -590,7 +574,7 @@ func assemble(rs *setupRecords, trials []trialRecord, ig *Integrity) *Report {
 	// defined position in the grid).
 	usable := trials[:0]
 	for _, e := range trials {
-		if _, known := order[e.bench]; e.drop == "" && (!known || e.t >= start.TrialsPerBench) {
+		if _, known := order[e.bench]; e.drop == "" && (!known || e.t >= start.Trials) {
 			e.drop = dropDetail(e.bench, e.t, e.r.Outcome.String())
 		}
 		if e.drop != "" {
@@ -610,11 +594,12 @@ func assemble(rs *setupRecords, trials []trialRecord, ig *Integrity) *Report {
 		return trials[i].t < trials[j].t
 	})
 
+	cfg, _ := start.Config(nil) // a header's identity resolves (decodeStart)
 	rep := &Report{
-		Arch: start.Arch, Scheme: start.Scheme, Model: start.Model,
-		WCDL: start.WCDL, Seed: start.Seed, Trials: start.TrialsPerBench,
+		Arch: cfg.Arch.Name, Scheme: cfg.Opt.Scheme.String(), Model: start.Model,
+		WCDL: cfg.Opt.EffectiveWCDL(), Seed: start.Seed, Trials: start.Trials,
 		StrikesPerTrial: start.StrikesPerTrial,
-		Stratified:      start.Stratified, CITarget: start.CITarget,
+		Stratified:      start.Stratify, CITarget: start.CITarget,
 	}
 	k := 0
 	for _, bench := range start.Benchmarks {
@@ -622,7 +607,7 @@ func assemble(rs *setupRecords, trials []trialRecord, ig *Integrity) *Report {
 		// Stratified campaigns rebuild the per-stratum breakdown from the
 		// bench's strata record plus each trial's stratum key.
 		se := rs.strata[bench]
-		if !start.Stratified {
+		if !start.Stratify {
 			se = nil
 		}
 		var counts []StratumReport
@@ -653,8 +638,8 @@ func assemble(rs *setupRecords, trials []trialRecord, ig *Integrity) *Report {
 		if d := rs.done[bench]; d != nil {
 			used, rounds, reason = d.TrialsUsed, d.Rounds, d.StopReason
 		}
-		expected := start.TrialsPerBench
-		if start.Stratified {
+		expected := start.Trials
+		if start.Stratify {
 			expected = used
 		}
 		if miss := expected - folded; miss > 0 {
@@ -668,7 +653,7 @@ func assemble(rs *setupRecords, trials []trialRecord, ig *Integrity) *Report {
 			sdc, due := rateCounts(counts)
 			br.Sampling = &SamplingReport{
 				SpanSites: se.SpanSites, NoInjectionSites: se.NoInjectionSites,
-				Budget: start.TrialsPerBench, TrialsUsed: used, Rounds: rounds, StopReason: reason,
+				Budget: start.Trials, TrialsUsed: used, Rounds: rounds, StopReason: reason,
 				SDCRate: rateCI(stats.StratifiedWilson95(sdc)),
 				DUERate: rateCI(stats.StratifiedWilson95(due)),
 				Strata:  counts,
@@ -688,10 +673,9 @@ func assemble(rs *setupRecords, trials []trialRecord, ig *Integrity) *Report {
 // classified trial event — the resume oracle: a restarted campaign
 // skips exactly these. Damaged lines are ignored (a torn trial re-runs,
 // which is safe: trials are deterministic and replay deduplicates). It
-// refuses a stream whose last campaign_start differs from the one this
-// campaign writes in anything but parallel and total_trials: its trials
-// belong to another campaign, and folding them into this one's report
-// would misreport it.
+// refuses a stream whose last campaign_start names another campaign
+// identity, or none: its trials belong to another campaign, and folding
+// them into this one's report would misreport it.
 func (cfg *Config) DoneSet(r io.Reader) (map[string]map[int]bool, error) {
 	done := map[string]map[int]bool{}
 	var last *startEvent
@@ -705,33 +689,25 @@ func (cfg *Config) DoneSet(r io.Reader) (map[string]map[int]bool, error) {
 				done[bench] = map[int]bool{}
 			}
 			done[bench][t] = true
-		} else if e := new(startEvent); json.Unmarshal(line, e) == nil && e.Event == "campaign_start" {
-			last = e
+			continue
+		}
+		var probe struct {
+			Event string `json:"event"`
+		}
+		if json.Unmarshal(line, &probe) == nil && probe.Event == "campaign_start" {
+			if last, err = decodeStart(line); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("campaign: done-set scan: %w", err)
 	}
 	if last != nil {
-		if field, theirs, ours := startDiff(last, cfg.startEvent(0, 0)); field != "" {
+		id := cfg.Identity()
+		if field, theirs, ours := last.Diff(&id); field != "" {
 			return nil, fmt.Errorf("campaign: cannot resume a different campaign: %s is %v in the stream, %v in this run", field, theirs, ours)
 		}
 	}
 	return done, nil
-}
-
-// startDiff returns the first field (by its JSON name) in which two
-// campaign_start records differ, ignoring parallel and total_trials,
-// with its two values; field is "" when they agree.
-func startDiff(a, b *startEvent) (field string, av, bv any) {
-	x, y := *a, *b
-	x.Parallel, x.TotalTrials, y.Parallel, y.TotalTrials = 0, 0, 0, 0
-	vx, vy := reflect.ValueOf(x), reflect.ValueOf(y)
-	for i := 0; i < vx.NumField(); i++ {
-		if av, bv = vx.Field(i).Interface(), vy.Field(i).Interface(); !reflect.DeepEqual(av, bv) {
-			field, _, _ = strings.Cut(vx.Type().Field(i).Tag.Get("json"), ",")
-			return field, av, bv
-		}
-	}
-	return "", nil, nil
 }

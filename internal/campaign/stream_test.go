@@ -134,8 +134,9 @@ func TestStreamShape(t *testing.T) {
 }
 
 // TestReplayRejectsGarbage pins the error paths: a stream without
-// campaign_start, and one with a corrupt line, both fail loudly instead
-// of replaying a wrong report.
+// campaign_start, one with a corrupt line, and one whose header carries
+// no campaign identity (the header format before the identity) all fail
+// loudly instead of replaying a wrong report; so does resuming the last.
 func TestReplayRejectsGarbage(t *testing.T) {
 	if _, err := Replay(strings.NewReader(`{"event":"trial","benchmark":"x","trial":0,"outcome":"masked"}` + "\n")); err == nil {
 		t.Error("replay without campaign_start should fail")
@@ -144,9 +145,18 @@ func TestReplayRejectsGarbage(t *testing.T) {
 		t.Error("replay of corrupt line should fail")
 	}
 	if _, err := Replay(strings.NewReader(
-		`{"event":"campaign_start","benchmarks":["x"],"trials_per_benchmark":1}` + "\n" +
+		`{"event":"campaign_start","arch":{"Name":"GTX480"},"scheme":"baseline","model":"data","benchmarks":["x"],"trials_per_benchmark":1}` + "\n" +
 			`{"event":"trial","benchmark":"x","trial":0,"outcome":"not-an-outcome"}` + "\n")); err == nil {
 		t.Error("replay with unknown outcome should fail")
+	}
+	old := `{"event":"campaign_start","arch":"GTX480","scheme":"Baseline","model":"data","wcdl":20,"seed":1,"trials_per_benchmark":1,"strikes_per_trial":1,"parallel":1,"benchmarks":["Triad"],"total_trials":1}` + "\n" +
+		`{"event":"trial","benchmark":"Triad","trial":0,"outcome":"masked"}` + "\n"
+	if _, err := Replay(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "no campaign identity") {
+		t.Errorf("replay of a header without identity: err %v, want one naming the missing identity", err)
+	}
+	cfg := testConfig(t, []string{"Triad"}, 1, 1)
+	if _, err := cfg.DoneSet(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "no campaign identity") {
+		t.Errorf("resume from a header without identity: err %v, want one naming the missing identity", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"flame/internal/bench"
 	"flame/internal/campaign"
+	"flame/internal/campaignflag"
 	"flame/internal/core"
 	"flame/internal/dist"
 	"flame/internal/gpu"
@@ -42,13 +43,12 @@ func TestRunValidation(t *testing.T) {
 			return err
 		}},
 		{"CampaignInfo.Config", false, func(t *testing.T, cfg campaign.Config) error {
-			info := dist.InfoFromConfig(&cfg)
-			_, err := info.Config()
+			_, err := campaignflag.Resolve(cfg.Identity())
 			return err
 		}},
 		{"NewCoordinator", false, func(t *testing.T, cfg campaign.Config) error {
 			_, err := dist.NewCoordinator(dist.CoordConfig{
-				Info: dist.InfoFromConfig(&cfg), StateDir: t.TempDir(),
+				Info: cfg.Identity(), StateDir: t.TempDir(),
 			})
 			return err
 		}},
@@ -84,8 +84,7 @@ func TestRunValidation(t *testing.T) {
 	}
 	// The wire description of a good campaign still round-trips.
 	cfg := valid()
-	info := dist.InfoFromConfig(&cfg)
-	if _, err := info.Config(); err != nil {
+	if _, err := campaignflag.Resolve(cfg.Identity()); err != nil {
 		t.Fatalf("valid campaign rejected: %v", err)
 	}
 }

@@ -1,9 +1,11 @@
 // Package campaignflag is the campaign flag set shared by the
 // in-process campaign runner (flameinject) and the distributed
 // coordinator (flameserve): workload suite, scheme, architecture,
-// fault model, trial parameters and the throughput switches, resolved
-// into one campaign.Config, plus the -json report output and the
-// uncovered-outcome exit rule both commands apply.
+// fault model, trial parameters and pruning, resolved into one
+// campaign.Config, plus the -json report output and the
+// uncovered-outcome exit rule both commands apply. Resolve, which turns
+// a campaign.Identity into the campaign it names, serves the flags and
+// the distributed service's wire identity alike.
 package campaignflag
 
 import (
@@ -24,8 +26,7 @@ import (
 type Flags struct {
 	bench, suite, scheme, arch, model *string
 	wcdl, trials, strikes             *int
-	extend, fingerprint, prune, noCOW *bool
-	noSkip                            *bool
+	extend, fingerprint, prune        *bool
 	seed                              *uint64
 	budget                            *int64
 	trialTimeout                      *time.Duration
@@ -47,12 +48,10 @@ func Bind(fs *flag.FlagSet) *Flags {
 		model:        fs.String("model", "data", "fault model: data (paper's data slice) or full (full site incl. address/control)"),
 		strikes:      fs.Int("strikes", 1, "strikes armed per trial"),
 		budget:       fs.Int64("budget", 8, "hang watchdog: cycle budget as multiple of the fault-free window"),
-		trialTimeout: fs.Duration("trial-timeout", 0, "wall-clock watchdog per trial, e.g. 30s (0 = off); timeouts classify as hangs"),
+		trialTimeout: fs.Duration("trial-timeout", 0, "wall-clock watchdog per trial in whole milliseconds, e.g. 30s (0 = off); timeouts classify as hangs"),
 		json:         fs.String("json", "", "also write the report as JSON to this file (- for stdout)"),
 		fingerprint:  fs.Bool("fingerprint", false, "trace strike propagation per trial: cycle depth to first corrupted store, detection latency, SDC corruption fingerprints (outcomes and exit codes unchanged)"),
 		prune:        fs.Bool("prune", false, "pre-classify provably-masked trials without simulation (bit-identical results; reported as pruned_masked)"),
-		noCOW:        fs.Bool("no-cow", false, "disable page-granular golden restore/diff (full copy + full scan per trial; results are byte-identical)"),
-		noSkip:       fs.Bool("noskip", false, "disable event-driven cycle skipping (naive per-cycle loop)"),
 		ciTarget:     fs.Float64("ci-target", 0, "adaptive early stop: halt a benchmark once both its SDC and DUE Wilson 95% half-widths reach this target (0 = off; flameinject needs -stratify)"),
 	}
 }
@@ -61,24 +60,16 @@ func Bind(fs *flag.FlagSet) *Flags {
 // benchmark specs compiled in. Fields the flags do not cover
 // (Parallel, Events, Stop, ...) are left zero for the caller.
 func (f *Flags) Config() (campaign.Config, error) {
-	var cfg campaign.Config
-	scheme, err := core.SchemeByName(*f.scheme)
-	if err != nil {
-		return cfg, fmt.Errorf("%v (want one of %s)", err, strings.Join(core.SchemeFlagNames(), ", "))
-	}
 	arch, err := gpu.ConfigByName(*f.arch)
 	if err != nil {
-		return cfg, err
-	}
-	arch.NoCycleSkip = *f.noSkip
-	model, err := flame.ParseFaultModel(*f.model)
-	if err != nil {
-		return cfg, err
+		return campaign.Config{}, err
 	}
 	var names []string
 	switch {
 	case *f.bench != "":
-		names = strings.Split(*f.bench, ",")
+		for _, n := range strings.Split(*f.bench, ",") {
+			names = append(names, strings.TrimSpace(n))
+		}
 	case *f.suite == "all":
 		for _, b := range bench.All() {
 			names = append(names, b.Name)
@@ -86,31 +77,42 @@ func (f *Flags) Config() (campaign.Config, error) {
 	case *f.suite == "quick":
 		names = bench.QuickSuite
 	default:
-		return cfg, fmt.Errorf("unknown suite %q (want quick or all)", *f.suite)
+		return campaign.Config{}, fmt.Errorf("unknown suite %q (want quick or all)", *f.suite)
 	}
-	specs := make([]*core.KernelSpec, len(names))
-	for i, n := range names {
-		b, err := bench.ByName(strings.TrimSpace(n))
+	return Resolve(campaign.Identity{
+		Arch:            arch,
+		Scheme:          *f.scheme,
+		WCDL:            *f.wcdl,
+		ExtendRegions:   *f.extend,
+		Benchmarks:      names,
+		Trials:          *f.trials,
+		Seed:            *f.seed,
+		Model:           *f.model,
+		StrikesPerTrial: *f.strikes,
+		HangBudgetMult:  *f.budget,
+		TrialTimeoutMS:  f.trialTimeout.Milliseconds(),
+		Prune:           *f.prune,
+		CITarget:        *f.ciTarget,
+		Trace:           *f.fingerprint,
+	})
+}
+
+// Resolve returns the campaign id names, its benchmark names compiled
+// from the registry, and rejects one campaign.Run would reject.
+func Resolve(id campaign.Identity) (campaign.Config, error) {
+	specs := make([]*core.KernelSpec, len(id.Benchmarks))
+	for i, name := range id.Benchmarks {
+		b, err := bench.ByName(name)
 		if err != nil {
-			return cfg, err
+			return campaign.Config{}, err
 		}
 		specs[i] = b.Spec()
 	}
-	return campaign.Config{
-		Arch:            arch,
-		Opt:             core.Options{Scheme: scheme, WCDL: *f.wcdl, ExtendRegions: *f.extend},
-		Specs:           specs,
-		Trials:          *f.trials,
-		Seed:            *f.seed,
-		Model:           model,
-		StrikesPerTrial: *f.strikes,
-		HangBudgetMult:  *f.budget,
-		TrialTimeout:    *f.trialTimeout,
-		Prune:           *f.prune,
-		NoCOW:           *f.noCOW,
-		CITarget:        *f.ciTarget,
-		Trace:           *f.fingerprint,
-	}, nil
+	cfg, err := id.Config(specs)
+	if err != nil {
+		return cfg, err
+	}
+	return cfg, cfg.Validate()
 }
 
 // WriteJSON writes the report's JSON to the -json destination, if any.

@@ -2,11 +2,12 @@ package dist
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"flame/internal/campaign"
 )
 
 // On-disk layout of a coordinator state dir:
@@ -32,37 +33,13 @@ type shardCkpt struct {
 
 // checkpointData is checkpoint.json.
 type checkpointData struct {
-	Epoch int          `json:"epoch"`
-	Info  CampaignInfo `json:"info"`
+	Epoch int               `json:"epoch"`
+	Info  campaign.Identity `json:"info"`
 	// LeaseSeq persists the lease counter so flame_leases_granted_total
 	// stays monotone across coordinator restarts (lease IDs were already
 	// unique across restarts via the epoch).
 	LeaseSeq int         `json:"lease_seq,omitempty"`
 	Shards   []shardCkpt `json:"shards"`
-}
-
-// matches rejects resuming a state dir that belongs to a different
-// campaign — mixing two campaigns' shard streams would merge garbage.
-func (ck *checkpointData) matches(info CampaignInfo) error {
-	a, err := json.Marshal(ck.Info)
-	if err != nil {
-		return err
-	}
-	b, err := json.Marshal(info)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(a, b) {
-		return fmt.Errorf("dist: state dir holds a different campaign (checkpoint %s...)", firstLine(a, 120))
-	}
-	return nil
-}
-
-func firstLine(b []byte, n int) string {
-	if len(b) > n {
-		b = b[:n]
-	}
-	return string(b)
 }
 
 func checkpointPath(dir string) string { return filepath.Join(dir, "checkpoint.json") }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"flame/internal/campaign"
+	"flame/internal/campaignflag"
 	"flame/internal/core"
 	"flame/internal/stats"
 )
@@ -35,19 +36,19 @@ const (
 
 // CoordConfig configures a Coordinator.
 type CoordConfig struct {
-	// Info describes the campaign; workers fetch it verbatim.
-	Info CampaignInfo
+	// Info is the campaign's identity. Workers fetch it verbatim from
+	// /v1/campaign and resolve the same campaign.Config from it
+	// (campaignflag.Resolve), so both sides derive identical trials.
+	Info campaign.Identity
 	// StateDir holds checkpoint.json and the per-shard event streams.
 	// A coordinator restarted on a non-empty StateDir resumes from it.
 	StateDir string
 	// ShardSize is the max trials per shard (<= 0 selects 25).
 	ShardSize int
 	// LeaseTTL is how long a lease lives without a heartbeat before the
-	// shard is re-leased (default 15s).
+	// shard is re-leased (default 15s). Workers are told to renew at a
+	// third of it.
 	LeaseTTL time.Duration
-	// Heartbeat is the cadence workers are told to renew at
-	// (default LeaseTTL/3).
-	Heartbeat time.Duration
 	// QuarantineAfter quarantines a shard after this many failed leases
 	// (default 3).
 	QuarantineAfter int
@@ -115,9 +116,6 @@ func NewCoordinator(cc CoordConfig) (*Coordinator, error) {
 	if cc.LeaseTTL <= 0 {
 		cc.LeaseTTL = 15 * time.Second
 	}
-	if cc.Heartbeat <= 0 {
-		cc.Heartbeat = cc.LeaseTTL / 3
-	}
 	if cc.QuarantineAfter <= 0 {
 		cc.QuarantineAfter = 3
 	}
@@ -136,7 +134,7 @@ func NewCoordinator(cc CoordConfig) (*Coordinator, error) {
 	if err := os.MkdirAll(cc.StateDir, 0o755); err != nil {
 		return nil, err
 	}
-	cfg, err := cc.Info.Config()
+	cfg, err := campaignflag.Resolve(cc.Info)
 	if err != nil {
 		return nil, fmt.Errorf("dist: bad campaign info: %w", err)
 	}
@@ -204,8 +202,9 @@ func (c *Coordinator) resume() error {
 		return err
 	}
 	if ck != nil {
-		if err := ck.matches(c.cc.Info); err != nil {
-			return err
+		// Mixing two campaigns' shard streams would merge garbage.
+		if field, theirs, ours := ck.Info.Diff(&c.cc.Info); field != "" {
+			return fmt.Errorf("dist: state dir holds a different campaign: %s is %v in the checkpoint, %v in this run", field, theirs, ours)
 		}
 		c.epoch = ck.Epoch
 		c.leaseSeq = ck.LeaseSeq
@@ -631,7 +630,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		Shard: &sh, LeaseID: id,
 		Attempt:     pick.fails + 1,
 		DeadlineMS:  c.cc.LeaseTTL.Milliseconds(),
-		HeartbeatMS: c.cc.Heartbeat.Milliseconds(),
+		HeartbeatMS: (c.cc.LeaseTTL / 3).Milliseconds(),
 	})
 }
 

@@ -16,16 +16,17 @@ import (
 	"time"
 
 	"flame/internal/campaign"
+	"flame/internal/campaignflag"
 	"flame/internal/core"
 	"flame/internal/gpu"
 )
 
 // testInfo builds a small campaign description shared by every test:
 // two real benchmarks on a 2-SM GTX480 under the full Flame scheme.
-func testInfo(trials int) CampaignInfo {
+func testInfo(trials int) campaign.Identity {
 	arch := gpu.GTX480()
 	arch.NumSMs = 2
-	return CampaignInfo{
+	return campaign.Identity{
 		Arch:           arch,
 		Scheme:         core.SensorRenaming.FlagName(),
 		WCDL:           20,
@@ -40,9 +41,9 @@ func testInfo(trials int) CampaignInfo {
 
 // singleReport runs the campaign in-process and returns its report JSON
 // — the byte-identical reference every distributed test compares to.
-func singleReport(t *testing.T, info CampaignInfo) []byte {
+func singleReport(t *testing.T, info campaign.Identity) []byte {
 	t.Helper()
-	cfg, err := info.Config()
+	cfg, err := campaignflag.Resolve(info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +61,12 @@ func singleReport(t *testing.T, info CampaignInfo) []byte {
 
 // testCoord starts a coordinator with chaos-friendly timings (fast
 // lease expiry, short backoff) and an httptest server in front of it.
-func testCoord(t *testing.T, info CampaignInfo, dir string) (*Coordinator, *httptest.Server, context.CancelFunc) {
+func testCoord(t *testing.T, info campaign.Identity, dir string) (*Coordinator, *httptest.Server, context.CancelFunc) {
 	t.Helper()
 	c, err := NewCoordinator(CoordConfig{
 		Info: info, StateDir: dir, ShardSize: 3,
-		LeaseTTL: 400 * time.Millisecond, Heartbeat: 100 * time.Millisecond,
-		QuarantineAfter: 3, BackoffBase: 10 * time.Millisecond, BackoffCap: 100 * time.Millisecond,
+		LeaseTTL: 400 * time.Millisecond, QuarantineAfter: 3,
+		BackoffBase: 10 * time.Millisecond, BackoffCap: 100 * time.Millisecond,
 		Logf: t.Logf,
 	})
 	if err != nil {
@@ -270,7 +271,7 @@ func TestDistCoordinatorRestartResume(t *testing.T) {
 // Complete and byte-identical to the single-process run.
 func TestDistRejectsUnknownOutcome(t *testing.T) {
 	info := testInfo(6)
-	cfg, err := info.Config()
+	cfg, err := campaignflag.Resolve(info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,8 +511,9 @@ func TestDistStateDirMismatch(t *testing.T) {
 
 	other := testInfo(5) // different trial count: a different campaign
 	_, err := NewCoordinator(CoordConfig{Info: other, StateDir: dir})
-	if err == nil || !strings.Contains(err.Error(), "different campaign") {
-		t.Fatalf("err = %v, want state-dir mismatch", err)
+	if err == nil || !strings.Contains(err.Error(), "different campaign") ||
+		!strings.Contains(err.Error(), "trials_per_benchmark is 4 in the checkpoint, 5 in this run") {
+		t.Fatalf("err = %v, want state-dir mismatch naming trials_per_benchmark", err)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"flame/internal/campaign"
+	"flame/internal/campaignflag"
 	"flame/internal/core"
 )
 
@@ -63,7 +64,7 @@ func metricsTestCoordinator(t *testing.T) *Coordinator {
 	t.Helper()
 	info := testInfo(6)
 	info.Trace = true
-	cfg, err := info.Config()
+	cfg, err := campaignflag.Resolve(info)
 	if err != nil {
 		t.Fatal(err)
 	}

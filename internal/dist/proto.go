@@ -14,10 +14,13 @@
 // benchmark b is the same trial on any worker (campaign.Config.TrialSpec),
 // and workers stream exactly the JSONL trial lines the in-process
 // streamer would have written (campaign.MarshalTrialEvent), so merging
-// is replay, not re-aggregation. The set-up is the campaign package's
-// too: the coordinator and every worker run campaign.Config.Prepare,
-// workers run their trials on a campaign.Executor, and the merged
-// stream opens with the set-up lines campaign.WriteSetup writes.
+// is replay, not re-aggregation. The campaign's description is
+// campaign.Identity: the coordinator serves it and checkpoints it, and
+// every side resolves it with campaignflag.Resolve. The set-up is the
+// campaign package's too: the coordinator and every worker run
+// campaign.Config.Prepare, workers run their trials on a
+// campaign.Executor, and the merged stream opens with the set-up lines
+// campaign.WriteSetup writes.
 //
 // The live view is replay too: the coordinator decodes every accepted
 // line with campaign.DecodeTrial and folds it into one
@@ -35,124 +38,17 @@ package dist
 
 import (
 	"encoding/json"
-	"time"
 
-	"flame/internal/bench"
 	"flame/internal/campaign"
-	"flame/internal/core"
-	"flame/internal/flame"
-	"flame/internal/gpu"
 )
 
-// CampaignInfo is the wire description of a campaign: everything a
-// worker needs to reconstruct the exact campaign.Config the coordinator
-// runs, so both sides derive identical trials. The full gpu.Config is
-// carried (not just an architecture name) because trial results depend
-// on every microarchitectural knob.
-type CampaignInfo struct {
-	Arch               gpu.Config `json:"arch"`
-	Scheme             string     `json:"scheme"` // CLI spelling (core.SchemeByName)
-	WCDL               int        `json:"wcdl"`
-	ExtendRegions      bool       `json:"extend_regions"`
-	EagerSectionVerify bool       `json:"eager_section_verify,omitempty"`
-	CkptAtRegionEnd    bool       `json:"ckpt_at_region_end,omitempty"`
-	Benchmarks         []string   `json:"benchmarks"`
-	Trials             int        `json:"trials_per_benchmark"`
-	Seed               uint64     `json:"seed"`
-	Model              string     `json:"model"`
-	StrikesPerTrial    int        `json:"strikes_per_trial"`
-	HangBudgetMult     int64      `json:"hang_budget_mult"`
-	TrialTimeoutMS     int64      `json:"trial_timeout_ms,omitempty"`
-	// Prune / NoCOW propagate the campaign's throughput switches so every
-	// worker classifies (and streams pruned markers for) exactly the same
-	// trials the coordinator would. Results are equivalence-guaranteed
-	// either way; the flags only affect the pruned_* counters and speed.
-	Prune bool `json:"prune,omitempty"`
-	NoCOW bool `json:"no_cow,omitempty"`
-	// CITarget > 0 arms the coordinator's adaptive early stop: once a
-	// benchmark's live SDC and DUE Wilson 95% half-widths over injected
-	// trials both drop to the target, its still-pending shards are
-	// cancelled instead of leased. Workers need it on the wire so a
-	// resumed campaign keeps the same stopping rule.
-	CITarget float64 `json:"ci_target,omitempty"`
-	// Trace arms propagation tracing on every worker: trial lines carry
-	// prop records, the merged report gains its propagation sections,
-	// and the coordinator's /metrics exposes fingerprint and depth
-	// tallies. Outcomes are unchanged (tracing observes executed
-	// instructions only), so the merged report minus its propagation
-	// sections stays byte-identical to an untraced run.
-	Trace bool `json:"trace,omitempty"`
-}
+// CampaignInfo is the earlier name of campaign.Identity, kept for
+// perfbench.
+type CampaignInfo = campaign.Identity
 
-// InfoFromConfig captures a campaign.Config's wire description.
-func InfoFromConfig(cfg *campaign.Config) CampaignInfo {
-	benches := make([]string, len(cfg.Specs))
-	for i, sp := range cfg.Specs {
-		benches[i] = sp.Name
-	}
-	return CampaignInfo{
-		Arch:               cfg.Arch,
-		Scheme:             cfg.Opt.Scheme.FlagName(),
-		WCDL:               cfg.Opt.WCDL,
-		ExtendRegions:      cfg.Opt.ExtendRegions,
-		EagerSectionVerify: cfg.Opt.EagerSectionVerify,
-		CkptAtRegionEnd:    cfg.Opt.CkptAtRegionEnd,
-		Benchmarks:         benches,
-		Trials:             cfg.Trials,
-		Seed:               cfg.Seed,
-		Model:              cfg.Model.String(),
-		StrikesPerTrial:    cfg.StrikesPerTrial,
-		HangBudgetMult:     cfg.HangBudgetMult,
-		TrialTimeoutMS:     cfg.TrialTimeout.Milliseconds(),
-		Prune:              cfg.Prune,
-		NoCOW:              cfg.NoCOW,
-		CITarget:           cfg.CITarget,
-		Trace:              cfg.Trace,
-	}
-}
-
-// Config reconstructs the campaign.Config (with compiled-in benchmark
-// specs) this info describes, rejecting one campaign.Run would reject,
-// so a coordinator refuses a bad campaign and a worker a bad
-// description.
-func (ci *CampaignInfo) Config() (campaign.Config, error) {
-	var cfg campaign.Config
-	scheme, err := core.SchemeByName(ci.Scheme)
-	if err != nil {
-		return cfg, err
-	}
-	model, err := flame.ParseFaultModel(ci.Model)
-	if err != nil {
-		return cfg, err
-	}
-	specs := make([]*core.KernelSpec, len(ci.Benchmarks))
-	for i, name := range ci.Benchmarks {
-		b, err := bench.ByName(name)
-		if err != nil {
-			return cfg, err
-		}
-		specs[i] = b.Spec()
-	}
-	cfg = campaign.Config{
-		Arch: ci.Arch,
-		Opt: core.Options{
-			Scheme: scheme, WCDL: ci.WCDL, ExtendRegions: ci.ExtendRegions,
-			EagerSectionVerify: ci.EagerSectionVerify, CkptAtRegionEnd: ci.CkptAtRegionEnd,
-		},
-		Specs:           specs,
-		Trials:          ci.Trials,
-		Seed:            ci.Seed,
-		Model:           model,
-		StrikesPerTrial: ci.StrikesPerTrial,
-		HangBudgetMult:  ci.HangBudgetMult,
-		TrialTimeout:    time.Duration(ci.TrialTimeoutMS) * time.Millisecond,
-		Prune:           ci.Prune,
-		NoCOW:           ci.NoCOW,
-		CITarget:        ci.CITarget,
-		Trace:           ci.Trace,
-	}
-	return cfg, cfg.Validate()
-}
+// InfoFromConfig is the earlier name of Config.Identity, kept for
+// perfbench.
+func InfoFromConfig(cfg *campaign.Config) CampaignInfo { return cfg.Identity() }
 
 // GoldenSig is one benchmark's golden-run signature: the fault-free
 // window and a hash over (window, initial memory, final memory). Two

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"flame/internal/campaign"
+	"flame/internal/campaignflag"
 	"flame/internal/core"
 )
 
@@ -129,7 +130,7 @@ func (w *worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
 }
 
 // worker is one campaign replica: its own set-up and trial executor,
-// reconstructed from the coordinator's CampaignInfo.
+// reconstructed from the coordinator's campaign identity.
 type worker struct {
 	wc   WorkerConfig
 	cfg  campaign.Config
@@ -143,11 +144,11 @@ type worker struct {
 // setup fetches the campaign, replicates the golden runs, and joins
 // (casting the hash vote).
 func (w *worker) setup(ctx context.Context) error {
-	var info CampaignInfo
+	var info campaign.Identity
 	if err := w.getRetry(ctx, "/v1/campaign", &info); err != nil {
 		return fmt.Errorf("dist: fetch campaign: %w", err)
 	}
-	cfg, err := info.Config()
+	cfg, err := campaignflag.Resolve(info)
 	if err != nil {
 		return fmt.Errorf("dist: reconstruct campaign: %w", err)
 	}

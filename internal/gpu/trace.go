@@ -85,7 +85,7 @@ func NewTracer(w io.Writer) *Tracer {
 // tracing: instructions never execute inside a skipped span, so the
 // tracer has nothing to observe there, and the bound only stops a
 // single jump from crossing the window start so windowed traces line
-// up cycle-for-cycle with -noskip runs.
+// up cycle-for-cycle with runs without cycle skipping (NoCycleSkip).
 func (t *Tracer) Hooks() *Hooks {
 	return &Hooks{OnExecuted: t.onExecuted, OnAdvance: t.onAdvance}
 }

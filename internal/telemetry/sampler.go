@@ -64,7 +64,7 @@ func (s *Sampler) onCycle(d *gpu.Device) {
 
 // onAdvance stops fast-forward jumps at the next sample boundary; a
 // boundary cycle itself is vetoed so it steps naively and OnCycle runs
-// there exactly as in a -noskip run.
+// there exactly as in a run without cycle skipping.
 func (s *Sampler) onAdvance(d *gpu.Device, from, to int64) int64 {
 	if s.Every <= 0 {
 		return to
