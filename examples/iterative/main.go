@@ -98,7 +98,7 @@ func simulate(faultAt int, seed int64) []uint32 {
 	for it := 0; it < iters; it++ {
 		ctl := flamehw.NewController(flamehw.Mode{WCDL: 20, UseRBQ: true, Sections: comp.Sections})
 		if it == faultAt {
-			ctl.Inj = flamehw.NewInjector(100, 20, seed)
+			ctl.Inj = flamehw.NewInjector(flamehw.NewSites(comp.Prog), 100, 20, seed)
 		}
 		launch := &gpu.Launch{
 			Prog: comp.Prog,

@@ -31,8 +31,8 @@ const (
 	// defining block (the value crosses a control-flow edge, possibly a
 	// divergence reconvergence point, before dying).
 	SiteLongLived
-	// SiteStoreReach: the destination is live and inside
-	// flame.StoreReachSlice — the corruption can transitively feed a
+	// SiteStoreReach: the destination is live and inside the
+	// store-reach slice (flame.Sites.StoreReach) — the corruption can transitively feed a
 	// store address, store data, predicate, branch, or latency, so the
 	// trial outcome is value-dependent.
 	SiteStoreReach

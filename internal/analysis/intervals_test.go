@@ -7,7 +7,7 @@ import (
 )
 
 // reach builds a store-reach stand-in set from register numbers (the
-// real slice comes from flame.StoreReachSlice; intervals only consume
+// real slice comes from flame.Sites.StoreReach; intervals only consume
 // the membership map).
 func reach(regs ...int) map[isa.Reg]bool {
 	m := map[isa.Reg]bool{}

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"flame/internal/flame"
-	"flame/internal/isa"
 )
 
 // SiteCensus partitions the single-strike arm-cycle space [0, ArmSpan)
@@ -25,8 +24,9 @@ type SiteCensus struct {
 	// NoInjection counts arm cycles past the last corruptible event.
 	NoInjection int64 `json:"no_injection"`
 	// DeadStatic counts register-site arms whose destination is outside
-	// flame.StoreReachSlice: the corrupted value can never feed a store,
-	// address, predicate, branch, or latency — on any lane.
+	// the store-reach slice (flame.Site.Reaches): the corrupted value can
+	// never feed a store, address, predicate, branch, or latency — on any
+	// lane.
 	DeadStatic int64 `json:"dead_static"`
 	// DeadDynamic is the expected number of register-site arms whose
 	// store-reach destination is never read again by the struck lane in
@@ -54,58 +54,41 @@ func (c *SiteCensus) CertainMasked() float64 { return float64(c.DeadStatic) + c.
 // value-dependent (the ACE upper bound).
 func (c *SiteCensus) Vulnerable() float64 { return c.LiveRegister + float64(c.StoreData) }
 
-// Census walks the recorded golden schedule once and partitions the
-// arm-cycle space under the given fault model. It mirrors PruneTrial's
-// single-strike eligibility event-for-event — each corruptible event
-// owns the arm cycles between the previous corruptible event and
-// itself — so the CertainMasked mass counted here is exactly the
-// probability mass the pruner would classify Masked (detection aside)
-// under the injector's uniform lane draw. Fails when the index is
-// disabled.
+// Census walks the recorded golden schedule once through the golden's
+// strike model (Golden.Sites) and partitions the arm-cycle space under
+// the given fault model: each event owns the arm cycles the model's
+// ownership walk gives it — the same walk that weighs the strata — and
+// its site decides the bucket, as it decides PruneTrial's verdict. The
+// CertainMasked mass counted here is therefore exactly the probability
+// mass the pruner would classify Masked (detection aside) under the
+// injector's uniform lane draw. Fails when the index is disabled.
 func (px *PruneIndex) Census(g *Golden, model flame.FaultModel) (*SiteCensus, error) {
 	if px == nil || px.disabled != "" {
 		return nil, fmt.Errorf("census: pruning disabled: %s", px.Disabled())
 	}
-	prog := g.Comp.Prog
-	span := g.ArmSpan()
-	c := &SiteCensus{Span: span}
-	prev := int64(-1)
+	c := &SiteCensus{Span: g.ArmSpan()}
+	walk := g.Sites.Walk(model, c.Span)
 	for evi := range px.events {
-		if prev >= span-1 {
+		if walk.Exhausted() {
 			break
 		}
 		ev := &px.events[evi]
-		lanes := bits.OnesCount32(ev.mask)
-		if lanes == 0 {
+		site, lo, hi, ok := walk.Own(ev.cyc, int(ev.pc), ev.mask)
+		if !ok {
 			continue
 		}
-		in := &prog.Insts[ev.pc]
-		hi := ev.cyc
-		if hi > span-1 {
-			hi = span - 1
-		}
-		if hi <= prev {
-			hi = prev // corruptible same-cycle events own zero arms
-		}
-		owned := hi - prev
+		owned := hi - lo + 1
 		switch {
-		case in.Defs() != isa.NoReg && in.Origin != isa.OrigDup &&
-			(model == flame.FullSite || !px.acl[in.Defs()]):
-			if !px.storeReach[in.Defs()] {
-				c.DeadStatic += owned
-			} else {
-				vl := bits.OnesCount32(px.vuln[evi])
-				frac := float64(vl) / float64(lanes)
-				c.LiveRegister += float64(owned) * frac
-				c.DeadDynamic += float64(owned) * (1 - frac)
-			}
-		case in.Op == isa.OpSt && in.Space == isa.SpaceGlobal:
+		case site.Kind == flame.StoreSite:
 			c.StoreData += owned
+		case !site.Reaches:
+			c.DeadStatic += owned
 		default:
-			continue
+			frac := float64(bits.OnesCount32(px.vuln[evi])) / float64(bits.OnesCount32(ev.mask))
+			c.LiveRegister += float64(owned) * frac
+			c.DeadDynamic += float64(owned) * (1 - frac)
 		}
-		prev = hi
 	}
-	c.NoInjection = span - 1 - prev
+	c.NoInjection = walk.NoInjection()
 	return c, nil
 }

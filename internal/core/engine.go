@@ -138,7 +138,7 @@ func launchOne(dev *gpu.Device, spec *KernelSpec, c *Compiled, grid, block isa.D
 // the trial boundary and classified as OutcomeInternal: one broken trial
 // must not kill a campaign worker (or, distributed, a worker process).
 func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialResult) {
-	inj := flame.NewCampaignInjector(ts.Arms, g.MaxDelay, ts.Model, ts.Seed)
+	inj := flame.NewCampaignInjector(g.Sites, ts.Arms, g.MaxDelay, ts.Model, ts.Seed)
 	tr = &TrialResult{}
 	defer func() {
 		if r := recover(); r != nil {
@@ -148,10 +148,11 @@ func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialR
 			delete(e.devs, spec)
 		}
 	}()
+	ro := &RunOpts{MaxCycles: ts.MaxCycles, Stop: ts.stopFunc()}
 	if ts.Observer != nil {
 		ts.Observer.BeginTrial(g, inj)
+		ro.Hooks = ts.Observer.TrialHooks()
 	}
-	ro := &RunOpts{MaxCycles: ts.MaxCycles, Hooks: ts.observerHooks(), Stop: ts.stopFunc()}
 	dev, err := e.device(spec)
 	if err == nil {
 		// Restore the post-setup snapshot. The dirty-page path copies

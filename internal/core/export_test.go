@@ -12,13 +12,8 @@ func PruneIndexDiff(a, b *PruneIndex) string {
 		{"events", a.events, b.events},
 		{"vuln", a.vuln, b.vuln},
 		{"lastUse", a.lastUse, b.lastUse},
-		{"mainCycles", a.mainCycles, b.mainCycles},
 		{"disabled", a.disabled, b.disabled},
-		{"window", a.window, b.window},
-		{"maxDelay", a.maxDelay, b.maxDelay},
 		{"detecting", a.detecting, b.detecting},
-		{"storeReach", a.storeReach, b.storeReach},
-		{"acl", a.acl, b.acl},
 	} {
 		if !reflect.DeepEqual(f.x, f.y) {
 			return f.name
@@ -29,7 +24,3 @@ func PruneIndexDiff(a, b *PruneIndex) string {
 	}
 	return ""
 }
-
-// PruneMainCycles exposes the main-launch cycle count the index's
-// detection model uses.
-func PruneMainCycles(px *PruneIndex) int64 { return px.mainCycles }

@@ -57,7 +57,7 @@ func Prepare(cfg gpu.Config, spec *KernelSpec, opt Options, want Want) (Setup, e
 		return Setup{}, err
 	}
 	g := &Golden{
-		Comp: comp, StepComps: steps,
+		Comp: comp, Sites: flame.NewSites(comp.Prog), StepComps: steps,
 		InitMem: make([]uint32, (spec.MemBytes+3)/4), MaxDelay: comp.Opt.WCDL,
 	}
 	if !opt.Scheme.UsesSensors() {
@@ -155,9 +155,9 @@ func newRecorder(g *Golden, kernel string, want Want) *recorder {
 		}
 		// The arm-cycle span depends on the whole run's window, which
 		// the Steps still extend after the main launch.
-		r.strata = flame.NewStrataBuilder(prog, kernel, sections, want.Model, flame.OpenSpan)
+		r.strata = flame.NewStrataBuilder(g.Sites, kernel, sections, want.Model, flame.OpenSpan)
 		if want.Key == StrataKeyLiveness {
-			r.strata.SetSiteLabels(SiteLabels(prog))
+			r.strata.SetSiteLabels(SiteLabels(g.Sites))
 		}
 	}
 	return r
@@ -175,12 +175,9 @@ func (r *recorder) hooks() *gpu.Hooks {
 }
 
 func (r *recorder) observe(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
-	// The executing lanes holding register files: Injector.pickLane's
-	// set. An event without one never fires a strike (the injector stays
-	// armed through it), so it owns no arm cycles.
-	mask := w.LastExecMask() & w.RegLanes()
-	if r.strata != nil && mask != 0 {
-		r.strata.Observe(d.Cyc, pc)
+	mask := flame.StrikeLanes(w)
+	if r.strata != nil {
+		r.strata.Observe(d.Cyc, pc, mask)
 	}
 	if !r.recording() || r.overflow {
 		return
@@ -235,17 +232,13 @@ func (r *recorder) finish(g *Golden) (*PruneIndex, *flame.StrataMap) {
 	if px == nil {
 		return nil, sm
 	}
-	px.window = g.Window
 	if px.disabled != "" {
 		return px, sm
 	}
-	px.mainCycles = g.MainCycles
 	if r.overflow {
 		px.disable(fmt.Sprintf("golden schedule exceeds %d events", r.eventCap))
 		return px, sm
 	}
-	px.storeReach = flame.StoreReachSlice(r.prog)
-	px.acl = flame.AddressControlSlice(r.prog)
 	px.buildVuln(r.prog)
 	return px, sm
 }

@@ -15,7 +15,7 @@ import (
 // set-up: what Prepare records during the golden run must deep-equal
 // what the replay entry points record from the finished Golden — the
 // prune index in every field (schedule, vulnerable lanes, last uses,
-// main-launch cycles, disabled reason), with the default event cap and
+// detecting flag, disabled reason), with the default event cap and
 // with one so small it overflows, and the strata under both keys.
 // Recording must not perturb the golden run itself.
 func TestPrepareMatchesReplay(t *testing.T) {
@@ -72,9 +72,6 @@ func TestPrepareMatchesReplay(t *testing.T) {
 				}
 				if full.Prune.Disabled() != "" {
 					t.Errorf("pruning disabled: %s", full.Prune.Disabled())
-				}
-				if mc := core.PruneMainCycles(full.Prune); mc != plain.MainCycles {
-					t.Errorf("index main-launch cycles %d, golden main launch %d (window %d)", mc, plain.MainCycles, plain.Window)
 				}
 				if d := core.PruneIndexDiff(tiny.Prune, core.BuildPruneIndex(arch, spec, plain, tinyCap)); d != "" {
 					t.Errorf("capped prune index differs from the replay in %s", d)

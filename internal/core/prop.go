@@ -70,12 +70,3 @@ type TrialObserver interface {
 	TrialHooks() *gpu.Hooks
 	EndTrial(tr *TrialResult, finalMem []uint32, g *Golden)
 }
-
-// observerHooks combines the trial's extra hooks with the observer's
-// (nil observer: the spec hooks pass through untouched).
-func (ts *TrialSpec) observerHooks() *gpu.Hooks {
-	if ts.Observer == nil {
-		return ts.Hooks
-	}
-	return gpu.CombineHooks(ts.Hooks, ts.Observer.TrialHooks())
-}

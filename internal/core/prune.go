@@ -5,14 +5,14 @@
 // schedule: recording the golden run's per-instruction event stream once
 // (under the scheme's own controller hooks, so RBQ stalls and boundary
 // verification shape it exactly as a trial would see it) lets a cheap
-// walker replay the injector's strike-placement logic — including its
+// walker run the injector's strike model (flame.Sites) — including its
 // lane, bit, and sensor-delay RNG draws — against that schedule and
 // decide, for each would-be strike, whether the corrupted register is
-// dead (statically outside flame.StoreReachSlice, or dynamically never
-// read again by the struck lane) AND whether its sensor report escapes the main
-// launch. Trials where every fired strike is dead and undetected are
-// Masked with golden-identical results; trials whose strikes never fire
-// are NoInjection. Everything else is simulated.
+// dead (statically outside the store-reach slice, or dynamically never
+// read again by the struck lane) AND whether its sensor report escapes
+// the main launch. Trials where every fired strike is dead and
+// undetected are Masked with golden-identical results; trials whose
+// strikes never fire are NoInjection. Everything else is simulated.
 //
 // Detecting (runtime-controller) schemes are handled by a static
 // detection-outcome model rather than a gate. Detection is
@@ -22,9 +22,10 @@
 // jumped over), while Steps never see the injector (the engine attaches
 // it to the main launch only). A strike fired at cycle c with sensor
 // delay delta therefore recovers iff c+delta <= the main launch's last
-// processed cycle — equivalently c+delta < mainCycles, the launch's
-// cycle count — and a dead strike whose report comes due after the main
-// launch retired is Masked with the golden's timing, bit for bit.
+// processed cycle — equivalently c+delta < Golden.MainCycles, the
+// launch's cycle count — and a dead strike whose report comes due after
+// the main launch retired is Masked with the golden's timing, bit for
+// bit.
 // Anything detected in-window re-executes, so those trials simulate.
 //
 // Remaining soundness gates (any failure disables pruning for the
@@ -39,14 +40,10 @@
 //     engine (the register garbage a simulated trial would have left
 //     behind is unobservable either way).
 //   - The recorded schedule must fit the event cap (memory guard).
-//
-// Per-trial, PruneTrial additionally refuses trials with extra hooks
-// attached (observers could see the skipped execution).
 package core
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 
 	"flame/internal/analysis"
@@ -60,7 +57,7 @@ import (
 // launch, as the injector's Observe hook would have seen it.
 type pruneEvent struct {
 	cyc  int64
-	mask uint32 // executing lanes holding register files (pickLane's set)
+	mask uint32 // the event's strike lanes (flame.StrikeLanes)
 	pc   int32
 	warp int32 // warp slot within its SM (stable, printed in descriptions)
 	sm   int32
@@ -71,7 +68,8 @@ type pruneEvent struct {
 const DefaultPruneEventCap = 4 << 20
 
 // PruneIndex is the per-benchmark pruning oracle: the golden schedule,
-// the last-use table, and the dataflow slices.
+// the last-use table and the per-event vulnerable lanes; the dataflow
+// slices are the golden's strike model (Golden.Sites).
 type PruneIndex struct {
 	events  []pruneEvent
 	lastUse map[uint64][]int32 // warpKey -> reg -> last reading event seq+1
@@ -81,14 +79,7 @@ type PruneIndex struct {
 	// Registers are lane-private (the ISA has no cross-lane reads), so a
 	// strike on a lane outside vuln[i] corrupts a value that lane never
 	// observes again. Zero when event i defines nothing.
-	vuln       []uint32
-	storeReach map[isa.Reg]bool
-	acl        map[isa.Reg]bool
-	window     int64
-	maxDelay   int
-	// mainCycles is the golden main launch's cycle count; its last
-	// processed cycle is mainCycles-1, the final DetectionDue probe.
-	mainCycles int64
+	vuln []uint32
 	// detecting marks schemes whose controller turns an in-window
 	// sensor report into a recovery (strikes must escape the main
 	// launch to stay prunable).
@@ -130,7 +121,7 @@ func BuildPruneIndex(cfg gpu.Config, spec *KernelSpec, g *Golden, eventCap int) 
 // newPruneIndex applies the static soundness gate and returns an index
 // ready to record the golden schedule, or one disabled by the gate.
 func newPruneIndex(g *Golden) *PruneIndex {
-	px := &PruneIndex{maxDelay: g.MaxDelay}
+	px := &PruneIndex{}
 	progs := []*isa.Program{g.Comp.Prog}
 	for _, sc := range g.StepComps {
 		progs = append(progs, sc.Prog)
@@ -195,16 +186,16 @@ func (px *PruneIndex) buildVuln(prog *isa.Program) {
 
 // PruneTrial decides a trial without simulation when every armed strike
 // either never fires or fires into a provably dead register with a
-// sensor report that provably escapes the main launch. It mirrors
-// flame.Injector.Observe event-for-event — including its RNG draws — so
-// a pruned TrialResult is bit-identical (every field, including the
+// sensor report that provably escapes the main launch. It walks the
+// recorded schedule through the golden's strike model (Golden.Sites)
+// event for event, drawing what the injector draws, so a pruned
+// TrialResult is bit-identical (every field, including the
 // Description) to what Engine.RunTrial would have produced. The second
 // return is false when the trial must be simulated.
 func (px *PruneIndex) PruneTrial(g *Golden, ts TrialSpec) (*TrialResult, bool) {
-	if px == nil || px.disabled != "" || ts.Hooks != nil {
+	if px == nil || px.disabled != "" {
 		return nil, false
 	}
-	prog := g.Comp.Prog
 	rng := rand.New(rand.NewSource(ts.Seed))
 	tr := &TrialResult{Cycles: g.Window}
 	evi := 0
@@ -215,57 +206,39 @@ func (px *PruneIndex) PruneTrial(g *Golden, ts TrialSpec) (*TrialResult, bool) {
 			if ev.cyc < arm {
 				continue // Observe returns before any RNG draw
 			}
-			lanes := bits.OnesCount32(ev.mask)
-			if lanes == 0 {
-				continue // pickLane finds no lane; stays armed, no draw
+			h, ok := g.Sites.Fire(rng, ts.Model, int(ev.pc), ev.mask)
+			if !ok {
+				continue // stays armed
 			}
-			laneIdx := rng.Intn(lanes)
-			bit := uint32(1) << uint(rng.Intn(32))
-			in := &prog.Insts[ev.pc]
-			d := in.Defs()
-			switch {
-			case d != isa.NoReg && in.Origin != isa.OrigDup &&
-				(ts.Model == flame.FullSite || !px.acl[d]):
-				// Register-destination strike: prunable iff the corrupted
-				// value is dead — statically outside the store-reach
-				// slice, or never read again by the struck lane (uses at
-				// the firing event itself read the pre-corruption value:
-				// Observe runs post-execute). Registers are lane-private,
-				// so only the struck lane's future reads matter; the
-				// warp-level last-use table is the coarser bound vuln
-				// refines.
-				lane := nthSetBit(ev.mask, laneIdx)
-				if px.storeReach[d] && px.vuln[evi]&(1<<uint(lane)) != 0 {
-					return nil, false
-				}
-				// Mirror Observe's sensor-delay draw, then apply the
-				// static detection-outcome model: the controller probes
-				// DetectionDue on every processed cycle of the main
-				// launch (last is mainCycles-1) and nowhere afterwards,
-				// so a report due before that recovers (simulate) and a
-				// later one provably escapes (the strike stays Masked).
-				detectAt := ev.cyc
-				if px.maxDelay > 0 {
-					detectAt += 1 + int64(rng.Intn(px.maxDelay))
-				}
-				if px.detecting && detectAt < px.mainCycles {
-					return nil, false
-				}
-				tr.Strikes++
-				if px.acl[d] {
-					tr.ExcludedStrikes++
-				}
-				if tr.Strikes == 1 {
-					tr.Description = fmt.Sprintf("cycle %d: flipped bit %#x of %s (lane %d, warp %d, SM %d, inst %d: %s)",
-						ev.cyc, bit, d, lane, ev.warp, ev.sm, ev.pc, in.String())
-				}
-				fired = true
-			case in.Op == isa.OpSt && in.Space == isa.SpaceGlobal:
-				// Store-data strike: corrupts memory directly; simulate.
+			if h.Kind == flame.StoreSite {
+				return nil, false // corrupts memory directly; simulate
+			}
+			// Register strike: prunable iff the corrupted value is dead —
+			// statically outside the store-reach slice, or never read
+			// again by the struck lane (uses at the firing event itself
+			// read the pre-corruption value: Observe runs post-execute).
+			// Registers are lane-private, so only the struck lane's future
+			// reads matter; the warp-level last-use table is the coarser
+			// bound vuln refines.
+			if h.Reaches && px.vuln[evi]&(1<<uint(h.Lane)) != 0 {
 				return nil, false
-			default:
-				continue // not corruptible; RNG consumed, stays armed
 			}
+			// The static detection-outcome model: the controller probes
+			// DetectionDue on every processed cycle of the main launch
+			// (last is g.MainCycles-1) and nowhere afterwards, so a report
+			// due before that recovers (simulate) and a later one provably
+			// escapes (the strike stays Masked).
+			if detectAt := ev.cyc + flame.SensorDelay(rng, g.MaxDelay); px.detecting && detectAt < g.MainCycles {
+				return nil, false
+			}
+			tr.Strikes++
+			if h.Excluded {
+				tr.ExcludedStrikes++
+			}
+			if tr.Strikes == 1 {
+				tr.Description = g.Sites.Describe(h, ev.cyc, int(ev.warp), int(ev.sm))
+			}
+			fired = true
 			evi++ // the next strike starts at the next observed event
 			break
 		}
@@ -279,26 +252,4 @@ func (px *PruneIndex) PruneTrial(g *Golden, ts TrialSpec) (*TrialResult, bool) {
 		tr.Outcome = OutcomeMasked
 	}
 	return tr, true
-}
-
-// lastUseOf reads the last-use table defensively: a warp that never
-// read any register has no table at all (0 = never read).
-func lastUseOf(lu []int32, r isa.Reg) int32 {
-	if lu == nil {
-		return 0
-	}
-	return lu[r]
-}
-
-// nthSetBit returns the position of the n-th (0-based) set bit of mask,
-// mirroring pickLane's lane-list indexing.
-func nthSetBit(mask uint32, n int) int {
-	for {
-		b := bits.TrailingZeros32(mask)
-		if n == 0 {
-			return b
-		}
-		mask &^= 1 << uint(b)
-		n--
-	}
 }

@@ -60,7 +60,7 @@ func TestStaticLivenessAgreesWithDynamicTables(t *testing.T) {
 					}
 					continue
 				}
-				cls, ok := iv.ClassOf(int(ev.pc), px.storeReach)
+				cls, ok := iv.ClassOf(int(ev.pc), g.Sites.StoreReach())
 				if !ok {
 					t.Fatalf("event %d: ClassOf disagrees with Defs at pc %d", evi, ev.pc)
 				}
@@ -101,4 +101,13 @@ func TestStaticLivenessAgreesWithDynamicTables(t *testing.T) {
 	if totalRefined == 0 {
 		t.Error("no statically-live but dynamically-dead event anywhere; the dynamic refinement is vacuous")
 	}
+}
+
+// lastUseOf reads the last-use table defensively: a warp that never
+// read any register has no table at all (0 = never read).
+func lastUseOf(lu []int32, r isa.Reg) int32 {
+	if lu == nil {
+		return 0
+	}
+	return lu[r]
 }

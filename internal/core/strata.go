@@ -6,7 +6,6 @@ import (
 	"flame/internal/analysis"
 	"flame/internal/flame"
 	"flame/internal/gpu"
-	"flame/internal/isa"
 	"flame/internal/kernel"
 )
 
@@ -20,7 +19,7 @@ const (
 	StrataKeySectionClass StrataKey = "section-class"
 	// StrataKeyLiveness additionally splits every group by the firing
 	// instruction's static liveness class (dead / short / long / store,
-	// from analysis.ComputeIntervals + flame.StoreReachSlice).
+	// from analysis.ComputeIntervals and the store-reach slice).
 	// Outcome variance concentrates in the store-reaching strata —
 	// dead and short/long-lived sites are certainly masked absent
 	// detection — so the Neyman reallocation stops spending trials on
@@ -41,28 +40,30 @@ func ParseStrataKey(s string) (StrataKey, error) {
 		s, StrataKeySectionClass, StrataKeyLiveness)
 }
 
-// SiteLabels computes the per-instruction liveness-class labels of a
-// compiled program for the liveness stratification key: the
-// analysis.SiteClass spelling for register-defining sites, "store" for
-// global-store data sites (the corruption reaches memory by
-// construction), and "" for never-corruptible instructions.
-func SiteLabels(prog *isa.Program) []string {
+// SiteLabels computes the per-instruction liveness-class labels of the
+// kernel sites describes, for the liveness stratification key: the
+// analysis.SiteClass spelling for register-defining instructions,
+// "store" for global-store data sites (the corruption reaches memory by
+// construction), and "" for the rest.
+func SiteLabels(sites *flame.Sites) []string {
+	prog := sites.Prog()
 	iv := analysis.ComputeIntervals(kernel.Build(prog))
-	reach := flame.StoreReachSlice(prog)
 	labels := make([]string, len(prog.Insts))
 	for i := range prog.Insts {
-		if c, ok := iv.ClassOf(i, reach); ok {
+		if c, ok := iv.ClassOf(i, sites.StoreReach()); ok {
 			labels[i] = c.String()
-		} else if in := &prog.Insts[i]; in.Op == isa.OpSt && in.Space == isa.SpaceGlobal {
+		} else if sites.At(i, flame.FullSite).Kind == flame.StoreSite {
 			labels[i] = analysis.SiteStoreReach.String()
 		}
 	}
 	return labels
 }
 
-// BuildStrata enumerates the single-strike injection-site space of a
-// golden run into (kernel, section, opcode-class) strata with exact
-// site counts. It replays the golden's main launch with a recording
+// BuildStrataKeyed enumerates the single-strike injection-site space of
+// a golden run into strata with exact site counts under the given key:
+// (kernel, section, opcode-class) groups, each split further by what
+// the corrupted value can reach (SiteLabels) under StrataKeyLiveness.
+// It replays the golden's main launch with a recording
 // hook combined after the scheme's own hooks — the recorder therefore
 // sees the executed-instruction stream in exactly the order a trial's
 // injector observes it — and feeds the corruptible events to a
@@ -73,14 +74,6 @@ func SiteLabels(prog *isa.Program) []string {
 // only watches; a replay whose main launch does not take the golden's
 // cycle count is reported as an error rather than silently
 // mis-weighting strata.
-func BuildStrata(cfg gpu.Config, spec *KernelSpec, g *Golden, model flame.FaultModel) (*flame.StrataMap, error) {
-	return BuildStrataKeyed(cfg, spec, g, model, StrataKeySectionClass)
-}
-
-// BuildStrataKeyed is BuildStrata under an explicit stratification key:
-// StrataKeyLiveness feeds the builder per-instruction liveness-class
-// labels (SiteLabels), splitting each (section, opcode-class) group by
-// what the corrupted value can reach.
 func BuildStrataKeyed(cfg gpu.Config, spec *KernelSpec, g *Golden, model flame.FaultModel, key StrataKey) (*flame.StrataMap, error) {
 	if _, err := ParseStrataKey(string(key)); err != nil {
 		return nil, err

@@ -14,8 +14,9 @@ import (
 // is "store" by construction, and exit carries no label.
 func TestSiteLabels(t *testing.T) {
 	prog := deadTailSpec().Prog
-	labels := SiteLabels(prog)
-	reach := flame.StoreReachSlice(prog)
+	sites := flame.NewSites(prog)
+	labels := SiteLabels(sites)
+	reach := sites.StoreReach()
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
 		l := labels[i]
@@ -54,7 +55,7 @@ func TestBuildStrataKeyedLivenessRefines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := BuildStrata(cfg, spec, g, flame.DataSlice)
+		plain, err := BuildStrataKeyed(cfg, spec, g, flame.DataSlice, StrataKeySectionClass)
 		if err != nil {
 			t.Fatal(err)
 		}

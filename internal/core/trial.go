@@ -83,6 +83,9 @@ func (o Outcome) String() string {
 // detector.
 type Golden struct {
 	Comp *Compiled
+	// Sites is the strike model of Comp.Prog, the kernel trials strike:
+	// the injector, the pruner, the strata and the census all read it.
+	Sites *flame.Sites
 	// StepComps are the follow-on Steps compiled once with the same
 	// options, in spec order (trials reuse them instead of recompiling).
 	StepComps []*Compiled
@@ -183,9 +186,6 @@ type TrialSpec struct {
 	// reports should size it generously — a fired timeout depends on
 	// host speed, not on the trial's randomness.
 	Timeout time.Duration
-	// Hooks are extra observer hooks combined after the scheme's own on
-	// every launch of the trial (main kernel and Steps alike).
-	Hooks *gpu.Hooks
 	// Observer, when non-nil, watches the trial (propagation tracing /
 	// fingerprinting; see TrialObserver). Set by the campaign runner,
 	// never by Config.TrialSpec — the spec derivation stays a pure

@@ -207,6 +207,13 @@ func TestTrialDataSliceNeverHangs(t *testing.T) {
 	}
 }
 
+// hookObserver is a TrialObserver that only attaches hooks.
+type hookObserver struct{ hooks *gpu.Hooks }
+
+func (o hookObserver) BeginTrial(*Golden, *flame.Injector)      {}
+func (o hookObserver) TrialHooks() *gpu.Hooks                   { return o.hooks }
+func (o hookObserver) EndTrial(*TrialResult, []uint32, *Golden) {}
+
 // TestTrialPanicRecovered is the worker-survival regression: a panic
 // escaping the simulator mid-trial (here provoked by a deliberately
 // panicking observer hook) is recovered at the trial boundary and
@@ -219,14 +226,14 @@ func TestTrialPanicRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boom := &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
+	boom := hookObserver{&gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 		if d.Cycle() > g.Window/2 {
 			panic("deliberate trial panic")
 		}
-	}}
+	}}}
 
 	tr := freshTrial(cfg, spec, g, TrialSpec{
-		Arms: []int64{g.Window * 4}, Seed: 1, MaxCycles: g.HangBudget(0), Hooks: boom,
+		Arms: []int64{g.Window * 4}, Seed: 1, MaxCycles: g.HangBudget(0), Observer: boom,
 	})
 	if tr.Outcome != OutcomeInternal {
 		t.Fatalf("fresh-device panic trial: outcome=%v err=%q", tr.Outcome, tr.Err)
@@ -237,7 +244,7 @@ func TestTrialPanicRecovered(t *testing.T) {
 
 	eng := NewEngine(cfg)
 	tr = eng.RunTrial(spec, g, TrialSpec{
-		Arms: []int64{g.Window * 4}, Seed: 1, MaxCycles: g.HangBudget(0), Hooks: boom,
+		Arms: []int64{g.Window * 4}, Seed: 1, MaxCycles: g.HangBudget(0), Observer: boom,
 	})
 	if tr.Outcome != OutcomeInternal {
 		t.Fatalf("pooled panic trial: outcome=%v err=%q", tr.Outcome, tr.Err)

@@ -172,7 +172,7 @@ func sweepPartialCkpt(t *testing.T) (restored, recoveries int64, digest uint64) 
 		fold(runPartialCkpt(t, p, sections, slots, []int64{cyc}, nil))
 	}
 	for arm := int64(0); arm < free.cycles; arm += 5 {
-		fold(runPartialCkpt(t, p, sections, slots, nil, NewInjector(arm, 12, arm+1)))
+		fold(runPartialCkpt(t, p, sections, slots, nil, NewInjector(NewSites(p), arm, 12, arm+1)))
 	}
 	return restored, recoveries, h.Sum64()
 }

@@ -211,7 +211,7 @@ func TestInjectionRecoveryRenaming(t *testing.T) {
 			d := testDevice(t)
 			setupSaxpy(d, n)
 			c := NewController(Mode{WCDL: 20, UseRBQ: true, Sections: res.Sections})
-			c.Inj = NewInjector(arm, 20, seed)
+			c.Inj = NewInjector(NewSites(p), arm, 20, seed)
 			_, err := d.Run(saxpyLaunch(p, n), c.Hooks())
 			if err != nil {
 				t.Fatalf("seed %d arm %d: %v", seed, arm, err)
@@ -234,7 +234,7 @@ func TestInjectionRecoveryCheckpointing(t *testing.T) {
 		d := testDevice(t)
 		setupSaxpy(d, n)
 		c := NewController(Mode{WCDL: 20, UseRBQ: true, Sections: res.Sections, CkptSlots: slots})
-		c.Inj = NewInjector(500, 20, seed)
+		c.Inj = NewInjector(NewSites(p), 500, 20, seed)
 		_, err := d.Run(saxpyLaunch(p, n), c.Hooks())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -255,7 +255,7 @@ func TestInjectionRecoveryReductionWithSections(t *testing.T) {
 				d.Mem.Words()[i] = 1
 			}
 			c := NewController(Mode{WCDL: 20, UseRBQ: true, Sections: res.Sections})
-			c.Inj = NewInjector(100, 20, seed)
+			c.Inj = NewInjector(NewSites(p), 100, 20, seed)
 			l := &gpu.Launch{
 				Prog:   p,
 				Grid:   isa.Dim3{X: 2},
@@ -280,7 +280,7 @@ func TestInjectionRecoveryAtomicsUndo(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		d := testDevice(t)
 		c := NewController(Mode{WCDL: 20, UseRBQ: true, Sections: res.Sections})
-		c.Inj = NewInjector(30, 20, seed)
+		c.Inj = NewInjector(NewSites(p), 30, 20, seed)
 		l := &gpu.Launch{
 			Prog:   p,
 			Grid:   isa.Dim3{X: 2},
@@ -379,7 +379,7 @@ func TestImmediateModeNoSuspension(t *testing.T) {
 	d2 := testDevice(t)
 	setupSaxpy(d2, n)
 	c2 := NewController(Mode{WCDL: 20, UseRBQ: false, Sections: res.Sections})
-	c2.Inj = NewInjector(300, 0, 7)
+	c2.Inj = NewInjector(NewSites(p), 300, 0, 7)
 	if _, err := d2.Run(saxpyLaunch(p, n), c2.Hooks()); err != nil {
 		t.Fatal(err)
 	}

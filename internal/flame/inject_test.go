@@ -32,7 +32,7 @@ func TestAddressControlSlice(t *testing.T) {
 	// pure data values (the loaded x/y and the arithmetic results r16,
 	// r17) are injectable.
 	p := isa.MustParse("k", saxpyLoopSrc)
-	s := addressControlSlice(p)
+	s := dataflowSlice(p, false)
 	for _, r := range []isa.Reg{12, 14, 4, 11, 5, 6} {
 		if !s[r] {
 			t.Errorf("%s should be in the address/control slice", r)
@@ -54,7 +54,7 @@ func TestCampaignInjectorMultiStrike(t *testing.T) {
 		d := testDevice(t)
 		setupSaxpy(d, n)
 		c := NewController(Mode{WCDL: 20, UseRBQ: true, Sections: res.Sections})
-		c.Inj = NewCampaignInjector([]int64{100, 900}, 20, DataSlice, seed)
+		c.Inj = NewCampaignInjector(NewSites(p), []int64{100, 900}, 20, DataSlice, seed)
 		if _, err := d.Run(saxpyLaunch(p, n), c.Hooks()); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -79,7 +79,7 @@ func TestFaultModelSiteSets(t *testing.T) {
 	run := func(model FaultModel, arm, seed int64) (*Injector, error) {
 		d := testDevice(t)
 		setupSaxpy(d, 256)
-		inj := NewCampaignInjector([]int64{arm}, 0, model, seed)
+		inj := NewCampaignInjector(NewSites(p), []int64{arm}, 0, model, seed)
 		hooks := &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 			inj.Observe(d, sm, w, pc)
 		}}

@@ -97,8 +97,8 @@ func TestFigure9BRecovery(t *testing.T) {
 			d.Mem.Words()[i] = uint32(i)
 		}
 		c := NewController(Mode{WCDL: 20, UseRBQ: true})
-		c.Inj = NewInjector(15+seed*11, 20, seed)
 		prog := isa.MustParse("f9b", twoRegionSrc)
+		c.Inj = NewInjector(NewSites(prog), 15+seed*11, 20, seed)
 		l := &gpu.Launch{Prog: prog, Grid: isa.Dim3{X: 3}, Block: isa.Dim3{X: 32}, Params: []uint32{0}}
 		if _, err := d.Run(l, c.Hooks()); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -185,7 +185,7 @@ func TestEagerAblationSameResults(t *testing.T) {
 		}
 		c := NewController(Mode{WCDL: 20, UseRBQ: true, Sections: comp.sections, EagerSectionVerify: eager})
 		if seed > 0 {
-			c.Inj = NewInjector(80, 20, seed)
+			c.Inj = NewInjector(NewSites(comp.prog), 80, 20, seed)
 		}
 		l := &gpu.Launch{Prog: comp.prog, Grid: isa.Dim3{X: 2}, Block: isa.Dim3{X: 64}, Params: []uint32{0, 512}}
 		if _, err := d.Run(l, c.Hooks()); err != nil {
@@ -307,7 +307,7 @@ func TestExhaustiveInjectionSweep(t *testing.T) {
 			d := figure9Device(t)
 			setup(d)
 			c := NewController(Mode{WCDL: 12, UseRBQ: true, Sections: res.Sections, CkptSlots: slots})
-			c.Inj = NewInjector(arm, 12, arm+1)
+			c.Inj = NewInjector(NewSites(p), arm, 12, arm+1)
 			if _, err := d.Run(launch(), c.Hooks()); err != nil {
 				t.Fatalf("ckpt=%v arm=%d: %v", useCkpt, arm, err)
 			}

@@ -11,15 +11,9 @@ import (
 // Stratified enumeration of the single-strike injection-site space.
 //
 // A single-strike campaign trial arms at a uniformly random cycle in
-// [0, span) and the injector fires at the FIRST corruptible executed
-// instruction at or after that cycle (Injector.Observe). Eligibility is
-// independent of the injector's RNG — the random lane/bit only choose
-// what to corrupt within the firing event, never whether it fires — so
-// every corruptible event of the fault-free golden schedule owns an
-// exact, disjoint interval of arm cycles: the cycles after the previous
-// corruptible event up to and including its own. Arm cycles past the
-// last corruptible event never fire (the no-injection tail), and a
-// corruptible event sharing a cycle with an earlier one owns zero arms.
+// [0, span), and the strike model's ownership walk (ArmWalk) gives
+// every corruptible event of the fault-free golden schedule the exact,
+// disjoint interval of arm cycles whose strike fires on it.
 //
 // Partitioning those intervals by (kernel, section, opcode class) gives
 // strata with EXACT integer site counts: sampling stratum h uniformly
@@ -98,21 +92,18 @@ type StrataMap struct {
 // (Span - NoInjectionSites).
 func (m *StrataMap) InjectableSites() int64 { return m.Span - m.NoInjectionSites }
 
-// StrataBuilder accumulates the golden schedule's corruptible events in
-// observation order and carves the arm-cycle space into strata. Feed it
-// exactly the events Injector.Observe would see (executed instructions
-// of the main kernel with at least one executing lane holding live
-// registers, in order) via Observe, then call Finish.
+// StrataBuilder carves the arm-cycle space into strata: it feeds the
+// golden schedule's events to the strike model's ownership walk
+// (Sites.Walk) and files each owned interval under its event's
+// (section, opcode class, label) group. Feed it exactly the events
+// Injector.Observe would see (executed instructions of the main kernel,
+// in order) via Observe, then call Finish.
 type StrataBuilder struct {
-	prog     *isa.Program
+	walk     *ArmWalk
 	kernel   string
 	sections [][2]int
-	model    FaultModel
-	span     int64
-	excluded map[isa.Reg]bool
 	labels   []string // optional per-pc site labels (liveness key)
 
-	prev  int64 // highest arm cycle already owned by some event
 	index map[strataGroup]int
 	strat []SiteStratum
 }
@@ -124,15 +115,14 @@ type strataGroup struct {
 	live    string
 }
 
-// NewStrataBuilder prepares an enumeration of prog's site space.
-// sections are the compiled section spans as [start, end) instruction
-// index pairs; span is the arm-cycle space size.
-func NewStrataBuilder(prog *isa.Program, kernel string, sections [][2]int, model FaultModel, span int64) *StrataBuilder {
+// NewStrataBuilder prepares an enumeration of the site space of the
+// kernel sites describes. sections are the compiled section spans as
+// [start, end) instruction index pairs; span is the arm-cycle space
+// size.
+func NewStrataBuilder(sites *Sites, kernel string, sections [][2]int, model FaultModel, span int64) *StrataBuilder {
 	return &StrataBuilder{
-		prog: prog, kernel: kernel, sections: sections, model: model, span: span,
-		excluded: addressControlSlice(prog),
-		prev:     -1,
-		index:    map[strataGroup]int{},
+		walk: sites.Walk(model, span), kernel: kernel, sections: sections,
+		index: map[strataGroup]int{},
 	}
 }
 
@@ -143,22 +133,10 @@ func NewStrataBuilder(prog *isa.Program, kernel string, sections [][2]int, model
 // static analysis — the liveness-class key passes
 // analysis.SiteClass.String() spellings.
 func (b *StrataBuilder) SetSiteLabels(labels []string) {
-	if len(labels) != len(b.prog.Insts) {
-		panic(fmt.Sprintf("strata: %d labels for %d instructions", len(labels), len(b.prog.Insts)))
+	if n := len(b.walk.sites.prog.Insts); len(labels) != n {
+		panic(fmt.Sprintf("strata: %d labels for %d instructions", len(labels), n))
 	}
 	b.labels = labels
-}
-
-// corruptibleSite mirrors Injector.Observe's eligibility exactly: a
-// strike fires on an instruction that defines a general register (not a
-// SwapCodes replica, and outside the address/control slice unless the
-// model is FullSite), or on a global store's data.
-func corruptibleSite(in *isa.Inst, model FaultModel, excluded map[isa.Reg]bool) bool {
-	if d := in.Defs(); d != isa.NoReg && in.Origin != isa.OrigDup &&
-		(model == FullSite || !excluded[d]) {
-		return true
-	}
-	return in.Op == isa.OpSt && in.Space == isa.SpaceGlobal
 }
 
 // sectionOf returns the index of the section containing instruction pc,
@@ -173,27 +151,14 @@ func (b *StrataBuilder) sectionOf(pc int) int {
 }
 
 // Observe feeds one golden-schedule event: instruction pc executed at
-// cycle cyc with at least one executing lane holding live registers.
-// Events must arrive in the order the injector would observe them.
-func (b *StrataBuilder) Observe(cyc int64, pc int) {
-	if b.prev >= b.span-1 {
-		return // arm-cycle space exhausted
-	}
-	in := &b.prog.Insts[pc]
-	if !corruptibleSite(in, b.model, b.excluded) {
+// cycle cyc with strike lanes lanes (StrikeLanes). Events must arrive
+// in the order the injector would observe them.
+func (b *StrataBuilder) Observe(cyc int64, pc int, lanes uint32) {
+	_, lo, hi, ok := b.walk.Own(cyc, pc, lanes)
+	if !ok {
 		return
 	}
-	hi := cyc
-	if hi > b.span-1 {
-		hi = b.span - 1
-	}
-	if hi <= b.prev {
-		return // same-cycle later event: zero arms own it
-	}
-	lo := b.prev + 1
-	b.prev = hi
-
-	key := strataGroup{section: b.sectionOf(pc), class: in.Op.Class()}
+	key := strataGroup{section: b.sectionOf(pc), class: b.walk.sites.prog.Insts[pc].Op.Class()}
 	if b.labels != nil {
 		key.live = b.labels[pc]
 	}
@@ -226,9 +191,10 @@ const OpenSpan = math.MaxInt64
 // the first event past the span owns up to span-1 and later ones own
 // nothing. Observe must not be called afterwards.
 func (b *StrataBuilder) FinishSpan(span int64) *StrataMap {
-	b.span = span
-	if b.prev >= span {
-		b.prev = span - 1
+	w := b.walk
+	w.span = span
+	if w.prev >= span {
+		w.prev = span - 1
 		var kept []SiteStratum
 		for _, s := range b.strat {
 			ivs := s.intervals[:0]
@@ -274,8 +240,8 @@ func (b *StrataBuilder) Finish() *StrataMap {
 		}
 	}
 	return &StrataMap{
-		Kernel: b.kernel, Span: b.span,
-		NoInjectionSites: b.span - (b.prev + 1),
+		Kernel: b.kernel, Span: b.walk.span,
+		NoInjectionSites: b.walk.NoInjection(),
 		Strata:           b.strat,
 	}
 }

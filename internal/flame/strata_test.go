@@ -28,9 +28,9 @@ func buildTestStrata(t *testing.T, span int64, events []struct {
 }) *StrataMap {
 	t.Helper()
 	p := isa.MustParse("k", strataSrc)
-	b := NewStrataBuilder(p, "k", [][2]int{{0, 5}, {5, 8}}, DataSlice, span)
+	b := NewStrataBuilder(NewSites(p), "k", [][2]int{{0, 5}, {5, 8}}, DataSlice, span)
 	for _, e := range events {
-		b.Observe(e.cyc, e.pc)
+		b.Observe(e.cyc, e.pc, 1)
 	}
 	return b.Finish()
 }
@@ -144,12 +144,12 @@ func TestStrataBuilderSiteLabels(t *testing.T) {
 	labels[5] = "short"
 	labels[7] = "store"
 	build := func(labeled bool) *StrataMap {
-		b := NewStrataBuilder(p, "k", [][2]int{{0, 5}, {5, 8}}, DataSlice, 20)
+		b := NewStrataBuilder(NewSites(p), "k", [][2]int{{0, 5}, {5, 8}}, DataSlice, 20)
 		if labeled {
 			b.SetSiteLabels(labels)
 		}
 		for _, e := range events {
-			b.Observe(e.cyc, e.pc)
+			b.Observe(e.cyc, e.pc, 1)
 		}
 		return b.Finish()
 	}
@@ -180,28 +180,7 @@ func TestStrataBuilderSiteLabels(t *testing.T) {
 			t.Fatal("short label slice accepted")
 		}
 	}()
-	NewStrataBuilder(p, "k", nil, DataSlice, 20).SetSiteLabels([]string{"x"})
-}
-
-// corruptibleSite must match Injector.Observe's eligibility: register
-// defs outside the address/control slice (or any def under FullSite),
-// plus global-store data.
-func TestCorruptibleSiteMirrorsObserve(t *testing.T) {
-	p := isa.MustParse("k", strataSrc)
-	excl := addressControlSlice(p)
-	for pc := range p.Insts {
-		in := &p.Insts[pc]
-		wantData := (in.Defs() != isa.NoReg && in.Origin != isa.OrigDup && !excl[in.Defs()]) ||
-			(in.Op == isa.OpSt && in.Space == isa.SpaceGlobal)
-		if got := corruptibleSite(in, DataSlice, excl); got != wantData {
-			t.Errorf("pc %d (%s): DataSlice corruptible=%v, want %v", pc, in.String(), got, wantData)
-		}
-		wantFull := (in.Defs() != isa.NoReg && in.Origin != isa.OrigDup) ||
-			(in.Op == isa.OpSt && in.Space == isa.SpaceGlobal)
-		if got := corruptibleSite(in, FullSite, excl); got != wantFull {
-			t.Errorf("pc %d (%s): FullSite corruptible=%v, want %v", pc, in.String(), got, wantFull)
-		}
-	}
+	NewStrataBuilder(NewSites(p), "k", nil, DataSlice, 20).SetSiteLabels([]string{"x"})
 }
 
 // An enumeration fed with an open span and sealed by FinishSpan must
@@ -219,8 +198,8 @@ func TestStrataFinishSpanMatchesBoundedBuild(t *testing.T) {
 	}
 	for _, labels := range []bool{false, true} {
 		for span := int64(1); span <= 40; span++ {
-			bounded := NewStrataBuilder(p, "k", sections, DataSlice, span)
-			open := NewStrataBuilder(p, "k", sections, DataSlice, OpenSpan)
+			bounded := NewStrataBuilder(NewSites(p), "k", sections, DataSlice, span)
+			open := NewStrataBuilder(NewSites(p), "k", sections, DataSlice, OpenSpan)
 			if labels {
 				l := make([]string, len(p.Insts))
 				for i := range l {
@@ -230,8 +209,8 @@ func TestStrataFinishSpanMatchesBoundedBuild(t *testing.T) {
 				open.SetSiteLabels(l)
 			}
 			for _, e := range events {
-				bounded.Observe(e.cyc, e.pc)
-				open.Observe(e.cyc, e.pc)
+				bounded.Observe(e.cyc, e.pc, 1)
+				open.Observe(e.cyc, e.pc, 1)
 			}
 			want, got := bounded.Finish(), open.FinishSpan(span)
 			if !reflect.DeepEqual(got, want) {

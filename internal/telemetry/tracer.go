@@ -133,7 +133,7 @@ func (t *Tracer) onExecuted(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 	// shows as fired here.
 	for fired := t.inj.FiredStrikes(); t.seen < fired; t.seen++ {
 		s := &t.inj.Strikes[t.seen]
-		if s.Reg == isa.NoReg {
+		if s.Kind == flame.StoreSite {
 			// Store-data corruption: the struck store IS the first
 			// corrupted store — propagation depth zero.
 			t.recordStore(s.InjectedAt)

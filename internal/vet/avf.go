@@ -23,8 +23,8 @@ import (
 //
 //   - ACE intervals (internal/analysis): every (instruction, register)
 //     site is classified dead / short-lived / long-lived /
-//     store-reaching from per-instruction def-use intervals and
-//     flame.StoreReachSlice. Sites outside the store-reach slice are
+//     store-reaching from per-instruction def-use intervals and the
+//     store-reach slice (flame.Sites). Sites outside the store-reach slice are
 //     un-ACE — a corrupted value there provably never reaches memory,
 //     control flow, or timing.
 //   - Trace refinement (core.SiteCensus): the fault-free golden
