@@ -331,12 +331,14 @@ func strataTable(arch gpu.Config, opt core.Options, specs []*core.KernelSpec, mo
 // pruned single-worker campaign and renders the page-accounting table
 // behind the -profile-restore flag: the memory footprint in pages, how
 // many pages trials actually dirty (and so how many a restore copies
-// and a diff scans), and what fraction of trials the pruner classifies
-// without simulation — or why pruning is unavailable for the benchmark.
+// and a diff scans), how many cycles simulated trials skipped by
+// resuming from the golden's image, and what fraction of trials the
+// pruner classifies without simulation — or why pruning is unavailable
+// for the benchmark.
 func restoreProfile(cfg campaign.Config) string {
 	t := &stats.Table{Header: []string{
 		"benchmark", "footprint", "dirty/trial", "restored/trial",
-		"diff/trial", "pruned", "prune status",
+		"diff/trial", "resumed/trial", "pruned", "prune status",
 	}}
 	// One campaign per benchmark and worker, on one engine, so the
 	// restore counters are the benchmark's own; rows stay in spec order.
@@ -375,6 +377,7 @@ func restoreProfile(cfg campaign.Config) string {
 		t.Add(spec.Name,
 			fmt.Sprintf("%d pages", footprint),
 			perTrial(st.DirtyPages), perTrial(st.RestoredPages), perTrial(st.DiffPages),
+			perTrial(st.ResumedCycles),
 			fmt.Sprintf("%d/%d", br.PrunedMasked+br.PrunedNoInjection, cfg.Trials), status)
 	}
 	return fmt.Sprintf("restore/prune profile: trials=%d/bench scheme=%s model=%s seed=%d\n%s",

@@ -76,47 +76,92 @@ func errAt(i int, got uint32) error { return &validationErr{i, got} }
 
 // TestEngineTrialMatchesFreshDevice is the pooling-equivalence contract:
 // a sequence of trials on one Engine (pooled device, restored memory,
-// shared compilation) produces results deep-equal to fresh-device
-// trials (freshTrial), across schemes, fault models and multi-launch
+// shared compilation, and a start from the golden's resume image for
+// every trial arming at or after its cycle) produces results deep-equal
+// to fresh-device trials run from cycle 0 (freshTrial), across every
+// scheme, both fault models, double strikes and multi-launch
 // applications — including Hang and DUE trials, whose partial state the
-// next trial on the pooled device must not observe.
+// next trial on the pooled device must not observe. Besides a spread of
+// arm cycles, each case arms one cycle before the image cycle, at it
+// and one cycle after it.
 func TestEngineTrialMatchesFreshDevice(t *testing.T) {
 	cfg := testCfg()
-	cases := []struct {
-		name  string
-		spec  *KernelSpec
-		opt   Options
-		model flame.FaultModel
-	}{
-		{"saxpy-flame-data", saxpySpec(), FlameOptions(), flame.DataSlice},
-		{"spin-baseline-full", spinSpec(), Options{Scheme: Baseline}, flame.FullSite},
-		{"twostep-flame-full", stepSpec(), FlameOptions(), flame.FullSite},
+	type tcase struct {
+		name    string
+		spec    *KernelSpec
+		opt     Options
+		model   flame.FaultModel
+		strikes int
 	}
+	var cases []tcase
+	for _, s := range Schemes() {
+		cases = append(cases, tcase{"saxpy-" + s.FlagName() + "-data", saxpySpec(),
+			Options{Scheme: s, WCDL: 20, ExtendRegions: true}, flame.DataSlice, 1})
+	}
+	cases = append(cases,
+		tcase{"saxpy-flame-full-2strikes", saxpySpec(), FlameOptions(), flame.FullSite, 2},
+		tcase{"spin-baseline-full", spinSpec(), Options{Scheme: Baseline}, flame.FullSite, 1},
+		tcase{"spin-baseline-full-2strikes", spinSpec(), Options{Scheme: Baseline}, flame.FullSite, 2},
+		tcase{"twostep-flame-full", stepSpec(), FlameOptions(), flame.FullSite, 1},
+	)
+	totalResumed := map[Outcome]int{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := GoldenRun(cfg, tc.spec, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := NewEngine(cfg)
-			outcomes := map[Outcome]int{}
+			c := g.ImageCycle(cfg, tc.spec)
+			if c <= 0 {
+				t.Fatalf("golden has no resume image (cycle %d)", c)
+			}
+			firstArms := []int64{c - 1, c, c + 1}
 			for i := int64(0); i < 24; i++ {
+				firstArms = append(firstArms, (i*g.Window)/30)
+			}
+			eng := NewEngine(cfg)
+			outcomes, resumed := map[Outcome]int{}, map[Outcome]int{}
+			for i, arm := range firstArms {
+				arms := []int64{arm}
+				for k := 1; k < tc.strikes; k++ {
+					arms = append(arms, arm+int64(k)*g.Window/7)
+				}
 				ts := TrialSpec{
-					Arms:      []int64{(i * g.Window) / 30},
+					Arms:      arms,
 					Model:     tc.model,
-					Seed:      i*2654435761 + 17,
+					Seed:      int64(i)*2654435761 + 17,
 					MaxCycles: g.HangBudget(0),
 				}
 				fresh := freshTrial(cfg, tc.spec, g, ts)
 				pooled := eng.RunTrial(tc.spec, g, ts)
 				if !reflect.DeepEqual(fresh, pooled) {
-					t.Fatalf("trial %d diverges:\n fresh: %+v\npooled: %+v", i, fresh, pooled)
+					t.Fatalf("trial %d (arms %v, image cycle %d) diverges:\n fresh: %+v\npooled: %+v", i, arms, c, fresh, pooled)
 				}
 				outcomes[fresh.Outcome]++
+				if arm >= c {
+					resumed[fresh.Outcome]++
+					totalResumed[fresh.Outcome]++
+				}
 			}
-			t.Logf("%s outcomes: %v", tc.name, outcomes)
+			if got, want := eng.Stats().ResumedCycles, c*int64(len(firstArms)-sumValues(outcomes)+sumValues(resumed)); got != want {
+				t.Errorf("engine resumed %d cycles, want %d (%d trials from cycle %d)", got, want, sumValues(resumed), c)
+			}
+			t.Logf("%s outcomes: %v, resumed: %v, image cycle %d of %d", tc.name, outcomes, resumed, c, g.MainCycles)
 		})
 	}
+	for _, o := range []Outcome{OutcomeRecovered, OutcomeSDC, OutcomeDUE, OutcomeHang} {
+		if totalResumed[o] == 0 {
+			t.Errorf("no resumed %v trial: resuming is not checked there (%v)", o, totalResumed)
+		}
+	}
+}
+
+func sumValues(m map[Outcome]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
 }
 
 // TestEngineTrialSkipEquivalence: pooled trials with event-driven cycle

@@ -67,18 +67,17 @@ type pruneEvent struct {
 // bytes; the default caps a benchmark's index near 100 MB).
 const DefaultPruneEventCap = 4 << 20
 
-// PruneIndex is the per-benchmark pruning oracle: the golden schedule,
-// the last-use table and the per-event vulnerable lanes; the dataflow
-// slices are the golden's strike model (Golden.Sites).
+// PruneIndex is the per-benchmark pruning oracle: the golden schedule
+// and the per-event vulnerable lanes; the dataflow slices are the
+// golden's strike model (Golden.Sites).
 type PruneIndex struct {
-	events  []pruneEvent
-	lastUse map[uint64][]int32 // warpKey -> reg -> last reading event seq+1
+	events []pruneEvent
 	// vuln[i] is the lane mask of event i's destination-register copies
 	// that some later instruction of the same warp slot reads before an
-	// overwriting def: the per-lane refinement of the last-use table.
-	// Registers are lane-private (the ISA has no cross-lane reads), so a
-	// strike on a lane outside vuln[i] corrupts a value that lane never
-	// observes again. Zero when event i defines nothing.
+	// overwriting def. Registers are lane-private (the ISA has no
+	// cross-lane reads), so a strike on a lane outside vuln[i] corrupts
+	// a value that lane never observes again. Zero when event i defines
+	// nothing.
 	vuln []uint32
 	// detecting marks schemes whose controller turns an in-window
 	// sensor report into a recovery (strikes must escape the main
@@ -139,13 +138,12 @@ func newPruneIndex(g *Golden) *PruneIndex {
 	// descheduling and boundary verification shape the schedule exactly
 	// as a trial's controller would.
 	px.detecting = g.Comp.Controller() != nil
-	px.lastUse = map[uint64][]int32{}
 	return px
 }
 
 // disable turns pruning off for the benchmark and drops the schedule.
 func (px *PruneIndex) disable(reason string) {
-	px.events, px.lastUse = nil, nil
+	px.events = nil
 	px.disabled = reason
 }
 
@@ -218,8 +216,7 @@ func (px *PruneIndex) PruneTrial(g *Golden, ts TrialSpec) (*TrialResult, bool) {
 			// again by the struck lane (uses at the firing event itself
 			// read the pre-corruption value: Observe runs post-execute).
 			// Registers are lane-private, so only the struck lane's future
-			// reads matter; the warp-level last-use table is the coarser
-			// bound vuln refines.
+			// reads matter.
 			if h.Reaches && px.vuln[evi]&(1<<uint(h.Lane)) != 0 {
 				return nil, false
 			}

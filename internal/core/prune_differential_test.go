@@ -47,6 +47,7 @@ func TestStaticLivenessAgreesWithDynamicTables(t *testing.T) {
 			}
 			prog := g.Comp.Prog
 			iv := analysis.ComputeIntervals(kernel.Build(prog))
+			lastUse := lastUses(px, prog)
 
 			staticDeadEvents, refined := 0, 0
 			for evi := range px.events {
@@ -80,7 +81,7 @@ func TestStaticLivenessAgreesWithDynamicTables(t *testing.T) {
 					}
 					// The warp-level table must contain the lane-level
 					// reads: some event after this one read d.
-					lu := lastUseOf(px.lastUse[warpKey(ev.sm, ev.warp)], d)
+					lu := lastUseOf(lastUse[warpKey(ev.sm, ev.warp)], d)
 					if lu <= int32(evi+1) {
 						t.Fatalf("event %d (pc %d %s): vuln=%#x but warp last-use seq %d never passes the event",
 							evi, ev.pc, in, px.vuln[evi], lu)
@@ -101,6 +102,27 @@ func TestStaticLivenessAgreesWithDynamicTables(t *testing.T) {
 	if totalRefined == 0 {
 		t.Error("no statically-live but dynamically-dead event anywhere; the dynamic refinement is vacuous")
 	}
+}
+
+// lastUses rebuilds the warp-level last-use table from the recorded
+// schedule: per warp slot and register, the seq+1 of the last event
+// that read it (0 = never read).
+func lastUses(px *PruneIndex, prog *isa.Program) map[uint64][]int32 {
+	lu := map[uint64][]int32{}
+	var uses [4]isa.Reg
+	for i := range px.events {
+		ev := &px.events[i]
+		key := warpKey(ev.sm, ev.warp)
+		t := lu[key]
+		if t == nil {
+			t = make([]int32, prog.NumRegs)
+			lu[key] = t
+		}
+		for _, r := range prog.Insts[ev.pc].Uses(uses[:0]) {
+			t[r] = int32(i + 1)
+		}
+	}
+	return lu
 }
 
 // lastUseOf reads the last-use table defensively: a warp that never

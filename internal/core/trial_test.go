@@ -45,11 +45,12 @@ func spinSpec() *KernelSpec {
 }
 
 // freshTrial runs ts as the fresh-device reference: a brand-new engine
-// (new device) with full-image restore and full-footprint diff.
+// (new device) with full-image restore and full-footprint diff, and a
+// golden without a resume image, so the trial runs from cycle 0.
 func freshTrial(cfg gpu.Config, spec *KernelSpec, g *Golden, ts TrialSpec) *TrialResult {
 	eng := NewEngine(cfg)
 	eng.SetNoCOW(true)
-	return eng.RunTrial(spec, g, ts)
+	return eng.RunTrial(spec, g.WithoutImage(), ts)
 }
 
 func TestGoldenRunAndHangBudget(t *testing.T) {

@@ -66,13 +66,14 @@ type ckptBuf struct {
 	pendSet, commSet []uint32
 }
 
+// undoEntry is one lane-level atomic update to revert on recovery: the
+// old value at addr in global memory, or in blk's shared memory.
 type undoEntry struct {
-	w      *gpu.Warp
-	space  isa.Space
-	shared []uint32 // backing array for shared-space undo
-	mem    *gpu.GlobalMem
-	addr   uint32
-	old    uint32
+	w     *gpu.Warp
+	space isa.Space
+	blk   *gpu.BlockState // shared-space updates only
+	addr  uint32
+	old   uint32
 }
 
 // Controller implements the Flame hardware: RPT + RBQ + recovery. Attach
@@ -405,9 +406,7 @@ func (c *Controller) onExecuted(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) 
 func (c *Controller) onAtomic(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, space isa.Space, addr, old uint32, lane int) {
 	e := undoEntry{w: w, space: space, addr: addr, old: old}
 	if space == isa.SpaceShared {
-		e.shared = sm.BlockOf(w).Shared
-	} else {
-		e.mem = d.Mem
+		e.blk = sm.BlockOf(w)
 	}
 	c.undo = append(c.undo, e)
 }
@@ -512,9 +511,9 @@ func (c *Controller) Recover(d *gpu.Device) {
 	for i := len(c.undo) - 1; i >= 0; i-- {
 		e := c.undo[i]
 		if e.space == isa.SpaceShared {
-			e.shared[e.addr/4] = e.old
+			e.blk.Shared[e.addr/4] = e.old
 		} else {
-			_ = e.mem.Store(e.addr, e.old)
+			_ = d.Mem.Store(e.addr, e.old)
 		}
 		c.Stats.UndoneAtomics++
 	}

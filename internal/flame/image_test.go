@@ -1,0 +1,107 @@
+package flame_test
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"flame/internal/bench"
+	"flame/internal/core"
+	"flame/internal/flame"
+	"flame/internal/gpu"
+)
+
+// TestControllerImageRecovers checks that a controller image holds
+// everything a recovery reads. Each benchmark's launch is paused at
+// eight points; there the paused controller and a controller restored
+// from its image onto another device both run a full recovery (an
+// error detected at the pause cycle) and finish the launch, and must
+// end with equal memory, gpu.Stats and controller stats. Fault-free
+// resumes never recover, so only this checks the RPT, the undo log,
+// the checkpoint buffers and the pending sections of an image.
+func TestControllerImageRecovers(t *testing.T) {
+	arch := gpu.GTX480()
+	arch.NumSMs = 4
+	var held [6]int
+	for _, c := range []struct {
+		bench string
+		opt   core.Options
+	}{
+		{"Histogram", core.FlameOptions()},
+		{"SGEMM", core.Options{Scheme: core.SensorCheckpointing, WCDL: 20, ExtendRegions: true}},
+		{"LUD", core.FlameOptions()},
+		{"BFS", core.Options{Scheme: core.DupRenaming, WCDL: 20}},
+	} {
+		b, err := bench.ByName(c.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := b.Spec()
+		comp, err := core.Compile(spec.Prog, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &gpu.Launch{Prog: comp.Prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}
+		device := func() *gpu.Device {
+			d, err := gpu.NewDevice(arch, spec.MemBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Setup(d.Mem.Words())
+			return d
+		}
+		full, err := device().Run(l, comp.Controller().Hooks())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := int64(1); k <= 8; k++ {
+			paused, ctl := device(), comp.Controller()
+			if err := paused.Start(l, ctl.Hooks()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := paused.Continue(full.Cycles * k / 9); err != nil {
+				t.Fatal(err)
+			}
+			img := paused.Image()
+			cimg, err := ctl.Image(paused)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rpt, cleared, ckpt, undo, pending, queued := flame.ImageState(cimg)
+			for i, n := range []int{rpt, cleared, ckpt, undo, pending, queued} {
+				held[i] += min(n, 1)
+			}
+
+			restored, rctl := device(), comp.Controller()
+			if err := restored.Restore(img, l, rctl.Hooks()); err != nil {
+				t.Fatal(err)
+			}
+			rctl.Restore(cimg, restored)
+
+			var want *gpu.Stats
+			for i, r := range []struct {
+				d   *gpu.Device
+				ctl *flame.Controller
+			}{{paused, ctl}, {restored, rctl}} {
+				r.ctl.Recover(r.d)
+				st, err := r.d.Continue(math.MaxInt64)
+				if err != nil {
+					t.Fatalf("%s pause %d: %v", c.bench, k, err)
+				}
+				if i == 0 {
+					want = st
+					continue
+				}
+				if *st != *want || r.ctl.Stats != ctl.Stats || !slices.Equal(r.d.Mem.Words(), paused.Mem.Words()) {
+					t.Fatalf("%s/%s pause %d at cycle %d: recovery after restore differs:\n got  %+v %+v\n want %+v %+v",
+						c.bench, c.opt.Scheme.FlagName(), k, img.Cycle(), *st, r.ctl.Stats, *want, ctl.Stats)
+				}
+			}
+		}
+	}
+	for i, what := range []string{"RPT entries", "cleared crossings", "checkpoint buffers", "undo entries", "pending sections", "queued RBQ entries"} {
+		if held[i] == 0 {
+			t.Errorf("no paused controller held %s: the check does not cover them", what)
+		}
+	}
+}

@@ -1,0 +1,153 @@
+package gpu_test
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"flame/internal/bench"
+	"flame/internal/core"
+	"flame/internal/flame"
+	"flame/internal/gpu"
+)
+
+// resumeRun is one main launch of a benchmark on its own device.
+type resumeRun struct {
+	dev   *gpu.Device
+	ctl   *flame.Controller
+	hooks *gpu.Hooks
+	l     *gpu.Launch
+}
+
+// startRun builds a device of cfg holding the benchmark's input and
+// attaches a new controller for comp (none for a scheme without one).
+func startRun(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp *core.Compiled) *resumeRun {
+	t.Helper()
+	d, err := gpu.NewDevice(cfg, spec.MemBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Setup(d.Mem.Words())
+	r := &resumeRun{dev: d, ctl: comp.Controller(),
+		l: &gpu.Launch{Prog: comp.Prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}}
+	if r.ctl != nil {
+		r.hooks = r.ctl.Hooks()
+	}
+	return r
+}
+
+// resumeCase checks one benchmark, scheme and configuration: the main
+// launch paused at a fraction of its run, imaged, and resumed on
+// another device that has just run a different kernel (the same
+// benchmark under the other scheme) ends with the memory, dirty pages,
+// gpu.Stats and controller stats of the uninterrupted launch — and so
+// does the paused launch continued in place.
+func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other *core.Compiled, frac float64) {
+	t.Helper()
+	ref := startRun(t, cfg, spec, comp)
+	want, err := ref.dev.Run(ref.l, ref.hooks)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	paused := startRun(t, cfg, spec, comp)
+	if err := paused.dev.Start(paused.l, paused.hooks); err != nil {
+		t.Fatal(err)
+	}
+	at := int64(float64(want.Cycles) * frac)
+	if _, err := paused.dev.Continue(at); err != nil {
+		t.Fatal(err)
+	}
+	if c := paused.dev.Cycle(); c < at || c >= want.Cycles {
+		t.Fatalf("paused at cycle %d, asked %d of %d", c, at, want.Cycles)
+	}
+	img := paused.dev.Image()
+	var ctlImg *flame.Image
+	if paused.ctl != nil {
+		if ctlImg, err = paused.ctl.Image(paused.dev); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The other kernel leaves warps, blocks, pools, caches and
+	// scheduler state behind on the device the image is restored on.
+	resumed := startRun(t, cfg, spec, other)
+	if _, err := resumed.dev.Run(resumed.l, resumed.hooks); err != nil {
+		t.Fatal(err)
+	}
+	resumed = &resumeRun{dev: resumed.dev, ctl: comp.Controller(), l: paused.l}
+	if resumed.ctl != nil {
+		resumed.hooks = resumed.ctl.Hooks()
+	}
+	words := resumed.dev.Mem.Words()
+	clear(words)
+	spec.Setup(words)
+	resumed.dev.Mem.ResetDirty()
+	if err := resumed.dev.Restore(img, resumed.l, resumed.hooks); err != nil {
+		t.Fatal(err)
+	}
+	if resumed.ctl != nil {
+		resumed.ctl.Restore(ctlImg, resumed.dev)
+	}
+
+	for _, r := range []struct {
+		name string
+		run  *resumeRun
+	}{{"resumed on another device", resumed}, {"continued in place", paused}} {
+		got, err := r.run.dev.Continue(math.MaxInt64)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if *got != *want {
+			t.Fatalf("%s: stats differ from the uninterrupted launch:\n got  %+v\n want %+v", r.name, *got, *want)
+		}
+		if !slices.Equal(r.run.dev.Mem.Words(), ref.dev.Mem.Words()) {
+			t.Fatalf("%s: final memory differs from the uninterrupted launch", r.name)
+		}
+		if !slices.Equal(r.run.dev.Mem.DirtyPages(), ref.dev.Mem.DirtyPages()) {
+			t.Fatalf("%s: dirty pages differ from the uninterrupted launch", r.name)
+		}
+		if ref.ctl != nil && r.run.ctl.Stats != ref.ctl.Stats {
+			t.Fatalf("%s: controller stats differ:\n got  %+v\n want %+v", r.name, r.run.ctl.Stats, ref.ctl.Stats)
+		}
+	}
+}
+
+// TestImageResumeMatchesUninterrupted is the resume contract behind
+// trials that start from the golden's image: every benchmark at 4 SMs,
+// under Baseline and under Flame with its controller imaged too, under
+// each scheduler with cycle skipping on and off, paused at a quarter, a
+// half or three quarters of its launch. A race-detector build checks
+// every eighth benchmark.
+func TestImageResumeMatchesUninterrupted(t *testing.T) {
+	schemes := []core.Options{{Scheme: core.Baseline}, core.FlameOptions()}
+	for i, b := range bench.All() {
+		if raceBuild && i%8 != 0 {
+			continue
+		}
+		spec := b.Spec()
+		comps := make([]*core.Compiled, len(schemes))
+		for k, opt := range schemes {
+			var err error
+			if comps[k], err = core.Compile(spec.Prog, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := range schemes {
+			for j, sched := range []gpu.SchedulerKind{gpu.GTO, gpu.LRR, gpu.OLD, gpu.TwoLevel} {
+				for _, noSkip := range []bool{false, true} {
+					cfg := gpu.GTX480()
+					cfg.NumSMs = 4
+					cfg.Scheduler = sched
+					cfg.NoCycleSkip = noSkip
+					frac := float64(1+(i+j)%3) / 4
+					t.Run(fmt.Sprintf("%s/%s/%s/noSkip=%v", b.Name, schemes[k].Scheme.FlagName(), sched, noSkip), func(t *testing.T) {
+						t.Parallel()
+						resumeCase(t, cfg, spec, comps[k], comps[1-k], frac)
+					})
+				}
+			}
+		}
+	}
+}

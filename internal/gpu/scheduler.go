@@ -1,6 +1,9 @@
 package gpu
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // scheduler picks which ready warp a scheduler slot issues each cycle.
 // pick receives the SM's warp slots and the ready set as a mask over
@@ -11,6 +14,9 @@ type scheduler interface {
 	// reset tells the policy that the warp it just issued finished and
 	// left its slot.
 	reset()
+	// clone returns an independent copy of the policy state (Image,
+	// Restore).
+	clone() scheduler
 }
 
 func newScheduler(kind SchedulerKind, groupSize int) scheduler {
@@ -57,6 +63,8 @@ func (s *gtoSched) pick(warps []*Warp, ready uint64, cycle int64) int {
 
 func (s *gtoSched) reset() { s.current = -1 }
 
+func (s *gtoSched) clone() scheduler { c := *s; return &c }
+
 // oldSched: always the oldest ready warp.
 type oldSched struct{}
 
@@ -65,6 +73,8 @@ func (oldSched) pick(warps []*Warp, ready uint64, cycle int64) int {
 }
 
 func (oldSched) reset() {}
+
+func (oldSched) clone() scheduler { return oldSched{} }
 
 // lrrSched: loose round-robin over ready warps.
 type lrrSched struct {
@@ -85,6 +95,8 @@ func (s *lrrSched) pick(warps []*Warp, ready uint64, cycle int64) int {
 }
 
 func (s *lrrSched) reset() {}
+
+func (s *lrrSched) clone() scheduler { c := *s; return &c }
 
 // twoLevelSched: a small active set scheduled round-robin; warps that
 // stall are swapped out for pending warps.
@@ -132,3 +144,9 @@ func (s *twoLevelSched) pick(warps []*Warp, ready uint64, cycle int64) int {
 }
 
 func (s *twoLevelSched) reset() { s.active = s.active[:0] }
+
+func (s *twoLevelSched) clone() scheduler {
+	c := *s
+	c.active = slices.Clone(s.active)
+	return &c
+}

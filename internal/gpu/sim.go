@@ -81,44 +81,34 @@ func (d *Device) Cycle() int64 { return d.Cyc }
 // code initializes and validates them via Mem). A launch that fails
 // once simulation has started (a fault, the cycle budget, the Stop
 // watchdog) returns its partial stats, Cycles being the cycle it
-// stopped at, alongside the error.
+// stopped at, alongside the error. It is Start followed by Continue to
+// completion: a launch resumed from an Image (Restore) runs the same
+// loop from a later cycle.
 func (d *Device) Run(l *Launch, hooks *Hooks) (*Stats, error) {
-	if err := l.Validate(&d.Cfg); err != nil {
+	if err := d.Start(l, hooks); err != nil {
 		return nil, err
 	}
-	d.launch = l
-	d.kern = compileKernel(l.Prog, hooks)
-	d.hooks = hooks
-	d.slots = nil
-	if hooks != nil {
-		d.slots = hooks.Slots
+	return d.Continue(math.MaxInt64)
+}
+
+// Start puts the device in the launch-start state of l: per-run
+// microarchitectural state reset, counters zeroed and the first blocks
+// dispatched, the clock at cycle 0. Continue then simulates it.
+func (d *Device) Start(l *Launch, hooks *Hooks) error {
+	if err := d.attach(l, hooks); err != nil {
+		return err
 	}
 	d.Stats = Stats{}
 	d.Cyc = 0
 	d.nextBlock = 0
 	d.blocksDone = 0
 	d.ageSeq = 0
-	d.blocksPerSM = l.BlocksPerSM(&d.Cfg)
-	if d.blocksPerSM == 0 {
-		return nil, fmt.Errorf("gpu: kernel %q does not fit on an SM (regs=%d shared=%dB)",
-			l.Prog.Name, l.Prog.NumRegs, l.Prog.SharedBytes)
-	}
 
 	// Reset per-run microarchitectural state, recycling warp and block
 	// objects (and their register-file backing) into the SM pools.
 	for _, sm := range d.SMs {
-		for _, w := range sm.Warps {
-			if w != nil {
-				sm.warpPool = append(sm.warpPool, w)
-			}
-		}
-		for _, b := range sm.Blocks {
-			sm.blockPool = append(sm.blockPool, b)
-		}
-		sm.Warps = sm.Warps[:0]
-		sm.Blocks = sm.Blocks[:0]
+		sm.recycle()
 		sm.live, sm.suspended, sm.atBarrier = 0, 0, 0
-		sm.valid, sm.sbWait, sm.sbNext = 0, 0, math.MaxInt64
 		sm.lsuBusyUntil = 0
 		sm.sfuBusyUntil = 0
 		sm.dramFree = 0
@@ -135,11 +125,44 @@ func (d *Device) Run(l *Launch, hooks *Hooks) (*Stats, error) {
 	for _, sm := range d.SMs {
 		sm.dispatch()
 	}
+	return nil
+}
 
+// attach validates l and makes it, with hooks, the device's current
+// launch.
+func (d *Device) attach(l *Launch, hooks *Hooks) error {
+	if err := l.Validate(&d.Cfg); err != nil {
+		return err
+	}
+	d.launch = l
+	d.kern = compileKernel(l.Prog, hooks)
+	d.hooks = hooks
+	d.slots = nil
+	if hooks != nil {
+		d.slots = hooks.Slots
+	}
+	d.blocksPerSM = l.BlocksPerSM(&d.Cfg)
+	if d.blocksPerSM == 0 {
+		return fmt.Errorf("gpu: kernel %q does not fit on an SM (regs=%d shared=%dB)",
+			l.Prog.Name, l.Prog.NumRegs, l.Prog.SharedBytes)
+	}
+	return nil
+}
+
+// Continue simulates the current launch (set up by Start or Restore)
+// until it completes or, at the top of a loop iteration, the clock has
+// reached until. In the second case the launch is paused: the partial
+// stats come back with a nil error, Image can capture the state, and a
+// later Continue picks the launch up where it stopped.
+func (d *Device) Continue(until int64) (*Stats, error) {
+	l := d.launch
 	budget := d.MaxCycles
 	if l.MaxCycles > 0 {
 		budget = l.MaxCycles
 	}
+	// One clock comparison per iteration serves both the budget and the
+	// pause point.
+	limit := min(budget, until)
 	total := l.Grid.Count()
 	skip := !d.Cfg.NoCycleSkip
 	stopPoll := 0
@@ -156,7 +179,10 @@ func (d *Device) Run(l *Launch, hooks *Hooks) (*Stats, error) {
 				stopPoll = 0
 			}
 		}
-		if d.Cyc >= budget {
+		if d.Cyc >= limit {
+			if d.Cyc < budget {
+				return d.partial(nil)
+			}
 			return d.partial(fmt.Errorf("gpu: %q: %w after %d cycles; %d/%d blocks done",
 				l.Prog.Name, ErrCycleLimit, budget, d.blocksDone, total))
 		}

@@ -266,6 +266,21 @@ func newSM(id int, d *Device) *SM {
 	return sm
 }
 
+// recycle returns the SM's warp and block objects, with their
+// register-file backing, to its pools and drops every memoized issue
+// gate: the slots stay empty until dispatch or Restore fills them.
+func (sm *SM) recycle() {
+	for _, w := range sm.Warps {
+		if w != nil {
+			sm.warpPool = append(sm.warpPool, w)
+		}
+	}
+	sm.blockPool = append(sm.blockPool, sm.Blocks...)
+	sm.Warps = sm.Warps[:0]
+	sm.Blocks = sm.Blocks[:0]
+	sm.valid, sm.sbWait, sm.sbNext = 0, 0, math.MaxInt64
+}
+
 // BlockOf returns the block state a warp belongs to.
 func (sm *SM) BlockOf(w *Warp) *BlockState { return sm.Blocks[w.BlockSlot] }
 
