@@ -332,13 +332,14 @@ func strataTable(arch gpu.Config, opt core.Options, specs []*core.KernelSpec, mo
 // behind the -profile-restore flag: the memory footprint in pages, how
 // many pages trials actually dirty (and so how many a restore copies
 // and a diff scans), how many cycles simulated trials skipped by
-// resuming from the golden's image, and what fraction of trials the
-// pruner classifies without simulation — or why pruning is unavailable
-// for the benchmark.
+// starting from the golden cursor and how many fault-free prefix cycles
+// they still simulated, and what fraction of trials the pruner
+// classifies without simulation — or why pruning is unavailable for
+// the benchmark.
 func restoreProfile(cfg campaign.Config) string {
 	t := &stats.Table{Header: []string{
 		"benchmark", "footprint", "dirty/trial", "restored/trial",
-		"diff/trial", "resumed/trial", "pruned", "prune status",
+		"diff/trial", "resumed/trial", "prefix/trial", "pruned", "prune status",
 	}}
 	// One campaign per benchmark and worker, on one engine, so the
 	// restore counters are the benchmark's own; rows stay in spec order.
@@ -377,7 +378,7 @@ func restoreProfile(cfg campaign.Config) string {
 		t.Add(spec.Name,
 			fmt.Sprintf("%d pages", footprint),
 			perTrial(st.DirtyPages), perTrial(st.RestoredPages), perTrial(st.DiffPages),
-			perTrial(st.ResumedCycles),
+			perTrial(st.ResumedCycles), perTrial(st.PrefixCycles),
 			fmt.Sprintf("%d/%d", br.PrunedMasked+br.PrunedNoInjection, cfg.Trials), status)
 	}
 	return fmt.Sprintf("restore/prune profile: trials=%d/bench scheme=%s model=%s seed=%d\n%s",

@@ -192,9 +192,9 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	// Plan the trial grid up front, honouring Skip, in (workload, trial)
-	// order: results land in plan order, and stopped or skipped trials
-	// stay out of the report.
+	// Plan the trial grid up front, honouring Skip: stopped or skipped
+	// trials stay out of the report, which assemble orders by
+	// (workload, trial) whatever order the trials ran in.
 	plan := make([]trial, 0, len(cfg.Specs)*cfg.Trials)
 	for b, spec := range cfg.Specs {
 		for t := 0; t < cfg.Trials; t++ {
@@ -211,9 +211,8 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ran := make([]trialRecord, len(plan))
-	n := p.run(plan, ran)
-	return p.close(ran[:n], n < len(plan))
+	ran := p.run(plan)
+	return p.close(ran, len(ran) < len(plan))
 }
 
 // TrialSpec derives trial t's full specification — strike arm cycles,

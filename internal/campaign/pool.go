@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"flame/internal/core"
@@ -17,6 +19,7 @@ type trial struct {
 	// the stratum's seed stream; ss is nil on the uniform grid.
 	ss   *stratumState
 	draw int
+	ts   core.TrialSpec // derived by pool.run
 }
 
 // pool is the campaign's one trial executor, shared by the uniform grid
@@ -97,12 +100,27 @@ func (x *Executor) Trial(b int, ts core.TrialSpec) *core.TrialResult {
 // Stats returns the engine's restore/diff page counters so far.
 func (x *Executor) Stats() core.RestoreStats { return x.eng.Stats() }
 
-// run executes batch, writing trial i's record to out[i], and returns
-// how many trials ran. Trials are dispatched in batch order until
-// Config.Stop closes; dispatched trials finish, so the trials that ran
-// are always batch[:n], and n < len(batch) only when the campaign was
-// stopped.
-func (p *pool) run(batch []trial, out []trialRecord) int {
+// run executes batch and returns the records of the trials that ran,
+// in dispatch order. Each benchmark's trials are dispatched in ascending
+// first-arm order, so every worker's golden cursor (core.Engine) only
+// moves forward; results do not depend on the order. Dispatch continues
+// until Config.Stop closes, and dispatched trials finish, so fewer
+// records than trials come back only when the campaign was stopped.
+func (p *pool) run(batch []trial) []trialRecord {
+	queue := slices.Clone(batch)
+	for i := range queue {
+		tr := &queue[i]
+		g := p.set[tr.b].Golden
+		if tr.ss != nil {
+			tr.ts = p.cfg.stratumTrialSpec(g, tr.ss, tr.draw)
+		} else {
+			tr.ts = p.cfg.TrialSpec(g, p.cfg.Specs[tr.b].Name, tr.t)
+		}
+	}
+	slices.SortStableFunc(queue, func(x, y trial) int {
+		return cmp.Or(cmp.Compare(x.b, y.b), cmp.Compare(x.ts.Arms[0], y.ts.Arms[0]))
+	})
+	out := make([]trialRecord, len(queue))
 	// One queued trial per worker: a worker that finishes picks up its
 	// next trial without waiting for the dispatcher to be scheduled.
 	next := make(chan int, len(p.execs))
@@ -112,12 +130,12 @@ func (p *pool) run(batch []trial, out []trialRecord) int {
 		go func(x *Executor) {
 			defer wg.Done()
 			for i := range next {
-				p.runTrial(x, &batch[i], &out[i])
+				p.runTrial(x, &queue[i], &out[i])
 			}
 		}(x)
 	}
 	n := 0
-	for n < len(batch) && !closed(p.cfg.Stop) {
+	for n < len(queue) && !closed(p.cfg.Stop) {
 		select {
 		case <-p.cfg.Stop:
 		case next <- n:
@@ -126,22 +144,16 @@ func (p *pool) run(batch []trial, out []trialRecord) int {
 	}
 	close(next)
 	wg.Wait()
-	return n
+	return out[:n]
 }
 
-// runTrial derives one trial's spec, runs it on x and streams it.
+// runTrial runs one trial on x and streams it.
 func (p *pool) runTrial(x *Executor, tr *trial, out *trialRecord) {
-	spec, g := p.cfg.Specs[tr.b], p.set[tr.b].Golden
+	spec := p.cfg.Specs[tr.b]
 	if p.str != nil {
 		p.str.trialStart(spec.Name, tr.t)
 	}
-	var ts core.TrialSpec
-	if tr.ss != nil {
-		ts = p.cfg.stratumTrialSpec(g, tr.ss, tr.draw)
-	} else {
-		ts = p.cfg.TrialSpec(g, spec.Name, tr.t)
-	}
-	res := x.Trial(tr.b, ts)
+	res := x.Trial(tr.b, tr.ts)
 	if tr.ss != nil {
 		res.Stratum = tr.ss.st.Key()
 	}

@@ -26,8 +26,8 @@ import (
 //   - Determinism: each stratum owns a seed stream derived from the
 //     campaign seed tree (benchSeed ^ "stratum:<key>"), trial i of a
 //     stratum is the same trial at any -parallel, rounds are barriers,
-//     and results fold in dispatch order — the report is byte-identical
-//     regardless of worker count.
+//     and results fold into counts — the report is byte-identical
+//     regardless of worker count and dispatch order.
 //   - Auditability: Audit runs the same budget on the uniform exact
 //     grid and checks the stratified estimates fall inside the grid's
 //     Wilson CIs (the estimators agree on what they estimate: rates
@@ -85,6 +85,7 @@ func RunStratified(cfg Config) (*Report, error) {
 	for b, spec := range cfg.Specs {
 		m := p.set[b].Strata
 		states := make([]*stratumState, len(m.Strata))
+		byKey := make(map[string]*stratumState, len(m.Strata))
 		for h := range m.Strata {
 			st := &m.Strata[h]
 			states[h] = &stratumState{
@@ -92,6 +93,7 @@ func RunStratified(cfg Config) (*Report, error) {
 				seed: stratumSeed(cfg.Seed, spec.Name, st.Key()),
 				rep:  StratumReport{Key: st.Key(), Sites: st.Sites},
 			}
+			byKey[st.Key()] = states[h]
 		}
 
 		used, rounds := 0, 0
@@ -123,18 +125,17 @@ func RunStratified(cfg Config) (*Report, error) {
 				reason = "budget"
 				break
 			}
-			// Each round is a barrier. The strata tally its outcomes in
-			// batch order — deterministic at any parallelism — for the
-			// next round's allocation and the stopping rule.
-			results := make([]trialRecord, len(batch))
-			n := p.run(batch, results)
-			for i := range batch[:n] {
-				batch[i].ss.rep.foldOutcome(results[i].r.Outcome)
+			// Each round is a barrier. The strata tally its outcomes —
+			// counts, the same in any order and at any parallelism — for
+			// the next round's allocation and the stopping rule.
+			results := p.run(batch)
+			for _, r := range results {
+				byKey[r.r.Stratum].rep.foldOutcome(r.r.Outcome)
 			}
-			ran = append(ran, results[:n]...)
-			used += n
+			ran = append(ran, results...)
+			used += len(results)
 			rounds++
-			if n < len(batch) {
+			if len(results) < len(batch) {
 				reason, stopped = "stopped", true
 				break
 			}

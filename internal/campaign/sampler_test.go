@@ -16,7 +16,7 @@ func stratConfig(t *testing.T, names []string, budget, parallel int) Config {
 
 // The stratified report must be byte-identical at -parallel 1 and 8:
 // stratum schedules come from the seed tree, rounds are barriers, and
-// results fold in dispatch order.
+// results fold into counts.
 func TestStratifiedDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(parallel int) []byte {
 		rep, err := Run(stratConfig(t, []string{"Triad", "Histogram"}, 48, parallel))

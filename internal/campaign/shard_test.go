@@ -3,6 +3,9 @@ package campaign
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -107,18 +110,21 @@ func TestShardedRunReplaysByteIdentical(t *testing.T) {
 	}
 }
 
-// stopAfterFirstTrial passes the event stream through and closes stop
-// once the first trial record is written, so the campaign is stopped
-// with trials in flight.
-type stopAfterFirstTrial struct {
+// stopAfterTrials passes the event stream through and closes stop once
+// n trial records are written, so the campaign is stopped with trials
+// in flight.
+type stopAfterTrials struct {
 	bytes.Buffer
+	n    int
 	stop chan struct{}
 	once sync.Once
 }
 
-func (w *stopAfterFirstTrial) Write(p []byte) (int, error) {
+func (w *stopAfterTrials) Write(p []byte) (int, error) {
 	if bytes.Contains(p, []byte(`"event":"trial"`)) {
-		w.once.Do(func() { close(w.stop) })
+		if w.n--; w.n <= 0 {
+			w.once.Do(func() { close(w.stop) })
+		}
 	}
 	return w.Buffer.Write(p)
 }
@@ -137,7 +143,7 @@ func TestRunStopPartial(t *testing.T) {
 		{"stratified", func() Config { return stratConfig(t, []string{"Triad", "Histogram"}, 8, 2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			stream := &stopAfterFirstTrial{stop: make(chan struct{})}
+			stream := &stopAfterTrials{n: 1, stop: make(chan struct{})}
 			cfg := tc.cfg()
 			cfg.Events = stream
 			cfg.Stop = stream.stop
@@ -185,6 +191,52 @@ func TestRunStopPartial(t *testing.T) {
 				t.Fatalf("partial replay differs:\n-live:\n%s\n-replayed:\n%s", want, got)
 			}
 		})
+	}
+}
+
+// TestStoppedRunHoldsTrialsThatRan: the records a stopped batch
+// returns are exactly the trials that ran, each the trial its index
+// names. The batch is dispatched in first-arm order, so these are not
+// the batch's first trials.
+func TestStoppedRunHoldsTrialsThatRan(t *testing.T) {
+	cfg := testConfig(t, []string{"Triad", "Histogram"}, 8, 1)
+	stream := &stopAfterTrials{n: 3, stop: make(chan struct{})}
+	cfg.Events, cfg.Stop = stream, stream.stop
+	p, err := newPool(&cfg, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []trial
+	for b := range cfg.Specs {
+		for i := 0; i < cfg.Trials; i++ {
+			batch = append(batch, trial{b: b, t: i})
+		}
+	}
+	ran := p.run(batch)
+	if len(ran) == 0 || len(ran) >= len(batch) {
+		t.Fatalf("stopped batch ran %d of %d trials, want some but not all", len(ran), len(batch))
+	}
+	var streamed []string
+	for _, line := range bytes.Split(stream.Bytes(), []byte("\n")) {
+		if bench, i, _, err := DecodeTrial(line); err == nil {
+			streamed = append(streamed, fmt.Sprintf("%s/%d", bench, i))
+		}
+	}
+	var got, prefix []string
+	ref := cfg.NewExecutor(p.set)
+	for k, r := range ran {
+		got = append(got, fmt.Sprintf("%s/%d", r.bench, r.t))
+		prefix = append(prefix, fmt.Sprintf("%s/%d", cfg.Specs[0].Name, k))
+		want := ref.Trial(0, cfg.TrialSpec(p.set[0].Golden, r.bench, r.t))
+		if r.bench != cfg.Specs[0].Name || !reflect.DeepEqual(r.r, *want) {
+			t.Fatalf("record %s/%d: %+v, want %+v", r.bench, r.t, r.r, *want)
+		}
+	}
+	if !slices.Equal(got, streamed) {
+		t.Fatalf("records %v, streamed trials %v", got, streamed)
+	}
+	if slices.Equal(got, prefix) {
+		t.Fatalf("trials %v ran in plan order: the check needs a batch dispatched out of it", got)
 	}
 }
 

@@ -12,26 +12,37 @@ import (
 
 // Engine is the one injection-trial runner: every campaign trial, every
 // explained trial and every test reference runs through Engine.RunTrial
-// (or Engine.Trial, which prunes first). It keeps one gpu.Device per
-// workload, reused across trials, with global memory restored from the
-// golden run's initial image instead of re-running host setup, and the
-// scheme compilation shared from the golden run instead of recompiled.
-// A campaign worker holds one Engine. A brand-new Engine with SetNoCOW
-// is the fresh-device reference (new device, full-image restore, full
-// diff) the equivalence tests compare pooled trials against.
+// (or Engine.Trial, which prunes first). It keeps one gpu.Device for
+// its trials, with global memory restored from the golden run's initial
+// image instead of re-running host setup, and the scheme compilation
+// shared from the golden run instead of recompiled, and it starts each
+// trial from its golden cursor paused at the trial's first arm cycle
+// (cursor.go). A campaign worker holds one Engine, and feeds it each
+// benchmark's trials in ascending first-arm order. A brand-new Engine
+// with SetNoCOW, running from cycle 0, is the fresh-device reference
+// (new device, full-image restore, full diff) the equivalence tests
+// compare pooled trials against.
 //
 // An Engine is not safe for concurrent use — give each worker its own.
 // The Golden passed to RunTrial is shared read-only across all engines.
 type Engine struct {
-	cfg  gpu.Config
-	devs map[*KernelSpec]*gpu.Device
+	cfg gpu.Config
+	// dev is the trial device, holding spec's memory; a trial of
+	// another workload gives it that workload's (fitDevice).
+	spec *KernelSpec
+	dev  *gpu.Device
 	// noCOW disables the dirty-page restore/diff fast path: every trial
 	// restores the full InitMem image and diffs the full footprint, as
 	// the engine did before page tracking. Results are byte-identical
 	// either way; the escape hatch exists so that can be asserted and so
 	// a tracking bug can be ruled out in the field.
 	noCOW bool
-	stats RestoreStats
+	// cur is the golden cursor trials start from (cursor.go); fromZero
+	// runs every trial from cycle 0 instead, the reference
+	// cursor-started trials are checked against.
+	cur      cursor
+	fromZero bool
+	stats    RestoreStats
 }
 
 // RestoreStats accumulates the engine's dirty-page accounting. The
@@ -53,8 +64,12 @@ type RestoreStats struct {
 	// the diff).
 	DiffPages int64
 	// ResumedCycles counts the main-launch cycles trials did not
-	// simulate because they resumed from the golden's image.
+	// simulate because they started from the golden cursor's image.
 	ResumedCycles int64
+	// PrefixCycles counts the cycles trials simulated before their
+	// first arm cycle (clamped to the main launch): the fault-free
+	// prefix the cursor did not spare them.
+	PrefixCycles int64
 }
 
 // Add accumulates another engine's counters (campaign-level summation
@@ -65,11 +80,12 @@ func (s *RestoreStats) Add(o RestoreStats) {
 	s.DirtyPages += o.DirtyPages
 	s.DiffPages += o.DiffPages
 	s.ResumedCycles += o.ResumedCycles
+	s.PrefixCycles += o.PrefixCycles
 }
 
 // NewEngine creates a trial engine for one architecture.
 func NewEngine(cfg gpu.Config) *Engine {
-	return &Engine{cfg: cfg, devs: map[*KernelSpec]*gpu.Device{}}
+	return &Engine{cfg: cfg}
 }
 
 // SetNoCOW switches the engine to full-footprint restore/diff (the
@@ -79,20 +95,34 @@ func (e *Engine) SetNoCOW(v bool) { e.noCOW = v }
 // Stats returns the accumulated restore accounting.
 func (e *Engine) Stats() RestoreStats { return e.stats }
 
-// device returns the pooled device for a workload, creating it on first
-// use. Memory sizing is per-spec, so the pool is keyed by spec. A new
-// device starts with every page marked dirty: its zeroed memory is not
-// any golden's InitMem, so the first restore must copy the full image.
+// device returns the trial device, readied for the workload.
 func (e *Engine) device(spec *KernelSpec) (*gpu.Device, error) {
-	if dev, ok := e.devs[spec]; ok {
-		return dev, nil
+	if e.dev == nil || e.spec != spec {
+		dev, err := fitDevice(e.cfg, e.dev, spec)
+		if err != nil {
+			return nil, err
+		}
+		e.spec, e.dev = spec, dev
 	}
-	dev, err := gpu.NewDevice(e.cfg, spec.MemBytes)
-	if err != nil {
-		return nil, err
+	return e.dev, nil
+}
+
+// fitDevice readies dev (a new device when nil) for a workload other
+// than the one it last ran: it gets zeroed memory of the workload's
+// size, with every page marked dirty, because that is not any golden's
+// InitMem and the first restore must copy the full image. Its SMs, and
+// the warps and blocks they pool, carry over: campaigns feed an engine
+// one workload's trials after another, so this seldom runs.
+func fitDevice(cfg gpu.Config, dev *gpu.Device, spec *KernelSpec) (*gpu.Device, error) {
+	if dev == nil {
+		var err error
+		if dev, err = gpu.NewDevice(cfg, spec.MemBytes); err != nil {
+			return nil, err
+		}
+	} else {
+		dev.Mem = gpu.NewGlobalMem(spec.MemBytes)
 	}
 	dev.Mem.MarkAllDirty()
-	e.devs[spec] = dev
 	return dev, nil
 }
 
@@ -168,9 +198,9 @@ func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialR
 	defer func() {
 		if r := recover(); r != nil {
 			trialPanicResult(tr, inj, r)
-			// The pooled device was abandoned mid-run; discard it so the
-			// next trial starts from a freshly-constructed one.
-			delete(e.devs, spec)
+			// The trial device, or the cursor, was abandoned mid-run;
+			// discard both so the next trial starts from new ones.
+			e.dev, e.cur = nil, cursor{}
 		}
 	}()
 	ro := &RunOpts{MaxCycles: ts.MaxCycles, Stop: ts.stopFunc()}
@@ -194,10 +224,16 @@ func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialR
 		}
 		e.stats.Trials++
 		res := &Result{}
-		from := g.resumeFrom(dev, spec, ts)
+		at := ts.prefixEnd(g)
+		var from *launchImage
+		if !e.fromZero {
+			from = e.pauseAt(spec, g, at)
+		}
 		if from != nil {
 			e.stats.ResumedCycles += from.dev.Cycle()
+			at -= from.dev.Cycle()
 		}
+		e.stats.PrefixCycles += at
 		// The injector observes only the main kernel's launch.
 		err = launchOne(dev, spec, g.Comp, spec.Grid, spec.Block, spec.Params,
 			inj, ro, res, from)

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"cmp"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"flame/internal/flame"
+	"flame/internal/gpu"
 	"flame/internal/isa"
 )
 
@@ -75,15 +79,16 @@ func (e *validationErr) Error() string { return "bad output word" }
 func errAt(i int, got uint32) error { return &validationErr{i, got} }
 
 // TestEngineTrialMatchesFreshDevice is the pooling-equivalence contract:
-// a sequence of trials on one Engine (pooled device, restored memory,
-// shared compilation, and a start from the golden's resume image for
-// every trial arming at or after its cycle) produces results deep-equal
-// to fresh-device trials run from cycle 0 (freshTrial), across every
-// scheme, both fault models, double strikes and multi-launch
-// applications — including Hang and DUE trials, whose partial state the
-// next trial on the pooled device must not observe. Besides a spread of
-// arm cycles, each case arms one cycle before the image cycle, at it
-// and one cycle after it.
+// one Engine (pooled device, restored memory, shared compilation, and a
+// start from its golden cursor paused at each trial's first arm cycle)
+// produces results deep-equal to fresh-device trials run from cycle 0
+// (freshTrial), across every scheme, both fault models, double strikes
+// and multi-launch applications — including Hang and DUE trials, whose
+// partial state the next trial on the pooled device must not observe.
+// The engine sees each case's trials in ascending, descending, shuffled
+// and repeated first-arm order, so its cursor moves forward, restarts
+// from cycle 0 and pauses twice at one cycle; arms fall across and past
+// the main launch, and a panicking trial is followed by a normal one.
 func TestEngineTrialMatchesFreshDevice(t *testing.T) {
 	cfg := testCfg()
 	type tcase struct {
@@ -104,64 +109,90 @@ func TestEngineTrialMatchesFreshDevice(t *testing.T) {
 		tcase{"spin-baseline-full-2strikes", spinSpec(), Options{Scheme: Baseline}, flame.FullSite, 2},
 		tcase{"twostep-flame-full", stepSpec(), FlameOptions(), flame.FullSite, 1},
 	)
-	totalResumed := map[Outcome]int{}
+	boom := hookObserver{&gpu.Hooks{OnExecuted: func(*gpu.Device, *gpu.SM, *gpu.Warp, int) {
+		panic("deliberate trial panic")
+	}}}
+	started := map[Outcome]int{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := GoldenRun(cfg, tc.spec, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := g.ImageCycle(cfg, tc.spec)
-			if c <= 0 {
-				t.Fatalf("golden has no resume image (cycle %d)", c)
-			}
-			firstArms := []int64{c - 1, c, c + 1}
+			// Trial i arms its first strike at firstArms[i]: a spread over
+			// the window, and the cycles around the main launch's end.
+			firstArms := []int64{g.MainCycles - 1, g.MainCycles, g.MainCycles + 1, g.Window + 7}
 			for i := int64(0); i < 24; i++ {
-				firstArms = append(firstArms, (i*g.Window)/30)
+				firstArms = append(firstArms, (i*g.Window)/24)
 			}
-			eng := NewEngine(cfg)
-			outcomes, resumed := map[Outcome]int{}, map[Outcome]int{}
+			specs := make([]TrialSpec, len(firstArms))
+			want := make([]*TrialResult, len(firstArms))
 			for i, arm := range firstArms {
 				arms := []int64{arm}
 				for k := 1; k < tc.strikes; k++ {
 					arms = append(arms, arm+int64(k)*g.Window/7)
 				}
-				ts := TrialSpec{
+				specs[i] = TrialSpec{
 					Arms:      arms,
 					Model:     tc.model,
 					Seed:      int64(i)*2654435761 + 17,
 					MaxCycles: g.HangBudget(0),
 				}
-				fresh := freshTrial(cfg, tc.spec, g, ts)
-				pooled := eng.RunTrial(tc.spec, g, ts)
-				if !reflect.DeepEqual(fresh, pooled) {
-					t.Fatalf("trial %d (arms %v, image cycle %d) diverges:\n fresh: %+v\npooled: %+v", i, arms, c, fresh, pooled)
-				}
-				outcomes[fresh.Outcome]++
-				if arm >= c {
-					resumed[fresh.Outcome]++
-					totalResumed[fresh.Outcome]++
+				want[i] = freshTrial(cfg, tc.spec, g, specs[i])
+			}
+			asc := make([]int, len(firstArms))
+			for i := range asc {
+				asc[i] = i
+			}
+			slices.SortStableFunc(asc, func(a, b int) int { return cmp.Compare(firstArms[a], firstArms[b]) })
+			desc := slices.Clone(asc)
+			slices.Reverse(desc)
+			shuffled := slices.Clone(asc)
+			rand.New(rand.NewSource(int64(len(tc.name)))).Shuffle(len(shuffled), func(a, b int) {
+				shuffled[a], shuffled[b] = shuffled[b], shuffled[a]
+			})
+			var repeated []int
+			for _, i := range asc {
+				repeated = append(repeated, i, i)
+			}
+
+			eng := NewEngine(cfg)
+			var wantResumed int64
+			for _, order := range []struct {
+				name string
+				idx  []int
+			}{{"ascending", asc}, {"descending", desc}, {"shuffled", shuffled}, {"repeated", repeated}} {
+				for k, i := range order.idx {
+					if k == len(order.idx)/2 {
+						// A trial that panics after its start, then a normal one.
+						ts := TrialSpec{Arms: []int64{g.MainCycles / 3}, Seed: 5, MaxCycles: g.HangBudget(0), Observer: boom}
+						if tr := eng.RunTrial(tc.spec, g, ts); tr.Outcome != OutcomeInternal {
+							t.Fatalf("%s: panicking trial: outcome=%v err=%q", order.name, tr.Outcome, tr.Err)
+						}
+						wantResumed += ts.prefixEnd(g)
+					}
+					got := eng.RunTrial(tc.spec, g, specs[i])
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Fatalf("%s trial %d (arms %v) diverges:\n fresh: %+v\npooled: %+v", order.name, i, specs[i].Arms, want[i], got)
+					}
+					wantResumed += specs[i].prefixEnd(g)
+					if specs[i].prefixEnd(g) > 0 {
+						started[got.Outcome]++
+					}
 				}
 			}
-			if got, want := eng.Stats().ResumedCycles, c*int64(len(firstArms)-sumValues(outcomes)+sumValues(resumed)); got != want {
-				t.Errorf("engine resumed %d cycles, want %d (%d trials from cycle %d)", got, want, sumValues(resumed), c)
+			st := eng.Stats()
+			if st.ResumedCycles != wantResumed || st.PrefixCycles != 0 {
+				t.Errorf("engine resumed %d cycles (want %d) and simulated %d prefix cycles (want 0)",
+					st.ResumedCycles, wantResumed, st.PrefixCycles)
 			}
-			t.Logf("%s outcomes: %v, resumed: %v, image cycle %d of %d", tc.name, outcomes, resumed, c, g.MainCycles)
 		})
 	}
-	for _, o := range []Outcome{OutcomeRecovered, OutcomeSDC, OutcomeDUE, OutcomeHang} {
-		if totalResumed[o] == 0 {
-			t.Errorf("no resumed %v trial: resuming is not checked there (%v)", o, totalResumed)
+	for _, o := range []Outcome{OutcomeNoInjection, OutcomeMasked, OutcomeRecovered, OutcomeSDC, OutcomeDUE, OutcomeHang} {
+		if started[o] == 0 {
+			t.Errorf("no cursor-started %v trial: starting there is not checked (%v)", o, started)
 		}
 	}
-}
-
-func sumValues(m map[Outcome]int) int {
-	n := 0
-	for _, v := range m {
-		n += v
-	}
-	return n
 }
 
 // TestEngineTrialSkipEquivalence: pooled trials with event-driven cycle

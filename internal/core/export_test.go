@@ -1,38 +1,13 @@
 package core
 
-import (
-	"math"
-	"reflect"
+import "reflect"
 
-	"flame/internal/gpu"
-)
-
-// WithoutImage returns a copy of the golden without a resume image:
-// its trials all run from cycle 0, the reference resumed trials are
-// checked against.
-func (g *Golden) WithoutImage() *Golden {
-	c := *g
-	c.image = nil
-	return &c
-}
-
-// ImageCycle makes the golden's resume image if it has none yet and
-// returns the cycle trials resume from, or -1 without one.
-func (g *Golden) ImageCycle(cfg gpu.Config, spec *KernelSpec) int64 {
-	if g.image == nil {
-		return -1
-	}
-	dev, err := gpu.NewDevice(cfg, spec.MemBytes)
-	if err != nil {
-		panic(err)
-	}
-	copy(dev.Mem.Words(), g.InitMem)
-	g.resumeFrom(dev, spec, TrialSpec{Arms: []int64{math.MaxInt64}})
-	img := g.image.img.Load()
-	if img == nil {
-		return -1
-	}
-	return img.dev.Cycle()
+// FromCycleZero makes e the from-cycle-0 reference: every trial
+// simulates its whole main launch instead of starting from the golden
+// cursor. It returns e.
+func (e *Engine) FromCycleZero() *Engine {
+	e.fromZero = true
+	return e
 }
 
 // PruneIndexDiff names the first field in which two prune indexes

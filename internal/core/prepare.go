@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"flame/internal/flame"
 	"flame/internal/gpu"
@@ -59,7 +60,6 @@ func Prepare(cfg gpu.Config, spec *KernelSpec, opt Options, want Want) (Setup, e
 	g := &Golden{
 		Comp: comp, Sites: flame.NewSites(comp.Prog), StepComps: steps,
 		InitMem: make([]uint32, (spec.MemBytes+3)/4), MaxDelay: comp.Opt.WCDL,
-		image: &resumeImage{},
 	}
 	if !opt.Scheme.UsesSensors() {
 		g.MaxDelay = 0 // DMR detects at the replica; model as immediate
@@ -133,11 +133,19 @@ type recorder struct {
 	prog *isa.Program
 	// px receives the schedule; nil when not wanted, and left alone
 	// when a static gate already disabled it.
-	px       *PruneIndex
+	px *PruneIndex
+	// events holds the recorded schedule in chunks of eventChunk
+	// events, so that recording never copies it; finish joins them into
+	// px.
+	events   [][]pruneEvent
+	recorded int
 	eventCap int
 	overflow bool
 	strata   *flame.StrataBuilder // nil when not wanted
 }
+
+// eventChunk is the recorder's chunk size in events (96 KiB).
+const eventChunk = 4096
 
 func newRecorder(g *Golden, kernel string, want Want) *recorder {
 	prog := g.Comp.Prog
@@ -182,15 +190,20 @@ func (r *recorder) observe(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 	if !r.recording() || r.overflow {
 		return
 	}
-	px := r.px
-	if len(px.events) >= r.eventCap {
+	if r.recorded >= r.eventCap {
 		r.overflow = true
 		return
 	}
-	px.events = append(px.events, pruneEvent{
+	last := len(r.events) - 1
+	if last < 0 || len(r.events[last]) == eventChunk {
+		r.events = append(r.events, make([]pruneEvent, 0, eventChunk))
+		last++
+	}
+	r.events[last] = append(r.events[last], pruneEvent{
 		cyc: d.Cyc, mask: mask, pc: int32(pc),
 		warp: int32(w.ID), sm: int32(sm.ID),
 	})
+	r.recorded++
 }
 
 // replay re-runs a golden's main launch with the recorder attached, for
@@ -229,6 +242,7 @@ func (r *recorder) finish(g *Golden) (*PruneIndex, *flame.StrataMap) {
 		px.disable(fmt.Sprintf("golden schedule exceeds %d events", r.eventCap))
 		return px, sm
 	}
+	px.events = slices.Concat(r.events...)
 	px.buildVuln(r.prog)
 	return px, sm
 }

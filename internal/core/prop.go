@@ -65,9 +65,9 @@ type PropRecord struct {
 // classification with the trial's final global memory (nil when the
 // device never came up). A nil observer costs nothing: the engine
 // bypasses all three calls and the hook combination entirely. A trial
-// that resumes from the golden's image sees no hook call before the
-// image cycle (see image.go), so the hooks must hold no state until a
-// strike fires — as the propagation tracer's do.
+// starts from the golden cursor paused at its first arm cycle and sees
+// no hook call before it (see cursor.go), so the hooks must hold no
+// state until a strike fires — as the propagation tracer's do.
 type TrialObserver interface {
 	BeginTrial(g *Golden, inj *flame.Injector)
 	TrialHooks() *gpu.Hooks

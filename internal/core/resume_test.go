@@ -11,14 +11,14 @@ import (
 	"flame/internal/telemetry"
 )
 
-// TestResumedTracedTrialsMatchFromZero extends the resume contract to
+// TestResumedTracedTrialsMatchFromZero extends the cursor contract to
 // traced trials on real benchmarks: with the propagation tracer
-// attached, trials on a pooled engine that resume from the golden's
-// image equal, Prop record included, the same trials run from cycle 0
-// on a fresh engine. Histogram's atomics leave undo-log entries in the
+// attached, trials on a pooled engine that start from its golden cursor
+// equal, Prop record included, the same trials run from cycle 0 on a
+// fresh engine. Histogram's atomics leave undo-log entries in the
 // Flame controller's image and SRAD adds a follow-on launch; arms fall
-// one cycle before the image cycle, at it, one after it, and across
-// the arm span.
+// across the arm span and reach the engine out of order, so its cursor
+// both moves forward and restarts.
 func TestResumedTracedTrialsMatchFromZero(t *testing.T) {
 	cfg := gpu.GTX480()
 	cfg.NumSMs = 4
@@ -41,25 +41,23 @@ func TestResumedTracedTrialsMatchFromZero(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := g.ImageCycle(cfg, spec)
-			arms := []int64{c - 1, c, c + 1}
+			var arms []int64
 			for i := int64(0); i < 16; i++ {
-				arms = append(arms, i*g.ArmSpan()/16)
+				arms = append(arms, (i*7%16)*g.ArmSpan()/16)
 			}
-			fromZero := g.WithoutImage()
-			pooled, fresh := core.NewEngine(cfg), core.NewEngine(cfg)
+			pooled, fresh := core.NewEngine(cfg), core.NewEngine(cfg).FromCycleZero()
 			trA, trB := telemetry.NewTracer(), telemetry.NewTracer()
 			for i, arm := range arms {
 				ts := core.TrialSpec{Arms: []int64{arm}, Model: run.model, Seed: int64(i) + 5, MaxCycles: g.HangBudget(0)}
 				ts.Observer = trA
 				got := pooled.RunTrial(spec, g, ts)
 				ts.Observer = trB
-				want := fresh.RunTrial(spec, fromZero, ts)
+				want := fresh.RunTrial(spec, g, ts)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s arm %d (image cycle %d): resumed trial differs:\n got  %+v\nwant %+v",
-						name, run.opt.Scheme.FlagName(), arm, c, got, want)
+					t.Fatalf("%s/%s arm %d: cursor-started trial differs:\n got  %+v\nwant %+v",
+						name, run.opt.Scheme.FlagName(), arm, got, want)
 				}
-				if arm >= c && c > 0 {
+				if arm > 0 {
 					resumed++
 					if got.Prop != nil {
 						traced++

@@ -74,11 +74,9 @@ func (o Outcome) String() string {
 // against: the compiled program, its execution window, and the final
 // global memory of a clean run.
 //
-// A Golden is immutable after Prepare returns, its resume image aside
-// (made once, on first use, and published atomically), and is shared
-// read-only by every pooled Engine in a campaign (one golden, many
-// workers). In particular InitMem, Mem and the image must never be
-// written: the dirty-page restore path copies from InitMem on every
+// A Golden is immutable after Prepare returns and is shared read-only
+// by every pooled Engine in a campaign (one golden, many workers). In
+// particular InitMem and Mem must never be written: the dirty-page restore path copies from InitMem on every
 // trial, so a stray write would silently corrupt every subsequent trial
 // on every worker.
 // TestGoldenSharedAcrossEnginesImmutable exercises this under the race
@@ -110,11 +108,6 @@ type Golden struct {
 	// classification can diff only candidate pages: a page untouched by
 	// the trial AND equal between InitMem and Mem cannot diverge.
 	diffPages []uint64
-	// image is the main launch paused at the image cycle (image.go),
-	// made by the first trial that arms at or after it; such trials
-	// resume there. Nil for a golden without one, whose trials all run
-	// from cycle 0.
-	image *resumeImage
 }
 
 // GoldenRun compiles the spec for the scheme and performs the fault-free

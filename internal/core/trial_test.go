@@ -45,12 +45,12 @@ func spinSpec() *KernelSpec {
 }
 
 // freshTrial runs ts as the fresh-device reference: a brand-new engine
-// (new device) with full-image restore and full-footprint diff, and a
-// golden without a resume image, so the trial runs from cycle 0.
+// (new device) with full-image restore and full-footprint diff that runs
+// the trial from cycle 0.
 func freshTrial(cfg gpu.Config, spec *KernelSpec, g *Golden, ts TrialSpec) *TrialResult {
-	eng := NewEngine(cfg)
+	eng := NewEngine(cfg).FromCycleZero()
 	eng.SetNoCOW(true)
-	return eng.RunTrial(spec, g.WithoutImage(), ts)
+	return eng.RunTrial(spec, g, ts)
 }
 
 func TestGoldenRunAndHangBudget(t *testing.T) {
@@ -243,9 +243,11 @@ func TestTrialPanicRecovered(t *testing.T) {
 		t.Fatalf("panic description = %q", tr.Description)
 	}
 
+	// The pooled trial starts from the golden cursor at its first arm,
+	// and its hooks see no cycle before it: arm before the panic cycle.
 	eng := NewEngine(cfg)
 	tr = eng.RunTrial(spec, g, TrialSpec{
-		Arms: []int64{g.Window * 4}, Seed: 1, MaxCycles: g.HangBudget(0), Observer: boom,
+		Arms: []int64{g.Window / 4}, Seed: 1, MaxCycles: g.HangBudget(0), Observer: boom,
 	})
 	if tr.Outcome != OutcomeInternal {
 		t.Fatalf("pooled panic trial: outcome=%v err=%q", tr.Outcome, tr.Err)

@@ -164,8 +164,8 @@ func NewCoordinator(cc CoordConfig) (*Coordinator, error) {
 			// The coordinator runs no trials, and a live index's
 			// recorded schedule is most of the set-up's memory; only a
 			// disabled index's reason is needed, in the merged stream.
-			// (Nor does it hold resume images: the first trial that
-			// resumes makes a golden's, and none runs here.)
+			// (Nor does it hold golden cursors: they live in the
+			// engines that run trials.)
 			c.set[i].Prune = nil
 		}
 		c.live[sp.Name] = &campaign.BenchReport{Benchmark: sp.Name, PruneDisabled: off}

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -314,7 +316,18 @@ func (w *worker) runShard(ctx context.Context, lr LeaseResponse) error {
 		return nil
 	}
 
-	for t := sh.Lo; t < sh.Hi; t++ {
+	// The shard's trials run in ascending first-arm order, so the
+	// executor's golden cursor only moves forward; the coordinator folds
+	// them by trial index.
+	specs := make([]core.TrialSpec, sh.Trials())
+	order := make([]int, sh.Trials())
+	for i := range specs {
+		specs[i] = w.cfg.TrialSpec(g, sh.Bench, sh.Lo+i)
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(specs[i].Arms[0], specs[j].Arms[0]) })
+	for _, i := range order {
+		t := sh.Lo + i
 		if shardCtx.Err() != nil && ctx.Err() == nil {
 			return errLeaseLost
 		}
@@ -334,7 +347,7 @@ func (w *worker) runShard(ctx context.Context, lr LeaseResponse) error {
 				return fmt.Errorf("dist: worker killed before %s trial %d: %w", sh.Bench, t, err)
 			}
 		}
-		res := w.x.Trial(b, w.cfg.TrialSpec(g, sh.Bench, t))
+		res := w.x.Trial(b, specs[i])
 		if res.Pruned {
 			w.m.pruned.Add(1)
 		} else {

@@ -62,7 +62,7 @@ func TestControllerImageRecovers(t *testing.T) {
 			if _, err := paused.Continue(full.Cycles * k / 9); err != nil {
 				t.Fatal(err)
 			}
-			img := paused.Image()
+			img := paused.Image(nil)
 			cimg, err := ctl.Image(paused)
 			if err != nil {
 				t.Fatal(err)

@@ -8,13 +8,15 @@ import (
 	"flame/internal/isa"
 )
 
-// Image is an immutable copy of a paused launch (Start, then Continue
-// up to a pause cycle): everything the rest of the launch reads, so
-// that Restore on any device of the same configuration, followed by
-// Continue, finishes the launch bit for bit as the uninterrupted run
-// would — final memory, Stats, and every hook call from the pause
-// cycle on. Fault-injection trials resume from an image of the golden
-// run instead of re-simulating its fault-free prefix.
+// Image is a copy of a paused launch (Start, then Continue up to a
+// pause cycle): everything the rest of the launch reads, so that Restore
+// on any device of the same configuration, followed by Continue,
+// finishes the launch bit for bit as the uninterrupted run would —
+// final memory, Stats, and every hook call from the pause cycle on.
+// Fault-injection trials start from an image of the golden run paused
+// at their first arm cycle instead of re-simulating its fault-free
+// prefix. Restore only reads an image; the next capture into it
+// (Device.Image) overwrites it.
 //
 // Memoized issue gates are not part of an image: they are a pure
 // function of warp state, and a restored launch may attach hooks that
@@ -42,8 +44,10 @@ type Image struct {
 
 // smImage is one SM's part of an Image.
 type smImage struct {
-	// warps mirrors SM.Warps, nil holes included.
+	// warps mirrors SM.Warps, nil holes included; spare holds warp
+	// copies the last capture did not need, for the next to reuse.
 	warps  []*Warp
+	spare  []*Warp
 	blocks []BlockState
 	scheds []scheduler
 	l1     cacheImage
@@ -64,10 +68,6 @@ type cacheImage struct {
 // there.
 func (img *Image) Cycle() int64 { return img.cyc }
 
-// Fits reports whether the image can be restored on a device of the
-// configuration.
-func (img *Image) Fits(cfg Config) bool { return imageConfig(cfg) == img.cfg }
-
 // imageConfig is the part of a configuration an image depends on.
 func imageConfig(c Config) Config {
 	c.NoCycleSkip = false
@@ -75,42 +75,58 @@ func imageConfig(c Config) Config {
 }
 
 // Image captures the device's current launch, which Start and Continue
-// left paused (or complete). Global memory is captured as the pages
-// written since the launch started from a clean dirty bitmap.
-func (d *Device) Image() *Image {
+// left paused (or complete), into img, reusing its storage, and returns
+// it; a nil img captures into a new Image. Global memory is captured as
+// the pages written since the launch started from a clean dirty bitmap.
+func (d *Device) Image(img *Image) *Image {
+	if img == nil {
+		img = &Image{}
+	}
 	l := d.launch
-	img := &Image{
-		cfg: imageConfig(d.Cfg), prog: l.Prog, grid: l.Grid, block: l.Block,
-		cyc: d.Cyc, stats: d.Stats, nextBlock: d.nextBlock,
-		blocksDone: d.blocksDone, ageSeq: d.ageSeq,
-		sms: make([]smImage, len(d.SMs)),
+	img.cfg, img.prog, img.grid, img.block = imageConfig(d.Cfg), l.Prog, l.Grid, l.Block
+	img.cyc, img.stats, img.nextBlock = d.Cyc, d.Stats, d.nextBlock
+	img.blocksDone, img.ageSeq = d.blocksDone, d.ageSeq
+	if len(img.sms) != len(d.SMs) {
+		img.sms = make([]smImage, len(d.SMs))
 	}
 	d.l2.image(&img.l2)
 	for i, sm := range d.SMs {
 		si := &img.sms[i]
-		si.warps = make([]*Warp, len(sm.Warps))
-		for j, w := range sm.Warps {
-			if w != nil {
-				c := &Warp{}
-				c.copyFrom(w)
-				c.sm = nil
-				si.warps[j] = c
+		// Reuse the previous capture's warp copies.
+		for _, c := range si.warps {
+			if c != nil {
+				si.spare = append(si.spare, c)
 			}
 		}
-		si.blocks = make([]BlockState, len(sm.Blocks))
+		si.warps = si.warps[:0]
+		for _, w := range sm.Warps {
+			var c *Warp
+			if w != nil {
+				if n := len(si.spare); n > 0 {
+					c, si.spare = si.spare[n-1], si.spare[:n-1]
+				} else {
+					c = &Warp{}
+				}
+				c.copyFrom(w)
+				c.sm = nil
+			}
+			si.warps = append(si.warps, c)
+		}
+		si.blocks = slices.Grow(si.blocks[:0], len(sm.Blocks))[:len(sm.Blocks)]
 		for j, b := range sm.Blocks {
 			si.blocks[j].copyFrom(b)
 		}
+		si.scheds = si.scheds[:0]
 		for _, s := range sm.scheds {
 			si.scheds = append(si.scheds, s.clone())
 		}
 		sm.l1.image(&si.l1)
 		si.lsuBusyUntil, si.sfuBusyUntil = sm.lsuBusyUntil, sm.sfuBusyUntil
 		si.dramFree, si.l2Free = sm.dramFree, sm.l2Free
-		si.mshrRelease = slices.Clone(sm.mshrRelease)
+		si.mshrRelease = append(si.mshrRelease[:0], sm.mshrRelease...)
 		si.live, si.suspended, si.atBarrier = sm.live, sm.suspended, sm.atBarrier
 	}
-	img.pages, img.data = d.Mem.capturePages()
+	img.pages, img.data = d.Mem.capturePages(img.pages[:0], img.data[:0])
 	return img
 }
 
@@ -120,11 +136,11 @@ func (d *Device) Image() *Image {
 // device must have the imaged configuration (NoCycleSkip aside). Global
 // memory must hold the contents the imaged launch started from, with a
 // clean dirty bitmap (RestoreFrom leaves it so): Restore writes the
-// pages the launch had written by the image cycle and marks them dirty,
+// pages the launch had written by the image's cycle and marks them dirty,
 // so the bitmap afterwards is the one the uninterrupted launch has.
 func (d *Device) Restore(img *Image, l *Launch, hooks *Hooks) error {
 	switch {
-	case !img.Fits(d.Cfg):
+	case imageConfig(d.Cfg) != img.cfg:
 		return fmt.Errorf("gpu: image of a %s launch restored on a %s device with another configuration", img.cfg.Name, d.Cfg.Name)
 	case l.Prog != img.prog || l.Grid != img.grid || l.Block != img.block:
 		return fmt.Errorf("gpu: image of kernel %q restored with another launch (%q)", img.prog.Name, l.Prog.Name)
@@ -189,10 +205,11 @@ func (b *BlockState) copyFrom(src *BlockState) {
 	b.WarpIdx = append(idx[:0], src.WarpIdx...)
 }
 
-// image copies the cache's tags, LRU ticks and clock into ci.
+// image copies the cache's tags, LRU ticks and clock into ci, reusing
+// its storage.
 func (c *cacheModel) image(ci *cacheImage) {
 	n := c.sets * c.ways
-	ci.tags, ci.tick, ci.now = make([]uint64, 0, n), make([]int64, 0, n), c.now
+	ci.tags, ci.tick, ci.now = slices.Grow(ci.tags[:0], n), slices.Grow(ci.tick[:0], n), c.now
 	for s := range c.tags {
 		ci.tags = append(ci.tags, c.tags[s]...)
 		ci.tick = append(ci.tick, c.tick[s]...)
@@ -208,8 +225,8 @@ func (c *cacheModel) load(ci *cacheImage) {
 	c.now = ci.now
 }
 
-// capturePages returns the dirty pages, ascending, and their contents.
-func (m *GlobalMem) capturePages() (pages []int, data []uint32) {
+// capturePages appends the dirty pages, ascending, and their contents.
+func (m *GlobalMem) capturePages(pages []int, data []uint32) ([]int, []uint32) {
 	for wi, bm := range m.dirty {
 		for ; bm != 0; bm &= bm - 1 {
 			p := wi*64 + bits.TrailingZeros64(bm)

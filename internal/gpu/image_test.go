@@ -42,7 +42,10 @@ func startRun(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp *core.Co
 // another device that has just run a different kernel (the same
 // benchmark under the other scheme) ends with the memory, dirty pages,
 // gpu.Stats and controller stats of the uninterrupted launch — and so
-// does the paused launch continued in place.
+// does the paused launch continued in place. On its way the launch
+// pauses at several cycles, as a golden cursor does; each pause lands
+// exactly on the cycle asked for, with the partial gpu.Stats of the
+// same launch simulated without cycle skipping.
 func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other *core.Compiled, frac float64) {
 	t.Helper()
 	ref := startRun(t, cfg, spec, comp)
@@ -55,14 +58,32 @@ func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other
 	if err := paused.dev.Start(paused.l, paused.hooks); err != nil {
 		t.Fatal(err)
 	}
-	at := int64(float64(want.Cycles) * frac)
-	if _, err := paused.dev.Continue(at); err != nil {
+	naiveCfg := cfg
+	naiveCfg.NoCycleSkip = true
+	naive := startRun(t, naiveCfg, spec, comp)
+	if err := naive.dev.Start(naive.l, naive.hooks); err != nil {
 		t.Fatal(err)
 	}
-	if c := paused.dev.Cycle(); c < at || c >= want.Cycles {
-		t.Fatalf("paused at cycle %d, asked %d of %d", c, at, want.Cycles)
+	// Each pause is imaged into the storage of the one before.
+	var img *gpu.Image
+	at := int64(float64(want.Cycles) * frac)
+	for _, stop := range []int64{at / 3, at / 3, at/2 + 1, at} {
+		got, err := paused.dev.Continue(stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := paused.dev.Cycle(); c != stop {
+			t.Fatalf("paused at cycle %d, asked %d of %d", c, stop, want.Cycles)
+		}
+		ref, err := naive.dev.Continue(stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *ref {
+			t.Fatalf("stats paused at cycle %d differ from the launch without cycle skipping:\n got  %+v\n want %+v", stop, *got, *ref)
+		}
+		img = paused.dev.Image(img)
 	}
-	img := paused.dev.Image()
 	var ctlImg *flame.Image
 	if paused.ctl != nil {
 		if ctlImg, err = paused.ctl.Image(paused.dev); err != nil {
@@ -115,7 +136,7 @@ func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other
 }
 
 // TestImageResumeMatchesUninterrupted is the resume contract behind
-// trials that start from the golden's image: every benchmark at 4 SMs,
+// trials that start from the golden cursor: every benchmark at 4 SMs,
 // under Baseline and under Flame with its controller imaged too, under
 // each scheduler with cycle skipping on and off, paused at a quarter, a
 // half or three quarters of its launch. A race-detector build checks

@@ -150,10 +150,10 @@ func (d *Device) attach(l *Launch, hooks *Hooks) error {
 }
 
 // Continue simulates the current launch (set up by Start or Restore)
-// until it completes or, at the top of a loop iteration, the clock has
-// reached until. In the second case the launch is paused: the partial
-// stats come back with a nil error, Image can capture the state, and a
-// later Continue picks the launch up where it stopped.
+// until it completes or the clock reaches until. In the second case the
+// launch is paused at cycle until exactly (cycle skipping stops there
+// too): the partial stats come back with a nil error, Image can capture
+// the state, and a later Continue picks the launch up where it stopped.
 func (d *Device) Continue(until int64) (*Stats, error) {
 	l := d.launch
 	budget := d.MaxCycles
@@ -161,15 +161,18 @@ func (d *Device) Continue(until int64) (*Stats, error) {
 		budget = l.MaxCycles
 	}
 	// One clock comparison per iteration serves both the budget and the
-	// pause point.
+	// pause point, and it bounds cycle skipping: a skip span split at
+	// the pause point books the same stats as the unsplit span.
 	limit := min(budget, until)
 	total := l.Grid.Count()
 	skip := !d.Cfg.NoCycleSkip
 	stopPoll := 0
-	for d.blocksDone < total {
-		// Poll the wall-clock watchdog sparsely: a time.Now syscall per
-		// iteration would dominate short kernels, and with cycle skipping
-		// one iteration can cover thousands of cycles anyway.
+	for {
+		// Poll the wall-clock watchdog on entry, even into a launch that
+		// is already complete (restored from an image of its end), and
+		// then sparsely: a time.Now syscall per iteration would dominate
+		// short kernels, and with cycle skipping one iteration can cover
+		// thousands of cycles anyway.
 		if l.Stop != nil {
 			if stopPoll == 0 && l.Stop() {
 				return d.partial(fmt.Errorf("gpu: %q: %w at cycle %d; %d/%d blocks done",
@@ -178,6 +181,9 @@ func (d *Device) Continue(until int64) (*Stats, error) {
 			if stopPoll++; stopPoll >= 1024 {
 				stopPoll = 0
 			}
+		}
+		if d.blocksDone >= total {
+			return d.partial(nil)
 		}
 		if d.Cyc >= limit {
 			if d.Cyc < budget {
@@ -200,10 +206,9 @@ func (d *Device) Continue(until int64) (*Stats, error) {
 		d.hooks.onCycle(d)
 		d.Cyc++
 		if skip && !d.issued && d.blocksDone < total {
-			d.fastForward(budget)
+			d.fastForward(limit)
 		}
 	}
-	return d.partial(nil)
 }
 
 // partial closes the launch's stats at the current cycle and returns
@@ -221,10 +226,11 @@ func (d *Device) partial(err error) (*Stats, error) {
 // would have booked them, so every reported number is bit-identical with
 // skipping on or off. The wake scan runs after hooks' OnCycle (pops and
 // detections may have just unsuspended warps); a warp that is ready now
-// yields wake == from and the skip degenerates to nothing.
-func (d *Device) fastForward(budget int64) {
+// yields wake == from and the skip degenerates to nothing. The clock
+// never passes limit, the cycle budget or Continue's pause point.
+func (d *Device) fastForward(limit int64) {
 	from := d.Cyc
-	wake := budget
+	wake := limit
 	for _, sm := range d.SMs {
 		if t := sm.nextWake(from); t < wake {
 			wake = t
