@@ -12,7 +12,10 @@ import (
 // a cursor, the golden main launch run forward under the scheme's own
 // hooks on a device of its own, and a trial starts from an image of the
 // cursor paused at its first arm cycle, clamped to the main launch,
-// instead of simulating the fault-free prefix.
+// instead of simulating the fault-free prefix: the trial device
+// restores the cursor's device image, and the engine's trial controller
+// copies the cursor's controller, whose state is keyed by warp slot
+// and so names the same warps on the restored device.
 //
 // Campaigns dispatch each benchmark's trials in ascending first-arm
 // order, so a worker's cursor only moves forward and simulates the
@@ -31,14 +34,7 @@ type cursor struct {
 	// live reports that dev holds the launch, started and not failed.
 	live bool
 	// img is the last image taken; the next capture reuses its storage.
-	img launchImage
-}
-
-// launchImage is a launch paused mid-run: the device's state and, under
-// a scheme with a runtime controller, the controller's.
-type launchImage struct {
-	dev *gpu.Image
-	ctl *flame.Image
+	img *gpu.Image
 }
 
 // prefixEnd returns the cycle up to which a trial's main launch is the
@@ -53,10 +49,12 @@ func (ts *TrialSpec) prefixEnd(g *Golden) int64 {
 
 // pauseAt advances the engine's cursor for the golden's main launch to
 // cycle at, restarting it from cycle 0 when it is already past, and
-// returns the paused launch's image, valid until the next call. It
-// returns nil when the launch cannot be imaged there: the trial then
-// runs from cycle 0, which gives the same result.
-func (e *Engine) pauseAt(spec *KernelSpec, g *Golden, at int64) *launchImage {
+// returns the paused launch's image, valid until the next call; the
+// cursor's controller, e.cur.ctl, holds the launch's controller state
+// until then too. It returns nil when the launch cannot be paused there
+// (it fails first): the trial then runs from cycle 0, which gives the
+// same result.
+func (e *Engine) pauseAt(spec *KernelSpec, g *Golden, at int64) *gpu.Image {
 	c := &e.cur
 	if c.dev == nil || c.spec != spec || c.g != g {
 		dev, err := fitDevice(e.cfg, c.dev, spec)
@@ -67,10 +65,9 @@ func (e *Engine) pauseAt(spec *KernelSpec, g *Golden, at int64) *launchImage {
 	}
 	if !c.live || c.dev.Cycle() > at {
 		c.dev.Mem.RestoreFrom(g.InitMem)
-		var hooks *gpu.Hooks
-		c.ctl, hooks = schemeHooks(g.Comp, nil)
+		c.ctl = g.Comp.Controller()
 		l := &gpu.Launch{Prog: g.Comp.Prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}
-		if c.live = c.dev.Start(l, hooks) == nil; !c.live {
+		if c.live = c.dev.Start(l, schemeHooks(c.ctl, nil)) == nil; !c.live {
 			return nil
 		}
 	}
@@ -78,12 +75,6 @@ func (e *Engine) pauseAt(spec *KernelSpec, g *Golden, at int64) *launchImage {
 		c.live = false
 		return nil
 	}
-	c.img.dev, c.img.ctl = c.dev.Image(c.img.dev), nil
-	if c.ctl != nil {
-		var err error
-		if c.img.ctl, err = c.ctl.Image(c.dev); err != nil {
-			return nil
-		}
-	}
-	return &c.img
+	c.img = c.dev.Image(c.img)
+	return c.img
 }

@@ -37,10 +37,12 @@ type Engine struct {
 	// either way; the escape hatch exists so that can be asserted and so
 	// a tracking bug can be ruled out in the field.
 	noCOW bool
-	// cur is the golden cursor trials start from (cursor.go); fromZero
-	// runs every trial from cycle 0 instead, the reference
-	// cursor-started trials are checked against.
+	// cur is the golden cursor trials start from (cursor.go), and ctl
+	// the controller a trial started there runs under, a copy of the
+	// cursor's; fromZero runs every trial from cycle 0 instead, the
+	// reference cursor-started trials are checked against.
 	cur      cursor
+	ctl      flame.Controller
 	fromZero bool
 	stats    RestoreStats
 }
@@ -126,49 +128,49 @@ func fitDevice(cfg gpu.Config, dev *gpu.Device, spec *KernelSpec) (*gpu.Device, 
 	return dev, nil
 }
 
-// schemeHooks returns a new controller for the compilation (nil for a
-// scheme without one) with inj attached, and the hooks realizing the
-// scheme and the injector on one launch.
-func schemeHooks(c *Compiled, inj *flame.Injector) (*flame.Controller, *gpu.Hooks) {
-	ctl := c.Controller()
+// schemeHooks attaches inj (when non-nil) to ctl (nil for a scheme
+// without a runtime controller) and returns the hooks realizing both on
+// one launch.
+func schemeHooks(ctl *flame.Controller, inj *flame.Injector) *gpu.Hooks {
 	switch {
 	case ctl != nil:
 		if inj != nil {
 			ctl.Inj = inj
 		}
-		return ctl, ctl.Hooks()
+		return ctl.Hooks()
 	case inj != nil:
-		return nil, &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
+		return &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 			inj.Observe(d, sm, w, pc)
 		}}
 	}
-	return nil, nil
+	return nil
 }
 
 // launchOne runs one compiled kernel on the device, optionally with the
 // injector attached, accumulating stats into res — a launch that fails
 // still contributes its partial stats, so DUE and Hang trials report
-// the cycle they stopped at. The launch starts at cycle 0, or, when
-// from is non-nil, resumes from that image of it (the device's memory
-// must already hold the launch-start contents). Every simulation path
+// the cycle they stopped at. The launch starts at cycle 0 under a new
+// controller for c, or, when from is non-nil, resumes from that image
+// of it under ctl, which holds the imaged launch's controller state
+// (nil for a scheme without a controller); the device's memory must
+// already hold the launch-start contents. Every simulation path
 // (RunCompiledOpts, Engine.RunTrial, the golden run) launches through
 // it.
 func launchOne(dev *gpu.Device, spec *KernelSpec, c *Compiled, grid, block isa.Dim3,
-	params []uint32, inj *flame.Injector, ro *RunOpts, res *Result, from *launchImage) error {
-	ctl, hooks := schemeHooks(c, inj)
+	params []uint32, inj *flame.Injector, ro *RunOpts, res *Result, from *gpu.Image, ctl *flame.Controller) error {
+	if from == nil {
+		ctl = c.Controller()
+	}
 	launch := &gpu.Launch{
 		Prog: c.Prog, Grid: grid, Block: block, Params: params,
 		MaxCycles: ro.MaxCycles, Stop: ro.Stop,
 	}
-	hooks = gpu.CombineHooks(hooks, ro.Hooks)
+	hooks := gpu.CombineHooks(schemeHooks(ctl, inj), ro.Hooks)
 	var st *gpu.Stats
 	var err error
 	if from == nil {
 		st, err = dev.Run(launch, hooks)
-	} else if err = dev.Restore(from.dev, launch, hooks); err == nil {
-		if ctl != nil {
-			ctl.Restore(from.ctl, dev)
-		}
+	} else if err = dev.Restore(from, launch, hooks); err == nil {
 		st, err = dev.Continue(math.MaxInt64)
 	}
 	if st != nil {
@@ -225,18 +227,23 @@ func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialR
 		e.stats.Trials++
 		res := &Result{}
 		at := ts.prefixEnd(g)
-		var from *launchImage
+		var from *gpu.Image
+		var ctl *flame.Controller
 		if !e.fromZero {
 			from = e.pauseAt(spec, g, at)
 		}
 		if from != nil {
-			e.stats.ResumedCycles += from.dev.Cycle()
-			at -= from.dev.Cycle()
+			e.stats.ResumedCycles += from.Cycle()
+			at -= from.Cycle()
+			if e.cur.ctl != nil {
+				e.ctl.CopyFrom(e.cur.ctl)
+				ctl = &e.ctl
+			}
 		}
 		e.stats.PrefixCycles += at
 		// The injector observes only the main kernel's launch.
 		err = launchOne(dev, spec, g.Comp, spec.Grid, spec.Block, spec.Params,
-			inj, ro, res, from)
+			inj, ro, res, from, ctl)
 		if err == nil {
 			err = runSteps(dev, spec, g.StepComps, ro, res)
 		}

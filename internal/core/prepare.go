@@ -123,7 +123,7 @@ func (g *Golden) runMain(cfg gpu.Config, spec *KernelSpec, hooks *gpu.Hooks, res
 		return nil, err
 	}
 	copy(dev.Mem.Words(), g.InitMem)
-	err = launchOne(dev, spec, g.Comp, spec.Grid, spec.Block, spec.Params, nil, &RunOpts{Hooks: hooks}, res, nil)
+	err = launchOne(dev, spec, g.Comp, spec.Grid, spec.Block, spec.Params, nil, &RunOpts{Hooks: hooks}, res, nil, nil)
 	return dev, err
 }
 

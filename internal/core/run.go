@@ -106,7 +106,7 @@ func RunCompiledOpts(cfg gpu.Config, spec *KernelSpec, comp *Compiled, inj *flam
 		spec.Setup(dev.Mem.Words())
 	}
 	res := &Result{Compiled: comp}
-	err = launchOne(dev, spec, comp, spec.Grid, spec.Block, spec.Params, inj, &ro, res, nil)
+	err = launchOne(dev, spec, comp, spec.Grid, spec.Block, spec.Params, inj, &ro, res, nil, nil)
 	if err == nil {
 		err = runSteps(dev, spec, steps, &ro, res)
 	}
@@ -133,7 +133,7 @@ func compileSteps(spec *KernelSpec, opt Options) ([]*Compiled, error) {
 // injector never observes them.
 func runSteps(dev *gpu.Device, spec *KernelSpec, steps []*Compiled, ro *RunOpts, res *Result) error {
 	for i, step := range spec.Steps {
-		if err := launchOne(dev, spec, steps[i], step.Grid, step.Block, step.Params, nil, ro, res, nil); err != nil {
+		if err := launchOne(dev, spec, steps[i], step.Grid, step.Block, step.Params, nil, ro, res, nil, nil); err != nil {
 			return err
 		}
 	}

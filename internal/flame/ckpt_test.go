@@ -217,12 +217,12 @@ func TestCkptBufReuse(t *testing.T) {
 	c := NewController(Mode{CkptSlots: map[isa.Reg]int32{9: 0, 2: 4, 5: 8}})
 	w := fakeWarp(10, 0x0000ffff, 0x000000f0) // 16 live lanes, 4 active
 	fillRegs(w, 10, 0)
-	c.recordCkpt(w, 5)
-	c.recordCkpt(w, 9)
-	c.advanceRPT(w, Snapshot{})
-	c.recordCkpt(w, 2) // still pending at the recovery
+	c.recordCkpt(0, w, 5)
+	c.recordCkpt(0, w, 9)
+	c.advanceRPT(0, Snapshot{})
+	c.recordCkpt(0, w, 2) // still pending at the recovery
 	fillRegs(w, 10, 1<<20)
-	c.restoreCkpt(w)
+	c.restoreCkpt(0, w)
 	if c.Stats.RestoredRegs != 8 {
 		t.Fatalf("restored %d registers, want 8 (4 lanes x r5, r9)", c.Stats.RestoredRegs)
 	}
@@ -241,28 +241,32 @@ func TestCkptBufReuse(t *testing.T) {
 
 	// The recovery dropped the pending r2: committing the re-executed
 	// region's (empty) pending set must not bring it back.
-	c.advanceRPT(w, Snapshot{})
-	c.restoreCkpt(w)
+	c.advanceRPT(0, Snapshot{})
+	c.restoreCkpt(0, w)
 	if c.Stats.RestoredRegs != 16 {
 		t.Fatalf("second recovery restored %d registers, want 8 (the dropped pending r2 committed?)", c.Stats.RestoredRegs-8)
 	}
 
-	// The warp retires; the pool hands the same *gpu.Warp to a new warp,
-	// whose recovery before any checkpoint must restore nothing.
-	buf := c.ckpt[w]
-	c.forgetWarp(w)
+	// The warp retires and leaves its slot (slot 0) empty; a new warp
+	// takes the slot, and its recovery before any checkpoint must
+	// restore nothing.
+	buf := c.warps[0].ckpt
+	c.forgetWarp(0)
+	if rpt, cleared, ckpt, _, pending, _ := ImageState(c); rpt+cleared+ckpt+pending != 0 {
+		t.Fatalf("the retired warp's slot kept state: rpt=%d cleared=%d ckpt=%d pending=%d", rpt, cleared, ckpt, pending)
+	}
 	w = fakeWarp(10, 0xffffffff, 0xffffffff)
-	c.recordCkpt(w, 2)
-	if c.ckpt[w] != buf || len(c.ckptFree) != 0 {
+	c.recordCkpt(0, w, 2)
+	if c.warps[0].ckpt != buf || len(c.ckptFree) != 0 {
 		t.Fatal("the retired warp's buffer was not recycled")
 	}
-	c.restoreCkpt(w)
+	c.restoreCkpt(0, w)
 	if c.Stats.RestoredRegs != 16 {
 		t.Fatalf("recycled buffer restored %d stale registers", c.Stats.RestoredRegs-16)
 	}
-	c.recordCkpt(w, 2)
-	c.advanceRPT(w, Snapshot{})
-	c.restoreCkpt(w)
+	c.recordCkpt(0, w, 2)
+	c.advanceRPT(0, Snapshot{})
+	c.restoreCkpt(0, w)
 	if got := c.Stats.RestoredRegs - 16; got != 32 {
 		t.Fatalf("recycled buffer restored %d registers, want 32 (32 lanes x r2)", got)
 	}

@@ -67,14 +67,40 @@ type ckptBuf struct {
 }
 
 // undoEntry is one lane-level atomic update to revert on recovery: the
-// old value at addr in global memory, or in blk's shared memory.
+// old value at addr in global memory, or in the shared memory of block
+// slot blk on the warp's SM.
 type undoEntry struct {
-	w     *gpu.Warp
+	warp  int // device-wide warp slot
 	space isa.Space
-	blk   *gpu.BlockState // shared-space updates only
+	blk   int // shared-space updates only
 	addr  uint32
 	old   uint32
 }
+
+// none marks an absent PC: an empty RPT or pending-section entry, or no
+// cleared crossing.
+const none = -1
+
+// warpState is the controller's state for one warp slot. It belongs to
+// the warp resident in the slot: forgetWarp empties it when the warp
+// retires, before the slot can take another warp.
+type warpState struct {
+	// rpt is the warp's RPT entry, its recovery point (PC none when
+	// the slot is empty).
+	rpt Snapshot
+	// cleared is the PC of a crossing already verified, which the warp
+	// passes once without verifying again, or none.
+	cleared int
+	// pending is a verified section-completing boundary awaiting the
+	// whole block (PC none when there is none).
+	pending Snapshot
+	// ckpt is the warp's checkpoint buffer under the checkpointing
+	// recovery scheme, nil until its first checkpoint store.
+	ckpt *ckptBuf
+}
+
+// emptyWarp is a slot's state before its warp dispatches.
+var emptyWarp = warpState{rpt: Snapshot{PC: none}, cleared: none, pending: Snapshot{PC: none}}
 
 // Controller implements the Flame hardware: RPT + RBQ + recovery. Attach
 // it to a device run via Hooks().
@@ -96,24 +122,24 @@ type Controller struct {
 	// smID*SchedulersPerSM+sched and grown on first use (a flat slice:
 	// onCycle and onAdvance walk every conveyor every cycle, and map
 	// probes there were a measurable share of campaign time).
-	rbqs    []*RBQ
-	rpt     map[*gpu.Warp]Snapshot
-	cleared map[*gpu.Warp]int
+	rbqs []*RBQ
+	// warps holds the per-warp state (RPT entry, cleared crossing,
+	// pending section snapshot, checkpoint buffer) indexed by the
+	// device-wide warp slot sm.ID*MaxWarpsPerSM + w.ID, as the
+	// hardware's RPT holds one entry per warp slot, and grown on first
+	// use. npending counts the slots with a pending section snapshot.
+	warps    []warpState
+	npending int
 
 	// ckptRegs lists the checkpointed registers in ascending order and
 	// ckptSlot, indexed by register, inverts it (checkpoint stores only
-	// name checkpointed registers); ckpt holds each warp's buffer and
-	// ckptFree recycles the buffers of retired warps.
+	// name checkpointed registers); ckptFree recycles the buffers of
+	// retired warps.
 	ckptRegs []isa.Reg
 	ckptSlot []int
-	ckpt     map[*gpu.Warp]*ckptBuf
 	ckptFree []*ckptBuf
 
 	undo []undoEntry
-
-	// sectionPending[block][warp] holds verified-but-unapplied snapshots
-	// of section-completing boundaries awaiting the whole block.
-	sectionPending map[*gpu.BlockState]map[*gpu.Warp]Snapshot
 }
 
 // NewController creates a controller for one device run.
@@ -121,13 +147,7 @@ func NewController(mode Mode) *Controller {
 	if mode.WCDL < 1 {
 		mode.WCDL = 1
 	}
-	c := &Controller{
-		Mode:           mode,
-		rpt:            map[*gpu.Warp]Snapshot{},
-		cleared:        map[*gpu.Warp]int{},
-		ckpt:           map[*gpu.Warp]*ckptBuf{},
-		sectionPending: map[*gpu.BlockState]map[*gpu.Warp]Snapshot{},
-	}
+	c := &Controller{Mode: mode}
 	for r := range mode.CkptSlots {
 		c.ckptRegs = append(c.ckptRegs, r)
 	}
@@ -150,9 +170,21 @@ func (c *Controller) Hooks() *gpu.Hooks {
 		OnAtomic:       c.onAtomic,
 		OnCycle:        c.onCycle,
 		OnAdvance:      c.onAdvance,
-		OnBlockDone:    c.onBlockDone,
 		OnWarpDispatch: c.onWarpDispatch,
 	}
+}
+
+// slotOf returns w's device-wide warp slot.
+func slotOf(d *gpu.Device, sm *gpu.SM, w *gpu.Warp) int {
+	return sm.ID*d.Cfg.MaxWarpsPerSM + w.ID
+}
+
+// warp returns the state of warp slot i, growing the table to hold it.
+func (c *Controller) warp(i int) *warpState {
+	for i >= len(c.warps) {
+		c.warps = append(c.warps, emptyWarp)
+	}
+	return &c.warps[i]
 }
 
 // onAdvance bounds event-driven fast-forwarding: while every scheduler
@@ -189,7 +221,11 @@ func (c *Controller) onAdvance(d *gpu.Device, from, to int64) int64 {
 // onWarpDispatch seeds the warp's recovery point with its launch state,
 // so the per-issue path never has to probe for a missing RPT entry.
 func (c *Controller) onWarpDispatch(d *gpu.Device, sm *gpu.SM, w *gpu.Warp) {
-	c.rpt[w] = snapshotOf(w)
+	if cap(c.warps) == 0 {
+		// Room for every slot of the device at once.
+		c.warps = make([]warpState, 0, len(d.SMs)*d.Cfg.MaxWarpsPerSM)
+	}
+	c.warp(slotOf(d, sm, w)).rpt = snapshotOf(w)
 }
 
 func (c *Controller) rbqOf(d *gpu.Device, sm *gpu.SM, w *gpu.Warp) *RBQ {
@@ -224,17 +260,19 @@ func (c *Controller) beforeIssue(d *gpu.Device, sm *gpu.SM, w *gpu.Warp) bool {
 		// to its pre-section recovery points. Skip the conveyor.
 		return true
 	}
-	if cl, ok := c.cleared[w]; ok && cl == pc {
+	slot := slotOf(d, sm, w)
+	s := c.warp(slot)
+	if s.cleared == pc {
 		// This crossing was verified; consume the clearance and proceed.
-		delete(c.cleared, w)
+		s.cleared = none
 		return true
 	}
 	snap := snapshotOf(w)
 	if !c.Mode.UseRBQ {
 		// Immediate-detection schemes: the finished region is known
 		// error-free at its end; advance the RPT without any delay.
-		c.advanceRPT(w, snap)
-		c.cleared[w] = pc
+		c.advanceRPT(slot, snap)
+		s.cleared = pc
 		return true
 	}
 	q := c.rbqOf(d, sm, w)
@@ -243,7 +281,7 @@ func (c *Controller) beforeIssue(d *gpu.Device, sm *gpu.SM, w *gpu.Warp) bool {
 		// entries; the warp retries next cycle (a structural stall).
 		return false
 	}
-	q.Push(w, snap, d.Cyc)
+	q.Push(w.ID, snap, d.Cyc)
 	if q.Len() > c.Stats.MaxRBQ {
 		c.Stats.MaxRBQ = q.Len()
 	}
@@ -252,18 +290,19 @@ func (c *Controller) beforeIssue(d *gpu.Device, sm *gpu.SM, w *gpu.Warp) bool {
 	return false
 }
 
-// advanceRPT commits a verified boundary: the snapshot becomes the
-// warp's recovery point, pending checkpoints commit, and the warp's
-// atomic undo entries are dropped.
-func (c *Controller) advanceRPT(w *gpu.Warp, snap Snapshot) {
-	c.rpt[w] = snap
-	if b := c.ckpt[w]; b != nil {
-		b.commit()
+// advanceRPT commits a verified boundary of the warp in slot: the
+// snapshot becomes its recovery point, pending checkpoints commit, and
+// its atomic undo entries are dropped.
+func (c *Controller) advanceRPT(slot int, snap Snapshot) {
+	s := c.warp(slot)
+	s.rpt = snap
+	if s.ckpt != nil {
+		s.ckpt.commit()
 	}
 	if len(c.undo) > 0 {
 		kept := c.undo[:0]
 		for _, e := range c.undo {
-			if e.w != w {
+			if e.warp != slot {
 				kept = append(kept, e)
 			}
 		}
@@ -320,47 +359,44 @@ func (c *Controller) popOne(d *gpu.Device, sm *gpu.SM, q *RBQ) {
 		return
 	}
 	c.Stats.Pops++
-	w := e.w
-	if w.Finished {
+	w := sm.Warps[e.warp]
+	if w == nil || w.Finished {
 		return
 	}
-	if _, collective := c.sectionCrossed(c.rpt[w].PC, e.snap.PC); collective {
+	slot := slotOf(d, sm, w)
+	s := c.warp(slot)
+	if _, collective := c.sectionCrossed(s.rpt.PC, e.snap.PC); collective {
 		// The verified region completes an extended section: hold the
 		// warp until every live warp of its block completes it too.
-		b := sm.BlockOf(w)
-		pend, ok := c.sectionPending[b]
-		if !ok {
-			pend = map[*gpu.Warp]Snapshot{}
-			c.sectionPending[b] = pend
+		if s.pending.PC == none {
+			c.npending++
 		}
-		pend[w] = e.snap
+		s.pending = e.snap
 		return // warp stays suspended
 	}
 	if c.midSection(e.snap.PC) {
 		// Possible only under EagerSectionVerify: the wait elapsed, but
 		// the recovery PC must not move inside a collectively recovered
 		// section.
-		c.cleared[w] = e.snap.PC
+		s.cleared = e.snap.PC
 		w.SetSuspended(false)
 		return
 	}
-	c.advanceRPT(w, e.snap)
-	c.cleared[w] = e.snap.PC
+	c.advanceRPT(slot, e.snap)
+	s.cleared = e.snap.PC
 	w.SetSuspended(false)
 }
 
 // applyCompleteSections releases blocks whose live warps all verified an
-// extended section.
+// extended section. Only live warps hold pending snapshots (forgetWarp
+// drops a retired warp's), so a complete block applies all of its own.
 func (c *Controller) applyCompleteSections(d *gpu.Device) {
-	if len(c.sectionPending) == 0 {
+	if c.npending == 0 {
 		return
 	}
 	for _, sm := range d.SMs {
+		base := sm.ID * d.Cfg.MaxWarpsPerSM
 		for _, b := range sm.Blocks {
-			pend, ok := c.sectionPending[b]
-			if !ok || b.GlobalID < 0 {
-				continue
-			}
 			alive := 0
 			complete := true
 			for _, wi := range b.WarpIdx {
@@ -369,22 +405,25 @@ func (c *Controller) applyCompleteSections(d *gpu.Device) {
 					continue
 				}
 				alive++
-				if _, ok := pend[w]; !ok {
+				if c.warp(base+wi).pending.PC == none {
 					complete = false
 				}
 			}
 			if alive == 0 || !complete {
 				continue
 			}
-			for w, snap := range pend {
-				if w.Finished {
+			for _, wi := range b.WarpIdx {
+				s := c.warp(base + wi)
+				if s.pending.PC == none {
 					continue
 				}
-				c.advanceRPT(w, snap)
-				c.cleared[w] = snap.PC
-				w.SetSuspended(false)
+				snap := s.pending
+				s.pending = Snapshot{PC: none}
+				c.npending--
+				c.advanceRPT(base+wi, snap)
+				s.cleared = snap.PC
+				sm.Warps[wi].SetSuspended(false)
 			}
-			delete(c.sectionPending, b)
 			c.Stats.CollectiveApplies++
 		}
 	}
@@ -393,58 +432,50 @@ func (c *Controller) applyCompleteSections(d *gpu.Device) {
 func (c *Controller) onExecuted(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 	in := &d.Kernel().Insts[pc]
 	if c.Mode.CkptSlots != nil && in.Origin == isa.OrigCheckpoint {
-		c.recordCkpt(w, in.Src[1].Reg)
+		c.recordCkpt(slotOf(d, sm, w), w, in.Src[1].Reg)
 	}
 	if c.Inj != nil {
 		c.Inj.Observe(d, sm, w, pc)
 	}
 	if w.Finished {
-		c.forgetWarp(w)
+		c.forgetWarp(slotOf(d, sm, w))
 	}
 }
 
 func (c *Controller) onAtomic(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, space isa.Space, addr, old uint32, lane int) {
-	e := undoEntry{w: w, space: space, addr: addr, old: old}
+	e := undoEntry{warp: slotOf(d, sm, w), space: space, addr: addr, old: old}
 	if space == isa.SpaceShared {
-		e.blk = sm.BlockOf(w)
+		e.blk = w.BlockSlot
 	}
 	c.undo = append(c.undo, e)
 }
 
-func (c *Controller) onBlockDone(d *gpu.Device, sm *gpu.SM, gb int) {
-	for b := range c.sectionPending {
-		if b.GlobalID < 0 {
-			delete(c.sectionPending, b)
-		}
+// forgetWarp empties a slot once its warp retires (its final region was
+// verified before the exit issued), recycling the checkpoint buffer.
+func (c *Controller) forgetWarp(slot int) {
+	s := c.warp(slot)
+	if s.ckpt != nil {
+		c.ckptFree = append(c.ckptFree, s.ckpt)
 	}
+	if s.pending.PC != none {
+		c.npending--
+	}
+	*s = emptyWarp
 }
 
-// forgetWarp drops all per-warp state once a warp retires (its final
-// region was verified before the exit issued).
-func (c *Controller) forgetWarp(w *gpu.Warp) {
-	delete(c.rpt, w)
-	delete(c.cleared, w)
-	if b := c.ckpt[w]; b != nil {
-		delete(c.ckpt, w)
-		c.ckptFree = append(c.ckptFree, b)
+// recordCkpt records a checkpoint store of reg per active lane of w, the
+// warp in slot; the values commit into the restore set when the
+// containing region verifies.
+func (c *Controller) recordCkpt(slot int, w *gpu.Warp, reg isa.Reg) {
+	s := c.warp(slot)
+	if s.ckpt == nil {
+		s.ckpt = c.newCkptBuf()
 	}
-}
-
-// recordCkpt records a checkpoint store of reg per active lane; the
-// values commit into the restore set when the containing region
-// verifies.
-func (c *Controller) recordCkpt(w *gpu.Warp, reg isa.Reg) {
-	b := c.ckpt[w]
-	if b == nil {
-		b = c.newCkptBuf()
-		c.ckpt[w] = b
-	}
-	k := len(c.ckptRegs)
-	slot := c.ckptSlot[reg]
+	b, k, rs := s.ckpt, len(c.ckptRegs), c.ckptSlot[reg]
 	for m := w.ActiveMask() & w.RegLanes(); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
-		b.pend[lane*k+slot] = w.Reg(lane, reg)
-		b.pendSet[slot] |= 1 << lane
+		b.pend[lane*k+rs] = w.Reg(lane, reg)
+		b.pendSet[rs] |= 1 << lane
 	}
 }
 
@@ -464,6 +495,14 @@ func (c *Controller) newCkptBuf() *ckptBuf {
 	}
 }
 
+// copyFrom makes b a copy of src, a buffer of the same size.
+func (b *ckptBuf) copyFrom(src *ckptBuf) {
+	copy(b.pend, src.pend)
+	copy(b.comm, src.comm)
+	copy(b.pendSet, src.pendSet)
+	copy(b.commSet, src.commSet)
+}
+
 // commit moves the pending checkpoints into the committed set.
 func (b *ckptBuf) commit() {
 	k := len(b.pendSet)
@@ -477,10 +516,11 @@ func (b *ckptBuf) commit() {
 	}
 }
 
-// restoreCkpt drops w's pending checkpoints and restores its region
-// inputs from the committed ones, in (lane, register) order.
-func (c *Controller) restoreCkpt(w *gpu.Warp) {
-	b := c.ckpt[w]
+// restoreCkpt drops the pending checkpoints of w, the warp in slot, and
+// restores its region inputs from the committed ones, in (lane,
+// register) order.
+func (c *Controller) restoreCkpt(slot int, w *gpu.Warp) {
+	b := c.warp(slot).ckpt
 	if b == nil {
 		return
 	}
@@ -504,14 +544,15 @@ func (c *Controller) Recover(d *gpu.Device) {
 	c.Stats.Recoveries++
 	for _, q := range c.rbqs {
 		if q != nil {
-			c.Stats.Flushed += int64(len(q.Flush()))
+			c.Stats.Flushed += int64(q.Flush())
 		}
 	}
 	// Revert unverified atomics, newest first.
+	maxWarps := d.Cfg.MaxWarpsPerSM
 	for i := len(c.undo) - 1; i >= 0; i-- {
 		e := c.undo[i]
 		if e.space == isa.SpaceShared {
-			e.blk.Shared[e.addr/4] = e.old
+			d.SMs[e.warp/maxWarps].Blocks[e.blk].Shared[e.addr/4] = e.old
 		} else {
 			_ = d.Mem.Store(e.addr, e.old)
 		}
@@ -520,17 +561,19 @@ func (c *Controller) Recover(d *gpu.Device) {
 	c.undo = c.undo[:0]
 
 	for _, sm := range d.SMs {
-		for _, w := range sm.Warps {
+		for i, w := range sm.Warps {
 			if w == nil || w.Finished {
 				continue
 			}
-			snap, ok := c.rpt[w]
-			if !ok {
+			slot := sm.ID*maxWarps + i
+			s := c.warp(slot)
+			snap := s.rpt
+			if snap.PC == none {
 				snap = snapshotOf(w)
 			}
 			w.Restore(snap.PC, snap.Stack, snap.BarGen, d.Cyc)
-			c.cleared[w] = snap.PC
-			c.restoreCkpt(w)
+			s.cleared = snap.PC
+			c.restoreCkpt(slot, w)
 		}
 		// Re-synchronize replayed barriers.
 		for _, b := range sm.Blocks {
@@ -539,9 +582,65 @@ func (c *Controller) Recover(d *gpu.Device) {
 			}
 		}
 	}
-	for b := range c.sectionPending {
-		delete(c.sectionPending, b)
+	if c.npending > 0 {
+		for i := range c.warps {
+			c.warps[i].pending = Snapshot{PC: none}
+		}
+		c.npending = 0
 	}
+}
+
+// CopyFrom makes c a copy of src, reusing c's storage: its Mode, Stats,
+// injector and false-positive schedule, RBQ conveyors, per-warp state
+// and undo log. Snapshots are shared with src, which is safe because
+// nothing writes a snapshot's stack in place. The state is keyed by
+// warp slot, which a gpu.Image keeps, so c can drive a device restored
+// from an image of the device src drives.
+func (c *Controller) CopyFrom(src *Controller) {
+	if len(c.ckptRegs) != len(src.ckptRegs) {
+		// Checkpoint buffers are sized by the register count.
+		for i := range c.warps {
+			c.warps[i].ckpt = nil
+		}
+		c.ckptFree = nil
+	}
+	c.Mode, c.Stats, c.Inj = src.Mode, src.Stats, src.Inj
+	c.FalsePositives, c.nextFP = src.FalsePositives, src.nextFP
+	c.ckptRegs, c.ckptSlot = src.ckptRegs, src.ckptSlot
+	c.rbqs = slices.Grow(c.rbqs[:0], len(src.rbqs))[:len(src.rbqs)]
+	for i, q := range src.rbqs {
+		switch {
+		case q == nil:
+			c.rbqs[i] = nil
+		case c.rbqs[i] == nil:
+			c.rbqs[i] = &RBQ{}
+			fallthrough
+		default:
+			c.rbqs[i].copyFrom(q)
+		}
+	}
+	for len(c.warps) < len(src.warps) {
+		c.warps = append(c.warps, emptyWarp)
+	}
+	for i := range c.warps {
+		s, b := &emptyWarp, c.warps[i].ckpt // slots past src's are empty
+		if i < len(src.warps) {
+			s = &src.warps[i]
+		}
+		c.warps[i] = *s
+		switch {
+		case s.ckpt != nil:
+			if b == nil {
+				b = c.newCkptBuf()
+			}
+			b.copyFrom(s.ckpt)
+			c.warps[i].ckpt = b
+		case b != nil:
+			c.ckptFree = append(c.ckptFree, b)
+		}
+	}
+	c.npending = src.npending
+	c.undo = append(c.undo[:0], src.undo...)
 }
 
 // Accumulate adds another controller's counters into s (multi-kernel

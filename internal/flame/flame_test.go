@@ -301,25 +301,25 @@ func TestInjectionRecoveryAtomicsUndo(t *testing.T) {
 
 func TestRBQConveyorTiming(t *testing.T) {
 	q := &RBQ{Depth: 20}
-	w1, w2 := &gpu.Warp{}, &gpu.Warp{}
+	const w1, w2 = 3, 7
 	q.Push(w1, Snapshot{PC: 1}, 100)
 	q.Push(w2, Snapshot{PC: 2}, 100) // same cycle: pops must serialize
 	if _, ok := q.Pop(119); ok {
 		t.Fatal("popped before WCDL elapsed")
 	}
 	e, ok := q.Pop(120)
-	if !ok || e.w != w1 {
+	if !ok || e.warp != w1 {
 		t.Fatal("first pop wrong")
 	}
 	if _, ok := q.Pop(120); ok {
 		t.Fatal("two pops in one cycle")
 	}
 	e, ok = q.Pop(121)
-	if !ok || e.w != w2 {
+	if !ok || e.warp != w2 {
 		t.Fatal("second pop wrong")
 	}
 	q.Push(w1, Snapshot{}, 200)
-	if got := len(q.Flush()); got != 1 {
+	if got := q.Flush(); got != 1 {
 		t.Fatalf("flush = %d", got)
 	}
 	if q.Len() != 0 {
@@ -348,8 +348,8 @@ func TestRPTAdvancesOnVerification(t *testing.T) {
 	if _, err := d.Run(saxpyLaunch(p, 256), c.Hooks()); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.rpt) != 0 || len(c.cleared) != 0 {
-		t.Fatalf("leaked warp state: rpt=%d cleared=%d", len(c.rpt), len(c.cleared))
+	if rpt, cleared, ckpt, _, pending, _ := ImageState(c); rpt+cleared+ckpt+pending != 0 {
+		t.Fatalf("leaked warp state: rpt=%d cleared=%d ckpt=%d pending=%d", rpt, cleared, ckpt, pending)
 	}
 	if c.Stats.MaxRBQ == 0 {
 		t.Fatal("RBQ occupancy never recorded")

@@ -11,18 +11,27 @@ import (
 	"flame/internal/gpu"
 )
 
-// TestControllerImageRecovers checks that a controller image holds
+// TestControllerImageRecovers checks that a controller copy holds
 // everything a recovery reads. Each benchmark's launch is paused at
-// eight points; there the paused controller and a controller restored
-// from its image onto another device both run a full recovery (an
-// error detected at the pause cycle) and finish the launch, and must
-// end with equal memory, gpu.Stats and controller stats. Fault-free
-// resumes never recover, so only this checks the RPT, the undo log,
-// the checkpoint buffers and the pending sections of an image.
+// eight points; there the paused controller and a copy of it
+// (Controller.CopyFrom) driving a device restored from the paused
+// device's image both run a full recovery (an error detected at the
+// pause cycle) and finish the launch, and must end with equal memory,
+// gpu.Stats and controller stats. Fault-free resumes never recover, so
+// only this checks the RPT, the undo log, the checkpoint buffers and the
+// pending sections of a copy. Flame with eager section verification
+// pops boundaries inside extended sections, whose cleared crossings no
+// other row holds. One controller takes every copy, as a campaign
+// engine's trial controller does, so copies also cross schemes and
+// checkpoint buffer sizes (SGEMM's and Histogram's).
 func TestControllerImageRecovers(t *testing.T) {
 	arch := gpu.GTX480()
 	arch.NumSMs = 4
 	var held [6]int
+	midSection := 0
+	rctl := new(flame.Controller)
+	eager := core.FlameOptions()
+	eager.EagerSectionVerify = true
 	for _, c := range []struct {
 		bench string
 		opt   core.Options
@@ -31,6 +40,9 @@ func TestControllerImageRecovers(t *testing.T) {
 		{"SGEMM", core.Options{Scheme: core.SensorCheckpointing, WCDL: 20, ExtendRegions: true}},
 		{"LUD", core.FlameOptions()},
 		{"BFS", core.Options{Scheme: core.DupRenaming, WCDL: 20}},
+		{"PF", core.Options{Scheme: core.HybridRenaming, WCDL: 20}},
+		{"LUD", eager},
+		{"Histogram", core.Options{Scheme: core.HybridCheckpointing, WCDL: 20}},
 	} {
 		b, err := bench.ByName(c.bench)
 		if err != nil {
@@ -63,20 +75,17 @@ func TestControllerImageRecovers(t *testing.T) {
 				t.Fatal(err)
 			}
 			img := paused.Image(nil)
-			cimg, err := ctl.Image(paused)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rpt, cleared, ckpt, undo, pending, queued := flame.ImageState(cimg)
+			rpt, cleared, ckpt, undo, pending, queued := flame.ImageState(ctl)
 			for i, n := range []int{rpt, cleared, ckpt, undo, pending, queued} {
 				held[i] += min(n, 1)
 			}
+			midSection += flame.ClearedMidSection(ctl)
 
-			restored, rctl := device(), comp.Controller()
+			restored := device()
 			if err := restored.Restore(img, l, rctl.Hooks()); err != nil {
 				t.Fatal(err)
 			}
-			rctl.Restore(cimg, restored)
+			rctl.CopyFrom(ctl)
 
 			var want *gpu.Stats
 			for i, r := range []struct {
@@ -103,5 +112,8 @@ func TestControllerImageRecovers(t *testing.T) {
 		if held[i] == 0 {
 			t.Errorf("no paused controller held %s: the check does not cover them", what)
 		}
+	}
+	if midSection == 0 {
+		t.Error("no paused controller held a cleared crossing inside an extended section: the check does not cover them")
 	}
 }

@@ -140,8 +140,8 @@ func TestFalsePositiveWithExtendedSections(t *testing.T) {
 		if c.Stats.Recoveries != int64(len(fps)) {
 			t.Fatalf("fps %v: recoveries = %d, want %d", fps, c.Stats.Recoveries, len(fps))
 		}
-		if len(c.sectionPending) != 0 {
-			t.Fatalf("fps %v: %d pending section snapshots leaked", fps, len(c.sectionPending))
+		if _, _, _, _, pending, _ := ImageState(c); pending != 0 || c.npending != 0 {
+			t.Fatalf("fps %v: %d pending section snapshots leaked (%d counted)", fps, pending, c.npending)
 		}
 		for b := 0; b < 2; b++ {
 			if got := d.Mem.Words()[128+b]; got != 64 {

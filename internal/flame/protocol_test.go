@@ -59,8 +59,8 @@ func TestFigure9AErrorFree(t *testing.T) {
 	inner := hooks.OnCycle
 	hooks.OnCycle = func(dev *gpu.Device) {
 		inner(dev)
-		for _, snap := range c.rpt {
-			if snap.PC == 8 { // the boundary instruction (start of region 2)
+		for _, s := range c.warps {
+			if s.rpt.PC == 8 { // the boundary instruction (start of region 2)
 				sawMidRegionRPT = true
 			}
 		}

@@ -29,7 +29,8 @@ func snapshotOf(w *gpu.Warp) Snapshot {
 // rbqEntry is one conveyor slot: a warp awaiting verification of the
 // region that ended at its snapshot.
 type rbqEntry struct {
-	w *gpu.Warp
+	// warp is the warp's slot on its SM (gpu.Warp.ID).
+	warp int
 	// snap is the state at the boundary; it becomes the warp's RPT entry
 	// once verified.
 	snap Snapshot
@@ -56,16 +57,16 @@ func (q *RBQ) CanPush(now int64) bool {
 	return (q.lastPush != now || len(q.entries) == 0) && len(q.entries) < q.Depth
 }
 
-// Push enqueues a warp; its entry pops WCDL cycles later, one entry per
-// cycle.
-func (q *RBQ) Push(w *gpu.Warp, snap Snapshot, now int64) {
+// Push enqueues the warp in SM slot warp; its entry pops WCDL cycles
+// later, one entry per cycle.
+func (q *RBQ) Push(warp int, snap Snapshot, now int64) {
 	ready := now + int64(q.Depth)
 	if ready <= q.lastReady {
 		ready = q.lastReady + 1
 	}
 	q.lastReady = ready
 	q.lastPush = now
-	q.entries = append(q.entries, rbqEntry{w: w, snap: snap, readyAt: ready})
+	q.entries = append(q.entries, rbqEntry{warp: warp, snap: snap, readyAt: ready})
 }
 
 // Pop dequeues the front entry if it is due.
@@ -80,11 +81,18 @@ func (q *RBQ) Pop(now int64) (rbqEntry, bool) {
 }
 
 // Flush discards every entry (error detected: all queued verifications
-// are invalidated) and returns the discarded entries.
-func (q *RBQ) Flush() []rbqEntry {
-	es := q.entries
-	q.entries = nil
-	return es
+// are invalidated) and returns how many it discarded.
+func (q *RBQ) Flush() int {
+	n := len(q.entries)
+	q.entries = q.entries[:0]
+	return n
+}
+
+// copyFrom makes q a copy of src, reusing q's storage.
+func (q *RBQ) copyFrom(src *RBQ) {
+	entries := append(q.entries[:0], src.entries...)
+	*q = *src
+	q.entries = entries
 }
 
 // Len returns the current occupancy.

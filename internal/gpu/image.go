@@ -247,34 +247,3 @@ func (m *GlobalMem) restorePages(pages []int, data []uint32) {
 		m.dirty[p>>6] |= 1 << uint(p&63)
 	}
 }
-
-// WarpRef names a resident warp of a paused launch by SM and slot, so
-// that state a hook keys by *Warp survives Image and Restore.
-type WarpRef struct{ SM, Slot int }
-
-// BlockRef names a block slot of a paused launch by SM and slot.
-type BlockRef struct{ SM, Slot int }
-
-// Refs indexes the paused launch's resident warps and its blocks by
-// position.
-func (d *Device) Refs() (map[*Warp]WarpRef, map[*BlockState]BlockRef) {
-	warps := map[*Warp]WarpRef{}
-	blocks := map[*BlockState]BlockRef{}
-	for _, sm := range d.SMs {
-		for i, w := range sm.Warps {
-			if w != nil {
-				warps[w] = WarpRef{SM: sm.ID, Slot: i}
-			}
-		}
-		for i, b := range sm.Blocks {
-			blocks[b] = BlockRef{SM: sm.ID, Slot: i}
-		}
-	}
-	return warps, blocks
-}
-
-// WarpAt returns the warp r names on the device.
-func (d *Device) WarpAt(r WarpRef) *Warp { return d.SMs[r.SM].Warps[r.Slot] }
-
-// BlockAt returns the block r names on the device.
-func (d *Device) BlockAt(r BlockRef) *BlockState { return d.SMs[r.SM].Blocks[r.Slot] }

@@ -84,13 +84,6 @@ func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other
 		}
 		img = paused.dev.Image(img)
 	}
-	var ctlImg *flame.Image
-	if paused.ctl != nil {
-		if ctlImg, err = paused.ctl.Image(paused.dev); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	// The other kernel leaves warps, blocks, pools, caches and
 	// scheduler state behind on the device the image is restored on.
 	resumed := startRun(t, cfg, spec, other)
@@ -109,7 +102,7 @@ func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other
 		t.Fatal(err)
 	}
 	if resumed.ctl != nil {
-		resumed.ctl.Restore(ctlImg, resumed.dev)
+		resumed.ctl.CopyFrom(paused.ctl)
 	}
 
 	for _, r := range []struct {
@@ -137,7 +130,7 @@ func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other
 
 // TestImageResumeMatchesUninterrupted is the resume contract behind
 // trials that start from the golden cursor: every benchmark at 4 SMs,
-// under Baseline and under Flame with its controller imaged too, under
+// under Baseline and under Flame with its controller copied too, under
 // each scheduler with cycle skipping on and off, paused at a quarter, a
 // half or three quarters of its launch. A race-detector build checks
 // every eighth benchmark.

@@ -454,9 +454,8 @@ func (sm *SM) retireWarp(w *Warp) {
 		gb := b.GlobalID
 		b.GlobalID = -1
 		for _, wi := range b.WarpIdx {
-			// Recycle into the pool; reuse cannot happen before the
-			// onBlockDone hook below has dropped any *Warp-keyed state
-			// (dispatch is the only getWarp caller).
+			// Recycle into the pool; the dispatch below, after the
+			// onBlockDone hook, is the first to reuse the warps and slots.
 			sm.warpPool = append(sm.warpPool, sm.Warps[wi])
 			sm.Warps[wi] = nil
 		}
