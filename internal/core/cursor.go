@@ -30,7 +30,10 @@ type cursor struct {
 	spec *KernelSpec
 	g    *Golden
 	dev  *gpu.Device
-	ctl  *flame.Controller // nil for a scheme without a runtime controller
+	// ctl is the launch's controller, nil for a scheme without one, and
+	// own its storage.
+	ctl *flame.Controller
+	own flame.Controller
 	// live reports that dev holds the launch, started and not failed.
 	live bool
 	// img is the last image taken; the next capture reuses its storage.
@@ -65,7 +68,7 @@ func (e *Engine) pauseAt(spec *KernelSpec, g *Golden, at int64) *gpu.Image {
 	}
 	if !c.live || c.dev.Cycle() > at {
 		c.dev.Mem.RestoreFrom(g.InitMem)
-		c.ctl = g.Comp.Controller()
+		c.ctl = g.Comp.resetController(&c.own)
 		l := &gpu.Launch{Prog: g.Comp.Prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}
 		if c.live = c.dev.Start(l, schemeHooks(c.ctl, nil)) == nil; !c.live {
 			return nil

@@ -38,8 +38,9 @@ type Engine struct {
 	// a tracking bug can be ruled out in the field.
 	noCOW bool
 	// cur is the golden cursor trials start from (cursor.go), and ctl
-	// the controller a trial started there runs under, a copy of the
-	// cursor's; fromZero runs every trial from cycle 0 instead, the
+	// the controller every launch of a trial runs under: for a main
+	// launch started there a copy of the cursor's, for any other launch
+	// reset for it. fromZero runs every trial from cycle 0 instead, the
 	// reference cursor-started trials are checked against.
 	cur      cursor
 	ctl      flame.Controller
@@ -109,19 +110,21 @@ func (e *Engine) device(spec *KernelSpec) (*gpu.Device, error) {
 	return e.dev, nil
 }
 
-// fitDevice readies dev (a new device when nil) for a workload other
-// than the one it last ran: it gets zeroed memory of the workload's
-// size, with every page marked dirty, because that is not any golden's
-// InitMem and the first restore must copy the full image. Its SMs, and
-// the warps and blocks they pool, carry over: campaigns feed an engine
-// one workload's trials after another, so this seldom runs.
+// fitDevice readies dev for a workload other than the one it last ran,
+// on a device of configuration cfg (a new device when dev is nil or has
+// another configuration). Its memory, kept when it has the workload's
+// size, holds no particular contents, so every page is marked dirty:
+// the first restore from a golden's InitMem copies the full image. Its
+// SMs, and the warps and blocks they pool, carry over; Start and
+// Restore size the pools to each launch.
 func fitDevice(cfg gpu.Config, dev *gpu.Device, spec *KernelSpec) (*gpu.Device, error) {
-	if dev == nil {
+	switch {
+	case dev == nil || dev.Cfg != cfg:
 		var err error
 		if dev, err = gpu.NewDevice(cfg, spec.MemBytes); err != nil {
 			return nil, err
 		}
-	} else {
+	case len(dev.Mem.Words()) != (spec.MemBytes+3)/4:
 		dev.Mem = gpu.NewGlobalMem(spec.MemBytes)
 	}
 	dev.Mem.MarkAllDirty()
@@ -146,21 +149,18 @@ func schemeHooks(ctl *flame.Controller, inj *flame.Injector) *gpu.Hooks {
 	return nil
 }
 
-// launchOne runs one compiled kernel on the device, optionally with the
-// injector attached, accumulating stats into res — a launch that fails
-// still contributes its partial stats, so DUE and Hang trials report
-// the cycle they stopped at. The launch starts at cycle 0 under a new
-// controller for c, or, when from is non-nil, resumes from that image
-// of it under ctl, which holds the imaged launch's controller state
-// (nil for a scheme without a controller); the device's memory must
-// already hold the launch-start contents. Every simulation path
-// (RunCompiledOpts, Engine.RunTrial, the golden run) launches through
-// it.
+// launchOne runs one compiled kernel on the device under ctl (nil for a
+// scheme without a controller), optionally with the injector attached,
+// accumulating stats into res — a launch that fails still contributes
+// its partial stats, so DUE and Hang trials report the cycle they
+// stopped at. The launch starts at cycle 0, ctl reset for c
+// (Compiled.resetController), or, when from is non-nil, resumes from
+// that image of it, ctl holding the imaged launch's controller state;
+// the device's memory must already hold the launch-start contents.
+// Every simulation path (Runner.Run, Engine.RunTrial, the golden run)
+// launches through it.
 func launchOne(dev *gpu.Device, spec *KernelSpec, c *Compiled, grid, block isa.Dim3,
 	params []uint32, inj *flame.Injector, ro *RunOpts, res *Result, from *gpu.Image, ctl *flame.Controller) error {
-	if from == nil {
-		ctl = c.Controller()
-	}
 	launch := &gpu.Launch{
 		Prog: c.Prog, Grid: grid, Block: block, Params: params,
 		MaxCycles: ro.MaxCycles, Stop: ro.Stop,
@@ -228,24 +228,28 @@ func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialR
 		res := &Result{}
 		at := ts.prefixEnd(g)
 		var from *gpu.Image
-		var ctl *flame.Controller
 		if !e.fromZero {
 			from = e.pauseAt(spec, g, at)
+		}
+		ctl := &e.ctl
+		switch {
+		case from == nil:
+			ctl = g.Comp.resetController(ctl)
+		case e.cur.ctl == nil:
+			ctl = nil
+		default:
+			ctl.CopyFrom(e.cur.ctl)
 		}
 		if from != nil {
 			e.stats.ResumedCycles += from.Cycle()
 			at -= from.Cycle()
-			if e.cur.ctl != nil {
-				e.ctl.CopyFrom(e.cur.ctl)
-				ctl = &e.ctl
-			}
 		}
 		e.stats.PrefixCycles += at
 		// The injector observes only the main kernel's launch.
 		err = launchOne(dev, spec, g.Comp, spec.Grid, spec.Block, spec.Params,
 			inj, ro, res, from, ctl)
 		if err == nil {
-			err = runSteps(dev, spec, g.StepComps, ro, res)
+			err = runSteps(dev, spec, g.StepComps, ro, res, &e.ctl)
 		}
 		tr.Recoveries = res.Flame.Recoveries
 		tr.Cycles = res.Stats.Cycles

@@ -103,7 +103,7 @@ func (g *Golden) run(cfg gpu.Config, spec *KernelSpec, main *gpu.Hooks) error {
 		return err
 	}
 	g.MainCycles = res.Stats.Cycles
-	if err := runSteps(dev, spec, g.StepComps, &RunOpts{}, res); err != nil {
+	if err := runSteps(dev, spec, g.StepComps, &RunOpts{}, res, new(flame.Controller)); err != nil {
 		return err
 	}
 	if err := validate(spec, g.Comp, dev.Mem.Words()); err != nil {
@@ -123,7 +123,7 @@ func (g *Golden) runMain(cfg gpu.Config, spec *KernelSpec, hooks *gpu.Hooks, res
 		return nil, err
 	}
 	copy(dev.Mem.Words(), g.InitMem)
-	err = launchOne(dev, spec, g.Comp, spec.Grid, spec.Block, spec.Params, nil, &RunOpts{Hooks: hooks}, res, nil, nil)
+	err = launchOne(dev, spec, g.Comp, spec.Grid, spec.Block, spec.Params, nil, &RunOpts{Hooks: hooks}, res, nil, g.Comp.Controller())
 	return dev, err
 }
 

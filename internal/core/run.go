@@ -86,35 +86,60 @@ func RunCompiled(cfg gpu.Config, spec *KernelSpec, comp *Compiled, inj *flame.In
 	return RunCompiledOpts(cfg, spec, comp, inj, RunOpts{})
 }
 
-// RunCompiledOpts simulates an already-compiled application, optionally
-// with a fault injector attached. comp is the compilation of the main
-// kernel; follow-on Steps are compiled with the same options. The
-// injector observes the main kernel's launch; under a detecting scheme
-// the controller drives its detection, while on an unprotected
-// (Baseline) compilation the strikes land with nothing watching for
-// them.
+// RunCompiledOpts simulates an already-compiled application on a new
+// device, optionally with a fault injector attached; see Runner.Run.
 func RunCompiledOpts(cfg gpu.Config, spec *KernelSpec, comp *Compiled, inj *flame.Injector, ro RunOpts) (*Result, error) {
+	return new(Runner).Run(cfg, spec, comp, inj, ro)
+}
+
+// Runner runs applications from host setup to validation, one after
+// another, on one device it keeps: each run re-fits it to the run's
+// configuration and workload (fitDevice), and each launch runs under
+// one controller it resets. A run's results do not depend on what ran
+// on the device before, so a worker that runs many cells keeps one
+// Runner instead of building a device per cell. The zero Runner is
+// ready to use; it is not safe for concurrent use.
+type Runner struct {
+	dev *gpu.Device
+	ctl flame.Controller
+}
+
+// Run simulates an already-compiled application, optionally with a
+// fault injector attached. comp is the compilation of the main kernel;
+// follow-on Steps are compiled with the same options. The injector
+// observes the main kernel's launch; under a detecting scheme the
+// controller drives its detection, while on an unprotected (Baseline)
+// compilation the strikes land with nothing watching for them.
+func (r *Runner) Run(cfg gpu.Config, spec *KernelSpec, comp *Compiled, inj *flame.Injector, ro RunOpts) (*Result, error) {
 	steps, err := compileSteps(spec, comp.Opt)
 	if err != nil {
 		return nil, err
 	}
-	dev, err := gpu.NewDevice(cfg, spec.MemBytes)
+	dev, err := fitDevice(cfg, r.dev, spec)
 	if err != nil {
 		return nil, err
 	}
+	r.dev = dev
+	mem := dev.Mem.Words()
+	clear(mem)
+	dev.Mem.ResetDirty()
 	if spec.Setup != nil {
-		spec.Setup(dev.Mem.Words())
+		spec.Setup(mem)
 	}
 	res := &Result{Compiled: comp}
-	err = launchOne(dev, spec, comp, spec.Grid, spec.Block, spec.Params, inj, &ro, res, nil, nil)
+	err = launchOne(dev, spec, comp, spec.Grid, spec.Block, spec.Params, inj, &ro, res, nil, comp.resetController(&r.ctl))
 	if err == nil {
-		err = runSteps(dev, spec, steps, &ro, res)
+		err = runSteps(dev, spec, steps, &ro, res, &r.ctl)
 	}
 	if err == nil {
-		err = validate(spec, comp, dev.Mem.Words())
+		err = validate(spec, comp, mem)
 	}
 	return res, err
 }
+
+// Device returns the device of the last run, holding its final memory,
+// or nil before the first run.
+func (r *Runner) Device() *gpu.Device { return r.dev }
 
 // compileSteps compiles the spec's follow-on Steps with the main
 // kernel's options, in spec order.
@@ -129,11 +154,12 @@ func compileSteps(spec *KernelSpec, opt Options) ([]*Compiled, error) {
 	return steps, nil
 }
 
-// runSteps runs the compiled follow-on Steps after the main launch. The
-// injector never observes them.
-func runSteps(dev *gpu.Device, spec *KernelSpec, steps []*Compiled, ro *RunOpts, res *Result) error {
+// runSteps runs the compiled follow-on Steps after the main launch,
+// each under ctl reset for it. The injector never observes them.
+func runSteps(dev *gpu.Device, spec *KernelSpec, steps []*Compiled, ro *RunOpts, res *Result, ctl *flame.Controller) error {
 	for i, step := range spec.Steps {
-		if err := launchOne(dev, spec, steps[i], step.Grid, step.Block, step.Params, nil, ro, res, nil, nil); err != nil {
+		c := steps[i]
+		if err := launchOne(dev, spec, c, step.Grid, step.Block, step.Params, nil, ro, res, nil, c.resetController(ctl)); err != nil {
 			return err
 		}
 	}

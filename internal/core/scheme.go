@@ -297,15 +297,23 @@ func Compile(src *isa.Program, opt Options) (*Compiled, error) {
 // or nil when the scheme needs no runtime support (Baseline and the
 // recovery-only schemes in fault-free runs).
 func (c *Compiled) Controller() *flame.Controller {
+	return c.resetController(new(flame.Controller))
+}
+
+// resetController resets ctl to the controller Controller builds, for
+// a new launch, and returns it; it returns nil, leaving ctl alone, when
+// the scheme needs no runtime support.
+func (c *Compiled) resetController(ctl *flame.Controller) *flame.Controller {
 	s := c.Opt.Scheme
 	if s == Baseline || s == Renaming || s == Checkpointing {
 		return nil
 	}
-	return flame.NewController(flame.Mode{
+	ctl.Reset(flame.Mode{
 		WCDL:               c.Opt.WCDL,
 		UseRBQ:             s.UsesSensors(),
 		Sections:           c.Sections,
 		CkptSlots:          c.CkptSlots,
 		EagerSectionVerify: c.Opt.EagerSectionVerify,
 	})
+	return ctl
 }

@@ -25,6 +25,25 @@ import (
 // engine's trial controller does, so copies also cross schemes and
 // checkpoint buffer sizes (SGEMM's and Histogram's).
 func TestControllerImageRecovers(t *testing.T) {
+	checkControllerCopies(t, false)
+}
+
+// TestControllerImageResumesThenRecovers is TestControllerImageRecovers
+// with the recovery half a pause interval after the resume instead of
+// at it. A recovery overwrites every live warp's cleared crossing and
+// drops every pending section snapshot, so only in between does a copy
+// that lost them go wrong: a warp verifies a crossing twice or a block
+// never completes its section. The conveyors pop in between too, so a
+// copy whose pop bound is later than the original's pops late.
+func TestControllerImageResumesThenRecovers(t *testing.T) {
+	checkControllerCopies(t, true)
+}
+
+// checkControllerCopies runs the pause, copy, recover and finish check
+// of TestControllerImageRecovers; with late set, both launches run on
+// for half a pause interval (an eighteenth of the launch) before they
+// recover.
+func checkControllerCopies(t *testing.T, late bool) {
 	arch := gpu.GTX480()
 	arch.NumSMs = 4
 	var held [6]int
@@ -92,6 +111,11 @@ func TestControllerImageRecovers(t *testing.T) {
 				d   *gpu.Device
 				ctl *flame.Controller
 			}{{paused, ctl}, {restored, rctl}} {
+				if late {
+					if _, err := r.d.Continue(img.Cycle() + full.Cycles/18); err != nil {
+						t.Fatalf("%s pause %d: %v", c.bench, k, err)
+					}
+				}
 				r.ctl.Recover(r.d)
 				st, err := r.d.Continue(math.MaxInt64)
 				if err != nil {

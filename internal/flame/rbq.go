@@ -57,9 +57,9 @@ func (q *RBQ) CanPush(now int64) bool {
 	return (q.lastPush != now || len(q.entries) == 0) && len(q.entries) < q.Depth
 }
 
-// Push enqueues the warp in SM slot warp; its entry pops WCDL cycles
-// later, one entry per cycle.
-func (q *RBQ) Push(warp int, snap Snapshot, now int64) {
+// Push enqueues the warp in SM slot warp and returns the cycle its
+// entry pops: WCDL cycles later, one entry per cycle.
+func (q *RBQ) Push(warp int, snap Snapshot, now int64) int64 {
 	ready := now + int64(q.Depth)
 	if ready <= q.lastReady {
 		ready = q.lastReady + 1
@@ -67,6 +67,7 @@ func (q *RBQ) Push(warp int, snap Snapshot, now int64) {
 	q.lastReady = ready
 	q.lastPush = now
 	q.entries = append(q.entries, rbqEntry{warp: warp, snap: snap, readyAt: ready})
+	return ready
 }
 
 // Pop dequeues the front entry if it is due.

@@ -151,17 +151,20 @@ func (d *Device) Restore(img *Image, l *Launch, hooks *Hooks) error {
 	d.Cyc, d.Stats = img.cyc, img.stats
 	d.nextBlock, d.blocksDone, d.ageSeq = img.nextBlock, img.blocksDone, img.ageSeq
 	d.l2.load(&img.l2)
+	d.restored = d.poolFor(l)
+	keep := d.restored.max(d.started)
 	for i, sm := range d.SMs {
-		sm.restore(&img.sms[i])
+		sm.restore(&img.sms[i], keep)
 	}
+	d.resetActive()
 	d.Mem.restorePages(img.pages, img.data)
 	return nil
 }
 
 // restore loads an SM's part of an image, reusing the SM's warp and
-// block objects.
-func (sm *SM) restore(si *smImage) {
-	sm.recycle()
+// block objects, its pools kept to keep.
+func (sm *SM) restore(si *smImage, keep poolSize) {
+	sm.recycle(keep)
 	for _, src := range si.warps {
 		var w *Warp
 		if src != nil {

@@ -40,6 +40,16 @@ type Device struct {
 	nextBlock   int
 	blocksDone  int
 	ageSeq      int64
+	// started and restored are the pool sizes (poolFor) of the
+	// launches Start and Restore last put on the device.
+	started, restored poolSize
+	// active lists, in SM order, the SMs Continue and fastForward walk:
+	// those not drained yet (no live warp and no block left to
+	// dispatch), and with a slot sink attached every SM, because a
+	// drained SM's slots are still credited each cycle. An SM drains
+	// for the rest of its launch, so Continue drops it once; Start and
+	// Restore rebuild the list.
+	active []*SM
 	// issued is set by any SM executing an instruction this cycle; a
 	// cycle that ends with it clear is fully stalled and eligible for
 	// event-driven fast-forwarding.
@@ -106,8 +116,10 @@ func (d *Device) Start(l *Launch, hooks *Hooks) error {
 
 	// Reset per-run microarchitectural state, recycling warp and block
 	// objects (and their register-file backing) into the SM pools.
+	d.started = d.poolFor(l)
+	keep := d.started.max(d.restored)
 	for _, sm := range d.SMs {
-		sm.recycle()
+		sm.recycle(keep)
 		sm.live, sm.suspended, sm.atBarrier = 0, 0, 0
 		sm.lsuBusyUntil = 0
 		sm.sfuBusyUntil = 0
@@ -125,7 +137,43 @@ func (d *Device) Start(l *Launch, hooks *Hooks) error {
 	for _, sm := range d.SMs {
 		sm.dispatch()
 	}
+	d.resetActive()
 	return nil
+}
+
+// resetActive rebuilds the list of SMs the loop walks from their state.
+func (d *Device) resetActive() {
+	d.active = d.active[:0]
+	for _, sm := range d.SMs {
+		if d.slots != nil || !sm.drained() {
+			d.active = append(d.active, sm)
+		}
+	}
+}
+
+// drained reports whether the SM has nothing left to do in the launch:
+// no live warp, and no block left to dispatch to it.
+func (sm *SM) drained() bool {
+	return sm.live == 0 && sm.dev.nextBlock == sm.dev.launch.Grid.Count()
+}
+
+// poolSize bounds an SM's warp and block pools.
+type poolSize struct{ warps, blocks int }
+
+func (p poolSize) max(o poolSize) poolSize {
+	return poolSize{max(p.warps, o.warps), max(p.blocks, o.blocks)}
+}
+
+// poolFor returns the most warps and blocks an SM can hold resident in
+// launch l, attached: all its pools need to keep for it. A device that
+// only starts launches, such as a grid worker's, keeps what its current
+// launch can use and never the storage of a larger one. A trial device
+// alternates restoring a main launch and starting its Steps, so Start
+// and Restore each also keep room for the last launch the other put on
+// the device.
+func (d *Device) poolFor(l *Launch) poolSize {
+	blocks := min(d.blocksPerSM, l.Grid.Count())
+	return poolSize{blocks * ((l.Block.Count() + d.Cfg.WarpSize - 1) / d.Cfg.WarpSize), blocks}
 }
 
 // attach validates l and makes it, with hooks, the device's current
@@ -193,16 +241,22 @@ func (d *Device) Continue(until int64) (*Stats, error) {
 				l.Prog.Name, ErrCycleLimit, budget, d.blocksDone, total))
 		}
 		d.issued = false
-		for _, sm := range d.SMs {
+		keep := d.active[:0]
+		for i, sm := range d.active {
 			if sm.live == 0 && d.nextBlock == total {
-				// Drained: step would only book the SM's idle slots.
+				// Drained: step would only book the SM's idle slots,
+				// which only a slot sink counts.
+				if d.slots == nil {
+					continue
+				}
 				sm.creditDrained(d.Cyc, 1)
-				continue
-			}
-			if err := sm.step(d.Cyc); err != nil {
+			} else if err := sm.step(d.Cyc); err != nil {
+				d.active = append(keep, d.active[i:]...)
 				return d.partial(fmt.Errorf("cycle %d: %w", d.Cyc, err))
 			}
+			keep = append(keep, sm)
 		}
+		d.active = keep
 		d.hooks.onCycle(d)
 		d.Cyc++
 		if skip && !d.issued && d.blocksDone < total {
@@ -231,7 +285,7 @@ func (d *Device) partial(err error) (*Stats, error) {
 func (d *Device) fastForward(limit int64) {
 	from := d.Cyc
 	wake := limit
-	for _, sm := range d.SMs {
+	for _, sm := range d.active {
 		if t := sm.nextWake(from); t < wake {
 			wake = t
 		}
@@ -249,12 +303,12 @@ func (d *Device) fastForward(limit int64) {
 		// scoreboard clears while the LSU stays busy, scoreboard→memory),
 		// so stop the jump at the first threshold any warp crosses and
 		// let the next fastForward pass re-classify from there.
-		for _, sm := range d.SMs {
+		for _, sm := range d.active {
 			wake = sm.nextSlotChange(from, wake)
 		}
 	}
 	span := wake - from
-	for _, sm := range d.SMs {
+	for _, sm := range d.active {
 		sm.creditIdle(from, span, &d.Stats)
 	}
 	d.Cyc = wake

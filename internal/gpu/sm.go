@@ -268,8 +268,9 @@ func newSM(id int, d *Device) *SM {
 
 // recycle returns the SM's warp and block objects, with their
 // register-file backing, to its pools and drops every memoized issue
-// gate: the slots stay empty until dispatch or Restore fills them.
-func (sm *SM) recycle() {
+// gate: the slots stay empty until dispatch or Restore fills them. The
+// pools then keep no more objects than keep holds (Device.poolFor).
+func (sm *SM) recycle(keep poolSize) {
 	for _, w := range sm.Warps {
 		if w != nil {
 			sm.warpPool = append(sm.warpPool, w)
@@ -279,6 +280,17 @@ func (sm *SM) recycle() {
 	sm.Warps = sm.Warps[:0]
 	sm.Blocks = sm.Blocks[:0]
 	sm.valid, sm.sbWait, sm.sbNext = 0, 0, math.MaxInt64
+	sm.warpPool = trimPool(sm.warpPool, keep.warps)
+	sm.blockPool = trimPool(sm.blockPool, keep.blocks)
+}
+
+// trimPool drops the pooled objects past the first n.
+func trimPool[T any](pool []*T, n int) []*T {
+	if len(pool) > n {
+		clear(pool[n:])
+		pool = pool[:n]
+	}
+	return pool
 }
 
 // BlockOf returns the block state a warp belongs to.
@@ -357,10 +369,10 @@ func (sm *SM) placeBlock(b *BlockState, gb int) {
 
 		// The register file is one zeroed row per register, local
 		// memory one zeroed span per lane.
-		w.regs = resizeU32(w.regs, isa.Lanes*nregs)
-		w.localData = resizeU32(w.localData, warpSize*localWords)
+		w.regs = resize(w.regs, isa.Lanes*nregs)
+		w.localData = resize(w.localData, warpSize*localWords)
 		w.localWords = localWords
-		w.regReady = resizeI64(w.regReady, nregs)
+		w.regReady = resize(w.regReady, nregs)
 
 		var mask uint32
 		for lane := range w.laneThread {
@@ -416,26 +428,16 @@ func (sm *SM) getBlock() *BlockState {
 	return &BlockState{}
 }
 
-// resizeU32 returns s resized to n elements, zeroed to the launch value.
-func resizeU32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
+// resize returns s resized to n zeroed elements, zero being the launch
+// value. It reuses s's storage unless that is too small or more than
+// twice the size, so a pooled warp does not keep the register file of
+// a much larger launch.
+func resize[T uint32 | int64](s []T, n int) []T {
+	if cap(s) < n || cap(s) > 2*n {
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
@@ -615,6 +617,10 @@ func (sm *SM) step(cycle int64) error {
 		if w.Finished {
 			sm.retireWarp(w)
 			sched.reset()
+		} else {
+			// Execution invalidated the gate; refill it while the
+			// warp's stack and scoreboard are still in cache.
+			sm.refillGate(pick)
 		}
 	}
 	return nil

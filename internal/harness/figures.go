@@ -258,10 +258,10 @@ func DiscussionStats(cfg Config) (*Discussion, error) {
 	}
 	var insts, regions float64
 	for i, b := range cfg.Benchmarks {
-		res := results[i]
+		st := &results[i]
 		warps := (b.Block.Count() + 31) / 32 * b.Grid.Count()
-		insts += float64(res.Stats.SourceInsts)
-		regions += float64(res.Stats.BoundaryCrossings) + float64(warps)
+		insts += float64(st.SourceInsts)
+		regions += float64(st.BoundaryCrossings) + float64(warps)
 	}
 	d.AvgDynRegionInsts = insts / regions
 	cfg.printf("Section IV: raw errors/day=%.2f false positives/day=%.2f avg dynamic region=%.1f insts\n\n",

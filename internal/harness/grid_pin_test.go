@@ -39,7 +39,7 @@ func gridPinRows(t *testing.T, cfg Config) []string {
 	}
 	rows := make([]string, len(cells))
 	for i, c := range cells {
-		rows[i] = c.bench.Name + "\t" + c.opt.Scheme.FlagName() + "\t" + statsPinCols(&res[i].Stats)
+		rows[i] = c.bench.Name + "\t" + c.opt.Scheme.FlagName() + "\t" + statsPinCols(&res[i])
 	}
 	return rows
 }

@@ -66,27 +66,35 @@ type cell struct {
 	opt   core.Options
 }
 
-// runCells simulates every cell and returns the results in cell order.
+// runCells simulates every cell and returns their stats in cell order
+// (each cell's compiled program is garbage once it has run).
 // Every spec is resolved on the calling goroutine first, because
 // Benchmark.Prog assembles lazily without synchronisation; the cells
-// then run on GOMAXPROCS workers (see par.For), so results, printed
-// tables and the error returned are the same at any worker count.
-func runCells(cells []cell) ([]*core.Result, error) {
+// then run on GOMAXPROCS workers (see par.ForWith), each keeping one
+// core.Runner, and so one device, for all the cells it runs. A cell's
+// result does not depend on the cells its device ran before, so
+// results, printed tables and the error returned are the same at any
+// worker count.
+func runCells(cells []cell) ([]gpu.Stats, error) {
 	specs := make([]*core.KernelSpec, len(cells))
 	for i, c := range cells {
 		specs[i] = c.bench.Spec()
 	}
-	res := make([]*core.Result, len(cells))
-	err := par.For(len(cells), func(i int) error {
+	res := make([]gpu.Stats, len(cells))
+	err := par.ForWith(len(cells), func() *core.Runner { return new(core.Runner) }, func(run *core.Runner, i int) error {
 		c := cells[i]
-		r, err := core.Run(c.arch, specs[i], c.opt)
+		comp, err := core.Compile(specs[i].Prog, c.opt)
+		var r *core.Result
+		if err == nil {
+			r, err = run.Run(c.arch, specs[i], comp, nil, core.RunOpts{})
+		}
 		if err != nil {
 			if c.opt.Scheme == core.Baseline {
 				return fmt.Errorf("baseline %s: %w", c.bench.Name, err)
 			}
 			return fmt.Errorf("%s/%s: %w", c.bench.Name, c.opt.Scheme, err)
 		}
-		res[i] = r
+		res[i] = r.Stats
 		return nil
 	})
 	return res, err
@@ -121,7 +129,7 @@ func overheads(cells []cell) ([]float64, error) {
 	}
 	out := make([]float64, len(cells))
 	for i := range cells {
-		out[i] = float64(res[at[i]].Stats.Cycles) / float64(res[base[i]].Stats.Cycles)
+		out[i] = float64(res[at[i]].Cycles) / float64(res[base[i]].Cycles)
 	}
 	return out, nil
 }

@@ -65,7 +65,7 @@ func sweepPinRows(t *testing.T, cfg Config, geomeans bool) []string {
 				done[j] = true
 				c := batch[j]
 				rows = append(rows, strings.Join([]string{sw.name, labels[i/n], c.bench.Name,
-					c.opt.Scheme.FlagName(), statsPinCols(&res[j].Stats)}, "\t"))
+					c.opt.Scheme.FlagName(), statsPinCols(&res[j])}, "\t"))
 			}
 		}
 		if !geomeans {

@@ -16,6 +16,14 @@ import (
 // with one worker the calls are the serial loop's. Callers store each
 // result by its index.
 func For(n int, f func(i int) error) error {
+	return ForWith(n, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error { return f(i) })
+}
+
+// ForWith is For with per-worker state: each worker calls newState
+// once and passes the state to every f call it makes, so f can reuse
+// storage (a simulated device, say) from one index to the next. f's
+// result must not depend on which indices the state served before.
+func ForWith[S any](n int, newState func() S, f func(s S, i int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -24,12 +32,13 @@ func For(n int, f func(i int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := newState()
 			for !failed.Load() {
 				i := int(next.Add(1) - 1)
 				if i >= n {
 					return
 				}
-				if errs[i] = f(i); errs[i] != nil {
+				if errs[i] = f(s, i); errs[i] != nil {
 					failed.Store(true)
 				}
 			}
