@@ -10,12 +10,12 @@ import (
 // its arm cycle, detection has nothing pending, and the hooks the
 // engine adds hold no state until a strike fires. So each engine keeps
 // a cursor, the golden main launch run forward under the scheme's own
-// hooks on a device of its own, and a trial starts from an image of the
+// hooks on a device of its own, and a trial starts from a copy of the
 // cursor paused at its first arm cycle, clamped to the main launch,
-// instead of simulating the fault-free prefix: the trial device
-// restores the cursor's device image, and the engine's trial controller
-// copies the cursor's controller, whose state is keyed by warp slot
-// and so names the same warps on the restored device.
+// instead of simulating the fault-free prefix: the trial device copies
+// the cursor's device (gpu.Device.CopyFrom), and the engine's trial
+// controller copies the cursor's controller, whose state is keyed by
+// warp slot and so names the same warps on the copied device.
 //
 // Campaigns dispatch each benchmark's trials in ascending first-arm
 // order, so a worker's cursor only moves forward and simulates the
@@ -36,8 +36,6 @@ type cursor struct {
 	own flame.Controller
 	// live reports that dev holds the launch, started and not failed.
 	live bool
-	// img is the last image taken; the next capture reuses its storage.
-	img *gpu.Image
 }
 
 // prefixEnd returns the cycle up to which a trial's main launch is the
@@ -52,12 +50,12 @@ func (ts *TrialSpec) prefixEnd(g *Golden) int64 {
 
 // pauseAt advances the engine's cursor for the golden's main launch to
 // cycle at, restarting it from cycle 0 when it is already past, and
-// returns the paused launch's image, valid until the next call; the
+// returns the cursor's device, paused there until the next call; the
 // cursor's controller, e.cur.ctl, holds the launch's controller state
 // until then too. It returns nil when the launch cannot be paused there
 // (it fails first): the trial then runs from cycle 0, which gives the
 // same result.
-func (e *Engine) pauseAt(spec *KernelSpec, g *Golden, at int64) *gpu.Image {
+func (e *Engine) pauseAt(spec *KernelSpec, g *Golden, at int64) *gpu.Device {
 	c := &e.cur
 	if c.dev == nil || c.spec != spec || c.g != g {
 		dev, err := fitDevice(e.cfg, c.dev, spec)
@@ -78,6 +76,5 @@ func (e *Engine) pauseAt(spec *KernelSpec, g *Golden, at int64) *gpu.Image {
 		c.live = false
 		return nil
 	}
-	c.img = c.dev.Image(c.img)
-	return c.img
+	return c.dev
 }

@@ -16,12 +16,12 @@ import (
 // its trials, with global memory restored from the golden run's initial
 // image instead of re-running host setup, and the scheme compilation
 // shared from the golden run instead of recompiled, and it starts each
-// trial from its golden cursor paused at the trial's first arm cycle
-// (cursor.go). A campaign worker holds one Engine, and feeds it each
-// benchmark's trials in ascending first-arm order. A brand-new Engine
-// with SetNoCOW, running from cycle 0, is the fresh-device reference
-// (new device, full-image restore, full diff) the equivalence tests
-// compare pooled trials against.
+// trial from a copy of its golden cursor paused at the trial's first
+// arm cycle (cursor.go). A campaign worker holds one Engine, and feeds
+// it each benchmark's trials in ascending first-arm order. A brand-new
+// Engine with SetNoCOW, running from cycle 0, is the fresh-device
+// reference (new device, full-image restore, full diff) the equivalence
+// tests compare pooled trials against.
 //
 // An Engine is not safe for concurrent use — give each worker its own.
 // The Golden passed to RunTrial is shared read-only across all engines.
@@ -67,7 +67,7 @@ type RestoreStats struct {
 	// the diff).
 	DiffPages int64
 	// ResumedCycles counts the main-launch cycles trials did not
-	// simulate because they started from the golden cursor's image.
+	// simulate because they started from a copy of the golden cursor.
 	ResumedCycles int64
 	// PrefixCycles counts the cycles trials simulated before their
 	// first arm cycle (clamped to the main launch): the fault-free
@@ -116,7 +116,7 @@ func (e *Engine) device(spec *KernelSpec) (*gpu.Device, error) {
 // size, holds no particular contents, so every page is marked dirty:
 // the first restore from a golden's InitMem copies the full image. Its
 // SMs, and the warps and blocks they pool, carry over; Start and
-// Restore size the pools to each launch.
+// CopyFrom size the pools to each launch.
 func fitDevice(cfg gpu.Config, dev *gpu.Device, spec *KernelSpec) (*gpu.Device, error) {
 	switch {
 	case dev == nil || dev.Cfg != cfg:
@@ -154,13 +154,14 @@ func schemeHooks(ctl *flame.Controller, inj *flame.Injector) *gpu.Hooks {
 // accumulating stats into res — a launch that fails still contributes
 // its partial stats, so DUE and Hang trials report the cycle they
 // stopped at. The launch starts at cycle 0, ctl reset for c
-// (Compiled.resetController), or, when from is non-nil, resumes from
-// that image of it, ctl holding the imaged launch's controller state;
-// the device's memory must already hold the launch-start contents.
+// (Compiled.resetController), or, when from is non-nil, resumes from a
+// copy of from's paused launch of it (gpu.Device.CopyFrom), ctl holding
+// that launch's controller state; the device's memory must already
+// hold the launch-start contents.
 // Every simulation path (Runner.Run, Engine.RunTrial, the golden run)
 // launches through it.
 func launchOne(dev *gpu.Device, spec *KernelSpec, c *Compiled, grid, block isa.Dim3,
-	params []uint32, inj *flame.Injector, ro *RunOpts, res *Result, from *gpu.Image, ctl *flame.Controller) error {
+	params []uint32, inj *flame.Injector, ro *RunOpts, res *Result, from *gpu.Device, ctl *flame.Controller) error {
 	launch := &gpu.Launch{
 		Prog: c.Prog, Grid: grid, Block: block, Params: params,
 		MaxCycles: ro.MaxCycles, Stop: ro.Stop,
@@ -170,7 +171,7 @@ func launchOne(dev *gpu.Device, spec *KernelSpec, c *Compiled, grid, block isa.D
 	var err error
 	if from == nil {
 		st, err = dev.Run(launch, hooks)
-	} else if err = dev.Restore(from, launch, hooks); err == nil {
+	} else if err = dev.CopyFrom(from, launch, hooks); err == nil {
 		st, err = dev.Continue(math.MaxInt64)
 	}
 	if st != nil {
@@ -227,7 +228,7 @@ func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialR
 		e.stats.Trials++
 		res := &Result{}
 		at := ts.prefixEnd(g)
-		var from *gpu.Image
+		var from *gpu.Device
 		if !e.fromZero {
 			from = e.pauseAt(spec, g, at)
 		}

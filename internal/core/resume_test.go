@@ -16,7 +16,7 @@ import (
 // attached, trials on a pooled engine that start from its golden cursor
 // equal, Prop record included, the same trials run from cycle 0 on a
 // fresh engine. Histogram's atomics leave undo-log entries in the
-// Flame controller's image and SRAD adds a follow-on launch; arms fall
+// cursor's Flame controller and SRAD adds a follow-on launch; arms fall
 // across the arm span and reach the engine out of order, so its cursor
 // both moves forward and restarts.
 func TestResumedTracedTrialsMatchFromZero(t *testing.T) {

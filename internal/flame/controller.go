@@ -649,8 +649,8 @@ func (c *Controller) Recover(d *gpu.Device) {
 // injector and false-positive schedule, RBQ conveyors, per-warp state
 // and undo log. Snapshots are shared with src, which is safe because
 // nothing writes a snapshot's stack in place. The state is keyed by
-// warp slot, which a gpu.Image keeps, so c can drive a device restored
-// from an image of the device src drives.
+// warp slot, which gpu.Device.CopyFrom keeps, so c can drive a copy of
+// the device src drives.
 func (c *Controller) CopyFrom(src *Controller) {
 	if len(c.ckptRegs) != len(src.ckptRegs) {
 		// Checkpoint buffers are sized by the register count.

@@ -14,8 +14,8 @@ import (
 // TestControllerImageRecovers checks that a controller copy holds
 // everything a recovery reads. Each benchmark's launch is paused at
 // eight points; there the paused controller and a copy of it
-// (Controller.CopyFrom) driving a device restored from the paused
-// device's image both run a full recovery (an error detected at the
+// (Controller.CopyFrom) driving a copy of the paused device
+// (gpu.Device.CopyFrom) both run a full recovery (an error detected at the
 // pause cycle) and finish the launch, and must end with equal memory,
 // gpu.Stats and controller stats. Fault-free resumes never recover, so
 // only this checks the RPT, the undo log, the checkpoint buffers and the
@@ -93,7 +93,6 @@ func checkControllerCopies(t *testing.T, late bool) {
 			if _, err := paused.Continue(full.Cycles * k / 9); err != nil {
 				t.Fatal(err)
 			}
-			img := paused.Image(nil)
 			rpt, cleared, ckpt, undo, pending, queued := flame.ImageState(ctl)
 			for i, n := range []int{rpt, cleared, ckpt, undo, pending, queued} {
 				held[i] += min(n, 1)
@@ -101,10 +100,11 @@ func checkControllerCopies(t *testing.T, late bool) {
 			midSection += flame.ClearedMidSection(ctl)
 
 			restored := device()
-			if err := restored.Restore(img, l, rctl.Hooks()); err != nil {
+			if err := restored.CopyFrom(paused, l, rctl.Hooks()); err != nil {
 				t.Fatal(err)
 			}
 			rctl.CopyFrom(ctl)
+			at := paused.Cycle()
 
 			var want *gpu.Stats
 			for i, r := range []struct {
@@ -112,7 +112,7 @@ func checkControllerCopies(t *testing.T, late bool) {
 				ctl *flame.Controller
 			}{{paused, ctl}, {restored, rctl}} {
 				if late {
-					if _, err := r.d.Continue(img.Cycle() + full.Cycles/18); err != nil {
+					if _, err := r.d.Continue(at + full.Cycles/18); err != nil {
 						t.Fatalf("%s pause %d: %v", c.bench, k, err)
 					}
 				}
@@ -127,7 +127,7 @@ func checkControllerCopies(t *testing.T, late bool) {
 				}
 				if *st != *want || r.ctl.Stats != ctl.Stats || !slices.Equal(r.d.Mem.Words(), paused.Mem.Words()) {
 					t.Fatalf("%s/%s pause %d at cycle %d: recovery after restore differs:\n got  %+v %+v\n want %+v %+v",
-						c.bench, c.opt.Scheme.FlagName(), k, img.Cycle(), *st, r.ctl.Stats, *want, ctl.Stats)
+						c.bench, c.opt.Scheme.FlagName(), k, at, *st, r.ctl.Stats, *want, ctl.Stats)
 				}
 			}
 		}

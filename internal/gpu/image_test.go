@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"flame/internal/bench"
@@ -38,14 +39,14 @@ func startRun(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp *core.Co
 }
 
 // resumeCase checks one benchmark, scheme and configuration: the main
-// launch paused at a fraction of its run, imaged, and resumed on
-// another device that has just run a different kernel (the same
-// benchmark under the other scheme) ends with the memory, dirty pages,
-// gpu.Stats and controller stats of the uninterrupted launch — and so
-// does the paused launch continued in place. On its way the launch
-// pauses at several cycles, as a golden cursor does; each pause lands
-// exactly on the cycle asked for, with the partial gpu.Stats of the
-// same launch simulated without cycle skipping.
+// launch paused at a fraction of its run and copied onto another device
+// that has just run a different kernel (the same benchmark under the
+// other scheme) ends with the memory, dirty pages, gpu.Stats and
+// controller stats of the uninterrupted launch — and so does the paused
+// launch continued in place. On its way the launch pauses at several
+// cycles, as a golden cursor does; each pause lands exactly on the
+// cycle asked for, with the partial gpu.Stats of the same launch
+// simulated without cycle skipping.
 func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other *core.Compiled, frac float64) {
 	t.Helper()
 	ref := startRun(t, cfg, spec, comp)
@@ -64,8 +65,6 @@ func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other
 	if err := naive.dev.Start(naive.l, naive.hooks); err != nil {
 		t.Fatal(err)
 	}
-	// Each pause is imaged into the storage of the one before.
-	var img *gpu.Image
 	at := int64(float64(want.Cycles) * frac)
 	for _, stop := range []int64{at / 3, at / 3, at/2 + 1, at} {
 		got, err := paused.dev.Continue(stop)
@@ -82,10 +81,9 @@ func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other
 		if *got != *ref {
 			t.Fatalf("stats paused at cycle %d differ from the launch without cycle skipping:\n got  %+v\n want %+v", stop, *got, *ref)
 		}
-		img = paused.dev.Image(img)
 	}
 	// The other kernel leaves warps, blocks, pools, caches and
-	// scheduler state behind on the device the image is restored on.
+	// scheduler state behind on the device the launch is copied onto.
 	resumed := startRun(t, cfg, spec, other)
 	if _, err := resumed.dev.Run(resumed.l, resumed.hooks); err != nil {
 		t.Fatal(err)
@@ -98,7 +96,7 @@ func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other
 	clear(words)
 	spec.Setup(words)
 	resumed.dev.Mem.ResetDirty()
-	if err := resumed.dev.Restore(img, resumed.l, resumed.hooks); err != nil {
+	if err := resumed.dev.CopyFrom(paused.dev, resumed.l, resumed.hooks); err != nil {
 		t.Fatal(err)
 	}
 	if resumed.ctl != nil {
@@ -163,5 +161,80 @@ func TestImageResumeMatchesUninterrupted(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCopyFromRefusesMismatch checks CopyFrom's refusals: a paused
+// launch is not copied onto a device with another number of SMs, nor
+// under another program or grid, and the error names the kernel. A
+// source without cycle skipping is copied onto a skipping device, which
+// then finishes with the uninterrupted launch's Stats and memory.
+func TestCopyFromRefusesMismatch(t *testing.T) {
+	b, err := bench.ByName("Histogram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := b.Spec()
+	base, err := core.Compile(spec.Prog, core.Options{Scheme: core.Baseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := core.Compile(spec.Prog, core.FlameOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := gpu.GTX480()
+	cfg.NumSMs = 4
+	ref := startRun(t, cfg, spec, base)
+	want, err := ref.dev.Run(ref.l, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naiveCfg := cfg
+	naiveCfg.NoCycleSkip = true
+	paused := startRun(t, naiveCfg, spec, base)
+	if err := paused.dev.Start(paused.l, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := paused.dev.Continue(want.Cycles / 2); err != nil {
+		t.Fatal(err)
+	}
+
+	fewerSMs := cfg
+	fewerSMs.NumSMs = 2
+	grid := *paused.l
+	grid.Grid.X--
+	for _, c := range []struct {
+		what string
+		cfg  gpu.Config
+		l    *gpu.Launch
+	}{
+		{"another NumSMs", fewerSMs, paused.l},
+		{"another program", cfg, &gpu.Launch{Prog: other.Prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}},
+		{"another grid", cfg, &grid},
+	} {
+		dst := startRun(t, c.cfg, spec, base)
+		err := dst.dev.CopyFrom(paused.dev, c.l, nil)
+		if err == nil {
+			t.Fatalf("%s: copy accepted", c.what)
+		}
+		if !strings.Contains(err.Error(), spec.Prog.Name) {
+			t.Errorf("%s: error %q does not name kernel %q", c.what, err, spec.Prog.Name)
+		}
+	}
+
+	dst := startRun(t, cfg, spec, base)
+	if err := dst.dev.CopyFrom(paused.dev, dst.l, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := dst.dev.Continue(math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != *want {
+		t.Fatalf("stats differ from the uninterrupted launch:\n got  %+v\n want %+v", *got, *want)
+	}
+	if !slices.Equal(dst.dev.Mem.Words(), ref.dev.Mem.Words()) {
+		t.Fatal("final memory differs from the uninterrupted launch")
 	}
 }

@@ -14,8 +14,8 @@ type scheduler interface {
 	// reset tells the policy that the warp it just issued finished and
 	// left its slot.
 	reset()
-	// clone returns an independent copy of the policy state (Image,
-	// Restore).
+	// clone returns an independent copy of the policy state
+	// (Device.CopyFrom).
 	clone() scheduler
 }
 

@@ -40,15 +40,15 @@ type Device struct {
 	nextBlock   int
 	blocksDone  int
 	ageSeq      int64
-	// started and restored are the pool sizes (poolFor) of the
-	// launches Start and Restore last put on the device.
-	started, restored poolSize
+	// started and copied are the pool sizes (poolFor) of the
+	// launches Start and CopyFrom last put on the device.
+	started, copied poolSize
 	// active lists, in SM order, the SMs Continue and fastForward walk:
 	// those not drained yet (no live warp and no block left to
 	// dispatch), and with a slot sink attached every SM, because a
 	// drained SM's slots are still credited each cycle. An SM drains
 	// for the rest of its launch, so Continue drops it once; Start and
-	// Restore rebuild the list.
+	// CopyFrom rebuild the list.
 	active []*SM
 	// issued is set by any SM executing an instruction this cycle; a
 	// cycle that ends with it clear is fully stalled and eligible for
@@ -92,7 +92,7 @@ func (d *Device) Cycle() int64 { return d.Cyc }
 // once simulation has started (a fault, the cycle budget, the Stop
 // watchdog) returns its partial stats, Cycles being the cycle it
 // stopped at, alongside the error. It is Start followed by Continue to
-// completion: a launch resumed from an Image (Restore) runs the same
+// completion: a launch resumed from a copy (CopyFrom) runs the same
 // loop from a later cycle.
 func (d *Device) Run(l *Launch, hooks *Hooks) (*Stats, error) {
 	if err := d.Start(l, hooks); err != nil {
@@ -117,7 +117,7 @@ func (d *Device) Start(l *Launch, hooks *Hooks) error {
 	// Reset per-run microarchitectural state, recycling warp and block
 	// objects (and their register-file backing) into the SM pools.
 	d.started = d.poolFor(l)
-	keep := d.started.max(d.restored)
+	keep := d.started.max(d.copied)
 	for _, sm := range d.SMs {
 		sm.recycle(keep)
 		sm.live, sm.suspended, sm.atBarrier = 0, 0, 0
@@ -168,8 +168,8 @@ func (p poolSize) max(o poolSize) poolSize {
 // launch l, attached: all its pools need to keep for it. A device that
 // only starts launches, such as a grid worker's, keeps what its current
 // launch can use and never the storage of a larger one. A trial device
-// alternates restoring a main launch and starting its Steps, so Start
-// and Restore each also keep room for the last launch the other put on
+// alternates copying a main launch and starting its Steps, so Start
+// and CopyFrom each also keep room for the last launch the other put on
 // the device.
 func (d *Device) poolFor(l *Launch) poolSize {
 	blocks := min(d.blocksPerSM, l.Grid.Count())
@@ -197,10 +197,10 @@ func (d *Device) attach(l *Launch, hooks *Hooks) error {
 	return nil
 }
 
-// Continue simulates the current launch (set up by Start or Restore)
+// Continue simulates the current launch (set up by Start or CopyFrom)
 // until it completes or the clock reaches until. In the second case the
 // launch is paused at cycle until exactly (cycle skipping stops there
-// too): the partial stats come back with a nil error, Image can capture
+// too): the partial stats come back with a nil error, CopyFrom can copy
 // the state, and a later Continue picks the launch up where it stopped.
 func (d *Device) Continue(until int64) (*Stats, error) {
 	l := d.launch
@@ -217,7 +217,7 @@ func (d *Device) Continue(until int64) (*Stats, error) {
 	stopPoll := 0
 	for {
 		// Poll the wall-clock watchdog on entry, even into a launch that
-		// is already complete (restored from an image of its end), and
+		// is already complete (copied at its end), and
 		// then sparsely: a time.Now syscall per iteration would dominate
 		// short kernels, and with cycle skipping one iteration can cover
 		// thousands of cycles anyway.

@@ -268,7 +268,7 @@ func newSM(id int, d *Device) *SM {
 
 // recycle returns the SM's warp and block objects, with their
 // register-file backing, to its pools and drops every memoized issue
-// gate: the slots stay empty until dispatch or Restore fills them. The
+// gate: the slots stay empty until dispatch or CopyFrom fills them. The
 // pools then keep no more objects than keep holds (Device.poolFor).
 func (sm *SM) recycle(keep poolSize) {
 	for _, w := range sm.Warps {

@@ -19,35 +19,22 @@ import (
 func Figure12(cfg Config) []stats.Series {
 	cfg.fill()
 	var out []stats.Series
+	var curves [][]sensor.CurvePoint
 	t := &stats.Table{Header: []string{"sensors"}}
 	for _, spec := range sensor.Specs {
 		t.Header = append(t.Header, spec.Name)
-	}
-	type row struct {
-		sensors int
-		wcdl    []int
-	}
-	var rows []row
-	for s := 50; s <= 300; s += 25 {
-		rw := row{sensors: s}
-		for _, spec := range sensor.Specs {
-			d := sensor.Deployment{SensorsPerSM: s, SMAreaMM2: spec.SMAreaMM2, FreqMHz: spec.FreqMHz}
-			rw.wcdl = append(rw.wcdl, d.WCDL())
-		}
-		rows = append(rows, rw)
-	}
-	for si, spec := range sensor.Specs {
+		c := sensor.Curve(spec, 50, 300, 25)
 		s := stats.Series{Name: spec.Name}
-		for _, rw := range rows {
-			s.Labels = append(s.Labels, fmt.Sprint(rw.sensors))
-			s.Values = append(s.Values, float64(rw.wcdl[si]))
+		for _, p := range c {
+			s.Labels = append(s.Labels, fmt.Sprint(p.Sensors))
+			s.Values = append(s.Values, float64(p.WCDL))
 		}
-		out = append(out, s)
+		out, curves = append(out, s), append(curves, c)
 	}
-	for _, rw := range rows {
-		cells := []any{rw.sensors}
-		for _, w := range rw.wcdl {
-			cells = append(cells, w)
+	for i, p := range curves[0] {
+		cells := []any{p.Sensors}
+		for _, c := range curves {
+			cells = append(cells, c[i].WCDL)
 		}
 		t.Add(cells...)
 	}

@@ -56,7 +56,7 @@ func sameRun(got, want cellRun) string {
 // of the reused Runner's runs end badly just before a cell: a DUE (a
 // global fault), a Hang (the cycle budget) and a panic in a hook,
 // recovered here, each in the middle of a Flame launch. At the end the
-// reused device also resumes a launch from an image taken after some of
+// reused device also resumes a launch from a copy taken after some of
 // its SMs drained, and must finish it as the uninterrupted run does.
 func TestRunnerReuseMatchesFreshDevices(t *testing.T) {
 	cfg := Default()
@@ -179,8 +179,8 @@ func drainedSMs(d *gpu.Device) int {
 }
 
 // resumeAfterDrain pauses Flame launches once some SMs have drained and
-// others still run, restores each image on r's device under a copy of
-// its controller, and checks that the resumed launch ends as the
+// others still run, copies each onto r's device under a copy of its
+// controller, and checks that the resumed launch ends as the
 // uninterrupted run on a new device does. The launches leave different
 // SMs running, one after another on the device.
 func resumeAfterDrain(t *testing.T, r *core.Runner, arch gpu.Config) {
@@ -214,7 +214,7 @@ func resumeAfterDrain(t *testing.T, r *core.Runner, arch gpu.Config) {
 		if drained == 0 || drained == len(paused.SMs) {
 			continue
 		}
-		img := paused.Image(nil)
+		at := paused.Cycle()
 		dev := r.Device()
 		if len(dev.Mem.Words()) != len(init) {
 			dev.Mem = gpu.NewGlobalMem(spec.MemBytes)
@@ -223,7 +223,7 @@ func resumeAfterDrain(t *testing.T, r *core.Runner, arch gpu.Config) {
 		dev.Mem.ResetDirty()
 		rctl := new(flame.Controller)
 		rctl.CopyFrom(ctl)
-		if err := dev.Restore(img, l, rctl.Hooks()); err != nil {
+		if err := dev.CopyFrom(paused, l, rctl.Hooks()); err != nil {
 			t.Fatal(err)
 		}
 		st, err := dev.Continue(math.MaxInt64)
@@ -233,9 +233,9 @@ func resumeAfterDrain(t *testing.T, r *core.Runner, arch gpu.Config) {
 		got := cellRun{*st, rctl.Stats, dev.Mem.Words()}
 		if diff := sameRun(got, want); diff != "" {
 			t.Fatalf("%s resumed at cycle %d with %d of %d SMs drained: %s",
-				name, img.Cycle(), drained, len(dev.SMs), diff)
+				name, at, drained, len(dev.SMs), diff)
 		}
-		t.Logf("%s resumed at cycle %d of %d with %d of %d SMs drained", name, img.Cycle(), want.stats.Cycles, drained, len(dev.SMs))
+		t.Logf("%s resumed at cycle %d of %d with %d of %d SMs drained", name, at, want.stats.Cycles, drained, len(dev.SMs))
 		resumed++
 	}
 	if resumed == 0 {

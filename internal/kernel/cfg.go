@@ -1,8 +1,8 @@
 // Package kernel provides program-level structure over an assembled ISA
-// program: basic blocks, the control-flow graph, dominator and
-// post-dominator trees, SIMT reconvergence points (immediate
-// post-dominators), and natural-loop detection. The compiler passes and
-// the simulator's SIMT divergence stack are built on these.
+// program: basic blocks, the control-flow graph, the post-dominator
+// tree and SIMT reconvergence points (immediate post-dominators). The
+// compiler passes and the simulator's SIMT divergence stack are built on
+// these.
 package kernel
 
 import (

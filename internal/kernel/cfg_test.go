@@ -31,21 +31,6 @@ LOOP:
     exit
 `
 
-// nested: two-level nested loop.
-const nestedSrc = `
-    mov r0, 0
-OUTER:
-    mov r1, 0
-INNER:
-    add r1, r1, 1
-    setp.lt p0, r1, 4
-@p0 bra INNER
-    add r0, r0, 1
-    setp.lt p1, r0, 4
-@p1 bra OUTER
-    exit
-`
-
 func TestCFGDiamond(t *testing.T) {
 	p := isa.MustParse("diamond", diamondSrc)
 	g := Build(p)
@@ -85,27 +70,6 @@ func TestCFGLoop(t *testing.T) {
 	}
 }
 
-func TestDominatorsDiamond(t *testing.T) {
-	p := isa.MustParse("diamond", diamondSrc)
-	g := Build(p)
-	d := Dominators(g)
-	// Entry dominates everything; neither arm dominates the join.
-	join := g.BlockOf[6]
-	for _, b := range g.Blocks {
-		if !d.Dominates(g.Entry(), b.ID) {
-			t.Errorf("entry should dominate B%d", b.ID)
-		}
-	}
-	then := g.BlockOf[3]
-	els := g.BlockOf[5]
-	if d.Dominates(then, join) || d.Dominates(els, join) {
-		t.Error("arms must not dominate the join")
-	}
-	if d.IDom[join] != g.Entry() {
-		t.Errorf("idom(join) = %d, want entry", d.IDom[join])
-	}
-}
-
 func TestPostDominatorsDiamond(t *testing.T) {
 	p := isa.MustParse("diamond", diamondSrc)
 	g := Build(p)
@@ -140,46 +104,6 @@ func TestReconvergenceLoop(t *testing.T) {
 	// Backward branch at inst 4 reconverges at loop exit (inst 5).
 	if got := info.Reconv[4]; got != 5 {
 		t.Fatalf("loop branch reconv = %d, want 5", got)
-	}
-}
-
-func TestFindLoops(t *testing.T) {
-	p := isa.MustParse("loop", loopSrc)
-	g := Build(p)
-	loops := FindLoops(g, Dominators(g))
-	if len(loops) != 1 {
-		t.Fatalf("loops = %d, want 1", len(loops))
-	}
-	l := loops[0]
-	if l.Header != 1 || !l.Contains(1) || l.Depth != 1 {
-		t.Fatalf("loop = %+v", l)
-	}
-}
-
-func TestFindNestedLoops(t *testing.T) {
-	p := isa.MustParse("nested", nestedSrc)
-	g := Build(p)
-	loops := FindLoops(g, Dominators(g))
-	if len(loops) != 2 {
-		t.Fatalf("loops = %d, want 2\n%s", len(loops), g)
-	}
-	var inner, outer *Loop
-	for _, l := range loops {
-		if l.Depth == 2 {
-			inner = l
-		} else if l.Depth == 1 {
-			outer = l
-		}
-	}
-	if inner == nil || outer == nil {
-		t.Fatalf("depths wrong: %+v %+v", loops[0], loops[1])
-	}
-	if !outer.Blocks[inner.Header] {
-		t.Fatal("outer loop should contain inner header")
-	}
-	depth := LoopDepthOf(g, loops)
-	if depth[inner.Header] != 2 {
-		t.Fatalf("inner header depth = %d", depth[inner.Header])
 	}
 }
 
@@ -223,11 +147,7 @@ END:
 `
 	p := isa.MustParse("dead", src)
 	g := Build(p)
-	d := Dominators(g)
 	dead := g.BlockOf[2]
-	if d.IDom[dead] != -1 {
-		t.Fatalf("unreachable block should have IDom -1, got %d", d.IDom[dead])
-	}
 	reach := g.Reachable()
 	if reach[dead] {
 		t.Fatal("dead block reported reachable")

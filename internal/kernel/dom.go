@@ -2,86 +2,6 @@ package kernel
 
 import "flame/internal/isa"
 
-// DomTree holds immediate dominators of CFG blocks, computed with the
-// Cooper–Harvey–Kennedy iterative algorithm.
-type DomTree struct {
-	// IDom[b] is the immediate dominator of block b; the entry's IDom is
-	// itself. Unreachable blocks have IDom -1.
-	IDom []int
-}
-
-// Dominators computes the dominator tree of the CFG.
-func Dominators(g *CFG) *DomTree {
-	rpo := g.RPO()
-	order := make([]int, len(g.Blocks)) // block -> RPO index
-	for i := range order {
-		order[i] = -1
-	}
-	for i, b := range rpo {
-		order[b] = i
-	}
-	idom := make([]int, len(g.Blocks))
-	for i := range idom {
-		idom[i] = -1
-	}
-	entry := g.Entry()
-	idom[entry] = entry
-
-	intersect := func(a, b int) int {
-		for a != b {
-			for order[a] > order[b] {
-				a = idom[a]
-			}
-			for order[b] > order[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo {
-			if b == entry {
-				continue
-			}
-			newIDom := -1
-			for _, p := range g.Blocks[b].Preds {
-				if idom[p] == -1 {
-					continue
-				}
-				if newIDom == -1 {
-					newIDom = p
-				} else {
-					newIDom = intersect(newIDom, p)
-				}
-			}
-			if newIDom != -1 && idom[b] != newIDom {
-				idom[b] = newIDom
-				changed = true
-			}
-		}
-	}
-	return &DomTree{IDom: idom}
-}
-
-// Dominates reports whether block a dominates block b.
-func (d *DomTree) Dominates(a, b int) bool {
-	if d.IDom[b] == -1 {
-		return false
-	}
-	for {
-		if a == b {
-			return true
-		}
-		next := d.IDom[b]
-		if next == b {
-			return false
-		}
-		b = next
-	}
-}
-
 // PostDomTree holds immediate post-dominators. A virtual exit node (ID =
 // len(blocks)) post-dominates everything; blocks whose immediate
 // post-dominator is the virtual exit report VirtualExit.
@@ -178,12 +98,10 @@ func PostDominators(g *CFG) *PostDomTree {
 	return &PostDomTree{IPDom: ipdom[:n], VirtualExit: vexit}
 }
 
-// Info bundles the per-program structural analyses the compiler and
-// simulator need: CFG, dominators, post-dominators and per-branch
-// reconvergence PCs.
+// Info bundles the per-program structural analyses the simulator
+// needs: CFG, post-dominators and per-branch reconvergence PCs.
 type Info struct {
 	CFG  *CFG
-	Dom  *DomTree
 	PDom *PostDomTree
 	// Reconv[i] is the reconvergence instruction index of the (possibly
 	// divergent) branch at instruction i: the start of the branch block's
@@ -198,7 +116,6 @@ func Analyze(p *isa.Program) *Info {
 	g := Build(p)
 	info := &Info{
 		CFG:    g,
-		Dom:    Dominators(g),
 		PDom:   PostDominators(g),
 		Reconv: make([]int, len(p.Insts)),
 	}

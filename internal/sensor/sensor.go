@@ -105,16 +105,6 @@ var Specs = []GPUSpec{
 	{Name: "TITANX", FreqMHz: 1000, SMCount: 24, SMAreaMM2: 11.30, DieAreaMM2: 601},
 }
 
-// SpecByName returns the named GPU spec.
-func SpecByName(name string) (GPUSpec, error) {
-	for _, s := range Specs {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return GPUSpec{}, fmt.Errorf("sensor: unknown GPU %q", name)
-}
-
 // Curve returns (sensors, WCDL) samples for a spec over a sensor range,
 // reproducing one series of the paper's Figure 12.
 func Curve(spec GPUSpec, minSensors, maxSensors, step int) []CurvePoint {

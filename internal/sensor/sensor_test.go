@@ -80,11 +80,7 @@ func TestSensorsForInvertsWCDL(t *testing.T) {
 }
 
 func TestCurveShape(t *testing.T) {
-	spec, err := SpecByName("GTX480")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := Curve(spec, 50, 300, 50)
+	pts := Curve(Specs[0], 50, 300, 50) // GTX480
 	if len(pts) != 6 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -95,11 +91,5 @@ func TestCurveShape(t *testing.T) {
 	}
 	if pts[0].WCDL != 50 || pts[len(pts)-1].WCDL != 15 {
 		t.Fatalf("endpoints: %+v", pts)
-	}
-}
-
-func TestSpecByNameUnknown(t *testing.T) {
-	if _, err := SpecByName("H100"); err == nil {
-		t.Fatal("expected error for unknown GPU")
 	}
 }
