@@ -55,43 +55,6 @@ func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestReportIdenticalWithCycleSkipOnOff: event-driven fast-forwarding
-// must not change a single byte of a campaign report — every trial's
-// cycle counts, outcomes and error strings are identical to the naive
-// per-cycle loop's, under both an unprotected Baseline and the full
-// Flame scheme (injection, RBQ waits and recoveries in the loop).
-func TestReportIdenticalWithCycleSkipOnOff(t *testing.T) {
-	for _, scheme := range []struct {
-		name string
-		opt  core.Options
-	}{
-		{"flame", core.FlameOptions()},
-		{"baseline", core.Options{Scheme: core.Baseline}},
-	} {
-		t.Run(scheme.name, func(t *testing.T) {
-			run := func(noSkip bool) []byte {
-				cfg := testConfig(t, []string{"Triad", "Histogram"}, 6, 4)
-				cfg.Opt = scheme.opt
-				cfg.Arch.NoCycleSkip = noSkip
-				rep, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data, err := rep.JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return data
-			}
-			fast := run(false)
-			naive := run(true)
-			if !bytes.Equal(fast, naive) {
-				t.Fatalf("reports differ with cycle skipping on/off:\nskip:\n%s\nnaive:\n%s", fast, naive)
-			}
-		})
-	}
-}
-
 // TestCampaignCoverageDataSlice: under the paper's fault model with the
 // full Flame scheme, a small campaign reports zero SDC and zero Hang,
 // and the derived rates are consistent.

@@ -62,18 +62,15 @@ func TestTraceDoesNotChangeOutcomes(t *testing.T) {
 	}
 }
 
-// TestTraceDeterministicAndSkipSafe: the full traced report — depth
+// TestTraceDeterministicAcrossWorkers: the full traced report — depth
 // percentiles, fingerprints, histograms included — is byte-identical
-// across worker counts and with cycle skipping on and off. The tracer
-// observes executed instructions only, whose cycles the skip-identity
-// suite pins, so this must hold exactly.
-func TestTraceDeterministicAndSkipSafe(t *testing.T) {
-	run := func(parallel int, noSkip bool) []byte {
+// across worker counts.
+func TestTraceDeterministicAcrossWorkers(t *testing.T) {
+	run := func(parallel int) []byte {
 		cfg := testConfig(t, []string{"Triad", "Histogram"}, 8, parallel)
 		cfg.Opt = core.Options{Scheme: core.Baseline}
 		cfg.Model = flame.FullSite // reaches SDC outcomes
 		cfg.Trace = true
-		cfg.Arch.NoCycleSkip = noSkip
 		rep, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -84,15 +81,8 @@ func TestTraceDeterministicAndSkipSafe(t *testing.T) {
 		}
 		return data
 	}
-	ref := run(1, false)
-	for _, v := range []struct {
-		parallel int
-		noSkip   bool
-	}{{8, false}, {1, true}, {4, true}} {
-		if got := run(v.parallel, v.noSkip); !bytes.Equal(ref, got) {
-			t.Fatalf("traced report differs at parallel=%d noskip=%v:\nref:\n%s\ngot:\n%s",
-				v.parallel, v.noSkip, ref, got)
-		}
+	if ref, got := run(1), run(8); !bytes.Equal(ref, got) {
+		t.Fatalf("traced report differs at parallel=8:\nparallel=1:\n%s\nparallel=8:\n%s", ref, got)
 	}
 }
 

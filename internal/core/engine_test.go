@@ -194,41 +194,3 @@ func TestEngineTrialMatchesFreshDevice(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineTrialSkipEquivalence: pooled trials with event-driven cycle
-// skipping disabled match trials with it enabled, field for field —
-// the campaign-level statement of the tentpole invariant.
-func TestEngineTrialSkipEquivalence(t *testing.T) {
-	spec := saxpySpec()
-	for _, opt := range []Options{FlameOptions(), {Scheme: Baseline}} {
-		cfgFast := testCfg()
-		cfgNaive := testCfg()
-		cfgNaive.NoCycleSkip = true
-		gFast, err := GoldenRun(cfgFast, spec, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gNaive, err := GoldenRun(cfgNaive, spec, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gFast.Window != gNaive.Window {
-			t.Fatalf("%s: golden window %d (skip) != %d (naive)",
-				opt.Scheme, gFast.Window, gNaive.Window)
-		}
-		engFast, engNaive := NewEngine(cfgFast), NewEngine(cfgNaive)
-		for i := int64(0); i < 12; i++ {
-			ts := TrialSpec{
-				Arms:      []int64{(i * gFast.Window) / 15},
-				Seed:      i + 99,
-				MaxCycles: gFast.HangBudget(0),
-			}
-			fast := engFast.RunTrial(spec, gFast, ts)
-			naive := engNaive.RunTrial(spec, gNaive, ts)
-			if !reflect.DeepEqual(fast, naive) {
-				t.Fatalf("%s trial %d diverges with skipping off:\n  fast: %+v\n naive: %+v",
-					opt.Scheme, i, fast, naive)
-			}
-		}
-	}
-}

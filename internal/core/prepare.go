@@ -15,7 +15,7 @@ import (
 // and the injection-site strata. The recorder is an OnExecuted-only
 // hook combined after the scheme's own on the main launch, so it sees
 // executed instructions in exactly the order a trial's injector does,
-// and it leaves cycle skipping — and so the schedule — unchanged.
+// and it leaves the schedule unchanged.
 
 // Want selects what Prepare records during the golden run besides the
 // Golden itself.

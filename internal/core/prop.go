@@ -5,7 +5,7 @@
 // defined here so internal/obs (the tracer implementation) can depend
 // on core without a cycle; everything it records is a deterministic
 // function of the trial, so traced campaign reports stay byte-identical
-// at any worker count and with or without cycle skipping.
+// at any worker count.
 
 package core
 
@@ -15,8 +15,8 @@ import (
 )
 
 // PropRecord is one trial's propagation/fingerprint record. All cycle
-// fields derive from executed-instruction observations (skip-safe by
-// construction); -1 means "did not happen".
+// fields derive from executed-instruction observations; -1 means "did
+// not happen".
 type PropRecord struct {
 	// StrikeCycle is the first corruption cycle (== injector InjectedAt).
 	StrikeCycle int64 `json:"strike_cycle"`

@@ -17,15 +17,13 @@
 // Detecting (runtime-controller) schemes are handled by a static
 // detection-outcome model rather than a gate. Detection is
 // value-independent: Controller.onCycle calls Injector.DetectionDue at
-// the end of every processed cycle of the main launch (and OnAdvance
-// bounds cycle skips to NextDetection, so a due detection is never
-// jumped over), while Steps never see the injector (the engine attaches
-// it to the main launch only). A strike fired at cycle c with sensor
-// delay delta therefore recovers iff c+delta <= the main launch's last
-// processed cycle — equivalently c+delta < Golden.MainCycles, the
-// launch's cycle count — and a dead strike whose report comes due after
-// the main launch retired is Masked with the golden's timing, bit for
-// bit.
+// the end of every cycle of the main launch, while Steps never see the
+// injector (the engine attaches it to the main launch only). A strike
+// fired at cycle c with sensor delay delta therefore recovers iff
+// c+delta <= the main launch's last cycle — equivalently
+// c+delta < Golden.MainCycles, the launch's cycle count — and a dead
+// strike whose report comes due after the main launch retired is Masked
+// with the golden's timing, bit for bit.
 // Anything detected in-window re-executes, so those trials simulate.
 //
 // Remaining soundness gates (any failure disables pruning for the

@@ -133,7 +133,7 @@ func runPartialCkpt(t *testing.T, p *isa.Program, sections []regions.Section, sl
 				}
 			}
 		}
-	}, OnAdvance: func(d *gpu.Device, from, to int64) int64 { return to }}
+	}}
 	launch := &gpu.Launch{Prog: p, Grid: isa.Dim3{X: 3}, Block: isa.Dim3{X: 48}, Params: []uint32{0}}
 	st, err := d.Run(launch, gpu.CombineHooks(c.Hooks(), probe))
 	if err != nil {

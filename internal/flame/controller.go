@@ -127,8 +127,8 @@ type Controller struct {
 	// nextPop is a lower bound on the cycle of the next conveyor pop
 	// (math.MaxInt64 when every conveyor is empty): a push lowers it to
 	// its entry's pop cycle and onCycle, once it pops, recomputes it as
-	// the earliest head. Until the clock reaches it onCycle and
-	// onAdvance skip the conveyor walk.
+	// the earliest head. Until the clock reaches it onCycle skips the
+	// conveyor walk.
 	nextPop int64
 	// warps holds the per-warp state (RPT entry, cleared crossing,
 	// pending section snapshot, checkpoint buffer) indexed by the
@@ -214,7 +214,6 @@ func (c *Controller) Hooks() *gpu.Hooks {
 		OnExecuted:     c.onExecuted,
 		OnAtomic:       c.onAtomic,
 		OnCycle:        c.onCycle,
-		OnAdvance:      c.onAdvance,
 		OnWarpDispatch: c.onWarpDispatch,
 	}
 }
@@ -230,33 +229,6 @@ func (c *Controller) warp(i int) *warpState {
 		c.warps = append(c.warps, emptyWarp)
 	}
 	return &c.warps[i]
-}
-
-// onAdvance bounds event-driven fast-forwarding: while every scheduler
-// is stalled this controller's onCycle only acts at discrete pending
-// events — a sensor detection coming due, a scheduled false positive, or
-// an RBQ entry reaching its pop cycle (which may in turn complete a
-// collective section, in the same onCycle). New strikes, enqueues and
-// section completions all require an executed instruction, which cannot
-// happen inside the skipped span, so the earliest of those pending
-// events is an exact bound. This is a pure query; it mutates nothing.
-func (c *Controller) onAdvance(d *gpu.Device, from, to int64) int64 {
-	t := to
-	if c.Inj != nil {
-		if due := c.Inj.NextDetection(); due >= 0 && due < t {
-			t = due
-		}
-	}
-	if c.nextFP < len(c.FalsePositives) && c.FalsePositives[c.nextFP] < t {
-		t = c.FalsePositives[c.nextFP]
-	}
-	if c.nextPop < t {
-		t = c.nextPop
-	}
-	if t < from {
-		t = from
-	}
-	return t
 }
 
 // onWarpDispatch seeds the warp's recovery point with its launch state,

@@ -200,24 +200,6 @@ func (inj *Injector) ExcludedStrikes() int {
 	return n
 }
 
-// NextDetection returns the earliest cycle a fired-but-undetected strike
-// reports, or -1 if none is pending. Unfired strikes need an executed
-// instruction to inject, which cannot happen while every scheduler is
-// stalled — so this bound is exact for fast-forwarding.
-func (inj *Injector) NextDetection() int64 {
-	due := int64(-1)
-	for i := range inj.Strikes {
-		s := &inj.Strikes[i]
-		if !s.Injected || s.Detected {
-			continue
-		}
-		if due < 0 || s.detectAt < due {
-			due = s.detectAt
-		}
-	}
-	return due
-}
-
 // DetectionDue reports whether the sensors report one or more pending
 // strikes this cycle and marks them detected. The caller performs the
 // recovery (one recovery covers every strike reported this cycle).

@@ -7,9 +7,8 @@ import (
 )
 
 // computeBoundSrc keeps the ALU pipelines busy: a long dependent FMA
-// chain per thread with almost no memory traffic. Cycle skipping finds
-// little to skip here; the benchmark measures raw per-cycle stepping
-// cost and allocation churn.
+// chain per thread with almost no memory traffic; the benchmark
+// measures raw per-cycle stepping cost and allocation churn.
 const computeBoundSrc = `
     mov r0, %tid.x
     mov r1, %ctaid.x
@@ -37,7 +36,8 @@ LOOP:
 // previous load's value, so a warp stalls the full DRAM latency per
 // step, and with one warp per block there is not enough parallelism to
 // hide it. Most cycles, every scheduler in the device is waiting on an
-// outstanding miss — the workload event-driven skipping exists for.
+// outstanding miss, so the benchmark measures the cost of a stalled
+// cycle.
 const latencyBoundSrc = `
     mov r0, %tid.x
     mov r1, %ctaid.x
@@ -60,9 +60,8 @@ LOOP:
 `
 
 // streamBoundSrc is a strided global-memory streamer: every warp misses
-// L1 constantly and the device saturates DRAM bandwidth. Some scheduler
-// almost always has a transaction to issue, so this bounds the skip
-// win on bandwidth-bound (rather than latency-bound) workloads.
+// L1 constantly and the device saturates DRAM bandwidth: the
+// bandwidth-bound (rather than latency-bound) case.
 const streamBoundSrc = `
     mov r0, %tid.x
     mov r1, %ctaid.x
@@ -89,11 +88,10 @@ LOOP:
     exit
 `
 
-func benchDevice(b *testing.B, noSkip bool) *Device {
+func benchDevice(b *testing.B) *Device {
 	b.Helper()
 	cfg := GTX480()
 	cfg.NumSMs = 4
-	cfg.NoCycleSkip = noSkip
 	d, err := NewDevice(cfg, 1<<22)
 	if err != nil {
 		b.Fatal(err)
@@ -109,8 +107,8 @@ func benchDevice(b *testing.B, noSkip bool) *Device {
 	return d
 }
 
-func benchRun(b *testing.B, src, name string, grid, block isa.Dim3, noSkip bool) {
-	d := benchDevice(b, noSkip)
+func benchRun(b *testing.B, src, name string, grid, block isa.Dim3) {
+	d := benchDevice(b)
 	prog := isa.MustParse(name, src)
 	l := &Launch{
 		Prog: prog, Grid: grid, Block: block,
@@ -130,17 +128,11 @@ func benchRun(b *testing.B, src, name string, grid, block isa.Dim3, noSkip bool)
 }
 
 // BenchmarkDeviceRun measures kernel simulation throughput on a
-// compute-bound, a bandwidth-bound and a latency-bound kernel, with
-// event-driven cycle skipping on (the default) and off (the naive
-// per-cycle loop). The skip/noskip ratio on the latency-bound kernel is
-// the headline number EXPERIMENTS.md tracks.
+// compute-bound, a bandwidth-bound and a latency-bound kernel.
 func BenchmarkDeviceRun(b *testing.B) {
 	wide, narrow := isa.Dim3{X: 32}, isa.Dim3{X: 128}
 	one := isa.Dim3{X: 32}
-	b.Run("compute", func(b *testing.B) { benchRun(b, computeBoundSrc, "compute", wide, narrow, false) })
-	b.Run("compute-noskip", func(b *testing.B) { benchRun(b, computeBoundSrc, "compute", wide, narrow, true) })
-	b.Run("stream", func(b *testing.B) { benchRun(b, streamBoundSrc, "stream", wide, narrow, false) })
-	b.Run("stream-noskip", func(b *testing.B) { benchRun(b, streamBoundSrc, "stream", wide, narrow, true) })
-	b.Run("memory", func(b *testing.B) { benchRun(b, latencyBoundSrc, "memory", isa.Dim3{X: 8}, one, false) })
-	b.Run("memory-noskip", func(b *testing.B) { benchRun(b, latencyBoundSrc, "memory", isa.Dim3{X: 8}, one, true) })
+	b.Run("compute", func(b *testing.B) { benchRun(b, computeBoundSrc, "compute", wide, narrow) })
+	b.Run("stream", func(b *testing.B) { benchRun(b, streamBoundSrc, "stream", wide, narrow) })
+	b.Run("memory", func(b *testing.B) { benchRun(b, latencyBoundSrc, "memory", isa.Dim3{X: 8}, one) })
 }

@@ -33,8 +33,8 @@ func TestLaunchCycleBudgetOverridesDevice(t *testing.T) {
 	if !errors.Is(err, ErrCycleLimit) {
 		t.Fatalf("error %v does not wrap ErrCycleLimit", err)
 	}
-	if d.Cyc < 2000 || d.Cyc > 2100 {
-		t.Fatalf("launch stopped at cycle %d, want ~2000", d.Cyc)
+	if d.Cyc != 2000 {
+		t.Fatalf("launch stopped at cycle %d, want 2000", d.Cyc)
 	}
 	if d.MaxCycles != 200_000_000 {
 		t.Fatalf("launch budget mutated the device guard: %d", d.MaxCycles)
@@ -51,7 +51,40 @@ func TestLaunchCycleBudgetOverridesDevice(t *testing.T) {
 	if !errors.Is(err, ErrCycleLimit) {
 		t.Fatalf("device guard: %v", err)
 	}
-	if d2.Cyc < 3000 {
-		t.Fatalf("device guard fired early at %d", d2.Cyc)
+	if d2.Cyc != 3000 {
+		t.Fatalf("device guard stopped the launch at cycle %d, want 3000", d2.Cyc)
+	}
+}
+
+// TestDeadlockExhaustsBudget: a launch whose only warp a hook suspends
+// durably (as WCDL-aware scheduling does, here never resumed) is
+// diagnosed at exactly its budget, having booked one stall cycle per
+// cycle and an RBQ wait on every cycle after the suspending one.
+func TestDeadlockExhaustsBudget(t *testing.T) {
+	const src = `
+	    mov r0, %tid.x
+	    exit
+	`
+	d, err := NewDevice(smallConfig(), 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooks := &Hooks{
+		BeforeIssue: func(d *Device, sm *SM, w *Warp) bool {
+			w.SetSuspended(true)
+			return false
+		},
+	}
+	l := &Launch{Prog: isa.MustParse("parked", src), Grid: isa.Dim3{X: 1}, Block: isa.Dim3{X: 32},
+		MaxCycles: 10_000}
+	if _, err := d.Run(l, hooks); !errors.Is(err, ErrCycleLimit) {
+		t.Fatalf("error %v does not wrap ErrCycleLimit", err)
+	}
+	if d.Cyc != 10_000 {
+		t.Errorf("stopped at cycle %d, want 10000", d.Cyc)
+	}
+	if d.Stats.StallCycles != 10_000 || d.Stats.RBQWaitCycles != 9_999 {
+		t.Errorf("StallCycles %d, RBQWaitCycles %d; want 10000 and 9999",
+			d.Stats.StallCycles, d.Stats.RBQWaitCycles)
 	}
 }

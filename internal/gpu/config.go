@@ -83,13 +83,6 @@ type Config struct {
 	DRAMCyclesPerLine int
 	// L2CyclesPerLine is the SM's share of L2 bandwidth.
 	L2CyclesPerLine int
-
-	// NoCycleSkip disables event-driven fast-forwarding of fully-stalled
-	// cycles and steps the naive per-cycle loop instead. Skipping is
-	// bit-identical in every reported statistic (the equivalence suite
-	// asserts it), so this exists for A/B validation and benchmarking,
-	// not correctness.
-	NoCycleSkip bool
 }
 
 // GTX480 returns the paper's default architecture (Fermi).

@@ -14,7 +14,6 @@ func (sm *SM) execute(w *Warp, cycle int64) error {
 	in := &prog.Insts[pc]
 	c := &d.kern.consts[pc]
 
-	d.issued = true
 	w.invalidateDeps()
 	d.Stats.Issued++
 	switch in.Origin {

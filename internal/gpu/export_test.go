@@ -73,9 +73,9 @@ func CheckIssueScan(d *Device, cov *ScanCoverage) error {
 				return fmt.Errorf("cycle %d SM %d slot %d pc %d (%s): %s",
 					cyc, sm.ID, wi, w.PC(), in.Op, fmt.Sprintf(format, args...))
 			}
-			switch g := sm.gate[wi]; {
-			case g.at != at || g.hz != hz:
-				return fail("memoized gate {at %d hz %#x}, recomputed {at %d hz %#x}", g.at, g.hz, at, hz)
+			switch {
+			case sm.gate[wi] != at:
+				return fail("memoized scoreboard bound %d, recomputed %d", sm.gate[wi], at)
 			case sm.sbWait&bit != 0 != (at > cyc):
 				return fail("in sbWait = %v, bound %d", sm.sbWait&bit != 0, at)
 			case sm.sbWait&bit != 0 && at < sm.sbNext:

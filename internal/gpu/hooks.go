@@ -31,26 +31,7 @@ type Hooks struct {
 	OnAtomic func(d *Device, sm *SM, w *Warp, space isa.Space, addr, old uint32, lane int)
 
 	// OnCycle runs once per device cycle, after all SMs stepped.
-	//
-	// Attaching OnCycle disables event-driven cycle skipping unless
-	// OnAdvance is also provided: the simulator cannot know which idle
-	// cycles a per-cycle consumer cares about.
 	OnCycle func(d *Device)
-
-	// OnAdvance makes an OnCycle consumer fast-forward safe. When every
-	// scheduler is stalled, the simulator proposes advancing the clock
-	// from cycle `from` directly to cycle `to` (skipping the OnCycle
-	// calls for cycles from..to-1, which are credited as stall cycles).
-	// The hook returns the earliest cycle in [from, to] at which its
-	// OnCycle stops being a no-op — d.Cyc jumps there and per-cycle
-	// simulation resumes. Returning `from` vetoes the skip entirely.
-	//
-	// OnAdvance is a bound query, not a notification: it may be invoked
-	// with a larger `to` than the clock finally advances by (another
-	// hook or SM may clamp harder), so it must not mutate state based on
-	// the proposed range. Observe the actual position via d.Cyc at the
-	// next callback.
-	OnAdvance func(d *Device, from, to int64) int64
 
 	// OnBlockDone runs when a thread block retires from an SM.
 	OnBlockDone func(d *Device, sm *SM, globalBlock int)
@@ -61,12 +42,9 @@ type Hooks struct {
 	// once instead of probing a map on every issued instruction.
 	OnWarpDispatch func(d *Device, sm *SM, w *Warp)
 
-	// Slots receives scheduler-slot attribution (see SlotSink). Unlike
-	// OnCycle, attaching a sink keeps event-driven cycle skipping
-	// enabled: the simulator bulk-credits skipped spans through the same
-	// classification the per-cycle scan uses, clamping each skip to the
-	// first cycle any warp could reclassify, so sink totals are
-	// bit-identical with and without skipping.
+	// Slots receives scheduler-slot attribution (see SlotSink), one
+	// credit per scheduler slot per cycle. Attaching a sink makes the
+	// simulator step drained SMs too, to credit their idle slots.
 	Slots SlotSink
 }
 
@@ -110,28 +88,4 @@ func (h *Hooks) onWarpDispatch(d *Device, sm *SM, w *Warp) {
 	if h != nil && h.OnWarpDispatch != nil {
 		h.OnWarpDispatch(d, sm, w)
 	}
-}
-
-// onAdvance resolves the hook set's fast-forward bound for a proposed
-// jump from cycle `from` to cycle `to`: the hook's answer clamped into
-// [from, to], `from` (no skip) for an OnCycle consumer without an
-// OnAdvance contract, and `to` (no objection) otherwise.
-func (h *Hooks) onAdvance(d *Device, from, to int64) int64 {
-	if h == nil {
-		return to
-	}
-	if h.OnAdvance != nil {
-		t := h.OnAdvance(d, from, to)
-		if t < from {
-			return from
-		}
-		if t > to {
-			return to
-		}
-		return t
-	}
-	if h.OnCycle != nil {
-		return from
-	}
-	return to
 }

@@ -15,8 +15,7 @@ import (
 // either device runs on without disturbing the other.
 //
 // l must launch src's program with src's geometry, and the device must
-// have src's configuration (NoCycleSkip aside: skipping never changes
-// state). Global memory must hold the contents src's
+// have src's configuration. Global memory must hold the contents src's
 // launch started from, with a clean dirty bitmap (RestoreFrom leaves it
 // so): CopyFrom writes the pages dirty in src and marks them dirty, so
 // the bitmap afterwards is the one the uninterrupted launch has.
@@ -24,10 +23,9 @@ import (
 // Memoized issue gates are not copied: they are a pure function of warp
 // state, and l's hooks may declare other BeforeIssue instructions.
 func (d *Device) CopyFrom(src *Device, l *Launch, hooks *Hooks) error {
-	cfg, sl := src.Cfg, src.launch
-	cfg.NoCycleSkip = d.Cfg.NoCycleSkip
+	sl := src.launch
 	switch {
-	case cfg != d.Cfg:
+	case src.Cfg != d.Cfg:
 		return fmt.Errorf("gpu: %q launch of a %s device copied to a %s device with another configuration", sl.Prog.Name, src.Cfg.Name, d.Cfg.Name)
 	case l.Prog != sl.Prog || l.Grid != sl.Grid || l.Block != sl.Block:
 		return fmt.Errorf("gpu: launch of kernel %q copied with another launch (%q)", sl.Prog.Name, l.Prog.Name)

@@ -17,25 +17,42 @@ import (
 type resumeRun struct {
 	dev   *gpu.Device
 	ctl   *flame.Controller
+	slots *slotCounts // nil unless drained SMs are stepped
 	hooks *gpu.Hooks
 	l     *gpu.Launch
 }
 
+// slotCounts is a slot sink that counts credits by reason. A device
+// with a sink attached steps its drained SMs too, to credit their slots.
+type slotCounts [gpu.NumSlotReasons]int64
+
+func (c *slotCounts) CreditSlot(_, _, _ int, r gpu.SlotReason, _ int64) { c[r]++ }
+
 // startRun builds a device of cfg holding the benchmark's input and
-// attaches a new controller for comp (none for a scheme without one).
-func startRun(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp *core.Compiled) *resumeRun {
+// gives the run hooks for comp (see newHooks).
+func startRun(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp *core.Compiled, stepDrained bool) *resumeRun {
 	t.Helper()
 	d, err := gpu.NewDevice(cfg, spec.MemBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Setup(d.Mem.Words())
-	r := &resumeRun{dev: d, ctl: comp.Controller(),
-		l: &gpu.Launch{Prog: comp.Prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}}
+	r := &resumeRun{dev: d, l: &gpu.Launch{Prog: comp.Prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}}
+	r.newHooks(comp, stepDrained)
+	return r
+}
+
+// newHooks attaches a new controller for comp (none for a scheme
+// without one) and, with stepDrained, a new slot sink.
+func (r *resumeRun) newHooks(comp *core.Compiled, stepDrained bool) {
+	r.ctl, r.slots, r.hooks = comp.Controller(), nil, nil
 	if r.ctl != nil {
 		r.hooks = r.ctl.Hooks()
 	}
-	return r
+	if stepDrained {
+		r.slots = new(slotCounts)
+		r.hooks = gpu.CombineHooks(r.hooks, &gpu.Hooks{Slots: r.slots})
+	}
 }
 
 // resumeCase checks one benchmark, scheme and configuration: the main
@@ -44,54 +61,53 @@ func startRun(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp *core.Co
 // other scheme) ends with the memory, dirty pages, gpu.Stats and
 // controller stats of the uninterrupted launch — and so does the paused
 // launch continued in place. On its way the launch pauses at several
-// cycles, as a golden cursor does; each pause lands exactly on the
-// cycle asked for, with the partial gpu.Stats of the same launch
-// simulated without cycle skipping.
-func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other *core.Compiled, frac float64) {
+// cycles, as a golden cursor does, each exactly on the cycle asked for.
+// With stepDrained every run has a slot sink attached, so the loop
+// steps drained SMs instead of dropping them: every run then credits
+// one slot per scheduler per cycle, and the copy's credits continue
+// the paused run's.
+func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other *core.Compiled, frac float64, stepDrained bool) {
 	t.Helper()
-	ref := startRun(t, cfg, spec, comp)
+	ref := startRun(t, cfg, spec, comp, stepDrained)
 	want, err := ref.dev.Run(ref.l, ref.hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	paused := startRun(t, cfg, spec, comp)
-	if err := paused.dev.Start(paused.l, paused.hooks); err != nil {
-		t.Fatal(err)
+	if ref.slots != nil {
+		var n int64
+		for _, c := range ref.slots {
+			n += c
+		}
+		if slots := want.Cycles * int64(cfg.NumSMs*cfg.SchedulersPerSM); n != slots {
+			t.Fatalf("%d slot credits over %d cycles, want %d", n, want.Cycles, slots)
+		}
 	}
-	naiveCfg := cfg
-	naiveCfg.NoCycleSkip = true
-	naive := startRun(t, naiveCfg, spec, comp)
-	if err := naive.dev.Start(naive.l, naive.hooks); err != nil {
+
+	paused := startRun(t, cfg, spec, comp, stepDrained)
+	if err := paused.dev.Start(paused.l, paused.hooks); err != nil {
 		t.Fatal(err)
 	}
 	at := int64(float64(want.Cycles) * frac)
 	for _, stop := range []int64{at / 3, at / 3, at/2 + 1, at} {
-		got, err := paused.dev.Continue(stop)
-		if err != nil {
+		if _, err := paused.dev.Continue(stop); err != nil {
 			t.Fatal(err)
 		}
 		if c := paused.dev.Cycle(); c != stop {
 			t.Fatalf("paused at cycle %d, asked %d of %d", c, stop, want.Cycles)
 		}
-		ref, err := naive.dev.Continue(stop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *got != *ref {
-			t.Fatalf("stats paused at cycle %d differ from the launch without cycle skipping:\n got  %+v\n want %+v", stop, *got, *ref)
-		}
+	}
+	var prefix slotCounts
+	if paused.slots != nil {
+		prefix = *paused.slots
 	}
 	// The other kernel leaves warps, blocks, pools, caches and
 	// scheduler state behind on the device the launch is copied onto.
-	resumed := startRun(t, cfg, spec, other)
+	resumed := startRun(t, cfg, spec, other, stepDrained)
 	if _, err := resumed.dev.Run(resumed.l, resumed.hooks); err != nil {
 		t.Fatal(err)
 	}
-	resumed = &resumeRun{dev: resumed.dev, ctl: comp.Controller(), l: paused.l}
-	if resumed.ctl != nil {
-		resumed.hooks = resumed.ctl.Hooks()
-	}
+	resumed.l = paused.l
+	resumed.newHooks(comp, stepDrained)
 	words := resumed.dev.Mem.Words()
 	clear(words)
 	spec.Setup(words)
@@ -106,7 +122,10 @@ func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other
 	for _, r := range []struct {
 		name string
 		run  *resumeRun
-	}{{"resumed on another device", resumed}, {"continued in place", paused}} {
+		// before holds the slot credits of the launch's cycles the run's
+		// own sink did not see.
+		before slotCounts
+	}{{"resumed on another device", resumed, prefix}, {"continued in place", paused, slotCounts{}}} {
 		got, err := r.run.dev.Continue(math.MaxInt64)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
@@ -123,15 +142,26 @@ func resumeCase(t *testing.T, cfg gpu.Config, spec *core.KernelSpec, comp, other
 		if ref.ctl != nil && r.run.ctl.Stats != ref.ctl.Stats {
 			t.Fatalf("%s: controller stats differ:\n got  %+v\n want %+v", r.name, r.run.ctl.Stats, ref.ctl.Stats)
 		}
+		if r.run.slots != nil {
+			slots := r.before
+			for i, c := range r.run.slots {
+				slots[i] += c
+			}
+			if slots != *ref.slots {
+				t.Fatalf("%s: slot credits differ:\n got  %v\n want %v", r.name, slots, *ref.slots)
+			}
+		}
 	}
 }
 
 // TestImageResumeMatchesUninterrupted is the resume contract behind
 // trials that start from the golden cursor: every benchmark at 4 SMs,
 // under Baseline and under Flame with its controller copied too, under
-// each scheduler with cycle skipping on and off, paused at a quarter, a
-// half or three quarters of its launch. A race-detector build checks
-// every eighth benchmark.
+// each scheduler, paused at a quarter, a half or three quarters of its
+// launch. Each case runs twice: with drained SMs dropped from the loop,
+// as in campaigns, and with noSkip, where a slot sink makes the loop
+// step every SM on every cycle, as telemetry runs do. A race-detector
+// build checks every eighth benchmark.
 func TestImageResumeMatchesUninterrupted(t *testing.T) {
 	schemes := []core.Options{{Scheme: core.Baseline}, core.FlameOptions()}
 	for i, b := range bench.All() {
@@ -152,11 +182,10 @@ func TestImageResumeMatchesUninterrupted(t *testing.T) {
 					cfg := gpu.GTX480()
 					cfg.NumSMs = 4
 					cfg.Scheduler = sched
-					cfg.NoCycleSkip = noSkip
 					frac := float64(1+(i+j)%3) / 4
 					t.Run(fmt.Sprintf("%s/%s/%s/noSkip=%v", b.Name, schemes[k].Scheme.FlagName(), sched, noSkip), func(t *testing.T) {
 						t.Parallel()
-						resumeCase(t, cfg, spec, comps[k], comps[1-k], frac)
+						resumeCase(t, cfg, spec, comps[k], comps[1-k], frac, noSkip)
 					})
 				}
 			}
@@ -167,8 +196,8 @@ func TestImageResumeMatchesUninterrupted(t *testing.T) {
 // TestCopyFromRefusesMismatch checks CopyFrom's refusals: a paused
 // launch is not copied onto a device with another number of SMs, nor
 // under another program or grid, and the error names the kernel. A
-// source without cycle skipping is copied onto a skipping device, which
-// then finishes with the uninterrupted launch's Stats and memory.
+// matching device accepts the copy and finishes with the uninterrupted
+// launch's Stats and memory.
 func TestCopyFromRefusesMismatch(t *testing.T) {
 	b, err := bench.ByName("Histogram")
 	if err != nil {
@@ -185,14 +214,12 @@ func TestCopyFromRefusesMismatch(t *testing.T) {
 	}
 	cfg := gpu.GTX480()
 	cfg.NumSMs = 4
-	ref := startRun(t, cfg, spec, base)
+	ref := startRun(t, cfg, spec, base, false)
 	want, err := ref.dev.Run(ref.l, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naiveCfg := cfg
-	naiveCfg.NoCycleSkip = true
-	paused := startRun(t, naiveCfg, spec, base)
+	paused := startRun(t, cfg, spec, base, false)
 	if err := paused.dev.Start(paused.l, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +240,7 @@ func TestCopyFromRefusesMismatch(t *testing.T) {
 		{"another program", cfg, &gpu.Launch{Prog: other.Prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}},
 		{"another grid", cfg, &grid},
 	} {
-		dst := startRun(t, c.cfg, spec, base)
+		dst := startRun(t, c.cfg, spec, base, false)
 		err := dst.dev.CopyFrom(paused.dev, c.l, nil)
 		if err == nil {
 			t.Fatalf("%s: copy accepted", c.what)
@@ -223,7 +250,7 @@ func TestCopyFromRefusesMismatch(t *testing.T) {
 		}
 	}
 
-	dst := startRun(t, cfg, spec, base)
+	dst := startRun(t, cfg, spec, base, false)
 	if err := dst.dev.CopyFrom(paused.dev, dst.l, nil); err != nil {
 		t.Fatal(err)
 	}

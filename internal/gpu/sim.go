@@ -43,17 +43,13 @@ type Device struct {
 	// started and copied are the pool sizes (poolFor) of the
 	// launches Start and CopyFrom last put on the device.
 	started, copied poolSize
-	// active lists, in SM order, the SMs Continue and fastForward walk:
+	// active lists, in SM order, the SMs Continue walks:
 	// those not drained yet (no live warp and no block left to
 	// dispatch), and with a slot sink attached every SM, because a
 	// drained SM's slots are still credited each cycle. An SM drains
 	// for the rest of its launch, so Continue drops it once; Start and
 	// CopyFrom rebuild the list.
 	active []*SM
-	// issued is set by any SM executing an instruction this cycle; a
-	// cycle that ends with it clear is fully stalled and eligible for
-	// event-driven fast-forwarding.
-	issued bool
 
 	// MaxCycles bounds a run (deadlock/livelock detection).
 	MaxCycles int64
@@ -199,9 +195,11 @@ func (d *Device) attach(l *Launch, hooks *Hooks) error {
 
 // Continue simulates the current launch (set up by Start or CopyFrom)
 // until it completes or the clock reaches until. In the second case the
-// launch is paused at cycle until exactly (cycle skipping stops there
-// too): the partial stats come back with a nil error, CopyFrom can copy
-// the state, and a later Continue picks the launch up where it stopped.
+// launch is paused at cycle until exactly: the partial stats come back
+// with a nil error, CopyFrom can copy the state, and a later Continue
+// picks the launch up where it stopped. Every cycle is stepped: each
+// live SM steps, and a drained one is skipped unless a slot sink counts
+// its idle slots.
 func (d *Device) Continue(until int64) (*Stats, error) {
 	l := d.launch
 	budget := d.MaxCycles
@@ -209,18 +207,14 @@ func (d *Device) Continue(until int64) (*Stats, error) {
 		budget = l.MaxCycles
 	}
 	// One clock comparison per iteration serves both the budget and the
-	// pause point, and it bounds cycle skipping: a skip span split at
-	// the pause point books the same stats as the unsplit span.
+	// pause point.
 	limit := min(budget, until)
 	total := l.Grid.Count()
-	skip := !d.Cfg.NoCycleSkip
 	stopPoll := 0
 	for {
 		// Poll the wall-clock watchdog on entry, even into a launch that
-		// is already complete (copied at its end), and
-		// then sparsely: a time.Now syscall per iteration would dominate
-		// short kernels, and with cycle skipping one iteration can cover
-		// thousands of cycles anyway.
+		// is already complete (copied at its end), and then sparsely: a
+		// time.Now syscall per cycle would dominate short kernels.
 		if l.Stop != nil {
 			if stopPoll == 0 && l.Stop() {
 				return d.partial(fmt.Errorf("gpu: %q: %w at cycle %d; %d/%d blocks done",
@@ -240,7 +234,6 @@ func (d *Device) Continue(until int64) (*Stats, error) {
 			return d.partial(fmt.Errorf("gpu: %q: %w after %d cycles; %d/%d blocks done",
 				l.Prog.Name, ErrCycleLimit, budget, d.blocksDone, total))
 		}
-		d.issued = false
 		keep := d.active[:0]
 		for i, sm := range d.active {
 			if sm.live == 0 && d.nextBlock == total {
@@ -249,7 +242,7 @@ func (d *Device) Continue(until int64) (*Stats, error) {
 				if d.slots == nil {
 					continue
 				}
-				sm.creditDrained(d.Cyc, 1)
+				sm.creditDrained(d.Cyc)
 			} else if err := sm.step(d.Cyc); err != nil {
 				d.active = append(keep, d.active[i:]...)
 				return d.partial(fmt.Errorf("cycle %d: %w", d.Cyc, err))
@@ -259,9 +252,6 @@ func (d *Device) Continue(until int64) (*Stats, error) {
 		d.active = keep
 		d.hooks.onCycle(d)
 		d.Cyc++
-		if skip && !d.issued && d.blocksDone < total {
-			d.fastForward(limit)
-		}
 	}
 }
 
@@ -270,46 +260,4 @@ func (d *Device) Continue(until int64) (*Stats, error) {
 func (d *Device) partial(err error) (*Stats, error) {
 	d.Stats.Cycles = d.Cyc
 	return &d.Stats, err
-}
-
-// fastForward advances the clock over cycles that are provably identical
-// no-ops: no SM issued this cycle, so nothing can change until the
-// earliest pending wake event (a scoreboard release, a busy unit or MSHR
-// freeing, or a hook-side event such as an RBQ pop or fault detection).
-// The skipped span's statistics are credited exactly as the naive loop
-// would have booked them, so every reported number is bit-identical with
-// skipping on or off. The wake scan runs after hooks' OnCycle (pops and
-// detections may have just unsuspended warps); a warp that is ready now
-// yields wake == from and the skip degenerates to nothing. The clock
-// never passes limit, the cycle budget or Continue's pause point.
-func (d *Device) fastForward(limit int64) {
-	from := d.Cyc
-	wake := limit
-	for _, sm := range d.active {
-		if t := sm.nextWake(from); t < wake {
-			wake = t
-		}
-	}
-	if wake <= from {
-		return
-	}
-	wake = d.hooks.onAdvance(d, from, wake)
-	if wake <= from {
-		return
-	}
-	if d.slots != nil {
-		// Slot attribution must match the naive loop cycle for cycle: a
-		// blocked warp's classification can change mid-span (e.g. its
-		// scoreboard clears while the LSU stays busy, scoreboard→memory),
-		// so stop the jump at the first threshold any warp crosses and
-		// let the next fastForward pass re-classify from there.
-		for _, sm := range d.active {
-			wake = sm.nextSlotChange(from, wake)
-		}
-	}
-	span := wake - from
-	for _, sm := range d.active {
-		sm.creditIdle(from, span, &d.Stats)
-	}
-	d.Cyc = wake
 }

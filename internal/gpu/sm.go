@@ -68,9 +68,13 @@ type SM struct {
 	live, suspended, atBarrier uint64
 	// part[si] holds the slots scheduler si owns (slot i % schedulers).
 	part []uint64
-	// gate[i] memoizes slot i's scoreboard bound and hazard class; it is
-	// current for the slots in valid.
-	gate  []issueGate
+	// gate[i] memoizes slot i's issue gate for its current instruction:
+	// the cycle its scoreboard dependencies clear (the sbWait and class
+	// masks carry its other facts). It is current for the slots in
+	// valid. The scoreboard and PC only change when the warp executes
+	// or its pipeline resets, and both invalidate the gate, so a gate is
+	// refilled about once per issue.
+	gate  []int64
 	valid uint64
 	// sbWait holds the valid slots whose scoreboard bound lies after the
 	// current cycle: refills add slots, and once the cycle reaches
@@ -84,33 +88,12 @@ type SM struct {
 	lsu, mshr, sfu, hook uint64
 }
 
-// issueGate is a warp slot's memoized issue gate for its current
-// instruction: the cycle its scoreboard dependencies clear and the
-// structural hazards it is subject to (the SM's valid, sbWait and class
-// masks carry the same facts per slot for the issue scan). The
-// scoreboard and PC only change when the warp executes or its pipeline
-// resets, and both invalidate the gate, so a gate is refilled about
-// once per issue.
-type issueGate struct {
-	at int64
-	hz uint8
-}
-
-// Hazard classes of an instruction (issueDesc.hz, issueGate.hz).
+// Hazard classes of an instruction (issueDesc.hz).
 const (
 	hzLSU  uint8 = 1 << iota // memory op: waits for the LSU
 	hzMSHR                   // global memory op: also needs an MSHR
 	hzSFU                    // SFU op: waits for the SFU
 )
-
-// gateOf returns slot wi's issue gate, recomputing it if invalidated.
-// The valid check inlines into the scans; the refill does not.
-func (sm *SM) gateOf(wi int) *issueGate {
-	if sm.valid&(1<<uint(wi)) != 0 {
-		return &sm.gate[wi]
-	}
-	return sm.refillGate(wi)
-}
 
 // refillGate recomputes slot wi's gate from its instruction's
 // descriptor and sets the slot's bits in the valid, sbWait and class
@@ -118,8 +101,7 @@ func (sm *SM) gateOf(wi int) *issueGate {
 // registers and predicates the instruction reads or writes; it may be
 // in the past. Every caller runs at d.Cyc, so the slot waits on the
 // scoreboard iff the bound lies after it.
-func (sm *SM) refillGate(wi int) *issueGate {
-	g := &sm.gate[wi]
+func (sm *SM) refillGate(wi int) {
 	w := sm.Warps[wi]
 	dc := &sm.dev.kern.desc[w.PC()]
 	var t int64
@@ -129,7 +111,7 @@ func (sm *SM) refillGate(wi int) *issueGate {
 	for _, p := range dc.preds[:dc.npreds] {
 		t = max(t, w.predReady[p])
 	}
-	g.at, g.hz = t, dc.hz
+	sm.gate[wi] = t
 	sm.valid |= 1 << uint(wi)
 	if t > sm.dev.Cyc {
 		sm.sbWait |= 1 << uint(wi)
@@ -139,7 +121,6 @@ func (sm *SM) refillGate(wi int) *issueGate {
 	sm.mshr = setBit(sm.mshr, wi, dc.hz&hzMSHR != 0)
 	sm.sfu = setBit(sm.sfu, wi, dc.hz&hzSFU != 0)
 	sm.hook = setBit(sm.hook, wi, dc.hook)
-	return g
 }
 
 // invalidate discards slot wi's gate (call after any scoreboard write
@@ -157,7 +138,7 @@ func (sm *SM) releaseScoreboard(cycle int64) {
 	next := int64(math.MaxInt64)
 	for m := sm.sbWait; m != 0; m &= m - 1 {
 		wi := bits.TrailingZeros64(m)
-		if at := sm.gate[wi].at; at <= cycle {
+		if at := sm.gate[wi]; at <= cycle {
 			sm.sbWait &^= 1 << uint(wi)
 		} else {
 			next = min(next, at)
@@ -180,23 +161,6 @@ func (sm *SM) structBlocked(cycle int64) uint64 {
 		m |= sm.sfu
 	}
 	return m
-}
-
-// structFree returns the earliest cycle >= t at which no structural
-// hazard of class hz blocks issue, given the current unit horizons.
-func (sm *SM) structFree(hz uint8, t int64) int64 {
-	if hz&hzLSU != 0 {
-		if sm.lsuBusyUntil > t {
-			t = sm.lsuBusyUntil
-		}
-		if hz&hzMSHR != 0 && !sm.mshrAvailable() && sm.mshrRelease[0] > t {
-			t = sm.mshrRelease[0]
-		}
-	}
-	if hz&hzSFU != 0 && sm.sfuBusyUntil > t {
-		t = sm.sfuBusyUntil
-	}
-	return t
 }
 
 // mshrAvailable reports whether an L1 miss slot is free. mshrDrain has
@@ -253,7 +217,7 @@ func newSM(id int, d *Device) *SM {
 	sm := &SM{
 		ID: id, dev: d, l1: newCache(cfg.L1Sets, cfg.L1Ways, cfg.LineBytes),
 		memScratch: make([]uint32, 0, cfg.WarpSize),
-		gate:       make([]issueGate, cfg.MaxWarpsPerSM),
+		gate:       make([]int64, cfg.MaxWarpsPerSM),
 		sbNext:     math.MaxInt64,
 		part:       make([]uint64, cfg.SchedulersPerSM),
 	}
@@ -549,7 +513,7 @@ func (sm *SM) step(cycle int64) error {
 	if sm.live == 0 {
 		sm.dispatch()
 		if sm.live == 0 {
-			sm.creditDrained(cycle, 1)
+			sm.creditDrained(cycle)
 			return nil
 		}
 	}
@@ -559,7 +523,7 @@ func (sm *SM) step(cycle int64) error {
 		part := sm.live & sm.part[si]
 		if part == 0 {
 			if sink != nil {
-				sink.CreditSlot(sm.ID, si, -1, SlotEmpty, cycle, 1)
+				sink.CreditSlot(sm.ID, si, -1, SlotEmpty, cycle)
 			}
 			continue
 		}
@@ -586,7 +550,7 @@ func (sm *SM) step(cycle int64) error {
 			d.Stats.StallCycles++
 			if sink != nil {
 				w, r := stallOf(sb, mem, bar, susp|veto)
-				sink.CreditSlot(sm.ID, si, w, r, cycle, 1)
+				sink.CreditSlot(sm.ID, si, w, r, cycle)
 			}
 			continue
 		}
@@ -602,14 +566,14 @@ func (sm *SM) step(cycle int64) error {
 				if w < 0 {
 					w, r = bits.TrailingZeros64(ready), SlotScoreboard
 				}
-				sink.CreditSlot(sm.ID, si, w, r, cycle, 1)
+				sink.CreditSlot(sm.ID, si, w, r, cycle)
 			}
 			continue
 		}
 		w := sm.Warps[pick]
 		w.LastIssue = cycle
 		if sink != nil {
-			sink.CreditSlot(sm.ID, si, pick, SlotIssued, cycle, 1)
+			sink.CreditSlot(sm.ID, si, pick, SlotIssued, cycle)
 		}
 		if err := sm.execute(w, cycle); err != nil {
 			return err
@@ -643,87 +607,11 @@ func stallOf(scoreboard, memory, barrier, rbq uint64) (int, SlotReason) {
 }
 
 // creditDrained credits every scheduler slot of a drained SM (no live
-// warps) over span cycles from the cycle.
-func (sm *SM) creditDrained(cycle, span int64) {
+// warps) at the cycle.
+func (sm *SM) creditDrained(cycle int64) {
 	if sink := sm.dev.slots; sink != nil {
 		for si := range sm.scheds {
-			sink.CreditSlot(sm.ID, si, -1, SlotDrained, cycle, span)
+			sink.CreditSlot(sm.ID, si, -1, SlotDrained, cycle)
 		}
-	}
-}
-
-// issuable returns the live warps that are neither suspended nor parked
-// at a barrier: the ones whose wake-up the SM's own hazards decide.
-func (sm *SM) issuable() uint64 {
-	return sm.live &^ (sm.suspended | sm.atBarrier)
-}
-
-// nextWake returns the earliest cycle >= from at which any of this SM's
-// warps could clear the hazards that blocked issue, mirroring step's
-// classification: scoreboard dependencies, the LSU/SFU structural hazards,
-// and a full MSHR file. A warp whose hazards are already clear (it was
-// blocked only by something unpredictable — a BeforeIssue veto, a
-// scheduler policy hole) pins the wake to `from`, vetoing any skip.
-// Suspended and barrier-parked warps wake through other warps' progress
-// or through hook events, which the hooks' OnAdvance bound covers.
-func (sm *SM) nextWake(from int64) int64 {
-	wake := int64(1<<63 - 1)
-	for m := sm.issuable(); m != 0; m &= m - 1 {
-		g := sm.gateOf(bits.TrailingZeros64(m))
-		t := sm.structFree(g.hz, g.at)
-		if t <= from {
-			return from
-		}
-		if t < wake {
-			wake = t
-		}
-	}
-	return wake
-}
-
-// creditIdle books the statistics step would have accumulated over span
-// fully-stalled cycles starting at from: per scheduler partition with
-// unfinished warps, span stall cycles, plus per-warp barrier/RBQ wait
-// cycles — exactly what the naive loop books when nothing is ready.
-// With a slot sink attached it also bulk-credits the span's scheduler
-// slots with the same classification step computes; fastForward has
-// clamped the span to the first cycle any warp could reclassify
-// (nextSlotChange), so the classification at `from` holds throughout.
-func (sm *SM) creditIdle(from, span int64, st *Stats) {
-	sink := sm.dev.slots
-	if sm.live == 0 {
-		sm.creditDrained(from, span)
-		return
-	}
-	for si := range sm.scheds {
-		part := sm.live & sm.part[si]
-		if part == 0 {
-			if sink != nil {
-				sink.CreditSlot(sm.ID, si, -1, SlotEmpty, from, span)
-			}
-			continue
-		}
-		susp := part & sm.suspended
-		bar := part & sm.atBarrier &^ susp
-		st.RBQWaitCycles += span * int64(bits.OnesCount64(susp))
-		st.BarrierWaits += span * int64(bits.OnesCount64(bar))
-		st.StallCycles += span
-		if sink == nil {
-			continue
-		}
-		// A hazard-clear warp pins nextWake to `from` and no skip
-		// happens, so the only classes left inside a skipped span are
-		// the scoreboard and a structural (LSU/SFU/MSHR) hazard.
-		var sb, mem uint64
-		for m := part &^ (susp | bar); m != 0; m &= m - 1 {
-			wi := bits.TrailingZeros64(m)
-			if sm.gateOf(wi).at > from {
-				sb |= 1 << uint(wi)
-			} else {
-				mem |= 1 << uint(wi)
-			}
-		}
-		w, r := stallOf(sb, mem, bar, susp)
-		sink.CreditSlot(sm.ID, si, w, r, from, span)
 	}
 }

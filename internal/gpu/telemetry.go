@@ -1,15 +1,12 @@
 package gpu
 
-import "math/bits"
-
 // Scheduler-slot attribution: every cycle, each warp scheduler of each
 // SM owns exactly one issue slot, and that slot is credited to exactly
 // one SlotReason. Summed over a run, the credits therefore partition
 // the machine's issue capacity — they add up to
 // Cycles × Σ_SM SchedulersPerSM — which is what makes the breakdown an
 // attribution rather than a sampling: a cycle cannot be double-counted
-// or lost, and the equivalence suite asserts the totals are
-// bit-identical with event-driven cycle skipping on or off.
+// or lost.
 //
 // The simulator does no attribution work unless a SlotSink is attached
 // through Hooks.Slots (see internal/telemetry for the standard
@@ -69,29 +66,23 @@ func (r SlotReason) String() string {
 }
 
 // SlotSink receives scheduler-slot attribution credits. CreditSlot
-// books `span` consecutive slots of scheduler (smID, sched), starting
-// at `cycle`, all carrying the same classification: reason r caused by
-// the SM-local warp slot `warp` (the issuing warp for SlotIssued, the
+// books the slot of scheduler (smID, sched) at `cycle`: reason r caused
+// by the SM-local warp slot `warp` (the issuing warp for SlotIssued, the
 // closest-to-issue blocked warp for stall reasons, -1 when no warp is
 // implicated — SlotEmpty and SlotDrained).
-//
-// span > 1 happens only on the event-driven fast-forward path, which
-// bounds every skip to the next cycle at which any warp's
-// classification could change (Device.fastForward), so bulk credits
-// are exactly the per-cycle credits the naive loop would have issued.
 //
 // Implementations must not mutate simulator state; they are called
 // mid-cycle from the scheduler scan.
 type SlotSink interface {
-	CreditSlot(smID, sched, warp int, r SlotReason, cycle, span int64)
+	CreditSlot(smID, sched, warp int, r SlotReason, cycle int64)
 }
 
 // teeSlots fans credits out to two sinks (CombineHooks).
 type teeSlots struct{ a, b SlotSink }
 
-func (t teeSlots) CreditSlot(smID, sched, warp int, r SlotReason, cycle, span int64) {
-	t.a.CreditSlot(smID, sched, warp, r, cycle, span)
-	t.b.CreditSlot(smID, sched, warp, r, cycle, span)
+func (t teeSlots) CreditSlot(smID, sched, warp int, r SlotReason, cycle int64) {
+	t.a.CreditSlot(smID, sched, warp, r, cycle)
+	t.b.CreditSlot(smID, sched, warp, r, cycle)
 }
 
 // combineSlots merges two optional sinks into one.
@@ -103,35 +94,4 @@ func combineSlots(a, b SlotSink) SlotSink {
 		return a
 	}
 	return teeSlots{a, b}
-}
-
-// nextSlotChange returns the earliest cycle in (from, to) at which any
-// of this SM's warps could change stall classification, or `to` if none
-// can. Within a fully-stalled span a warp's class depends on the cycle
-// only through fixed thresholds — its scoreboard release, the LSU/SFU
-// busy horizons, the earliest MSHR release — so stopping at the first
-// threshold makes bulk slot crediting exact. Suspended and
-// barrier-parked warps reclassify only through hook events or issues,
-// which already bound the skip elsewhere.
-func (sm *SM) nextSlotChange(from, to int64) int64 {
-	bound := to
-	clamp := func(t int64) {
-		if t > from && t < bound {
-			bound = t
-		}
-	}
-	for m := sm.issuable(); m != 0; m &= m - 1 {
-		g := sm.gateOf(bits.TrailingZeros64(m))
-		clamp(g.at)
-		if g.hz&hzLSU != 0 {
-			clamp(sm.lsuBusyUntil)
-			if g.hz&hzMSHR != 0 && !sm.mshrAvailable() {
-				clamp(sm.mshrRelease[0])
-			}
-		}
-		if g.hz&hzSFU != 0 {
-			clamp(sm.sfuBusyUntil)
-		}
-	}
-	return bound
 }

@@ -40,16 +40,6 @@ func CombineHooks(a, b *Hooks) *Hooks {
 			a.onCycle(d)
 			b.onCycle(d)
 		},
-		// The combined bound is the tighter of the two; a constituent
-		// with OnCycle but no OnAdvance degrades the pair to no-skip
-		// through the onAdvance helper.
-		OnAdvance: func(d *Device, from, to int64) int64 {
-			t := a.onAdvance(d, from, to)
-			if t <= from {
-				return from
-			}
-			return b.onAdvance(d, from, t)
-		},
 		OnBlockDone: func(d *Device, sm *SM, gb int) {
 			a.onBlockDone(d, sm, gb)
 			b.onBlockDone(d, sm, gb)
@@ -80,23 +70,9 @@ func NewTracer(w io.Writer) *Tracer {
 	return &Tracer{W: w}
 }
 
-// Hooks returns simulator hooks that emit the trace. The OnAdvance
-// bound keeps event-driven cycle skipping compatible with windowed
-// tracing: instructions never execute inside a skipped span, so the
-// tracer has nothing to observe there, and the bound only stops a
-// single jump from crossing the window start so windowed traces line
-// up cycle-for-cycle with runs without cycle skipping (NoCycleSkip).
+// Hooks returns simulator hooks that emit the trace.
 func (t *Tracer) Hooks() *Hooks {
-	return &Hooks{OnExecuted: t.onExecuted, OnAdvance: t.onAdvance}
-}
-
-// onAdvance lands skips on the trace-window start and is a no-op bound
-// (full permission) elsewhere.
-func (t *Tracer) onAdvance(d *Device, from, to int64) int64 {
-	if t.FromCycle > from && t.FromCycle < to {
-		return t.FromCycle
-	}
-	return to
+	return &Hooks{OnExecuted: t.onExecuted}
 }
 
 func (t *Tracer) onExecuted(d *Device, sm *SM, w *Warp, pc int) {

@@ -39,11 +39,8 @@ type PerfReport struct {
 	// entries that did not measure them (a sampling-only study).
 
 	// SimCyclesPerSec is Device.Run throughput on a memory-bound
-	// benchmark with event-driven cycle skipping on (the default) and
-	// off (the naive per-cycle loop).
-	SimCyclesPerSec      float64 `json:"sim_cycles_per_sec,omitempty"`
-	SimCyclesPerSecNaive float64 `json:"sim_cycles_per_sec_naive,omitempty"`
-	SkipSpeedup          float64 `json:"skip_speedup,omitempty"`
+	// benchmark.
+	SimCyclesPerSec float64 `json:"sim_cycles_per_sec,omitempty"`
 	// TrialsPerSec is end-to-end campaign throughput (mini-campaign,
 	// all workers) and AllocsPerTrial / BytesPerTrial the per-trial
 	// allocation cost measured single-threaded on one pooled engine.
@@ -116,30 +113,19 @@ func PerfBench(cfg Config, outPath string, trials int) (*PerfReport, error) {
 	}
 	spec := b.Spec()
 
-	// Device.Run throughput, skip on vs off. Repeat runs until a
-	// minimum wall-clock budget is spent so short kernels still give a
-	// stable rate on noisy machines.
-	measure := func(noSkip bool) (float64, error) {
-		arch := cfg.Arch
-		arch.NoCycleSkip = noSkip
-		var cycles int64
-		start := time.Now()
-		for time.Since(start) < 300*time.Millisecond {
-			res, err := core.Run(arch, spec, core.Options{Scheme: core.Baseline})
-			if err != nil {
-				return 0, err
-			}
-			cycles += res.Stats.Cycles
+	// Device.Run throughput. Repeat runs until a minimum wall-clock
+	// budget is spent so short kernels still give a stable rate on noisy
+	// machines.
+	var cycles int64
+	start := time.Now()
+	for time.Since(start) < 300*time.Millisecond {
+		res, err := core.Run(cfg.Arch, spec, core.Options{Scheme: core.Baseline})
+		if err != nil {
+			return nil, err
 		}
-		return float64(cycles) / time.Since(start).Seconds(), nil
+		cycles += res.Stats.Cycles
 	}
-	if rep.SimCyclesPerSec, err = measure(false); err != nil {
-		return nil, err
-	}
-	if rep.SimCyclesPerSecNaive, err = measure(true); err != nil {
-		return nil, err
-	}
-	rep.SkipSpeedup = rep.SimCyclesPerSec / rep.SimCyclesPerSecNaive
+	rep.SimCyclesPerSec = float64(cycles) / time.Since(start).Seconds()
 
 	// Per-trial allocation cost: single goroutine, one pooled engine,
 	// Mallocs/TotalAlloc deltas across `trials` trials.
@@ -174,7 +160,7 @@ func PerfBench(cfg Config, outPath string, trials int) (*PerfReport, error) {
 		Seed:         1,
 		RestoreStats: &rs,
 	}
-	start := time.Now()
+	start = time.Now()
 	if _, err := campaign.Run(ccfg); err != nil {
 		return nil, err
 	}
@@ -195,8 +181,8 @@ func PerfBench(cfg Config, outPath string, trials int) (*PerfReport, error) {
 			return nil, err
 		}
 	}
-	cfg.printf("perf: %.0f simcycles/s (%.2fx over naive), %.1f trials/s, %.0f allocs/trial\n",
-		rep.SimCyclesPerSec, rep.SkipSpeedup, rep.TrialsPerSec, rep.AllocsPerTrial)
+	cfg.printf("perf: %.0f simcycles/s, %.1f trials/s, %.0f allocs/trial\n",
+		rep.SimCyclesPerSec, rep.TrialsPerSec, rep.AllocsPerTrial)
 	cfg.printf("perf: restore-bound %s: %.1f trials/s cow vs %.1f no-cow (%.2fx), %.1f/%d pages restored/trial, %.0f%% pruned\n",
 		rep.RestoreBound.Benchmark, rep.RestoreBound.TrialsPerSec, rep.RestoreBound.TrialsPerSecNoCOW,
 		rep.RestoreBound.CowSpeedup, rep.RestoreBound.RestoredPagesPerTrial,

@@ -47,13 +47,12 @@ func NewCollector(cfg *gpu.Config) *Collector {
 }
 
 // Hooks returns a hook set that attaches the collector. Combine it with
-// a scheme's hooks via gpu.CombineHooks; slot attribution keeps
-// event-driven cycle skipping enabled.
+// a scheme's hooks via gpu.CombineHooks.
 func (c *Collector) Hooks() *gpu.Hooks { return &gpu.Hooks{Slots: c} }
 
 // CreditSlot implements gpu.SlotSink.
-func (c *Collector) CreditSlot(smID, sched, warp int, r gpu.SlotReason, cycle, span int64) {
-	c.perSM[smID][r] += span
+func (c *Collector) CreditSlot(smID, sched, warp int, r gpu.SlotReason, cycle int64) {
+	c.perSM[smID][r]++
 	if warp >= 0 {
 		rows := c.perWarp[smID]
 		if warp >= len(rows) {
@@ -61,7 +60,7 @@ func (c *Collector) CreditSlot(smID, sched, warp int, r gpu.SlotReason, cycle, s
 			copy(grown, rows)
 			rows, c.perWarp[smID] = grown, grown
 		}
-		rows[warp][r] += span
+		rows[warp][r]++
 	}
 }
 

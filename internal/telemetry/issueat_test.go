@@ -25,7 +25,7 @@ func everyPC() *gpu.Hooks {
 // attached, must give identical simulator statistics, Flame statistics
 // and per-SM and per-warp slot attribution.
 func TestIssueAtEquivalence(t *testing.T) {
-	cfg := testArch(false)
+	cfg := testArch()
 	for _, b := range bench.All() {
 		t.Run(b.Name, func(t *testing.T) {
 			declared := runBench(t, cfg, b.Name, core.FlameOptions(), nil)

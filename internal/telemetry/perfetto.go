@@ -22,10 +22,9 @@ import (
 // Timestamps are simulated cycles written as microseconds (1 cycle =
 // 1 us), which keeps Perfetto's zoom/selection arithmetic exact.
 //
-// Wait spans are derived by polling warp state from OnCycle; that is
-// exact rather than sampled because suspension and barrier transitions
-// only ever happen on stepped cycles (issues, or resilience-hook pops
-// which themselves bound fast-forward jumps). Attach the writer *after*
+// Wait spans are derived by polling warp state from OnCycle, which runs
+// on every cycle, so they are exact rather than sampled. Attach the
+// writer *after*
 // the scheme's hooks in CombineHooks order so same-cycle pops are
 // observed at their own cycle.
 //
@@ -69,16 +68,12 @@ type traceEvent struct {
 // NewTraceWriter returns a whole-run trace writer.
 func NewTraceWriter() *TraceWriter { return &TraceWriter{} }
 
-// Hooks returns the hook set that records the trace. The OnAdvance
-// bound grants every skip: nothing the writer records can change inside
-// a fully-stalled span (no issues, and wait transitions only happen on
-// stepped cycles).
+// Hooks returns the hook set that records the trace.
 func (t *TraceWriter) Hooks() *gpu.Hooks {
 	return &gpu.Hooks{
 		OnExecuted:     t.onExecuted,
 		OnCycle:        t.onCycle,
 		OnWarpDispatch: t.onDispatch,
-		OnAdvance:      func(d *gpu.Device, from, to int64) int64 { return to },
 	}
 }
 

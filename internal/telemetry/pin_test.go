@@ -19,8 +19,8 @@ import (
 // resolution the Collector folds away.
 type schedSink map[[3]int]int64
 
-func (s schedSink) CreditSlot(smID, sched, warp int, r gpu.SlotReason, cycle, span int64) {
-	s[[3]int{smID, sched, int(r)}] += span
+func (s schedSink) CreditSlot(smID, sched, warp int, r gpu.SlotReason, cycle int64) {
+	s[[3]int{smID, sched, int(r)}]++
 }
 
 func (s schedSink) dump(cfg *gpu.Config) string {
@@ -84,8 +84,8 @@ func telemetryDump(t *testing.T, cfg gpu.Config, name string, opt core.Options, 
 // (barriers) and SRAD, each under Baseline and Flame (RBQ suspensions
 // and BeforeIssue vetoes). The last case is the CI telemetry smoke,
 // `flamesim -bench Triad -telemetry -trace-out ... -interval 1000`, on
-// the full 16-SM GTX480. Skip-vs-naive tests compare two runs of the
-// same code; this one catches a change of the tie-break rule itself.
+// the full 16-SM GTX480. It catches a change of the tie-break rule
+// itself.
 // Regenerate with UPDATE_TELEMETRY_PINS=1 go test ./internal/telemetry
 // -run TestTelemetryPinned after a reviewed simulator change.
 func TestTelemetryPinned(t *testing.T) {
@@ -98,8 +98,8 @@ func TestTelemetryPinned(t *testing.T) {
 	var cases []pinCase
 	for _, b := range []string{"Triad", "LUD", "SRAD"} {
 		cases = append(cases,
-			pinCase{b + "/baseline", b, testArch(false), core.Options{Scheme: core.Baseline}, 500},
-			pinCase{b + "/flame", b, testArch(false), core.FlameOptions(), 500})
+			pinCase{b + "/baseline", b, testArch(), core.Options{Scheme: core.Baseline}, 500},
+			pinCase{b + "/flame", b, testArch(), core.FlameOptions(), 500})
 	}
 	cases = append(cases, pinCase{"flamesim-smoke", "Triad", gpu.GTX480(),
 		core.Options{Scheme: core.SensorRenaming, WCDL: 20, ExtendRegions: true}, 1000})

@@ -23,10 +23,8 @@ type Sample struct {
 }
 
 // Sampler snapshots cumulative counters every Every cycles into an
-// in-memory time series. Its OnAdvance bound makes it skip-safe: a
-// fast-forward jump never crosses a sample boundary, so the series is
-// identical with and without event-driven cycle skipping (interval
-// deltas are exact, not interpolated).
+// in-memory time series. It samples from OnCycle, which runs on every
+// cycle, so interval deltas are exact, not interpolated.
 type Sampler struct {
 	// Every is the sampling period in cycles (required, > 0).
 	Every int64
@@ -44,7 +42,7 @@ func NewSampler(every int64) *Sampler { return &Sampler{Every: every} }
 
 // Hooks returns the hook set that drives the sampler.
 func (s *Sampler) Hooks() *gpu.Hooks {
-	return &gpu.Hooks{OnCycle: s.onCycle, OnAdvance: s.onAdvance}
+	return &gpu.Hooks{OnCycle: s.onCycle}
 }
 
 func (s *Sampler) onCycle(d *gpu.Device) {
@@ -60,22 +58,6 @@ func (s *Sampler) onCycle(d *gpu.Device) {
 		smp.Slots = s.Collector.Totals()
 	}
 	s.Samples = append(s.Samples, smp)
-}
-
-// onAdvance stops fast-forward jumps at the next sample boundary; a
-// boundary cycle itself is vetoed so it steps naively and OnCycle runs
-// there exactly as in a run without cycle skipping.
-func (s *Sampler) onAdvance(d *gpu.Device, from, to int64) int64 {
-	if s.Every <= 0 {
-		return to
-	}
-	if from%s.Every == 0 {
-		return from
-	}
-	if b := from + s.Every - from%s.Every; b < to {
-		return b
-	}
-	return to
 }
 
 // WriteCSV emits the series: launch,cycle,<stats fields...>,<slot reasons...>.

@@ -14,10 +14,9 @@ import (
 
 // testArch is a 4-SM GTX480: small enough for fast tests, big enough
 // that slot attribution spans SMs with different dispatch shares.
-func testArch(noskip bool) gpu.Config {
+func testArch() gpu.Config {
 	cfg := gpu.GTX480()
 	cfg.NumSMs = 4
-	cfg.NoCycleSkip = noskip
 	return cfg
 }
 
@@ -54,7 +53,7 @@ func TestSlotInvariants(t *testing.T) {
 	} {
 		for _, name := range []string{"Triad", "SGEMM", "BFS"} {
 			t.Run(scheme.name+"/"+name, func(t *testing.T) {
-				cfg := testArch(false)
+				cfg := testArch()
 				col := telemetry.NewCollector(&cfg)
 				res := runBench(t, cfg, name, scheme.opt, col.Hooks())
 
@@ -90,71 +89,6 @@ func TestSlotInvariants(t *testing.T) {
 	}
 }
 
-// TestSlotSkipEquivalence asserts the tentpole bit-identity claim: the
-// full per-SM and per-warp attribution CSVs are byte-identical with and
-// without event-driven cycle skipping, under the flame scheme whose RBQ
-// suspensions exercise the hook-bounded skip paths.
-func TestSlotSkipEquivalence(t *testing.T) {
-	for _, name := range []string{"Triad", "SGEMM", "BFS"} {
-		t.Run(name, func(t *testing.T) {
-			dump := func(noskip bool) (string, string, [gpu.NumSlotReasons]int64) {
-				cfg := testArch(noskip)
-				col := telemetry.NewCollector(&cfg)
-				runBench(t, cfg, name, core.FlameOptions(), col.Hooks())
-				var sm, warp bytes.Buffer
-				if err := col.WriteCSV(&sm); err != nil {
-					t.Fatal(err)
-				}
-				if err := col.WriteWarpCSV(&warp); err != nil {
-					t.Fatal(err)
-				}
-				return sm.String(), warp.String(), col.Totals()
-			}
-			smN, warpN, totN := dump(true)
-			smF, warpF, totF := dump(false)
-			if smN != smF {
-				t.Errorf("per-SM attribution diverges:\n naive:\n%s\n fast:\n%s", smN, smF)
-			}
-			if warpN != warpF {
-				t.Errorf("per-warp attribution diverges")
-			}
-			if totN != totF {
-				t.Errorf("totals diverge: %v vs %v", totN, totF)
-			}
-			if totN[gpu.SlotRBQ] == 0 {
-				t.Errorf("%s under flame never booked an RBQ slot; taxonomy not exercised", name)
-			}
-		})
-	}
-}
-
-// TestSamplerSkipEquivalence asserts the interval series is identical
-// with and without skipping: the sampler's OnAdvance stops jumps at
-// sample boundaries, so cumulative counters at each boundary match the
-// naive loop exactly.
-func TestSamplerSkipEquivalence(t *testing.T) {
-	series := func(noskip bool) []byte {
-		cfg := testArch(noskip)
-		col := telemetry.NewCollector(&cfg)
-		smp := telemetry.NewSampler(100)
-		smp.Collector = col
-		runBench(t, cfg, "Triad", core.FlameOptions(),
-			gpu.CombineHooks(col.Hooks(), smp.Hooks()))
-		if len(smp.Samples) < 3 {
-			t.Fatalf("only %d samples; shrink the interval", len(smp.Samples))
-		}
-		var buf bytes.Buffer
-		if err := smp.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	naive, fast := series(true), series(false)
-	if !bytes.Equal(naive, fast) {
-		t.Errorf("interval series diverges:\n naive:\n%s\n fast:\n%s", naive, fast)
-	}
-}
-
 // perfettoDoc mirrors the trace_event JSON envelope for assertions.
 type perfettoDoc struct {
 	TraceEvents []struct {
@@ -171,7 +105,7 @@ type perfettoDoc struct {
 // JSON and shows the paper's latency-hiding claim: RBQ-suspension spans
 // during which *other* warps keep issuing.
 func TestPerfettoTrace(t *testing.T) {
-	cfg := testArch(false)
+	cfg := testArch()
 	tw := telemetry.NewTraceWriter()
 	runBench(t, cfg, "Triad", core.FlameOptions(), tw.Hooks())
 
@@ -267,7 +201,7 @@ func TestStatsRoundTrip(t *testing.T) {
 
 // TestCollectorResetAndTable smoke-tests the human-readable surface.
 func TestCollectorResetAndTable(t *testing.T) {
-	cfg := testArch(false)
+	cfg := testArch()
 	col := telemetry.NewCollector(&cfg)
 	runBench(t, cfg, "Triad", core.Options{Scheme: core.Baseline}, col.Hooks())
 	if col.TotalSlots() == 0 {

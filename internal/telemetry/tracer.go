@@ -6,11 +6,9 @@ package telemetry
 // reports and /metrics show).
 //
 // It rides the ordinary gpu.Hooks machinery (OnExecuted /
-// OnWarpDispatch only), so it is inherently skip-safe: executed
-// instructions are never skipped and their observation cycles are
-// bit-identical with and without event-driven cycle skipping. Every
-// field it records is a deterministic function of the trial, keeping
-// traced campaign reports byte-identical at any worker count.
+// OnWarpDispatch only). Every field it records is a deterministic
+// function of the trial, keeping traced campaign reports byte-identical
+// at any worker count.
 
 import (
 	"fmt"
@@ -93,8 +91,7 @@ func (t *Tracer) BeginTrial(g *core.Golden, inj *flame.Injector) {
 }
 
 // TrialHooks returns the tracer's observation hooks
-// (core.TrialObserver). OnExecuted-only observation keeps cycle
-// skipping enabled and bit-identical.
+// (core.TrialObserver).
 func (t *Tracer) TrialHooks() *gpu.Hooks { return &t.hooks }
 
 func warpKey(smID, warpID int) int { return smID<<16 | warpID }

@@ -101,22 +101,3 @@ func TestTracerReuseMatchesFresh(t *testing.T) {
 		}
 	}
 }
-
-// TestTracerSkipSafe: the record is bit-identical with and without
-// event-driven cycle skipping — the tracer observes only executed
-// instructions, which skipping never elides.
-func TestTracerSkipSafe(t *testing.T) {
-	fast := gpu.GTX480()
-	fast.NumSMs = 2
-	naive := fast
-	naive.NoCycleSkip = true
-	spec, g := tracerTestGolden(t, fast)
-
-	for seed := int64(0); seed < 6; seed++ {
-		a, _ := json.Marshal(runTraced(t, fast, spec, g, NewTracer(), seed).Prop)
-		b, _ := json.Marshal(runTraced(t, naive, spec, g, NewTracer(), seed).Prop)
-		if string(a) != string(b) {
-			t.Fatalf("seed %d: cycle skipping changed the record:\n%s\n%s", seed, a, b)
-		}
-	}
-}
