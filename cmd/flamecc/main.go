@@ -30,7 +30,6 @@ func main() {
 	wcdl := flag.Int("wcdl", 20, "sensor worst-case detection latency (cycles)")
 	extend := flag.Bool("extend", true, "enable the Section III-E region extension (sensor schemes)")
 	dump := flag.Bool("dump", true, "dump the compiled program")
-	verify := flag.Bool("verify", true, "check idempotence invariants of the result")
 	flag.Parse()
 
 	scheme, err := core.SchemeByName(*schemeFlag)
@@ -81,13 +80,6 @@ func main() {
 	}
 	if comp.DupStat.Replicas > 0 {
 		fmt.Printf("duplication: %d replicas of %d eligible\n", comp.DupStat.Replicas, comp.DupStat.Eligible)
-	}
-	if *verify && scheme != core.Baseline {
-		allowRegWAR := !scheme.UsesRenaming() // checkpointing circumvents reg WARs
-		if err := regions.VerifyIdempotence(comp.Prog, comp.Sections, allowRegWAR); err != nil {
-			fail("idempotence verification failed: %v", err)
-		}
-		fmt.Println("idempotence: verified")
 	}
 	sizes := regions.StaticRegionSizes(comp.Prog)
 	total := 0

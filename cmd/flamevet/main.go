@@ -58,7 +58,6 @@ func run(args []string) int {
 	wcdl := fs.Int("wcdl", 20, "sensor worst-case detection latency budget (instructions)")
 	extend := fs.Bool("extend", true, "enable the Section III-E region extension (sensor schemes)")
 	oracle := fs.Bool("oracle", false, "run the dynamic re-execution oracle (needs -bench: launches real inputs)")
-	oracleSteps := fs.Int("oracle-steps", 0, "per-launch oracle step budget (0 = default)")
 	checks := fs.String("checks", "", "run only these checks (comma-separated; see -list)")
 	disable := fs.String("disable", "", "disable these checks (comma-separated)")
 	jsonOut := fs.String("json", "", "also write the findings as JSON to this file (\"-\" for stdout)")
@@ -67,7 +66,6 @@ func run(args []string) int {
 	list := fs.Bool("list", false, "print the check registry and exit")
 	avfGate := fs.Bool("avf", false, "run the AVF model-vs-campaign cross-validation gate (needs -bench)")
 	avfTrials := fs.Int("avf-trials", 200, "injection trials per benchmark in the AVF gate campaign (0 = print the static predictions only, no campaign)")
-	avfSharp := fs.Float64("avf-sharp", 0, "residual threshold for the strict point check (0 = default 0.02)")
 	archName := fs.String("arch", "GTX480", "GPU architecture for the AVF gate: GTX480, TITANX, GV100, RTX2060")
 	modelFlag := fs.String("model", "data", "fault model for the AVF gate: data or full")
 	parallel := fs.Int("parallel", 0, "AVF gate campaign workers (0 = GOMAXPROCS)")
@@ -85,7 +83,7 @@ func run(args []string) int {
 	if err != nil {
 		return usage("%v", err)
 	}
-	cfg := vet.Config{WCDL: *wcdl, OracleSteps: *oracleSteps}
+	cfg := vet.Config{WCDL: *wcdl}
 	if cfg.Enable, err = vet.ParseCheckList(*checks); err != nil {
 		return usage("%v", err)
 	}
@@ -104,7 +102,7 @@ func run(args []string) int {
 
 	if *avfGate {
 		return runAVF(*benchFlag, schemes, *wcdl, *extend, *archName, *modelFlag,
-			*avfTrials, *avfSharp, *parallel, *seed, *jsonOut)
+			*avfTrials, *parallel, *seed, *jsonOut)
 	}
 
 	rep := vet.NewReport(cfg)
@@ -175,7 +173,7 @@ func run(args []string) int {
 // runAVF runs the AVF cross-validation gate over the benchmark×scheme
 // matrix and returns the process exit status (0 pass, 1 fail, 2 usage).
 func runAVF(benchFlag string, schemes []core.Scheme, wcdl int, extend bool,
-	archName, modelName string, trials int, sharp float64, parallel int,
+	archName, modelName string, trials, parallel int,
 	seed uint64, jsonOut string) int {
 	if benchFlag == "" {
 		return usage("-avf needs -bench NAME[,NAME...]|all")
@@ -201,12 +199,11 @@ func runAVF(benchFlag string, schemes []core.Scheme, wcdl int, extend bool,
 		return predictAVF(arch, benches, schemes, wcdl, extend, model)
 	}
 	acfg := vet.AVFConfig{
-		Arch:          arch,
-		Model:         model,
-		Trials:        trials,
-		Parallel:      parallel,
-		Seed:          seed,
-		SharpResidual: sharp,
+		Arch:     arch,
+		Model:    model,
+		Trials:   trials,
+		Parallel: parallel,
+		Seed:     seed,
 	}
 	for _, b := range benches {
 		acfg.Specs = append(acfg.Specs, b.Spec())

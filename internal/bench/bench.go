@@ -142,15 +142,12 @@ func frcp(a float32) float32  { return ff(alu(isa.OpRcp, f(a), 0, 0)) }
 func frsqrt(a float32) float32 {
 	return ff(alu(isa.OpRsqrt, f(a), 0, 0))
 }
-func fsin(a float32) float32 { return ff(alu(isa.OpSin, f(a), 0, 0)) }
-func fcos(a float32) float32 { return ff(alu(isa.OpCos, f(a), 0, 0)) }
 func fmin32(a, b float32) float32 {
 	return ff(alu(isa.OpFMin, f(a), f(b), 0))
 }
 func fmax32(a, b float32) float32 {
 	return ff(alu(isa.OpFMax, f(a), f(b), 0))
 }
-func fabs32(a float32) float32 { return ff(alu(isa.OpFAbs, f(a), 0, 0)) }
 
 // expectU32 checks one word of output.
 func expectU32(mem []uint32, idx int, want uint32, what string) error {

@@ -16,7 +16,7 @@
 //
 // Detecting (runtime-controller) schemes are handled by a static
 // detection-outcome model rather than a gate. Detection is
-// value-independent: Controller.onCycle calls Injector.DetectionDue at
+// value-independent: Controller.onCycle calls Injector.Reports at
 // the end of every cycle of the main launch, while Steps never see the
 // injector (the engine attaches it to the main launch only). A strike
 // fired at cycle c with sensor delay delta therefore recovers iff
@@ -219,7 +219,7 @@ func (px *PruneIndex) PruneTrial(g *Golden, ts TrialSpec) (*TrialResult, bool) {
 				return nil, false
 			}
 			// The static detection-outcome model: the controller probes
-			// DetectionDue on every processed cycle of the main launch
+			// Injector.Reports on every processed cycle of the main launch
 			// (last is g.MainCycles-1) and nowhere afterwards, so a report
 			// due before that recovers (simulate) and a later one provably
 			// escapes (the strike stays Masked).

@@ -86,10 +86,10 @@ type ckptRun struct {
 }
 
 // runPartialCkpt runs partialCkptSrc on one SM that holds one block at a
-// time, so retired warps are recycled for later blocks, with optional
-// spurious recoveries and an optional injected strike.
+// time, so retired warps are recycled for later blocks, with an optional
+// injector (a strike or a spurious report).
 func runPartialCkpt(t *testing.T, p *isa.Program, sections []regions.Section, slots map[isa.Reg]int32,
-	fps []int64, inj *Injector) ckptRun {
+	inj *Injector) ckptRun {
 	t.Helper()
 	cfg := gpu.GTX480()
 	cfg.NumSMs = 1
@@ -102,7 +102,6 @@ func runPartialCkpt(t *testing.T, p *isa.Program, sections []regions.Section, sl
 		d.Mem.Words()[i] = uint32(100 + 7*i)
 	}
 	c := NewController(Mode{WCDL: 12, UseRBQ: true, Sections: sections, CkptSlots: slots})
-	c.FalsePositives = fps
 	c.Inj = inj
 	h := fnv.New64a()
 	var seen int64
@@ -142,7 +141,7 @@ func runPartialCkpt(t *testing.T, p *isa.Program, sections []regions.Section, sl
 	for i := 0; i < ckptThreads; i++ {
 		for k, w := range partialCkptWant(i, uint32(100+7*i)) {
 			if got := d.Mem.Words()[256*k+i]; got != w {
-				t.Fatalf("fps=%v: out%d[%d] = %d, want %d", fps, k, i, got, w)
+				t.Fatalf("out%d[%d] = %d, want %d", k, i, got, w)
 			}
 		}
 	}
@@ -157,7 +156,7 @@ func runPartialCkpt(t *testing.T, p *isa.Program, sections []regions.Section, sl
 // folds every run's digest into one.
 func sweepPartialCkpt(t *testing.T) (restored, recoveries int64, digest uint64) {
 	p, sections, slots := compilePartialCkpt(t)
-	free := runPartialCkpt(t, p, sections, slots, nil, nil)
+	free := runPartialCkpt(t, p, sections, slots, nil)
 	h := fnv.New64a()
 	fold := func(r ckptRun) {
 		restored += r.restored
@@ -169,10 +168,10 @@ func sweepPartialCkpt(t *testing.T) (restored, recoveries int64, digest uint64) 
 		h.Write(b[:])
 	}
 	for cyc := int64(0); cyc < free.cycles; cyc += 5 {
-		fold(runPartialCkpt(t, p, sections, slots, []int64{cyc}, nil))
+		fold(runPartialCkpt(t, p, sections, slots, &Injector{FalsePositives: []int64{cyc}}))
 	}
 	for arm := int64(0); arm < free.cycles; arm += 5 {
-		fold(runPartialCkpt(t, p, sections, slots, nil, NewInjector(NewSites(p), arm, 12, arm+1)))
+		fold(runPartialCkpt(t, p, sections, slots, NewInjector(NewSites(p), arm, 12, arm+1)))
 	}
 	return restored, recoveries, h.Sum64()
 }

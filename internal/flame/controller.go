@@ -109,14 +109,9 @@ type Controller struct {
 	Mode  Mode
 	Stats Stats
 
-	// Inj, when set, injects a fault and drives detection.
+	// Inj, when set, injects faults and models the sensors: the
+	// controller runs one recovery per report it makes (Injector.Reports).
 	Inj *Injector
-
-	// FalsePositives lists cycles at which the sensors spuriously report
-	// a strike (mis-calibration, Section IV): a full recovery runs with
-	// no actual corruption. Must be sorted ascending.
-	FalsePositives []int64
-	nextFP         int
 
 	// rbqs holds one verification conveyor per (SM, warp scheduler), as
 	// in the paper's hardware (Section III-D2), indexed
@@ -181,7 +176,6 @@ func (c *Controller) Reset(mode Mode) {
 		}
 	}
 	c.Mode, c.Stats, c.Inj = mode, Stats{}, nil
-	c.FalsePositives, c.nextFP = nil, 0
 	for _, q := range c.rbqs {
 		if q != nil {
 			*q = RBQ{entries: q.entries[:0], Depth: mode.WCDL}
@@ -347,12 +341,10 @@ func (c *Controller) midSection(pc int) bool {
 func (c *Controller) onCycle(d *gpu.Device) {
 	// Detection first: an error detected this cycle invalidates pops that
 	// would otherwise complete this cycle.
-	if c.Inj != nil && c.Inj.DetectionDue(d.Cyc) {
-		c.Recover(d)
-	}
-	for c.nextFP < len(c.FalsePositives) && d.Cyc >= c.FalsePositives[c.nextFP] {
-		c.Recover(d)
-		c.nextFP++
+	if c.Inj != nil {
+		for n := c.Inj.Reports(d.Cyc); n > 0; n-- {
+			c.Recover(d)
+		}
 	}
 	if d.Cyc >= c.nextPop {
 		c.popDue(d)
@@ -618,18 +610,17 @@ func (c *Controller) Recover(d *gpu.Device) {
 }
 
 // CopyFrom makes c a copy of src, reusing c's storage: its Mode, Stats,
-// injector and false-positive schedule, RBQ conveyors, per-warp state
-// and undo log. Snapshots are shared with src, which is safe because
-// nothing writes a snapshot's stack in place. The state is keyed by
-// warp slot, which gpu.Device.CopyFrom keeps, so c can drive a copy of
-// the device src drives.
+// injector, RBQ conveyors, per-warp state and undo log. Snapshots are
+// shared with src, which is safe because nothing writes a snapshot's
+// stack in place. The state is keyed by warp slot, which
+// gpu.Device.CopyFrom keeps, so c can drive a copy of the device src
+// drives.
 func (c *Controller) CopyFrom(src *Controller) {
 	if len(c.ckptRegs) != len(src.ckptRegs) {
 		// Checkpoint buffers are sized by the register count.
 		c.dropCkptBufs()
 	}
 	c.Mode, c.Stats, c.Inj = src.Mode, src.Stats, src.Inj
-	c.FalsePositives, c.nextFP = src.FalsePositives, src.nextFP
 	c.ckptRegs = append(c.ckptRegs[:0], src.ckptRegs...)
 	c.ckptSlot = append(c.ckptSlot[:0], src.ckptSlot...)
 	c.rbqs = slices.Grow(c.rbqs[:0], len(src.rbqs))[:len(src.rbqs)]

@@ -78,9 +78,11 @@ type Strike struct {
 
 // Injector models particle strikes corrupting the output of in-flight
 // instructions, and the acoustic sensors detecting each within WCDL
-// cycles. A single-strike injector (NewInjector) reproduces the paper's
-// per-run fault model; campaign trials may arm several strikes and widen
-// the target set with the FullSite model.
+// cycles. It is the one source of sensor reports (Reports), false
+// positives included. A single-strike injector (NewInjector) reproduces
+// the paper's per-run fault model; campaign trials may arm several
+// strikes and widen the target set with the FullSite model. The zero
+// Injector arms no strike; with FalsePositives set it only reports.
 type Injector struct {
 	// Sites is the strike model of the kernel the injector observes.
 	Sites *Sites
@@ -110,7 +112,14 @@ type Injector struct {
 	// Detections counts detected strikes.
 	Detections int
 
-	next int // index of the next unfired strike
+	// FalsePositives lists cycles at which the sensors spuriously report
+	// a strike (mis-calibration, Section IV): the report triggers the
+	// same recovery as a real one, with no corruption behind it. Must be
+	// sorted ascending.
+	FalsePositives []int64
+
+	next   int // index of the next unfired strike
+	nextFP int // index of the next unreported false positive
 }
 
 // NewInjector creates a single-strike data-slice injector armed at the
@@ -200,12 +209,12 @@ func (inj *Injector) ExcludedStrikes() int {
 	return n
 }
 
-// DetectionDue reports whether the sensors report one or more pending
-// strikes this cycle and marks them detected. The caller performs the
-// recovery (one recovery covers every strike reported this cycle).
-func (inj *Injector) DetectionDue(cyc int64) bool {
-	due := false
-	undetected := 0
+// Reports returns how many sensor reports come due at cycle cyc: one
+// when pending strikes are detected (it marks them detected; one report
+// covers every strike detected in the same cycle), plus one per false
+// positive due. The caller runs one recovery per report.
+func (inj *Injector) Reports(cyc int64) int {
+	n, undetected := 0, 0
 	for i := range inj.Strikes {
 		s := &inj.Strikes[i]
 		if !s.Injected || s.Detected {
@@ -216,13 +225,16 @@ func (inj *Injector) DetectionDue(cyc int64) bool {
 			s.DetectedAt = cyc
 			inj.DetectedAt = cyc
 			inj.Detections++
-			due = true
+			n = 1
 		} else {
 			undetected++
 		}
 	}
-	if due && undetected == 0 {
+	if n > 0 && undetected == 0 {
 		inj.Detected = true
 	}
-	return due
+	for ; inj.nextFP < len(inj.FalsePositives) && cyc >= inj.FalsePositives[inj.nextFP]; inj.nextFP++ {
+		n++
+	}
+	return n
 }

@@ -127,7 +127,7 @@ func TestFalsePositiveWithExtendedSections(t *testing.T) {
 			d.Mem.Words()[i] = 1
 		}
 		c := NewController(Mode{WCDL: 20, UseRBQ: true, Sections: res.Sections})
-		c.FalsePositives = fps
+		c.Inj = &Injector{FalsePositives: fps}
 		l := &gpu.Launch{
 			Prog:   p,
 			Grid:   isa.Dim3{X: 2},
@@ -148,5 +148,50 @@ func TestFalsePositiveWithExtendedSections(t *testing.T) {
 				t.Fatalf("fps %v: block %d sum = %d, want 64", fps, b, got)
 			}
 		}
+	}
+}
+
+// TestStrikeAndFalsePositiveSameCycle pins the report count when a
+// strike's detection and a spurious report fall in one cycle: two
+// reports, so two recoveries, not one.
+func TestStrikeAndFalsePositiveSameCycle(t *testing.T) {
+	inj := &Injector{Strikes: []Strike{{Injected: true, detectAt: 50}}, next: 1, FalsePositives: []int64{50}}
+	for _, tc := range []struct {
+		cyc  int64
+		want int
+	}{{49, 0}, {50, 2}, {51, 0}} {
+		if got := inj.Reports(tc.cyc); got != tc.want {
+			t.Fatalf("Reports(%d) = %d, want %d", tc.cyc, got, tc.want)
+		}
+	}
+	if !inj.Detected || inj.DetectedAt != 50 || inj.Detections != 1 {
+		t.Fatalf("strike not detected at 50: detected=%v at %d, %d detections", inj.Detected, inj.DetectedAt, inj.Detections)
+	}
+
+	// The same coincidence in a run: the strike's detection cycle,
+	// learned from a run without false positives, also gets a spurious
+	// report.
+	const n = 256
+	p, res, _ := compile(t, saxpyLoopSrc, schemeRename, false)
+	run := func(fps []int64) *Controller {
+		d := testDevice(t)
+		setupSaxpy(d, n)
+		c := NewController(Mode{WCDL: 20, UseRBQ: true, Sections: res.Sections})
+		c.Inj = NewInjector(NewSites(p), 100, 20, 3)
+		c.Inj.FalsePositives = fps
+		if _, err := d.Run(saxpyLaunch(p, n), c.Hooks()); err != nil {
+			t.Fatal(err)
+		}
+		checkSaxpy(t, d, n, fmt.Sprintf("false positives %v", fps))
+		return c
+	}
+	c := run(nil)
+	if !c.Inj.Detected || c.Stats.Recoveries != 1 {
+		t.Fatalf("strike alone: detected=%v, %d recoveries, want 1", c.Inj.Detected, c.Stats.Recoveries)
+	}
+	at := c.Inj.DetectedAt
+	c = run([]int64{at})
+	if c.Inj.DetectedAt != at || c.Stats.Recoveries != 2 {
+		t.Fatalf("strike and false positive at cycle %d: detected at %d, %d recoveries, want 2", at, c.Inj.DetectedAt, c.Stats.Recoveries)
 	}
 }

@@ -33,9 +33,6 @@ type Hooks struct {
 	// OnCycle runs once per device cycle, after all SMs stepped.
 	OnCycle func(d *Device)
 
-	// OnBlockDone runs when a thread block retires from an SM.
-	OnBlockDone func(d *Device, sm *SM, globalBlock int)
-
 	// OnWarpDispatch runs when a warp is placed on an SM, after its
 	// state is fully initialized and before it can issue. Schemes that
 	// keep per-warp state (e.g. a recovery-point table) seed it here
@@ -75,12 +72,6 @@ func (h *Hooks) onAtomic(d *Device, sm *SM, w *Warp, space isa.Space, addr, old 
 func (h *Hooks) onCycle(d *Device) {
 	if h != nil && h.OnCycle != nil {
 		h.OnCycle(d)
-	}
-}
-
-func (h *Hooks) onBlockDone(d *Device, sm *SM, gb int) {
-	if h != nil && h.OnBlockDone != nil {
-		h.OnBlockDone(d, sm, gb)
 	}
 }
 

@@ -417,16 +417,14 @@ func (sm *SM) retireWarp(w *Warp) {
 	if b.liveWarps == 0 {
 		sm.dev.Stats.BlocksRun++
 		sm.dev.blocksDone++
-		gb := b.GlobalID
 		b.GlobalID = -1
 		for _, wi := range b.WarpIdx {
-			// Recycle into the pool; the dispatch below, after the
-			// onBlockDone hook, is the first to reuse the warps and slots.
+			// Recycle into the pool; the dispatch below is the first to
+			// reuse the warps and slots.
 			sm.warpPool = append(sm.warpPool, sm.Warps[wi])
 			sm.Warps[wi] = nil
 		}
 		b.WarpIdx = b.WarpIdx[:0]
-		sm.dev.hooks.onBlockDone(sm.dev, sm, gb)
 		sm.dispatch()
 	}
 }

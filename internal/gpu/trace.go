@@ -40,10 +40,6 @@ func CombineHooks(a, b *Hooks) *Hooks {
 			a.onCycle(d)
 			b.onCycle(d)
 		},
-		OnBlockDone: func(d *Device, sm *SM, gb int) {
-			a.onBlockDone(d, sm, gb)
-			b.onBlockDone(d, sm, gb)
-		},
 		OnWarpDispatch: func(d *Device, sm *SM, w *Warp) {
 			a.onWarpDispatch(d, sm, w)
 			b.onWarpDispatch(d, sm, w)

@@ -419,47 +419,20 @@ func FalsePositiveStudy(cfg Config, nFP int) ([]FalsePositiveRow, error) {
 		if err != nil {
 			return err
 		}
-		dev, err := gpu.NewDevice(cfg.Arch, spec.MemBytes)
-		if err != nil {
-			return err
-		}
-		if spec.Setup != nil {
-			spec.Setup(dev.Mem.Words())
-		}
-		ctl := comp.Controller()
-		// Spread the spurious detections across the main launch (for
-		// multi-kernel applications the total is split evenly).
+		// The sensors report nFP times with no strike, spread across the
+		// main launch (for multi-kernel applications the total is split
+		// evenly); the injector observes the main launch only.
 		window := clean.Stats.Cycles / int64(len(spec.Steps)+1)
+		inj := &flame.Injector{}
 		for k := 1; k <= nFP; k++ {
-			ctl.FalsePositives = append(ctl.FalsePositives, window*int64(k)/int64(nFP+1))
+			inj.FalsePositives = append(inj.FalsePositives, window*int64(k)/int64(nFP+1))
 		}
-		launch := &gpu.Launch{Prog: comp.Prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}
-		st, err := dev.Run(launch, ctl.Hooks())
+		fp, err := core.RunCompiled(cfg.Arch, spec, comp, inj)
 		if err != nil {
-			return err
+			return fmt.Errorf("%d false positives: %w", nFP, err)
 		}
-		cycles := st.Cycles
-		// Multi-kernel applications: run the remaining launches (the
-		// false positives were confined to the first).
-		for k, step := range spec.Steps {
-			sc, err := core.Compile(step.Prog, cfg.flameOptions())
-			if err != nil {
-				return fmt.Errorf("%s step %d: %w", b.Name, k+1, err)
-			}
-			sl := &gpu.Launch{Prog: sc.Prog, Grid: step.Grid, Block: step.Block, Params: step.Params}
-			sst, err := dev.Run(sl, sc.Controller().Hooks())
-			if err != nil {
-				return err
-			}
-			cycles += sst.Cycles
-		}
-		if spec.Validate != nil {
-			if verr := spec.Validate(dev.Mem.Words()); verr != nil {
-				return fmt.Errorf("%s: post-false-positive validation: %w", b.Name, verr)
-			}
-		}
-		ov := float64(cycles) / float64(clean.Stats.Cycles)
-		out[i] = FalsePositiveRow{Benchmark: b.Name, Overhead: ov, NumFP: int(ctl.Stats.Recoveries)}
+		ov := core.Overhead(fp, clean)
+		out[i] = FalsePositiveRow{Benchmark: b.Name, Overhead: ov, NumFP: int(fp.Flame.Recoveries)}
 		return nil
 	})
 	if err != nil {

@@ -85,30 +85,7 @@ func PercentileInt64(xs []int64, p float64) int64 {
 // behaves sanely at the extremes fault-injection campaigns live at
 // (k = n or k = 0 with large n). n = 0 returns the vacuous [0, 1].
 func Wilson(k, n int, z float64) (lo, hi float64) {
-	if n <= 0 {
-		return 0, 1
-	}
-	p := float64(k) / float64(n)
-	nn := float64(n)
-	z2 := z * z
-	denom := 1 + z2/nn
-	center := p + z2/(2*nn)
-	margin := z * math.Sqrt(p*(1-p)/nn+z2/(4*nn*nn))
-	lo = (center - margin) / denom
-	hi = (center + margin) / denom
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	// At the boundaries the algebra cancels exactly (hi = 1 when k = n,
-	// lo has no such cancellation); pin the float round-off so campaign
-	// JSON reports 1, not 0.9999999999999999.
-	if k == n {
-		hi = 1
-	}
-	return lo, hi
+	return WilsonReal(float64(k), float64(n), z)
 }
 
 // Wilson95 is Wilson at the conventional 95% level.

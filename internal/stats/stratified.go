@@ -142,8 +142,8 @@ func Converged95(target float64, sdc, due []StratumCount) (sdcHalf, dueHalf floa
 
 // WilsonReal is the Wilson score interval for fractional counts: k
 // successes in n trials, both real-valued (the effective-sample-size
-// interval behind StratifiedWilson). It reproduces Wilson exactly on
-// integer inputs; n <= 0 returns the vacuous [0, 1].
+// interval behind StratifiedWilson); Wilson is it on integer counts.
+// n <= 0 returns the vacuous [0, 1].
 func WilsonReal(k, n, z float64) (lo, hi float64) {
 	if n <= 0 {
 		return 0, 1
@@ -161,8 +161,9 @@ func WilsonReal(k, n, z float64) (lo, hi float64) {
 	if hi > 1 {
 		hi = 1
 	}
-	// Boundary pinning, exactly as in Wilson: the algebra cancels at
-	// k = n but float round-off doesn't.
+	// At the boundaries the algebra cancels exactly (hi = 1 when k = n,
+	// lo has no such cancellation); pin the float round-off so campaign
+	// JSON reports 1, not 0.9999999999999999.
 	if k >= n {
 		hi = 1
 	}

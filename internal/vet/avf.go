@@ -34,7 +34,7 @@ import (
 //     interval, so the un-ACE fraction of the single-strike space is an
 //     integer count, not an estimate.
 //   - Detection-outcome model (core.PruneIndex): for sensor-detecting
-//     schemes the controller probes DetectionDue on every processed
+//     schemes the controller polls Injector.Reports on every processed
 //     cycle of the main launch, and the WCDL contract (sensor delay ≤
 //     RBQ exit-boundary wait) means every fired strike is detected
 //     in-launch. Detected strikes re-execute and classify Recovered.
@@ -160,7 +160,7 @@ func (p *Prediction) String() string {
 // [PredMasked, PredMasked+Residual] — and the recovered point
 // prediction (exact for both scheme kinds) must fall inside its CI.
 // Pairs where the model claims sharpness (detecting schemes, whose
-// outcome model is exact, and pairs with Residual ≤ SharpResidual)
+// outcome model is exact, and pairs with Residual ≤ sharpMaxResidual)
 // must additionally land the masked point prediction inside the
 // measured CI.
 
@@ -203,6 +203,11 @@ type AVFReport struct {
 	Predictions []*Prediction `json:"predictions"`
 }
 
+// sharpMaxResidual is the residual mass up to which a non-detecting
+// pair's masked prediction is held to the strict in-CI check. Detecting
+// pairs are always sharp.
+const sharpMaxResidual = 0.02
+
 // AVFConfig parameterizes the gate.
 type AVFConfig struct {
 	Arch     gpu.Config
@@ -212,10 +217,6 @@ type AVFConfig struct {
 	Trials   int
 	Parallel int
 	Seed     uint64
-	// SharpResidual is the residual mass below which a non-detecting
-	// pair's masked prediction is held to the strict in-CI check
-	// (default 0.02). Detecting pairs are always sharp.
-	SharpResidual float64
 }
 
 // AVFCrossValidate runs the gate: one static prediction and one
@@ -224,9 +225,6 @@ type AVFConfig struct {
 func AVFCrossValidate(cfg AVFConfig) (*AVFReport, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 200
-	}
-	if cfg.SharpResidual <= 0 {
-		cfg.SharpResidual = 0.02
 	}
 	out := &AVFReport{Trials: cfg.Trials, Model: cfg.Model.String(), Pass: true}
 	for _, opt := range cfg.Schemes {
@@ -270,7 +268,7 @@ func AVFCrossValidate(cfg AVFConfig) (*AVFReport, error) {
 			}
 			pair.MaskedLo, pair.MaskedHi = wilsonPinned(br.Masked, br.Injected)
 			pair.RecoveredLo, pair.RecoveredHi = wilsonPinned(br.Recovered, br.Injected)
-			pair.Sharp = p.Detecting || p.Residual <= cfg.SharpResidual
+			pair.Sharp = p.Detecting || p.Residual <= sharpMaxResidual
 			// Soundness band: the measured CI must overlap the model's
 			// [certain-masked, certain-masked+residual] band, and the
 			// recovered point prediction is exact for every scheme kind.

@@ -53,15 +53,13 @@ func knownCheck(name string) bool {
 	return false
 }
 
-// Config selects which checks run and can override per-check severities.
-// The zero value runs every default check at its built-in severity.
+// Config selects which checks run and bounds their work. The zero value
+// runs every default check.
 type Config struct {
 	// Enable, when non-empty, runs only the listed checks.
 	Enable []string
 	// Disable suppresses the listed checks (applied after Enable).
 	Disable []string
-	// Severities overrides the severity of findings from a check.
-	Severities map[string]Severity
 	// WCDL is the worst-case detection latency budget in instructions for
 	// the wcdl-budget check; 0 disables the budget comparison.
 	WCDL int

@@ -27,7 +27,7 @@ import (
 // Severity grades a diagnostic.
 type Severity uint8
 
-// Severities, in ascending order.
+// Severity levels, in ascending order.
 const (
 	// Info is advisory output that never gates a build.
 	Info Severity = iota
@@ -134,14 +134,10 @@ type Report struct {
 // NewReport creates a report filtering diagnostics through the config.
 func NewReport(cfg Config) *Report { return &Report{cfg: cfg} }
 
-// Add appends a diagnostic unless its check is disabled. Severity
-// overrides from the config are applied here.
+// Add appends a diagnostic unless its check is disabled.
 func (r *Report) Add(d Diagnostic) {
 	if !r.cfg.enabled(d.Check) {
 		return
-	}
-	if sev, ok := r.cfg.Severities[d.Check]; ok {
-		d.Severity = sev
 	}
 	r.Diags = append(r.Diags, d)
 }

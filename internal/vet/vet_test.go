@@ -283,13 +283,6 @@ func TestConfigFiltering(t *testing.T) {
 		t.Fatal("disabled check still reported")
 	}
 
-	rep = File(mustParse(t, src), Config{Severities: map[string]Severity{"use-before-def": Info}})
-	for _, d := range rep.Diags {
-		if d.Check == "use-before-def" && d.Severity != Info {
-			t.Fatalf("severity override ignored: %+v", d)
-		}
-	}
-
 	if _, err := ParseCheckList("use-before-def,oracle"); err != nil {
 		t.Fatal(err)
 	}
