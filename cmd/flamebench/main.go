@@ -25,11 +25,8 @@ import (
 var experiments = []string{
 	"fig12", "table2", "fig13", "fig15", "fig16", "fig17", "fig18", "fig19",
 	"discussion", "hw", "ckptplace", "occupancy", "falsepos", "masking",
-	"ablation", "inject", "telemetry", "sampling", "perf", "all",
+	"ablation", "inject", "telemetry", "sampling", "all",
 }
-
-// The campaign trials -exp perf measures and the uniform-grid budget of -exp sampling.
-const perfTrials, samplingTrials = 50, 400
 
 // parseExps returns the set of experiments a comma-separated -exp list
 // names, rejecting any name that is not an experiment.
@@ -52,8 +49,6 @@ func main() {
 	sms := flag.Int("sms", 0, "override SM count (smaller = faster)")
 	wcdl := flag.Int("wcdl", 20, "sensor WCDL")
 	injectRuns := flag.Int("inject-runs", 5, "injection trials per benchmark")
-	perfOut := flag.String("perf-out", "BENCH_sim.json", "output path for the -exp perf report")
-	perfGuard := flag.Bool("perf-guard", true, "with -exp perf: fail if trials/s regressed >20% vs the previous same-host history entry")
 	flag.Parse()
 	want, err := parseExps(*exp)
 	if err != nil {
@@ -143,24 +138,7 @@ func main() {
 		return nil
 	})
 	run("telemetry", func() error { _, err := harness.TelemetryStudy(cfg); return err })
-	// perf and sampling write BENCH_sim.json as a side effect, so they
-	// only run when asked for by name, never as part of -exp all.
-	if want["sampling"] {
-		if _, err := harness.SamplingStudy(cfg, *perfOut, samplingTrials); err != nil {
-			fail("sampling: %v", err)
-		}
-	}
-	if want["perf"] {
-		if _, err := harness.PerfBench(cfg, *perfOut, perfTrials); err != nil {
-			fail("perf: %v", err)
-		}
-		if *perfGuard {
-			if err := harness.CheckPerfRegression(*perfOut, 0); err != nil {
-				fail("%v", err)
-			}
-			fmt.Println("perf guard: trials/s within 20% of the previous same-host entry (or no comparable entry)")
-		}
-	}
+	run("sampling", func() error { _, err := harness.SamplingStudy(cfg, harness.SamplingBudget); return err })
 }
 
 func fail(format string, args ...any) {

@@ -64,11 +64,11 @@ func main() {
 		fail("%v", err)
 	}
 
-	fmt.Printf("scheme: %s (WCDL=%d)\n", scheme, *wcdl)
+	fmt.Printf("scheme: %s (WCDL=%d)\n", scheme, comp.Opt.WCDL)
 	fmt.Printf("instructions: %d -> %d, registers: %d -> %d\n",
 		prog.Len(), comp.Prog.Len(), prog.NumRegs, comp.Prog.NumRegs)
 	fmt.Printf("static regions: %d (boundaries: %d)\n",
-		len(regions.RegionStarts(comp.Prog)), comp.Prog.BoundaryCount())
+		len(comp.Prog.RegionStarts()), comp.Prog.BoundaryCount())
 	if comp.Form != nil {
 		fmt.Printf("sections: %d (elided barriers: %d)\n", len(comp.Sections), comp.Form.ElidedBarriers)
 	}

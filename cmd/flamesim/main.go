@@ -124,7 +124,7 @@ func main() {
 		hooks = gpu.CombineHooks(hooks, tr.Hooks())
 	}
 
-	res, err := core.RunCompiledOpts(arch, spec, comp, nil, core.RunOpts{Hooks: hooks})
+	res, err := new(core.Runner).Run(arch, spec, comp, nil, core.RunOpts{Hooks: hooks})
 	if err != nil {
 		fail("%v", err)
 	}

@@ -98,7 +98,7 @@ func ApplyPlaced(p *isa.Program, place Placement, tr *isa.EditTrace) (*Result, e
 		guard   isa.Guard
 	}
 	var ckpts []ckpt
-	starts := regionStarts(p)
+	starts := p.RegionStarts()
 	for si, start := range starts {
 		end := len(p.Insts)
 		if si+1 < len(starts) {
@@ -170,15 +170,4 @@ func ApplyPlaced(p *isa.Program, place Placement, tr *isa.EditTrace) (*Result, e
 	}
 	p.LocalBytes = int(res.SlotBase) + 4*len(res.Slots)
 	return res, nil
-}
-
-// regionStarts returns indices beginning linear region spans.
-func regionStarts(p *isa.Program) []int {
-	starts := []int{0}
-	for i := 1; i < len(p.Insts); i++ {
-		if p.Insts[i].Boundary {
-			starts = append(starts, i)
-		}
-	}
-	return starts
 }

@@ -92,7 +92,9 @@ func NewEngine(cfg gpu.Config) *Engine {
 }
 
 // SetNoCOW switches the engine to full-footprint restore/diff (the
-// pre-dirty-tracking behaviour). Classification is unchanged.
+// pre-dirty-tracking behaviour): the reference the equivalence tests
+// compare dirty-page restore against, not an option of any command.
+// Classification is unchanged.
 func (e *Engine) SetNoCOW(v bool) { e.noCOW = v }
 
 // Stats returns the accumulated restore accounting.

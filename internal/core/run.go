@@ -80,16 +80,10 @@ func Run(cfg gpu.Config, spec *KernelSpec, opt Options) (*Result, error) {
 	return RunCompiled(cfg, spec, comp, nil)
 }
 
-// RunCompiled simulates an already-compiled application, optionally with
-// a fault injector attached; see RunCompiledOpts.
-func RunCompiled(cfg gpu.Config, spec *KernelSpec, comp *Compiled, inj *flame.Injector) (*Result, error) {
-	return RunCompiledOpts(cfg, spec, comp, inj, RunOpts{})
-}
-
-// RunCompiledOpts simulates an already-compiled application on a new
+// RunCompiled simulates an already-compiled application on a new
 // device, optionally with a fault injector attached; see Runner.Run.
-func RunCompiledOpts(cfg gpu.Config, spec *KernelSpec, comp *Compiled, inj *flame.Injector, ro RunOpts) (*Result, error) {
-	return new(Runner).Run(cfg, spec, comp, inj, ro)
+func RunCompiled(cfg gpu.Config, spec *KernelSpec, comp *Compiled, inj *flame.Injector) (*Result, error) {
+	return new(Runner).Run(cfg, spec, comp, inj, RunOpts{})
 }
 
 // Runner runs applications from host setup to validation, one after

@@ -44,7 +44,7 @@ func Tail(p *isa.Program, wcdl int, tr *isa.EditTrace) (Stats, error) {
 	}
 	tailLen := (wcdl + 1) / 2
 	inTail := make([]bool, len(p.Insts))
-	starts := regionStarts(p)
+	starts := p.RegionStarts()
 	for si, start := range starts {
 		end := len(p.Insts)
 		if si+1 < len(starts) {
@@ -96,14 +96,4 @@ func apply(p *isa.Program, tr *isa.EditTrace, want func(int) bool) (Stats, error
 		return st, err
 	}
 	return st, nil
-}
-
-func regionStarts(p *isa.Program) []int {
-	starts := []int{0}
-	for i := 1; i < len(p.Insts); i++ {
-		if p.Insts[i].Boundary {
-			starts = append(starts, i)
-		}
-	}
-	return starts
 }

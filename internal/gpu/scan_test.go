@@ -94,7 +94,7 @@ func TestIssueScanMatchesFromScratch(t *testing.T) {
 				cfg.NumSMs = 2
 				cfg.Scheduler = sched
 				c := &scanChecker{act: scheme.Scheme == core.Baseline}
-				if _, err := core.RunCompiledOpts(cfg, spec, comp, nil, core.RunOpts{Hooks: c.hooks()}); err != nil {
+				if _, err := new(core.Runner).Run(cfg, spec, comp, nil, core.RunOpts{Hooks: c.hooks()}); err != nil {
 					t.Fatal(err)
 				}
 				if c.err != nil {

@@ -19,18 +19,16 @@ import (
 // squared uniform half-width over stratified trials times squared
 // stratified half-width — trials-to-equal-precision, not wall clock.
 type SamplingBenchPerf struct {
-	Benchmark string `json:"benchmark"`
+	Benchmark string
 	// StrataKey is the stratification key the stratified run used.
-	// Empty means the default (section-class) key, so history entries
-	// written before the key existed keep their meaning.
-	StrataKey           string  `json:"strata_key,omitempty"`
-	Budget              int     `json:"budget"`
-	UniformHalfWidth    float64 `json:"uniform_half_width"`
-	StratifiedTrials    int     `json:"stratified_trials"`
-	StratifiedHalfWidth float64 `json:"stratified_half_width"`
-	Rounds              int     `json:"rounds"`
-	StopReason          string  `json:"stop_reason"`
-	EffectiveSpeedup    float64 `json:"effective_speedup"`
+	StrataKey           string
+	Budget              int
+	UniformHalfWidth    float64
+	StratifiedTrials    int
+	StratifiedHalfWidth float64
+	Rounds              int
+	StopReason          string
+	EffectiveSpeedup    float64
 }
 
 // samplingSpecs are the study's workloads under the unprotected
@@ -47,6 +45,47 @@ func samplingSpecs() ([]*core.KernelSpec, error) {
 		return nil, err
 	}
 	return []*core.KernelSpec{b.Spec(), restoreBoundSpec(), stratBoundSpec()}, nil
+}
+
+// restoreBoundSpec is the restore-bound microbenchmark: 128 threads
+// increment 128 contiguous words (one dirty page) of a 4 MB footprint
+// (4096 pages), the worst case for a full-image restore. The live work
+// is latency-free (the stored value is computed, not loaded), and the
+// tail is a load whose value feeds only the never-read r10: its memory
+// latency stretches the back of the execution window with cycles where
+// every strike lands on a provably dead register.
+func restoreBoundSpec() *core.KernelSpec {
+	const src = `
+	    mov r0, %tid.x
+	    mov r1, %ctaid.x
+	    mov r2, %ntid.x
+	    mad r3, r1, r2, r0
+	    shl r4, r3, 2
+	    ld.param r5, [0]
+	    add r6, r5, r4
+	    add r8, r3, 1
+	    st.global [r6], r8
+	    ld.global r9, [r6]
+	    mul r10, r9, 3
+	    exit
+	`
+	const n = 2 * 64
+	return &core.KernelSpec{
+		Name:     "RestoreBound",
+		Prog:     isa.MustParse("restorebound", src),
+		Grid:     isa.Dim3{X: 2},
+		Block:    isa.Dim3{X: 64},
+		Params:   []uint32{0},
+		MemBytes: 4 << 20,
+		Validate: func(mem []uint32) error {
+			for i := 0; i < n; i++ {
+				if mem[i] != uint32(i+1) {
+					return fmt.Errorf("mem[%d] = %d, want %d", i, mem[i], i+1)
+				}
+			}
+			return nil
+		},
+	}
 }
 
 // stratBoundSpec is the stratification-bound microbenchmark: the
@@ -98,17 +137,20 @@ func stratBoundSpec() *core.KernelSpec {
 	}
 }
 
+// SamplingBudget is the uniform-grid budget `flamebench -exp sampling`
+// gives each workload, and the one SamplingStudy uses for a
+// non-positive trials.
+const SamplingBudget = 400
+
 // SamplingStudy runs the variance-reduction experiment behind
 // `flamebench -exp sampling`: for each workload, the uniform grid at
 // the full budget fixes a precision target (the wider of the SDC and
 // DUE Wilson 95% half-widths), then the stratified sampler runs with
-// that target as its -ci-target and the same budget as a ceiling. The
-// results are appended to the BENCH_sim.json history at outPath (when
-// non-empty) as a sampling-only entry.
-func SamplingStudy(cfg Config, outPath string, trials int) ([]SamplingBenchPerf, error) {
+// that target as its -ci-target and the same budget as a ceiling.
+func SamplingStudy(cfg Config, trials int) ([]SamplingBenchPerf, error) {
 	cfg.fill()
 	if trials <= 0 {
-		trials = 400
+		trials = SamplingBudget
 	}
 	specs, err := samplingSpecs()
 	if err != nil {
@@ -143,9 +185,7 @@ func SamplingStudy(cfg Config, outPath string, trials int) ([]SamplingBenchPerf,
 			scfg := base
 			scfg.Stratify = true
 			scfg.CITarget = wu
-			keyName := ""
 			if key != core.StrataKeySectionClass {
-				keyName = string(key)
 				scfg.StrataKey = string(key)
 			}
 			srep, err := campaign.Run(scfg)
@@ -159,7 +199,7 @@ func SamplingStudy(cfg Config, outPath string, trials int) ([]SamplingBenchPerf,
 			}
 			r := SamplingBenchPerf{
 				Benchmark:           spec.Name,
-				StrataKey:           keyName,
+				StrataKey:           string(key),
 				Budget:              trials,
 				UniformHalfWidth:    wu,
 				StratifiedTrials:    s.TrialsUsed,
@@ -171,7 +211,7 @@ func SamplingStudy(cfg Config, outPath string, trials int) ([]SamplingBenchPerf,
 				r.EffectiveSpeedup = (float64(trials) * wu * wu) / (float64(s.TrialsUsed) * ws * ws)
 			}
 			out = append(out, r)
-			t.Add(r.Benchmark, string(key), fmt.Sprintf("%d", r.Budget),
+			t.Add(r.Benchmark, r.StrataKey, fmt.Sprintf("%d", r.Budget),
 				fmt.Sprintf("%.4f", r.UniformHalfWidth),
 				fmt.Sprintf("%d", r.StratifiedTrials),
 				fmt.Sprintf("%.4f", r.StratifiedHalfWidth),
@@ -180,14 +220,6 @@ func SamplingStudy(cfg Config, outPath string, trials int) ([]SamplingBenchPerf,
 		}
 	}
 	cfg.printf("stratified sampling efficiency (scheme=Baseline model=data, target = uniform grid's half-width)\n%s", t.String())
-
-	if outPath != "" {
-		rep := &PerfReport{Sampling: out}
-		rep.stamp()
-		if err := AppendPerfHistory(outPath, rep); err != nil {
-			return nil, err
-		}
-	}
 	return out, nil
 }
 

@@ -17,10 +17,12 @@ import (
 // cell's gpu.Stats, and each point's geomean as `flamebench -exp
 // fig17,fig18,fig19,occupancy -quick -sms 4` computes it. It also pins
 // the Section IV numbers: each benchmark's false-positive study row
-// (`-exp falsepos`, 5 spurious recoveries) and the discussion values
-// (`-exp discussion`). A change
-// meant to move them regenerates the file with
-// UPDATE_GRID_PINS=1 go test ./internal/harness -run TestSweepsPinned
+// (`-exp falsepos`, 5 spurious recoveries), the discussion values
+// (`-exp discussion`) and the stratified-sampling study (`-exp
+// sampling`, both strata keys at flamebench's SamplingBudget: uniform
+// half-width, stratified trials and half-width, rounds, stop reason,
+// effective speedup). A change meant to move them regenerates the file
+// with UPDATE_GRID_PINS=1 go test ./internal/harness -run TestSweepsPinned
 // and the diff then shows which cells moved.
 var sweepPinFile = filepath.Join("testdata", "sweeps_4sm.tsv")
 
@@ -44,7 +46,8 @@ var pinnedSweeps = []struct {
 // that needs it, then with geomeans set one "geomean" row per point
 // holding the sweep function's value. The false-positive rows follow,
 // one per benchmark, and with geomeans set the discussion values, which
-// aggregate over every benchmark.
+// aggregate over every benchmark, and the sampling study's rows, which
+// run on its own three workloads.
 func sweepPinRows(t *testing.T, cfg Config, geomeans bool) []string {
 	t.Helper()
 	n := len(cfg.Benchmarks)
@@ -105,6 +108,15 @@ func sweepPinRows(t *testing.T, cfg Config, geomeans bool) []string {
 		{"avg_dyn_region_insts", d.AvgDynRegionInsts},
 	} {
 		rows = append(rows, fmt.Sprintf("discussion\t%s\tall\t%s\t%.6f", v.name, scheme, v.v))
+	}
+	sampling, err := SamplingStudy(cfg, SamplingBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range sampling {
+		rows = append(rows, fmt.Sprintf("sampling\t%s\t%s\tbaseline\t%.6f\t%d\t%.6f\t%d\t%s\t%.6f",
+			r.StrataKey, r.Benchmark, r.UniformHalfWidth, r.StratifiedTrials,
+			r.StratifiedHalfWidth, r.Rounds, r.StopReason, r.EffectiveSpeedup))
 	}
 	return rows
 }

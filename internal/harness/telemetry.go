@@ -42,7 +42,7 @@ func TelemetryStudy(cfg Config) ([]SlotShareRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", b.Name, s.name, err)
 			}
-			res, err := core.RunCompiledOpts(cfg.Arch, b.Spec(), comp, nil,
+			res, err := new(core.Runner).Run(cfg.Arch, b.Spec(), comp, nil,
 				core.RunOpts{Hooks: col.Hooks()})
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", b.Name, s.name, err)

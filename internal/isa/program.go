@@ -116,6 +116,18 @@ func (p *Program) BoundaryCount() int {
 	return n
 }
 
+// RegionStarts returns the instruction indices that begin regions: index
+// 0 plus every boundary-annotated instruction.
+func (p *Program) RegionStarts() []int {
+	starts := []int{0}
+	for i := 1; i < len(p.Insts); i++ {
+		if p.Insts[i].Boundary {
+			starts = append(starts, i)
+		}
+	}
+	return starts
+}
+
 // String disassembles the whole program, marking region boundaries with a
 // "--" line, in a form that Parse accepts back (modulo synthesized labels).
 func (p *Program) String() string {

@@ -181,23 +181,11 @@ func countStaticRegions(boundary []bool) int {
 	return n
 }
 
-// RegionStarts returns the instruction indices that begin regions: index
-// 0 plus every boundary-annotated instruction.
-func RegionStarts(p *isa.Program) []int {
-	starts := []int{0}
-	for i := 1; i < len(p.Insts); i++ {
-		if p.Insts[i].Boundary {
-			starts = append(starts, i)
-		}
-	}
-	return starts
-}
-
 // StaticRegionSizes returns the instruction counts of the straight-line
 // spans between consecutive region starts (a static approximation of
 // region size used for reporting; dynamic sizes come from the simulator).
 func StaticRegionSizes(p *isa.Program) []int {
-	starts := RegionStarts(p)
+	starts := p.RegionStarts()
 	sizes := make([]int, 0, len(starts))
 	for i, s := range starts {
 		end := len(p.Insts)

@@ -231,7 +231,7 @@ func TestStaticRegionSizes(t *testing.T) {
 	if total != p.Len() {
 		t.Fatalf("region sizes sum to %d, want %d", total, p.Len())
 	}
-	if got := len(RegionStarts(p)); got != len(sizes) {
+	if got := len(p.RegionStarts()); got != len(sizes) {
 		t.Fatalf("starts %d != sizes %d", got, len(sizes))
 	}
 }

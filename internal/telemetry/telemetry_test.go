@@ -31,7 +31,7 @@ func runBench(t *testing.T, cfg gpu.Config, name string, opt core.Options, extra
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunCompiledOpts(cfg, spec, comp, nil, core.RunOpts{Hooks: extra})
+	res, err := new(core.Runner).Run(cfg, spec, comp, nil, core.RunOpts{Hooks: extra})
 	if err != nil {
 		t.Fatal(err)
 	}

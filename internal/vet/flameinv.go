@@ -18,7 +18,7 @@ type regionCtx struct {
 }
 
 func newRegionCtx(p *isa.Program, sections []regions.Section) *regionCtx {
-	return &regionCtx{starts: regions.RegionStarts(p), sections: sections}
+	return &regionCtx{starts: p.RegionStarts(), sections: sections}
 }
 
 // regionOf returns the static region index containing instruction i.

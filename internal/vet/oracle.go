@@ -785,7 +785,7 @@ func Oracle(t *Target, grid, block isa.Dim3, params []uint32, gmem []uint32, cfg
 
 // OracleSpec runs the oracle over a full kernel spec compiled for a
 // scheme: the main launch plus any follow-on Steps, sharing global
-// memory exactly like core.RunCompiledOpts. Returns an error only for
+// memory exactly like core.Runner.Run. Returns an error only for
 // harness failures (a step failing to compile); verification findings go
 // into the report.
 func OracleSpec(spec *core.KernelSpec, comp *core.Compiled, cfg Config, rep *Report) (OracleStats, error) {
